@@ -21,7 +21,6 @@ import numpy as np
 
 from .domains import BlockStructure, GammaPoint, mu, tetrablock_member
 from .fractional import SingularFractionError, se_values
-from .hardy import RationalFunction
 from .kernels import SampleGrid, combine_k, kernel_rank, membership, tensor_grid, upper_e
 from .linalg import IndefiniteMatrixError
 from .lurking import (
@@ -39,7 +38,6 @@ from .nevanlinna import (
     certify_gamma5_interpolation,
     certify_gamma7_interpolation,
     np_solve,
-    pick_matrix,
     reduce_gamma5,
     reduce_gamma7,
     sample_curve,
@@ -127,25 +125,35 @@ def _matrix_and_structure(payload: dict) -> tuple[np.ndarray, BlockStructure]:
     return matrix, structure
 
 
+def _grid_int(spec: dict, key: str, default: int) -> int:
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _fail(f"grid field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _grid_from(payload: dict, args) -> tuple[SampleGrid, dict]:
     """Grid plus the echoed grid options; --seed/--grid override the file."""
     spec = payload.get("grid", {})
     if not isinstance(spec, dict):
         raise _fail("grid field must be a JSON object")
-    if "points" in spec:
-        points = tuple(
-            tuple(complex_from_json(v) for v in pt) for pt in spec["points"]
-        )
-        grid = SampleGrid(points, diagonal=bool(spec.get("diagonal", False)))
-        return grid, {"points": len(points), "diagonal": grid.diagonal}
-    n_lambda = int(spec.get("n_lambda", 4))
-    n_z = int(spec.get("n_z", 4))
-    if args.grid is not None:
-        n_z = max(1, int(args.grid) // max(1, n_lambda))
-    radius = float(spec.get("radius", 0.9))
-    seed = int(spec.get("seed", 0)) if args.seed is None else int(args.seed)
-    diagonal = bool(spec.get("diagonal", False))
-    grid = tensor_grid(n_lambda, n_z, radius=radius, seed=seed, diagonal=diagonal)
+    try:
+        if "points" in spec:
+            points = tuple(
+                tuple(complex_from_json(v) for v in pt) for pt in spec["points"]
+            )
+            grid = SampleGrid(points, diagonal=bool(spec.get("diagonal", False)))
+            return grid, {"points": len(points), "diagonal": grid.diagonal}
+        n_lambda = _grid_int(spec, "n_lambda", 4)
+        n_z = _grid_int(spec, "n_z", 4)
+        if args.grid is not None:
+            n_z = max(1, int(args.grid) // max(1, n_lambda))
+        radius = float(spec.get("radius", 0.9))
+        seed = _grid_int(spec, "seed", 0) if args.seed is None else int(args.seed)
+        diagonal = bool(spec.get("diagonal", False))
+        grid = tensor_grid(n_lambda, n_z, radius=radius, seed=seed, diagonal=diagonal)
+    except (TypeError, ValueError) as exc:
+        raise _fail(f"bad grid: {exc}") from exc
     return grid, {
         "n_lambda": n_lambda,
         "n_z": n_z,
@@ -153,6 +161,15 @@ def _grid_from(payload: dict, args) -> tuple[SampleGrid, dict]:
         "seed": seed,
         "diagonal": diagonal,
     }
+
+
+def _mu_of(payload: dict, args) -> tuple[float, BlockStructure, int]:
+    """mu of the instance's matrix, its structure, and the phase grid (--grid)."""
+    matrix, structure = _matrix_and_structure(payload)
+    phase_grid = int(args.grid) if args.grid is not None else 720
+    if phase_grid < 4:
+        raise _fail(f"--grid must be at least 4 for the mu phase grid, got {phase_grid}")
+    return mu(matrix, structure, phase_grid=phase_grid), structure, phase_grid
 
 
 def _row_json(row) -> dict:
@@ -171,10 +188,7 @@ def _row_json(row) -> dict:
 
 
 def _cmd_mu(args):
-    payload = _load_payload(args)
-    matrix, structure = _matrix_and_structure(payload)
-    phase_grid = int(args.grid) if args.grid is not None else 720
-    value = mu(matrix, structure, phase_grid=phase_grid)
+    value, structure, phase_grid = _mu_of(_load_payload(args), args)
     report = {
         "mu": float(value),
         "structure": structure.label(),
@@ -187,10 +201,13 @@ def _cmd_gamma_check(args):
     payload = _load_payload(args)
     tol = float(args.tol) if args.tol is not None else 1e-9
     if "point" in payload:
-        point = GammaPoint(
-            payload.get("variant", "gamma3"),
-            tuple(complex_from_json(v) for v in payload["point"]),
-        )
+        try:
+            point = GammaPoint(
+                payload.get("variant", "gamma3"),
+                tuple(complex_from_json(v) for v in payload["point"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise _fail(f"bad gamma point: {exc}") from exc
         if point.variant != "gamma3":
             raise _fail("point membership checks support the gamma3 variant only")
         member = tetrablock_member(point.entries, tol=tol)
@@ -200,9 +217,7 @@ def _cmd_gamma_check(args):
             "options": {"tol": tol},
         }
         return (0 if member else 2), report
-    matrix, structure = _matrix_and_structure(payload)
-    phase_grid = int(args.grid) if args.grid is not None else 720
-    value = mu(matrix, structure, phase_grid=phase_grid)
+    value, structure, phase_grid = _mu_of(payload, args)
     member = value <= 1.0 + tol
     report = {
         "member": bool(member),
@@ -236,10 +251,42 @@ def _cmd_se(args):
     return 0, report
 
 
-def _kernel_summary(triple, tol):
-    k = combine_k(triple)
-    outer = np.outer(triple.g_values, np.conj(triple.g_values))
-    k_residual = float(np.abs(k.gram - outer).max())
+def _gram_match(triple, xi) -> float:
+    """Largest entry gap between the kernels of ``triple`` and those of ``xi``."""
+    back = upper_e(xi, triple.grid)
+    return max(
+        float(np.abs(b.gram - a.gram).max())
+        for a, b in ((triple.n1, back.n1), (triple.n2, back.n2), (triple.n3, back.n3))
+    )
+
+
+def _right_s_match(values, g) -> tuple[float, float]:
+    """Modulus gap, and spread of the phases ``values / g`` where ``|g| > 1e-8``."""
+    modulus = float(np.abs(np.abs(values) - np.abs(g)).max())
+    keep = np.abs(g) > 1e-8
+    ratios = values[keep] / g[keep]
+    phase = float(np.abs(ratios - ratios.mean()).max()) if ratios.size else 0.0
+    return modulus, phase
+
+
+def _kernel_identity(triple) -> float:
+    """Largest entry gap between the combined kernel and ``g g*``."""
+    g = triple.g_values
+    return float(np.abs(combine_k(triple).gram - np.outer(g, np.conj(g))).max())
+
+
+def _sampled_triple(args, default_tol: float):
+    """Schur function and kernel triple of a grid instance, plus echoed options."""
+    payload = _load_payload(args)
+    f = _function_from(payload)
+    grid, grid_opts = _grid_from(payload, args)
+    tol = float(args.tol) if args.tol is not None else default_tol
+    return f, upper_e(f, grid), {"tol": tol, "grid": grid_opts}
+
+
+def _cmd_upper_e(args):
+    _, triple, options = _sampled_triple(args, 1e-9)
+    tol = options["tol"]
 
     def safe_rank(kernel):
         try:
@@ -247,56 +294,30 @@ def _kernel_summary(triple, tol):
         except IndefiniteMatrixError:
             return None
 
+    parts = {"n1": triple.n1, "n2": triple.n2, "n3": triple.n3, "k": combine_k(triple)}
     which = "S1" if triple.grid.diagonal else "R1"
+    member = membership(triple, which, tol)
     summary = {
-        "psd": {
-            "n1": bool(triple.n1.is_psd(tol)),
-            "n2": bool(triple.n2.is_psd(tol)),
-            "n3": bool(triple.n3.is_psd(tol)),
-            "k": bool(k.is_psd(tol)),
-        },
-        "ranks": {
-            "n1": safe_rank(triple.n1),
-            "n2": safe_rank(triple.n2),
-            "n3": safe_rank(triple.n3),
-            "k": safe_rank(k),
-        },
-        "k_outer_residual": k_residual,
+        "psd": {name: bool(part.is_psd(tol)) for name, part in parts.items()},
+        "ranks": {name: safe_rank(part) for name, part in parts.items()},
+        "k_outer_residual": _kernel_identity(triple),
         "membership_class": which,
-        "member": bool(membership(triple, which, tol)),
+        "member": bool(member),
+        "options": options,
     }
-    return summary
-
-
-def _cmd_upper_e(args):
-    payload = _load_payload(args)
-    f = _function_from(payload)
-    grid, grid_opts = _grid_from(payload, args)
-    tol = float(args.tol) if args.tol is not None else 1e-9
-    triple = upper_e(f, grid)
-    summary = _kernel_summary(triple, tol)
-    summary["options"] = {"tol": tol, "grid": grid_opts}
-    return (0 if summary["member"] else 2), summary
+    return (0 if member else 2), summary
 
 
 def _cmd_uw(args):
-    payload = _load_payload(args)
-    f = _function_from(payload)
-    grid, grid_opts = _grid_from(payload, args)
-    tol = float(args.tol) if args.tol is not None else 1e-8
-    triple = upper_e(f, grid)
+    f, triple, options = _sampled_triple(args, 1e-8)
+    tol = options["tol"]
     try:
         result = uw_construct(triple, tol=tol)
     except (RankError, GramInconsistencyError, ArithmeticError) as exc:
-        return 2, {"error": str(exc), "options": {"tol": tol, "grid": grid_opts}}
+        return 2, {"error": str(exc), "options": options}
     ver = verify_uw(result, tol=tol)
-    back = upper_e(result.xi, grid)
-    gram_match = max(
-        float(np.abs(back.n1.gram - triple.n1.gram).max()),
-        float(np.abs(back.n2.gram - triple.n2.gram).max()),
-        float(np.abs(back.n3.gram - triple.n3.gram).max()),
-    )
-    fit = torus_fit(f, result.xi, grid.lam)
+    gram_match = _gram_match(triple, result.xi)
+    fit = torus_fit(f, result.xi, triple.grid.lam)
     passed = ver.passed and gram_match <= tol
     report = {
         "state_dim": int(result.state_dim),
@@ -305,36 +326,24 @@ def _cmd_uw(args):
         "torus_fit_residual": float(fit.max_residual),
         "torus_phases": [complex_to_json(v) for v in fit.eta],
         "passed": bool(passed),
-        "options": {"tol": tol, "grid": grid_opts},
+        "options": options,
     }
     return (0 if passed else 2), report
 
 
 def _cmd_right_s(args):
-    payload = _load_payload(args)
-    f = _function_from(payload)
-    grid, grid_opts = _grid_from(payload, args)
-    tol = float(args.tol) if args.tol is not None else 1e-9
-    triple = upper_e(f, grid)
+    _, triple, options = _sampled_triple(args, 1e-9)
     try:
-        factor = right_s(triple, tol=tol)
+        factor = right_s(triple, tol=options["tol"])
     except (RankError, ValueError, IndefiniteMatrixError) as exc:
-        return 2, {"error": str(exc), "options": {"tol": tol, "grid": grid_opts}}
-    g = triple.g_values
-    modulus_err = float(np.abs(np.abs(factor.values) - np.abs(g)).max())
-    keep = np.abs(g) > 1e-8
-    if np.any(keep):
-        ratios = factor.values[keep] / g[keep]
-        center = ratios.mean()
-        phase_err = float(np.abs(ratios - center).max())
-    else:
-        phase_err = 0.0
+        return 2, {"error": str(exc), "options": options}
+    modulus_err, phase_err = _right_s_match(factor.values, triple.g_values)
     report = {
         "values": [complex_to_json(v) for v in factor.values],
         "max_modulus": float(np.abs(factor.values).max()),
         "modulus_match": modulus_err,
         "phase_constancy": phase_err,
-        "options": {"tol": tol, "grid": grid_opts},
+        "options": options,
     }
     return 0, report
 
@@ -346,8 +355,6 @@ def _cmd_np(args):
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(f"bad Pick data: {exc}") from exc
     tol = float(args.tol) if args.tol is not None else 1e-9
-    eigs = np.linalg.eigvalsh(0.5 * (pick_matrix(data) + pick_matrix(data).conj().T))
-    min_eig = float(eigs[0])
     try:
         f = np_solve(data, tol=tol)
     except UnsolvablePickError as exc:
@@ -366,7 +373,7 @@ def _cmd_np(args):
     )
     report = {
         "solvable": True,
-        "min_eig": min_eig,
+        "min_eig": data.spectrum.min,
         "state_dim": int(f.m),
         "target_residual": resid,
         "options": {"tol": tol},
@@ -436,6 +443,14 @@ def _slice_checks(curve, z_grid, n_boundary, det_denominator):
     return rows
 
 
+def _certify_table(rep) -> dict:
+    return {
+        "certified": bool(rep.certified),
+        "solvable_splits": list(rep.solvable_splits()),
+        "rows": [_row_json(r) for r in rep.rows],
+    }
+
+
 def _cmd_certify(args):
     payload = _load_payload(args)
     data, curve = _gamma_instance(payload)
@@ -450,13 +465,7 @@ def _cmd_certify(args):
     }
     if data.variant == "gamma7":
         rep = certify_gamma7_interpolation(data, z_grid=z_grid, split_rules=splits, tol=tol)
-        report = {
-            "variant": "gamma7",
-            "certified": bool(rep.certified),
-            "solvable_splits": list(rep.solvable_splits()),
-            "rows": [_row_json(r) for r in rep.rows],
-            "options": options,
-        }
+        report = {"variant": "gamma7", **_certify_table(rep), "options": options}
         if curve is not None:
             report["slice_checks"] = _slice_checks(
                 curve, z_grid, args.n_boundary, "corrected"
@@ -470,11 +479,7 @@ def _cmd_certify(args):
         rep = certify_gamma5_interpolation(
             data, z_grid=z_grid, split_rules=splits, tol=tol, det_denominator=name
         )
-        tables[name] = {
-            "certified": bool(rep.certified),
-            "solvable_splits": list(rep.solvable_splits()),
-            "rows": [_row_json(r) for r in rep.rows],
-        }
+        tables[name] = _certify_table(rep)
     chosen = tables[args.det_denominator]
     report = {
         "variant": "gamma5",
@@ -497,25 +502,14 @@ def _cmd_verify_identities(args):
     grid = tensor_grid(4, max(1, grid_n // 4), radius=0.9, seed=seed)
     triple = upper_e(f, grid)
 
-    k = combine_k(triple)
-    outer = np.outer(triple.g_values, np.conj(triple.g_values))
-    kernel_identity = float(np.abs(k.gram - outer).max())
+    kernel_identity = _kernel_identity(triple)
 
     result = uw_construct(triple)
     ver = verify_uw(result)
-    back = upper_e(result.xi, grid)
-    gram_match = max(
-        float(np.abs(back.n1.gram - triple.n1.gram).max()),
-        float(np.abs(back.n2.gram - triple.n2.gram).max()),
-        float(np.abs(back.n3.gram - triple.n3.gram).max()),
-    )
+    gram_match = _gram_match(triple, result.xi)
     fit = torus_fit(f, result.xi, grid.lam)
 
-    factor = right_s(triple)
-    modulus = float(np.abs(np.abs(factor.values) - np.abs(triple.g_values)).max())
-    keep = np.abs(triple.g_values) > 1e-8
-    ratios = factor.values[keep] / triple.g_values[keep]
-    phase = float(np.abs(ratios - ratios.mean()).max()) if ratios.size else 0.0
+    modulus, phase = _right_s_match(right_s(triple).values, triple.g_values)
 
     rng = np.random.default_rng(seed)
     n_samples = 4000

@@ -20,12 +20,12 @@ product of the ``G`` values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
 from .fractional import se_values
-from .linalg import IndefiniteMatrixError, hermitian_part
+from .linalg import IndefiniteMatrixError, Spectrum, hermitian_part
 from .realization import RealizedSchurFunction
 
 __all__ = [
@@ -54,6 +54,8 @@ class SampleGrid:
     diagonal: bool = False
 
     def __post_init__(self):
+        if any(len(p) != 3 for p in self.points):
+            raise ValueError("grid points must be (lam, z1, z2) triples")
         pts = tuple(
             (complex(p[0]), complex(p[1]), complex(p[2])) for p in self.points
         )
@@ -141,12 +143,14 @@ class SampledKernel:
             raise ValueError("gram matrix must be hermitian")
         object.__setattr__(self, "gram", hermitian_part(g))
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Spectrum of ``gram``, computed once: do not modify ``gram`` in place."""
+        return Spectrum(self.gram)
+
     def is_psd(self, tol: float = 1e-9) -> bool:
-        if len(self.grid) == 0:
-            return True
-        eigs = np.linalg.eigvalsh(self.gram)
-        scale = max(1.0, float(eigs[-1]))
-        return bool(eigs[0] >= -tol * scale)
+        """Whether ``min eigenvalue >= -tol * max(1, max eigenvalue)``."""
+        return self.spectrum.is_psd(tol)
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,16 @@ class KernelTriple:
         if g.shape != (len(self.grid),):
             raise ValueError("g_values must have one entry per grid point")
         object.__setattr__(self, "g_values", g)
+
+    @cached_property
+    def combined(self) -> SampledKernel:
+        """The kernel of :func:`combine_k`, computed once."""
+        lam, z1, z2 = self.grid.lam, self.grid.z1, self.grid.z2
+        w1 = 1.0 - z1[:, None] * z1.conj()[None, :]
+        w2 = 1.0 - z2[:, None] * z2.conj()[None, :]
+        w3 = 1.0 - lam[:, None] * lam.conj()[None, :]
+        k = 1.0 - w1 * self.n1.gram - w2 * self.n2.gram - w3 * self.n3.gram
+        return SampledKernel(self.grid, k)
 
 
 def upper_e(f: RealizedSchurFunction, grid: SampleGrid) -> KernelTriple:
@@ -195,21 +209,9 @@ def upper_e(f: RealizedSchurFunction, grid: SampleGrid) -> KernelTriple:
 def combine_k(triple: KernelTriple) -> SampledKernel:
     """Combined kernel ``K = 1 - w1 N1 - w2 N2 - w3 N3`` on the triple's grid.
 
-    On diagonal grids the two z-weights coincide and the combination is
-    formed through their sum, matching the one-variable reading.
+    Computed once per triple: every call returns the same object.
     """
-    grid = triple.grid
-    lam, z1, z2 = grid.lam, grid.z1, grid.z2
-    w3 = 1.0 - lam[:, None] * lam.conj()[None, :]
-    ones = np.ones((len(grid), len(grid)), dtype=complex)
-    if grid.diagonal:
-        w1 = 1.0 - z1[:, None] * z1.conj()[None, :]
-        k = ones - w1 * (triple.n1.gram + triple.n2.gram) - w3 * triple.n3.gram
-    else:
-        w1 = 1.0 - z1[:, None] * z1.conj()[None, :]
-        w2 = 1.0 - z2[:, None] * z2.conj()[None, :]
-        k = ones - w1 * triple.n1.gram - w2 * triple.n2.gram - w3 * triple.n3.gram
-    return SampledKernel(grid, k)
+    return triple.combined
 
 
 def kernel_rank(kernel: SampledKernel, tol: float = 1e-9) -> int:
@@ -218,19 +220,7 @@ def kernel_rank(kernel: SampledKernel, tol: float = 1e-9) -> int:
     Eigenvalues above ``tol * max_eig`` count; a significantly negative
     eigenvalue raises :class:`~gammapick.linalg.IndefiniteMatrixError`.
     """
-    if len(kernel.grid) == 0:
-        return 0
-    w = np.linalg.eigvalsh(kernel.gram)
-    top = float(w[-1])
-    if top <= 0.0:
-        if float(w[0]) < -tol * max(1.0, abs(top)):
-            raise IndefiniteMatrixError(f"kernel has negative eigenvalue {w[0]:.3e}")
-        return 0
-    if float(w[0]) < -tol * top:
-        raise IndefiniteMatrixError(
-            f"kernel is indefinite: eigenvalues span [{w[0]:.3e}, {top:.3e}]"
-        )
-    return int(np.count_nonzero(w > tol * top))
+    return kernel.spectrum.rank(tol)
 
 
 def membership(triple: KernelTriple, which: str, tol: float = 1e-9) -> bool:
@@ -247,18 +237,11 @@ def membership(triple: KernelTriple, which: str, tol: float = 1e-9) -> bool:
         raise ValueError("S1 membership is defined on diagonal grids only")
     k = combine_k(triple)
     try:
-        ranks = {
-            "n1": kernel_rank(triple.n1, tol),
-            "n2": kernel_rank(triple.n2, tol),
-            "k": kernel_rank(k, tol),
-        }
-        psd = all(
-            part.is_psd(tol) for part in (triple.n1, triple.n2, triple.n3, k)
-        )
+        ranks = [kernel_rank(part, tol) for part in (triple.n1, triple.n2, k)]
     except IndefiniteMatrixError:
         return False
-    if not psd:
+    if not all(part.is_psd(tol) for part in (triple.n1, triple.n2, triple.n3, k)):
         return False
     if which == "R11":
-        return ranks["n1"] == 1 and ranks["n2"] == 1 and ranks["k"] == 1
-    return ranks["k"] <= 1
+        return ranks == [1, 1, 1]
+    return ranks[2] <= 1

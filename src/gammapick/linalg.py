@@ -1,7 +1,9 @@
 """Dense complex linear algebra helpers shared across the package.
 
 Everything here is a thin, contract-checked wrapper over LAPACK via
-``numpy.linalg``.  Matrices are plain complex ndarrays.
+``numpy.linalg``.  Matrices are plain complex ndarrays.  Every hermitian
+eigendecomposition in the package goes through :class:`Spectrum`, and both
+isometry-extension constructions go through :func:`extend_isometry`.
 """
 
 from __future__ import annotations
@@ -11,12 +13,26 @@ import numpy as np
 __all__ = [
     "IndefiniteMatrixError",
     "NonHermitianError",
+    "GramInconsistencyError",
+    "STATE_CUTOFF",
+    "FIT_RCOND",
+    "Spectrum",
     "as_cmatrix",
     "operator_norm",
     "hermitian_part",
     "is_psd",
     "gram_factor",
+    "extend_isometry",
 ]
+
+# Eigenvalue cutoff, relative to the top eigenvalue, for the machine-rank
+# factors that span a state space.  Anything coarser leaks truncation error
+# into the Gram-equality defect, which the least squares step amplifies by a
+# square root.
+STATE_CUTOFF = 1e-13
+
+# Singular-value cutoff of the least-squares fit in :func:`extend_isometry`.
+FIT_RCOND = 1e-11
 
 
 class IndefiniteMatrixError(ValueError):
@@ -25,6 +41,10 @@ class IndefiniteMatrixError(ValueError):
 
 class NonHermitianError(ValueError):
     """A matrix expected to be hermitian is not, beyond tolerance."""
+
+
+class GramInconsistencyError(ValueError):
+    """Left and right sample vectors do not share their Gram matrix."""
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -51,6 +71,46 @@ def hermitian_part(m) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+class Spectrum:
+    """One ``eigh`` of the hermitian part of a square matrix, read by every check.
+
+    ``values`` ascend with orthonormal ``vectors``; ``min`` and ``top`` are
+    the extreme eigenvalues (0 for an empty matrix).
+    """
+
+    def __init__(self, m):
+        m = as_cmatrix(m)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        self.values, self.vectors = np.linalg.eigh(hermitian_part(m))
+        self.min = float(self.values[0]) if self.values.size else 0.0
+        self.top = float(self.values[-1]) if self.values.size else 0.0
+
+    def is_psd(self, tol: float) -> bool:
+        """Whether ``min >= -tol * max(1, top)``."""
+        return self.min >= -tol * max(1.0, self.top)
+
+    def rank(self, tol: float) -> int:
+        """Number of eigenvalues above ``tol * top``.
+
+        Raises :class:`IndefiniteMatrixError` when ``min < -tol * top``
+        (``-tol * max(1, |top|)`` when ``top <= 0``).
+        """
+        top = self.top
+        if self.min < -tol * (top if top > 0.0 else max(1.0, -top)):
+            raise IndefiniteMatrixError(
+                f"matrix is indefinite: eigenvalues span [{self.min:.3e}, {top:.3e}]"
+            )
+        if top <= 0.0:
+            return 0
+        return int(np.count_nonzero(self.values > tol * top))
+
+    def factor(self, cutoff: float) -> np.ndarray:
+        """``(n, r)`` factor ``L``, ``L L*`` = the part above ``cutoff * top``."""
+        keep = self.values > cutoff * max(self.top, 1e-300)
+        return self.vectors[:, keep] * np.sqrt(np.maximum(self.values[keep], 0.0))
+
+
 def is_psd(m, tol: float = 1e-9) -> bool:
     """Whether a hermitian matrix is positive semidefinite within ``tol``.
 
@@ -61,14 +121,11 @@ def is_psd(m, tol: float = 1e-9) -> bool:
     m = as_cmatrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("is_psd expects a square matrix")
-    if m.shape[0] == 0:
-        return True
-    scale = max(1.0, float(np.abs(m).max()))
-    skew = float(np.abs(m - m.conj().T).max())
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    skew = float(np.abs(m - m.conj().T).max(initial=0.0))
     if skew > tol * scale:
         raise NonHermitianError(f"matrix is not hermitian: |M - M*| = {skew:.3e}")
-    eigs = np.linalg.eigvalsh(hermitian_part(m))
-    return bool(eigs[0] >= -tol)
+    return Spectrum(m).min >= -tol
 
 
 def gram_factor(g, tol: float = 1e-9) -> np.ndarray:
@@ -90,24 +147,25 @@ def gram_factor(g, tol: float = 1e-9) -> np.ndarray:
         ``(n, r)`` factor where ``r`` is the numerical rank.
     """
     g = hermitian_part(g)
-    if g.shape[0] != g.shape[1]:
-        raise ValueError("gram_factor expects a square matrix")
-    n = g.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, u = np.linalg.eigh(g)
-    top = float(w[-1])
-    if top <= 0.0:
-        if w[0] < -tol * max(1.0, abs(top)):
-            raise IndefiniteMatrixError(f"matrix has negative eigenvalue {w[0]:.3e}")
-        return np.zeros((n, 0), dtype=complex)
-    if w[0] < -tol * top:
-        raise IndefiniteMatrixError(
-            f"matrix is indefinite: eigenvalues span [{w[0]:.3e}, {top:.3e}]"
-        )
-    keep = w > tol * top
-    l = u[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
+    spec = Spectrum(g)
+    if spec.rank(tol) == 0:
+        return np.zeros((g.shape[0], 0), dtype=complex)
+    l = spec.factor(tol)
     resid = float(np.abs(g - l @ l.conj().T).max())
-    if resid > max(10 * tol * top, 1e-12):
+    if resid > max(10 * tol * spec.top, 1e-12):
         raise IndefiniteMatrixError(f"gram factorization residual {resid:.3e} too large")
     return l
+
+
+def extend_isometry(right: np.ndarray, left: np.ndarray, slack: float) -> np.ndarray:
+    """Least-squares contraction ``V`` with ``V @ right ~ left``.
+
+    Roundoff amplified through ill-conditioned Grams can push the fit past
+    unit norm: above ``1 + slack`` raises :class:`GramInconsistencyError`, a
+    smaller excess is clipped to 1.  Callers check the residual.
+    """
+    sol, *_ = np.linalg.lstsq(right.T, left.T, rcond=FIT_RCOND)
+    uu, sig, vh = np.linalg.svd(sol.T)
+    if sig.size and float(sig[0]) > 1.0 + slack:
+        raise GramInconsistencyError(f"fitted map has norm {sig[0]:.12f} > 1")
+    return (uu * np.minimum(sig, 1.0)) @ vh

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelTriple, SampleGrid, SampledKernel, combine_k, membership
-from .linalg import IndefiniteMatrixError, hermitian_part
+from .linalg import STATE_CUTOFF, GramInconsistencyError, extend_isometry
 from .realization import RealizedSchurFunction
 
 __all__ = [
@@ -34,18 +34,9 @@ __all__ = [
     "right_s",
 ]
 
-# Internal eigenvalue cutoff for the state-space factor.  Anything coarser
-# leaks truncation error into the Gram-equality defect, which the least
-# squares step amplifies by a square root.
-_STATE_CUTOFF = 1e-13
-
 
 class RankError(ValueError):
     """A kernel violates the rank conditions required by the construction."""
-
-
-class GramInconsistencyError(ValueError):
-    """Left and right sample vectors do not share their Gram matrix."""
 
 
 @dataclass(frozen=True)
@@ -74,31 +65,23 @@ def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
     :class:`~gammapick.linalg.IndefiniteMatrixError` when the kernel fails to
     be PSD within ``tol``.
     """
-    t = len(kernel.grid)
-    if t == 0:
-        return RankOneFactor(kernel.grid, np.zeros(0, dtype=complex))
-    w, u = np.linalg.eigh(hermitian_part(kernel.gram))
-    top = float(w[-1])
-    if top <= 0.0:
-        if float(w[0]) < -tol:
-            raise IndefiniteMatrixError(f"kernel has negative eigenvalue {w[0]:.3e}")
-        return RankOneFactor(kernel.grid, np.zeros(t, dtype=complex))
-    if float(w[0]) < -tol * top:
-        raise IndefiniteMatrixError(
-            f"kernel is indefinite: eigenvalues span [{w[0]:.3e}, {top:.3e}]"
-        )
-    if t > 1 and float(w[-2]) > tol * top:
+    spec = kernel.spectrum
+    rank = spec.rank(tol)
+    if rank > 1:
         raise RankError(
-            f"kernel rank exceeds one: second eigenvalue {w[-2]:.3e} vs top {top:.3e}"
+            f"kernel rank exceeds one: second eigenvalue {spec.values[-2]:.3e} "
+            f"vs top {spec.top:.3e}"
         )
-    v = np.sqrt(top) * u[:, -1]
+    if rank == 0:
+        return RankOneFactor(kernel.grid, np.zeros(len(kernel.grid), dtype=complex))
+    v = spec.factor(tol)[:, 0]
     # anchor the phase on the first entry that carries weight
     mags = np.abs(v)
     anchor = int(np.argmax(mags >= 1e-8 * mags.max()))
     phase = v[anchor] / abs(v[anchor])
     v = v * np.conj(phase)
     resid = float(np.abs(kernel.gram - np.outer(v, v.conj())).max())
-    if resid > max(10 * tol * top, 1e-12):
+    if resid > max(10 * tol * spec.top, 1e-12):
         raise RankError(f"rank-one reconstruction residual {resid:.3e} too large")
     return RankOneFactor(kernel.grid, v)
 
@@ -112,17 +95,6 @@ class UWResult:
     f2: RankOneFactor
     g: RankOneFactor
     state_dim: int
-
-
-def _state_factor(n3: SampledKernel) -> np.ndarray:
-    """Machine-rank factor ``L`` with ``L L* = N3`` used for the state space."""
-    g = hermitian_part(n3.gram)
-    if g.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, u = np.linalg.eigh(g)
-    top = max(float(w[-1]), 0.0)
-    keep = w > _STATE_CUTOFF * max(top, 1e-300)
-    return u[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
 
 
 def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
@@ -150,7 +122,7 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
     f1 = rank1_factor(triple.n1)
     f2 = rank1_factor(triple.n2)
     g = rank1_factor(combine_k(triple))
-    l = _state_factor(triple.n3)
+    l = triple.n3.spectrum.factor(STATE_CUTOFF)
     m = l.shape[1]
 
     right = np.vstack([np.ones_like(lam), z1 * f1.values, z2 * f2.values, (lam[:, None] * l).T])
@@ -165,15 +137,7 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
             f"left/right Gram defect {defect:.3e} exceeds {tol:.1e} * {scale:.1e}"
         )
 
-    sol, *_ = np.linalg.lstsq(right.T, left.T, rcond=1e-11)
-    v = sol.T
-    uu, sig, vh = np.linalg.svd(v)
-    # the least-squares fit can overshoot the unit norm by roundoff amplified
-    # through ill conditioned Grams; only a clearly expansive fit is an error,
-    # smaller excesses are clipped and caught by the residual check below
-    if sig.size and float(sig[0]) > 1.0 + 1e-6:
-        raise GramInconsistencyError(f"fitted map has norm {sig[0]:.12f} > 1")
-    v = (uu * np.minimum(sig, 1.0)) @ vh
+    v = extend_isometry(right, left, slack=1e-6)
     fit = float(np.abs(v @ right - left).max())
     if fit > max(tol, 1e-9) * max(1.0, float(np.abs(left).max())):
         raise GramInconsistencyError(f"isometry fit residual {fit:.3e} too large")

@@ -13,16 +13,23 @@ order ``(a11, m12 + m13, det, a22 + a33, m23)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .domains import GammaPoint
 from .hardy import InnerOuterPair, RationalFunction, inner_outer
-from .linalg import as_cmatrix, hermitian_part, operator_norm
-from .lurking import GramInconsistencyError
+from .linalg import (
+    STATE_CUTOFF,
+    GramInconsistencyError,
+    Spectrum,
+    as_cmatrix,
+    extend_isometry,
+    operator_norm,
+)
 from .realization import RealizedSchurFunction
 
 __all__ = [
@@ -58,8 +65,6 @@ DEFAULT_Z_GRID = (
     0.6j,
     -0.6j,
 )
-
-_STATE_CUTOFF = 1e-13
 
 
 class UnsolvablePickError(ValueError):
@@ -98,6 +103,11 @@ class PickData:
     def k(self) -> int:
         return self.targets[0].shape[0]
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Spectrum of the Pick matrix, computed once: do not modify the targets."""
+        return Spectrum(pick_matrix(self))
+
 
 def pick_matrix(data: PickData) -> np.ndarray:
     """Block matrix ``(I - W_i* W_j) / (1 - conj(lam_i) lam_j)``."""
@@ -133,17 +143,12 @@ def np_solve(data: PickData, tol: float = 1e-9) -> RealizedSchurFunction:
     UnsolvablePickError
         When the Pick matrix is indefinite beyond ``tol``.
     """
-    m = hermitian_part(pick_matrix(data))
-    w, u = np.linalg.eigh(m)
-    top = max(float(w[-1]), 0.0)
-    scale = max(1.0, top)
-    min_eig = float(w[0])
-    if min_eig < -tol * scale:
+    spec = data.spectrum
+    if not spec.is_psd(tol):
         raise UnsolvablePickError(
-            f"Pick matrix is indefinite: min eigenvalue {min_eig:.6e}", min_eig
+            f"Pick matrix is indefinite: min eigenvalue {spec.min:.6e}", spec.min
         )
-    keep = w > _STATE_CUTOFF * max(top, 1e-300)
-    l = u[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
+    l = spec.factor(STATE_CUTOFF)
     n, k = len(data.nodes), data.k
     r = l.shape[1]
 
@@ -158,16 +163,11 @@ def np_solve(data: PickData, tol: float = 1e-9) -> RealizedSchurFunction:
         left[k:, j * k : (j + 1) * k] = hj.conj().T
 
     defect = float(np.abs(right.conj().T @ right - left.conj().T @ left).max())
-    if defect > max(tol, 1e-9) * scale * 10:
+    if defect > max(tol, 1e-9) * max(1.0, spec.top) * 10:
         raise GramInconsistencyError(
             f"interpolation Gram defect {defect:.3e}; data are numerically inconsistent"
         )
-    sol, *_ = np.linalg.lstsq(right.T, left.T, rcond=1e-11)
-    v = sol.T
-    uu, sig, vh = np.linalg.svd(v)
-    if sig.size and float(sig[0]) > 1.0 + 1e-8:
-        raise GramInconsistencyError(f"fitted map has norm {sig[0]:.12f} > 1")
-    v = (uu * np.minimum(sig, 1.0)) @ vh
+    v = extend_isometry(right, left, slack=1e-8)
     f = RealizedSchurFunction(k, r, v[:k, :k], v[:k, k:], v[k:, :k], v[k:, k:])
 
     vals = f.evaluate_many(np.asarray(data.nodes))
@@ -693,8 +693,7 @@ def _certify(data: GammaNodes, z_grid, split_rules, tol, reducer) -> Certificati
             except (ZeroDivisionError, ValueError) as exc:
                 rows.append(CertificationRow(z, split, False, float("nan"), None, str(exc)))
                 continue
-            eigs = np.linalg.eigvalsh(hermitian_part(pick_matrix(pick)))
-            min_eig = float(eigs[0])
+            min_eig = pick.spectrum.min
             try:
                 f = np_solve(pick, tol=tol)
                 vals = f.evaluate_many(np.asarray(pick.nodes))

@@ -253,3 +253,51 @@ def test_out_file_and_text_mode(tmp_path, capsys):
     assert "mu" in text
     with pytest.raises(json.JSONDecodeError):
         json.loads(text)
+
+
+_E311_DIAG = {"matrix": cmatrix_to_json(np.diag([0.5, 0.25, 0.2])), "structure": "E(3;3;1,1,1)"}
+
+
+def _with_grid(grid):
+    return {**_function_payload(seed=3, m=2), "grid": grid}
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra",
+    [
+        pytest.param("mu", _E311_DIAG, ["--grid", "2"], id="mu-grid-2"),
+        pytest.param("gamma-check", _E311_DIAG, ["--grid", "3"], id="gamma-check-grid-3"),
+        pytest.param("upper-e", _with_grid({"n_lambda": 2.5}), [], id="n_lambda-float"),
+        pytest.param("upper-e", _with_grid({"n_lambda": "four"}), [], id="n_lambda-string"),
+        pytest.param("uw", _with_grid({"n_z": 0}), [], id="n_z-zero"),
+        pytest.param("right-s", _with_grid({"n_lambda": -2}), [], id="n_lambda-negative"),
+        pytest.param("upper-e", _with_grid({"radius": 1.2}), [], id="radius-above"),
+        pytest.param("uw", _with_grid({"radius": 0.2}), [], id="radius-below"),
+        pytest.param(
+            "right-s", _with_grid({"points": [[0.1, 0.2, 1.5]]}), [], id="point-outside"
+        ),
+        pytest.param(
+            "upper-e",
+            _with_grid({"points": [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]]}),
+            [],
+            id="points-repeated",
+        ),
+        pytest.param(
+            "gamma-check", {"point": [[0.3, 0.0], [0.2, 0.0]]}, [], id="point-length"
+        ),
+        pytest.param(
+            "gamma-check",
+            {"point": [0.3, 0.2, 0.05], "variant": "gamma9"},
+            [],
+            id="point-variant",
+        ),
+    ],
+)
+def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, extra):
+    path = _write(tmp_path, "bad.json", payload)
+    code = run([command, "--in", path, *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

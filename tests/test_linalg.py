@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gammapick.domains import GammaPoint, pi_coordinates
+from gammapick.kernels import SampleGrid, SampledKernel, kernel_rank, tensor_grid, upper_e
 from gammapick.linalg import (
     IndefiniteMatrixError,
     NonHermitianError,
@@ -10,6 +12,15 @@ from gammapick.linalg import (
     is_psd,
     operator_norm,
 )
+from gammapick.lurking import rank1_factor, right_s, uw_construct
+from gammapick.nevanlinna import (
+    GammaNodes,
+    PickData,
+    UnsolvablePickError,
+    certify_gamma7_interpolation,
+    np_solve,
+)
+from gammapick.realization import random_schur
 
 
 def test_as_cmatrix_accepts_nested_lists():
@@ -75,3 +86,117 @@ def test_gram_factor_raises_on_indefinite():
 def test_gram_factor_zero_matrix_has_zero_columns():
     f = gram_factor(np.zeros((3, 3)))
     assert f.shape == (3, 0)
+
+
+# ---------------------------------------------------------------------------
+# threshold contracts of the PSD predicates built on the shared spectrum
+
+TOL = 1e-9
+
+
+def _diag(top, low):
+    return np.diag([top, low]).astype(complex)
+
+
+def _kernel(top, low):
+    grid = SampleGrid(((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
+    return SampledKernel(grid, _diag(top, low))
+
+
+def _pick(top, low):
+    """One node and a diagonal 2x2 target whose Pick matrix is diag(top, low)."""
+    if top <= 1.0:
+        node, targets = 0.0, (np.sqrt(1.0 - top), np.sqrt(1.0 - low))
+    else:
+        node, targets = np.sqrt(1.0 - 1.0 / top), (0.0, np.sqrt(1.0 - low / top))
+    return PickData((node,), (np.diag(targets).astype(complex),))
+
+
+def _accepts(exc, fn):
+    try:
+        fn()
+    except exc:
+        return False
+    return True
+
+
+# predicate -> (accepts(top, low), rejection threshold as a function of top)
+_CONTRACTS = {
+    "linalg.is_psd": (lambda t, l: is_psd(_diag(t, l), TOL), lambda t: TOL),
+    "SampledKernel.is_psd": (
+        lambda t, l: _kernel(t, l).is_psd(TOL),
+        lambda t: TOL * max(1.0, t),
+    ),
+    "np_solve": (
+        lambda t, l: _accepts(UnsolvablePickError, lambda: np_solve(_pick(t, l), TOL)),
+        lambda t: TOL * max(1.0, t),
+    ),
+    "kernel_rank": (
+        lambda t, l: _accepts(IndefiniteMatrixError, lambda: kernel_rank(_kernel(t, l), TOL)),
+        lambda t: TOL * t,
+    ),
+    "rank1_factor": (
+        lambda t, l: _accepts(IndefiniteMatrixError, lambda: rank1_factor(_kernel(t, l), TOL)),
+        lambda t: TOL * t,
+    ),
+    "gram_factor": (
+        lambda t, l: _accepts(IndefiniteMatrixError, lambda: gram_factor(_diag(t, l), TOL)),
+        lambda t: TOL * t,
+    ),
+}
+
+
+@pytest.mark.parametrize("top", [1e-3, 1e3])
+@pytest.mark.parametrize("name", sorted(_CONTRACTS))
+def test_psd_predicate_threshold_contracts(name, top):
+    # at top = 1e-3 the relative bound -tol*top parts from -tol; at top = 1e3
+    # -tol*max(1, top) parts from the absolute -tol
+    accepts, threshold = _CONTRACTS[name]
+    bound = threshold(top)
+    assert accepts(top, -0.9 * bound)
+    assert not accepts(top, -1.1 * bound)
+
+
+# ---------------------------------------------------------------------------
+# each hermitian matrix is decomposed once
+
+
+def _decompositions(fn) -> int:
+    count = 0
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                nonlocal count
+                count += 1
+                return _original(*args, **kwargs)
+
+            mp.setattr(np.linalg, name, counted)
+        fn()
+    return count
+
+
+def _fresh_triple():
+    return upper_e(random_schur(3, 2, seed=2), tensor_grid(4, 4, radius=0.9, seed=2))
+
+
+def test_uw_construct_decomposes_each_kernel_once():
+    triple = _fresh_triple()
+    assert len(triple.grid) == 16
+    assert _decompositions(lambda: uw_construct(triple)) <= 4
+
+
+def test_right_s_decomposes_each_kernel_once():
+    triple = _fresh_triple()
+    assert _decompositions(lambda: right_s(triple)) <= 4
+
+
+def test_certify_decomposes_each_pick_matrix_once():
+    a0 = np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]], complex)
+    nodes = (0.2, -0.35 + 0.1j, 0.45j)
+    points = tuple(GammaPoint("gamma7", pi_coordinates(l * a0, "gamma7").entries) for l in nodes)
+    data = GammaNodes("gamma7", nodes, points)
+    reports = []
+    count = _decompositions(lambda: reports.append(certify_gamma7_interpolation(data)))
+    assert count <= len(reports[0].rows)
