@@ -7,7 +7,7 @@ gamma-domain tuples whose membership mu decides.
 
 import numpy as np
 
-from gammapick.domains import E311, E312, in_gamma, mu, pi_coordinates
+from gammapick.domains import E311, E312, in_gamma, mu, mu_bound, pi_coordinates
 
 rng = np.random.default_rng(1)
 
@@ -39,6 +39,17 @@ for trial in range(3):
         f" <= mu_311 = {m311:.4f} <= ||m|| = {norm:.4f}"
     )
     assert rho <= m312 + 1e-9 <= m311 + 2e-9 <= norm + 3e-9
+print()
+
+# mu is certified by a bracket: sigma_max(D m D^-1) for a scaling D that
+# commutes with the structure bounds it from above, rho(m Q) for a unitary Q
+# of the structure from below; for these structures the two meet at mu
+print("== certified bracket ==")
+bracket = mu_bound(m, E311)
+print(
+    f"{bracket.lower:.12f} <= mu_311 <= {bracket.upper:.12f}"
+    f"  (gap {bracket.upper - bracket.lower:.1e}, closed: {bracket.closed})"
+)
 print()
 
 print("== scaling equivariance ==")

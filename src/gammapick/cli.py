@@ -60,6 +60,15 @@ class InputError(Exception):
     """Malformed instance file or command line."""
 
 
+class Declined(Exception):
+    """A well-formed instance the computation cannot handle: exit code 2 with
+    ``report`` (an ``error`` and the ``options``)."""
+
+    def __init__(self, report: dict):
+        super().__init__(report["error"])
+        self.report = report
+
+
 def _fail(message: str) -> InputError:
     return InputError(message)
 
@@ -163,13 +172,25 @@ def _grid_from(payload: dict, args) -> tuple[SampleGrid, dict]:
     }
 
 
-def _mu_of(payload: dict, args) -> tuple[float, BlockStructure, int]:
-    """mu of the instance's matrix, its structure, and the phase grid (--grid)."""
+def _mu_report(payload: dict, args) -> dict:
+    """mu of the instance's matrix, its certified bracket, its structure, and
+    the phase grid (--grid) in the report's options."""
     matrix, structure = _matrix_and_structure(payload)
     phase_grid = int(args.grid) if args.grid is not None else 720
     if phase_grid < 4:
         raise _fail(f"--grid must be at least 4 for the mu phase grid, got {phase_grid}")
-    return mu(matrix, structure, phase_grid=phase_grid), structure, phase_grid
+    try:
+        value = mu(matrix, structure, phase_grid=phase_grid)
+    except ValueError as exc:
+        # non-finite entries, or an open bracket on a structure where the
+        # D-scaling bound may exceed mu
+        raise _fail(str(exc)) from exc
+    return {
+        "mu": float(value),
+        "mu_bracket": [value.bracket.lower, value.bracket.upper],
+        "structure": structure.label(),
+        "options": {"phase_grid": phase_grid},
+    }
 
 
 def _row_json(row) -> dict:
@@ -188,13 +209,7 @@ def _row_json(row) -> dict:
 
 
 def _cmd_mu(args):
-    value, structure, phase_grid = _mu_of(_load_payload(args), args)
-    report = {
-        "mu": float(value),
-        "structure": structure.label(),
-        "options": {"phase_grid": phase_grid},
-    }
-    return 0, report
+    return 0, _mu_report(_load_payload(args), args)
 
 
 def _cmd_gamma_check(args):
@@ -217,14 +232,10 @@ def _cmd_gamma_check(args):
             "options": {"tol": tol},
         }
         return (0 if member else 2), report
-    value, structure, phase_grid = _mu_of(payload, args)
-    member = value <= 1.0 + tol
-    report = {
-        "member": bool(member),
-        "mu": float(value),
-        "structure": structure.label(),
-        "options": {"tol": tol, "phase_grid": phase_grid},
-    }
+    report = _mu_report(payload, args)
+    member = report["mu"] <= 1.0 + tol
+    report["member"] = bool(member)
+    report["options"]["tol"] = tol
     return (0 if member else 2), report
 
 
@@ -281,7 +292,12 @@ def _sampled_triple(args, default_tol: float):
     f = _function_from(payload)
     grid, grid_opts = _grid_from(payload, args)
     tol = float(args.tol) if args.tol is not None else default_tol
-    return f, upper_e(f, grid), {"tol": tol, "grid": grid_opts}
+    options = {"tol": tol, "grid": grid_opts}
+    try:
+        triple = upper_e(f, grid)
+    except SingularFractionError as exc:
+        raise Declined({"error": str(exc), "options": options}) from exc
+    return f, triple, options
 
 
 def _cmd_upper_e(args):
@@ -605,6 +621,8 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Declined as exc:
+        code, report = 2, exc.report
     report = {"command": args.command, **report}
     if args.text:
         rendered = "\n".join(_render_text(report)) + "\n"

@@ -2,15 +2,40 @@
 coordinate maps / membership tests of the associated mu-unit-ball domains.
 
 The scaling structures handled here are sets of block diagonal matrices
-``diag(z_1 I_{r_1}, ..., z_s I_{r_s})`` with complex scalars ``z_i``.  For
-purely complex structures of this kind the structured singular value equals
-the maximum of the spectral radius ``rho(A D)`` over unitary members ``D``,
-i.e. over phase tuples on the torus; one phase can be frozen by homogeneity.
+``diag(z_1 I_{r_1}, ..., z_s I_{r_s})`` with complex scalars ``z_i``: ``F``
+blocks of size 1 and ``S`` repeated scalar blocks of size 2 or more.
+
+``mu`` is computed as a certified bracket (:func:`mu_bound`):
+
+- Upper bound: ``sigma_max(D A D^-1) >= mu`` for every invertible ``D`` that
+  commutes with the structure, i.e. ``D = diag(L_1, ..., L_s)`` with ``L_i``
+  an ``r_i x r_i`` block.  Lower triangular blocks with a positive diagonal
+  reach every such ``sigma_max``, and ``D[0, 0] = 1`` fixes the scale, so
+  E(3;3;1,1,1) has 2 real parameters, E(3;2;1,2) has 4 and E(2;2;1,1) has 1.
+  A BFGS descent from ``D = I`` lowers the bound, one ``n x n`` SVD per
+  evaluation.
+- Lower bound: ``rho(A Q) <= mu`` for every unitary ``Q`` of the structure.
+  Each iterate's top singular pair ``(u, v)`` proposes the block phases
+  ``arg<u_B, v_B>``; at a smooth minimizer this ``Q`` attains the upper bound.
+- For ``2S + F <= 3`` the D-scaling bound is exact: ``mu = inf_D
+  sigma_max(D A D^-1)`` (Doyle 1982; Packard and Doyle, "The complex
+  structured singular value", Automatica 29, 1993).  Both 3x3 structures
+  qualify, so there ``mu`` is the upper end of the bracket even when the
+  lower end stays open, as it can where ``sigma_max`` is a double singular
+  value at the minimizer (often the case for real matrices).  For other
+  structures ``mu`` returns a value only once the bracket has closed.
+- ``mu = 0`` exactly when every coefficient of ``det(I - A Delta)`` as a
+  polynomial in the block scalars vanishes; that is tested first.
+
+``phase_grid`` (the CLI's ``--grid`` for ``mu`` and ``gamma-check``) sets the
+window ``+-2 pi / phase_grid`` of the golden-section phase polish that runs
+when the descent ends with the bracket still open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Literal, Sequence
 
 import numpy as np
@@ -18,16 +43,35 @@ import numpy as np
 from .linalg import as_cmatrix
 
 __all__ = [
+    "BRACKET_RTOL",
     "BlockStructure",
     "GammaPoint",
+    "MuBound",
+    "MuValue",
     "mu",
+    "mu_bound",
     "pi_coordinates",
     "in_gamma",
     "tetrablock_member",
 ]
 
-_OMEGA = np.exp(2j * np.pi / 3.0)
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# A mu bracket counts as closed once its gap is at most this fraction of its
+# upper end.
+BRACKET_RTOL = 1e-9
+# Descent steps after which the D-scaling search counts as stalled.
+_MAX_STEPS = 200
+# Armijo sufficient-decrease constant, and the step below which backtracking
+# gives up.
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-12
+# Box on the scaling parameters.  Where the optimal D lies at infinity
+# (reducible matrices) the descent stops at the box edge, where D A D^-1 is
+# still finite and the entries that vanish in the limit are down by about
+# exp(-40): negligible unless the entries of A span tens of orders of
+# magnitude.
+_SCALING_BOX = 40.0
 
 
 @dataclass(frozen=True)
@@ -60,6 +104,13 @@ class BlockStructure:
         r = tuple(int(p) for p in parts[2].split(","))
         return cls(n, s, r)
 
+    @property
+    def d_scaling_exact(self) -> bool:
+        """Whether mu equals its D-scaling upper bound: ``2S + F <= 3`` with
+        ``S`` repeated scalar blocks and ``F`` blocks of size 1."""
+        repeated = sum(ri > 1 for ri in self.r)
+        return 2 * repeated + (self.s - repeated) <= 3
+
     def label(self) -> str:
         return f"E({self.n};{self.s};{','.join(str(ri) for ri in self.r)})"
 
@@ -74,6 +125,37 @@ class BlockStructure:
 E311 = BlockStructure(3, 3, (1, 1, 1))
 E312 = BlockStructure(3, 2, (1, 2))
 E211 = BlockStructure(2, 2, (1, 1))
+
+
+@dataclass(frozen=True)
+class MuBound:
+    """A certified bracket ``lower <= mu <= upper``.
+
+    ``upper`` is ``sigma_max(D A D^-1)`` at a computed scaling ``D`` and
+    ``lower`` is ``rho(A Q)`` at a computed unitary ``Q`` of the structure.
+    """
+
+    lower: float
+    upper: float
+
+    @property
+    def closed(self) -> bool:
+        """Whether the gap is at most ``BRACKET_RTOL`` times the upper end."""
+        return self.upper - self.lower <= BRACKET_RTOL * self.upper
+
+
+class MuValue(float):
+    """The value of ``mu``, carrying the bracket that certifies it as ``.bracket``."""
+
+    bracket: MuBound
+
+    def __new__(cls, bracket: MuBound):
+        value = super().__new__(cls, bracket.upper)
+        value.bracket = bracket
+        return value
+
+    def __getnewargs__(self):
+        return (self.bracket,)
 
 
 @dataclass(frozen=True)
@@ -96,75 +178,77 @@ class GammaPoint:
         object.__setattr__(self, "entries", tuple(complex(e) for e in self.entries))
 
 
-def _char_coeffs(a: np.ndarray, diag: np.ndarray):
-    """Coefficients (trace, minor sum, det) of ``a @ diag(d)`` for stacked ``d``.
+def _char_coeffs(a: np.ndarray, structure: BlockStructure) -> dict:
+    """Non-constant coefficients of ``det(I - a diag(z_1 I_{r_1}, ...))``.
 
-    ``diag`` has shape (..., n).  Uses the multilinearity of each coefficient
-    in the columns, so no matrix products are formed.
+    Up to its sign, the coefficient of ``z_1^{k_1} ... z_s^{k_s}`` is the sum
+    of the principal minors of ``a`` whose index set takes ``k_i`` indices
+    from block ``i``.  The key of a coefficient lists the blocks of such an
+    index set in order, e.g. ``(0, 1, 1)`` for ``z_1 z_2^2``.
     """
-    n = a.shape[0]
-    if n == 2:
-        tr = a[0, 0] * diag[..., 0] + a[1, 1] * diag[..., 1]
-        det = np.linalg.det(a) * diag[..., 0] * diag[..., 1]
-        return tr, det
-    if n == 3:
-        m01 = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        m02 = a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        m12 = a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-        d0, d1, d2 = diag[..., 0], diag[..., 1], diag[..., 2]
-        tr = a[0, 0] * d0 + a[1, 1] * d1 + a[2, 2] * d2
-        m2 = m01 * d0 * d1 + m02 * d0 * d2 + m12 * d1 * d2
-        det = np.linalg.det(a) * d0 * d1 * d2
-        return tr, m2, det
-    raise ValueError("closed-form coefficients only for n <= 3")
-
-
-def _rho2(tr, det):
-    """Spectral radius from the 2x2 characteristic polynomial, vectorized."""
-    disc = np.sqrt(tr * tr - 4.0 * det + 0j)
-    return np.maximum(np.abs(tr + disc), np.abs(tr - disc)) / 2.0
-
-
-def _rho3(tr, m2, det):
-    """Spectral radius from the 3x3 characteristic polynomial, vectorized.
-
-    Solves ``lam^3 - tr lam^2 + m2 lam - det = 0`` by Cardano's formula with
-    the better-conditioned cube-root branch.
-    """
-    a = -np.asarray(tr, dtype=complex)
-    b = np.asarray(m2, dtype=complex)
-    c = -np.asarray(det, dtype=complex)
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    disc = np.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    u3a = -q / 2.0 + disc
-    u3b = -q / 2.0 - disc
-    u3 = np.where(np.abs(u3a) >= np.abs(u3b), u3a, u3b)
-    safe = np.abs(u3) > 0.0
-    u = np.where(safe, np.exp(np.log(np.where(safe, u3, 1.0)) / 3.0), 0.0)
-    rho = np.zeros(np.broadcast(a, b, c).shape, dtype=float)
-    for k in range(3):
-        uk = u * _OMEGA**k
-        ok = np.abs(uk) > 0.0
-        tk = np.where(ok, uk - p / (3.0 * np.where(ok, uk, 1.0)), 0.0)
-        rho = np.maximum(rho, np.abs(tk - a / 3.0))
-    return rho
-
-
-def _rho_batch(a: np.ndarray, phases: np.ndarray, structure: BlockStructure):
-    """rho(A diag(...)) for a batch of free-phase tuples, shape (..., s-1)."""
-    z = np.concatenate(
-        [np.ones(phases.shape[:-1] + (1,), dtype=complex), np.exp(1j * phases)],
-        axis=-1,
-    )
-    diag = np.repeat(z, structure.r, axis=-1)
     n = structure.n
-    if n == 2:
-        return _rho2(*_char_coeffs(a, diag))
-    if n == 3:
-        return _rho3(*_char_coeffs(a, diag))
-    m = a * diag[..., None, :]
-    return np.abs(np.linalg.eigvals(m)).max(axis=-1)
+    block = np.repeat(np.arange(structure.s), structure.r)
+    coeffs: dict = {}
+    for size in range(1, n + 1):
+        rows = np.array(list(combinations(range(n), size)))
+        minors = np.linalg.det(a[rows[:, :, None], rows[:, None, :]])
+        for key, minor in zip(map(tuple, block[rows].tolist()), minors.tolist()):
+            coeffs[key] = coeffs.get(key, 0.0) + minor
+    return coeffs
+
+
+def _scaling_index(structure: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Free entries of ``D = diag(L_1, ..., L_s)``, each ``L_i`` lower triangular.
+
+    Returns the diagonal positions other than the first (``D[0, 0] = 1`` fixes
+    the scale) and, as a (2, m) array, the (row, column) positions strictly
+    below the diagonal inside each block.
+    """
+    diag, tril = [], []
+    start = 0
+    for size in structure.r:
+        for j in range(start, start + size):
+            if j:
+                diag.append(j)
+            tril.extend((j, k) for k in range(start, j))
+        start += size
+    return np.array(diag, dtype=int), np.array(tril, dtype=int).reshape(-1, 2).T
+
+
+def _scaled_sigma(a: np.ndarray, x: np.ndarray, diag: np.ndarray, tril: np.ndarray):
+    """``sigma_max(D a D^-1)``, its gradient in ``x``, and the top singular pair.
+
+    ``x`` holds the logarithms of the free diagonal entries of ``D``, then the
+    real parts and the imaginary parts of its free lower entries.  With
+    ``M v = sigma u`` and ``E_p = (dD/dp) D^-1`` the gradient is
+    ``d sigma / dp = sigma Re(u* E_p u - v* E_p v)``.
+    """
+    rows, cols = tril
+    nd, nl = diag.size, rows.size
+    d = np.eye(a.shape[0], dtype=complex)
+    d[diag, diag] = np.exp(x[:nd])
+    d[rows, cols] = x[nd : nd + nl] + 1j * x[nd + nl :]
+    d_inv = np.linalg.inv(d)
+    left, sv, right_h = np.linalg.svd(d @ a @ d_inv)
+    u, v = left[:, 0], right_h[0].conj()
+    # entry (j, k): u* e_j e_k^T D^-1 u - v* e_j e_k^T D^-1 v
+    g = np.outer(u.conj(), d_inv @ u) - np.outer(v.conj(), d_inv @ v)
+    grad = sv[0] * np.concatenate(
+        ((d[diag, diag] * g[diag, diag]).real, g[rows, cols].real, -g[rows, cols].imag)
+    )
+    return float(sv[0]), grad, u, v
+
+
+def _aligned_phases(u: np.ndarray, v: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """Free phases of the unitary ``Q`` with ``Q_B = arg<u_B, v_B>`` on each block.
+
+    ``Q`` turns ``u`` towards ``v`` block by block; where ``|u_B| = |v_B|``
+    and ``u_B`` is parallel to ``v_B`` for every block, ``M Q u = sigma u``
+    and ``rho(a Q)`` reaches the upper bound.
+    """
+    starts = np.concatenate(([0], np.cumsum(structure.r)[:-1]))
+    theta = np.angle(np.add.reduceat(u.conj() * v, starts))
+    return theta[1:] - theta[0]
 
 
 def _rho_exact(a: np.ndarray, phases: np.ndarray, structure: BlockStructure) -> float:
@@ -191,7 +275,109 @@ def _golden_max(f, lo: float, hi: float, iters: int):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def mu(a, structure: BlockStructure, phase_grid: int = 720, refine_iters: int = 48) -> float:
+def _polish(
+    a: np.ndarray, phases: np.ndarray, structure: BlockStructure, width: float, iters: int
+) -> float:
+    """Largest ``rho(a Q)`` found by two golden-section sweeps over each free
+    phase, each within ``+-width`` of the current point."""
+    current = phases.copy()
+    val = _rho_exact(a, current, structure)
+    for _ in range(2):
+        for i in range(current.size):
+            def slice_f(t, i=i):
+                point = current.copy()
+                point[i] = t
+                return _rho_exact(a, point, structure)
+
+            t_star, v = _golden_max(slice_f, current[i] - width, current[i] + width, iters)
+            if v > val:
+                current[i] = t_star
+                val = v
+    return val
+
+
+def mu_bound(
+    a, structure: BlockStructure, phase_grid: int = 720, refine_iters: int = 48
+) -> MuBound:
+    """Certified bracket ``lower <= mu(a) <= upper``.
+
+    The upper bound is ``sigma_max(D a D^-1)`` after a BFGS descent with
+    Armijo backtracking over the scalings ``D`` that commute with the
+    structure, started at ``D = I``.  The lower bound is the largest
+    ``rho(a Q)`` over the unitaries ``Q`` of the structure that the top
+    singular pair of each iterate aligns (:func:`_aligned_phases`).  The
+    descent stops once the gap is below ``BRACKET_RTOL`` times the upper
+    bound, or when no step decreases ``sigma_max``.  If the gap is still open,
+    the phases of the best ``Q`` are polished by ``refine_iters`` golden-section
+    iterations per phase within ``+-2 pi / phase_grid``.
+
+    ``a`` is divided by its operator norm first, so the bracket of ``c a``
+    is ``|c|`` times that of ``a`` up to roundoff.
+    """
+    a = as_cmatrix(a)
+    if a.shape != (structure.n, structure.n):
+        raise ValueError(
+            f"matrix shape {a.shape} does not match structure dimension {structure.n}"
+        )
+    if structure.s == 1:
+        rho = float(np.abs(np.linalg.eigvals(a)).max())
+        return MuBound(rho, rho)
+    if phase_grid < 4:
+        raise ValueError("phase_grid must be at least 4")
+    # divide by the largest entry first, so that no minor or norm of a tiny
+    # matrix underflows
+    peak = float(np.abs(a).max())
+    if peak == 0.0:
+        return MuBound(0.0, 0.0)
+    a = a / peak
+    # mu = 0 exactly when det(I - a Delta) = 1 for every Delta in the structure
+    if all(c == 0 for c in _char_coeffs(a, structure).values()):
+        return MuBound(0.0, 0.0)
+    norm = float(np.linalg.norm(a, 2))
+    a = a / norm
+    scale = peak * norm
+    diag, tril = _scaling_index(structure)
+    x = np.zeros(diag.size + 2 * tril.shape[1])
+    upper, grad, u, v = _scaled_sigma(a, x, diag, tril)
+    phases = _aligned_phases(u, v, structure)
+    low = _rho_exact(a, phases, structure)
+    hess_inv = np.eye(x.size)
+    for _ in range(_MAX_STEPS):
+        if upper - low <= BRACKET_RTOL * upper:
+            break
+        step = -hess_inv @ grad
+        slope = grad @ step
+        if slope >= 0.0:
+            # the quasi-Newton model lost descent: restart from the gradient
+            hess_inv = np.eye(x.size)
+            step, slope = -grad, -(grad @ grad)
+        t = 1.0
+        while True:
+            x_new = np.clip(x + t * step, -_SCALING_BOX, _SCALING_BOX)
+            f_new, g_new, u, v = _scaled_sigma(a, x_new, diag, tril)
+            if f_new <= upper + _ARMIJO * t * slope or t < _MIN_STEP:
+                break
+            t *= 0.5
+        if not f_new < upper:
+            break
+        s, y = x_new - x, g_new - grad
+        sy = s @ y
+        if sy > 0.0:
+            shift = np.eye(x.size) - np.outer(s, y) / sy
+            hess_inv = shift @ hess_inv @ shift.T + np.outer(s, s) / sy
+        x, upper, grad = x_new, f_new, g_new
+        candidate = _aligned_phases(u, v, structure)
+        val = _rho_exact(a, candidate, structure)
+        if val > low:
+            low, phases = val, candidate
+    if upper - low > BRACKET_RTOL * upper:
+        low = max(low, _polish(a, phases, structure, 2.0 * np.pi / phase_grid, refine_iters))
+    # rho(a Q) <= sigma_max(D a D^-1) holds exactly; drop the roundoff excess
+    low = min(low, upper)
+    return MuBound(low * scale, upper * scale)
+
+
+def mu(a, structure: BlockStructure, phase_grid: int = 720, refine_iters: int = 48) -> MuValue:
     """Structured singular value of ``a`` with respect to ``structure``.
 
     Parameters
@@ -201,74 +387,36 @@ def mu(a, structure: BlockStructure, phase_grid: int = 720, refine_iters: int = 
     structure : BlockStructure
         Block-scalar scaling structure.
     phase_grid : int
-        Number of grid points per free phase in the torus sweep.
+        The phase polish of the lower bound searches within
+        ``+-2 pi / phase_grid``; at least 4.
     refine_iters : int
-        Golden-section iterations per coordinate in the local refinement.
+        Golden-section iterations per phase in that polish.
 
     Returns
     -------
-    float
-        ``max over unimodular scalings D of rho(a D)``, which for these
-        purely complex structures equals ``1 / inf{||X||: det(I - aX) = 0}``
-        (and 0 when no structured X makes ``I - aX`` singular).
+    MuValue
+        The upper end of :func:`mu_bound`, carrying the bracket as
+        ``.bracket``.  mu is ``1 / inf{||X||: det(I - aX) = 0}`` over the
+        structured ``X`` (0 when no such ``X`` makes ``I - aX`` singular).
+        When the structure has ``2S + F <= 3``
+        (``BlockStructure.d_scaling_exact``) it is the infimum of the
+        D-scaling bound, so the upper end is mu up to the descent's
+        convergence, and up to ``BRACKET_RTOL`` whenever the bracket closed.
+
+    Raises
+    ------
+    ValueError
+        For a structure with ``2S + F > 3`` whose bracket did not close; the
+        message gives the gap.
     """
-    a = as_cmatrix(a)
-    if a.shape != (structure.n, structure.n):
+    bracket = mu_bound(a, structure, phase_grid, refine_iters)
+    if not (structure.d_scaling_exact or bracket.closed):
         raise ValueError(
-            f"matrix shape {a.shape} does not match structure dimension {structure.n}"
+            f"mu bracket [{bracket.lower!r}, {bracket.upper!r}] did not close "
+            f"(gap {bracket.upper - bracket.lower:.3e}), and for "
+            f"{structure.label()} (2S + F > 3) the D-scaling bound need not be mu"
         )
-    free = structure.s - 1
-    if free == 0:
-        return float(np.abs(np.linalg.eigvals(a)).max())
-    if phase_grid < 4:
-        raise ValueError("phase_grid must be at least 4")
-
-    theta = 2.0 * np.pi * np.arange(phase_grid) / phase_grid
-    if free == 1:
-        rho = _rho_batch(a, theta[:, None], structure)
-        i = int(np.argmax(rho))
-        best = np.array([theta[i]])
-        best_val = float(rho[i])
-    else:
-        # product grid, chunked along the first free phase to bound memory
-        best_val = -1.0
-        best = np.zeros(free)
-        grids = np.meshgrid(*([theta] * (free - 1)), indexing="ij")
-        tail = np.stack([g.ravel() for g in grids], axis=-1)
-        chunk = max(1, int(2e6) // max(1, tail.shape[0]))
-        for start in range(0, phase_grid, chunk):
-            head = theta[start : start + chunk]
-            block = np.concatenate(
-                [
-                    np.broadcast_to(head[:, None, None], (head.size, tail.shape[0], 1)),
-                    np.broadcast_to(tail[None, :, :], (head.size, tail.shape[0], free - 1)),
-                ],
-                axis=-1,
-            )
-            rho = _rho_batch(a, block, structure)
-            j = int(np.argmax(rho))
-            if float(rho.flat[j]) > best_val:
-                best_val = float(rho.flat[j])
-                best = block.reshape(-1, free)[j].copy()
-
-    if best_val == 0.0:
-        return 0.0
-
-    h = 2.0 * np.pi / phase_grid
-    current = best.astype(float)
-    val = _rho_exact(a, current, structure)
-    for _ in range(2):
-        for i in range(free):
-            def slice_f(t, i=i):
-                point = current.copy()
-                point[i] = t
-                return _rho_exact(a, point, structure)
-
-            t_star, v = _golden_max(slice_f, current[i] - h, current[i] + h, refine_iters)
-            if v > val:
-                current[i] = t_star
-                val = v
-    return max(val, best_val)
+    return MuValue(bracket)
 
 
 def pi_coordinates(a, variant: str) -> GammaPoint:

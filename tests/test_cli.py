@@ -301,3 +301,80 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, e
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_mu_reports_certified_bracket(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    for label in ("E(3;3;1,1,1)", "E(3;2;1,2)"):
+        path = _write(tmp_path, "mu.json", {"matrix": cmatrix_to_json(a), "structure": label})
+        for command in ("mu", "gamma-check"):
+            code, report = _run(capsys, [command, "--in", path])
+            lower, upper = report["mu_bracket"]
+            assert lower <= report["mu"] == upper
+            assert upper - lower <= 1e-9 * upper
+            if command == "gamma-check":
+                assert report["member"] == (report["mu"] <= 1.0 + 1e-9)
+                assert code == (0 if report["member"] else 2)
+    assert run(["mu", "--in", path, "--text"]) == 0
+    text = capsys.readouterr().out
+    assert "mu_bracket:" in text
+    assert f"[1] {upper}" in text
+
+
+@pytest.mark.parametrize("command", ["mu", "gamma-check"])
+def test_mu_nonfinite_matrix_is_one_line_error(tmp_path, capsys, command):
+    matrix = cmatrix_to_json(np.eye(3))
+    matrix[0][0] = [float("nan"), 0.0]
+    path = _write(tmp_path, "nan.json", {"matrix": matrix, "structure": "E(3;3;1,1,1)"})
+    code = run([command, "--in", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: matrix entries must be finite\n"
+
+
+# the bracket closes on the seed-13 matrix and stays open on the seed-5 one
+@pytest.mark.parametrize("seed", [5, 13])
+def test_mu_outside_exact_structures_is_certified_or_one_line_error(tmp_path, capsys, seed):
+    # for 2S + F > 3 the D-scaling bound can exceed mu, so a value is
+    # reported only when the bracket closes
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    path = _write(
+        tmp_path, "mu4.json", {"matrix": cmatrix_to_json(a), "structure": "E(4;4;1,1,1,1)"}
+    )
+    code = run(["mu", "--in", path])
+    captured = capsys.readouterr()
+    if code == 0:
+        report = json.loads(captured.out)
+        lower, upper = report["mu_bracket"]
+        assert report["mu"] == upper
+        assert upper - lower <= 1e-9 * upper
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["upper-e", "uw", "right-s"])
+def test_singular_fractional_map_is_declined(tmp_path, capsys, command):
+    # constant F with F22 = 1 + 5e-11 (inside the 1e-10 contraction slack):
+    # 1 - F22 z1 vanishes at the grid point z1 = 1 / F22, z2 = 0
+    f22 = 1.0 + 5e-11
+    p = np.diag([0.0, f22, 0.0])
+    function = {
+        "k": 3,
+        "m": 0,
+        "p": cmatrix_to_json(p),
+        "q": [[], [], []],
+        "r": [],
+        "s": [],
+    }
+    points = [[complex_to_json(0.1), complex_to_json(1.0 / f22), complex_to_json(0.0)]]
+    path = _write(tmp_path, "sing.json", {"function": function, "grid": {"points": points}})
+    code, report = _run(capsys, [command, "--in", path])
+    assert code == 2
+    assert "resolvent determinant" in report["error"]
+    assert report["options"]["grid"] == {"points": 1, "diagonal": False}

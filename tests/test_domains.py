@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gammapick.domains import (
     E211,
@@ -8,6 +13,7 @@ from gammapick.domains import (
     BlockStructure,
     in_gamma,
     mu,
+    mu_bound,
     pi_coordinates,
     tetrablock_member,
 )
@@ -155,3 +161,146 @@ def test_tetrablock_contains_contraction_coordinates():
         a = 0.95 * a / np.linalg.svd(a, compute_uv=False)[0]
         x = (a[0, 0], a[1, 1], np.linalg.det(a))
         assert tetrablock_member(x)
+
+
+# ---------------------------------------------------------------------------
+# the certified bracket and its invariants
+
+# entries on a 0.01 grid in [-2, 2]: exact zeros make reducible and
+# triangular matrices common, where the optimal scaling D runs off to
+# infinity and sigma_max is often double at the minimizer
+_ENTRY = st.integers(-200, 200).map(lambda k: k / 100)
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+_CASES = [
+    pytest.param(structure, real, id=f"{structure.label()}-{'real' if real else 'complex'}")
+    for structure in (E311, E312, E211)
+    for real in (False, True)
+]
+
+
+def _matrices(n: int, real: bool):
+    shape = (n, n) if real else (2, n, n)
+    return arrays(float, shape, elements=_ENTRY).map(lambda p: p if real else p[0] + 1j * p[1])
+
+
+def _agree(x, y, slack: float) -> bool:
+    """Two mu values of the same (or a rescaled) matrix agree up to the gaps of
+    their brackets: each lies within its own gap above the true value."""
+    return abs(x - y) <= slack + 1e-12 * max(abs(x), abs(y))
+
+
+def _gap(value) -> float:
+    return value.bracket.upper - value.bracket.lower
+
+
+@pytest.mark.parametrize("structure, real", _CASES)
+@_PROPERTY
+@given(data=st.data())
+def test_mu_property_homogeneity(structure, real, data):
+    a = data.draw(_matrices(structure.n, real))
+    c = data.draw(
+        st.complex_numbers(
+            min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False
+        )
+    )
+    base, scaled = mu(a, structure), mu(c * a, structure)
+    assert _agree(scaled, abs(c) * base, max(abs(c) * _gap(base), _gap(scaled)))
+
+
+@pytest.mark.parametrize("structure, real", _CASES)
+@_PROPERTY
+@given(data=st.data())
+def test_mu_property_between_spectral_radius_and_norm(structure, real, data):
+    a = data.draw(_matrices(structure.n, real))
+    value = mu(a, structure)
+    rho = np.abs(np.linalg.eigvals(a)).max()
+    assert rho <= value * (1 + 1e-12) + 1e-300
+    assert value <= np.linalg.norm(a, 2) * (1 + 1e-12)
+
+
+def _block_unitary(structure, angles) -> np.ndarray:
+    """diag(e^{i alpha_B}) for scalar blocks; diag(e^{i alpha}, U_2) for E312."""
+    if structure == E312:
+        t, phi = angles[1], angles[2]
+        u = np.zeros((3, 3), dtype=complex)
+        u[0, 0] = np.exp(1j * angles[0])
+        u[1:, 1:] = [
+            [np.cos(t), -np.exp(-1j * phi) * np.sin(t)],
+            [np.exp(1j * phi) * np.sin(t), np.cos(t)],
+        ]
+        return u
+    return np.diag(np.exp(1j * np.asarray(angles[: structure.n])))
+
+
+@pytest.mark.parametrize("structure, real", _CASES)
+@_PROPERTY
+@given(data=st.data())
+def test_mu_property_block_unitary_similarity(structure, real, data):
+    a = data.draw(_matrices(structure.n, real))
+    angles = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3))
+    u = _block_unitary(structure, angles)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(structure.n), atol=1e-14)
+    base, moved = mu(a, structure), mu(u @ a @ u.conj().T, structure)
+    assert _agree(moved, base, _gap(base) + _gap(moved))
+
+
+@pytest.mark.parametrize("structure, real", _CASES)
+@_PROPERTY
+@given(data=st.data())
+def test_mu_property_lies_in_its_bracket(structure, real, data):
+    a = data.draw(_matrices(structure.n, real))
+    bracket = mu_bound(a, structure)
+    value = mu(a, structure)
+    assert value.bracket == bracket
+    assert 0.0 <= bracket.lower <= value <= bracket.upper
+    assert value == bracket.upper
+
+
+@pytest.mark.parametrize("structure, real", _CASES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mu_property_bracket_contains_oracle(structure, real, data):
+    a = data.draw(_matrices(structure.n, real))
+    bracket = mu_bound(a, structure)
+    ora = mu_oracle(a, structure.label())
+    # the oracle is 1 / |X| for a structured X with det(I - a X) = 0, so it
+    # can only sit below mu; within 1e-9 of the bracket on either side
+    assert bracket.lower <= ora * (1 + 1e-9) + 1e-300
+    assert ora <= bracket.upper * (1 + 1e-9)
+
+
+def test_mu_bracket_closes_on_criterion_5_matrices():
+    rng = np.random.default_rng(50)
+    for structure in (E311, E312):
+        for _ in range(30):
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            bracket = mu_bound(a, structure)
+            assert bracket.closed, bracket
+
+
+def test_mu_outside_exact_structures_needs_a_closed_bracket():
+    e4 = BlockStructure.parse("E(4;4;1,1,1,1)")
+    assert not e4.d_scaling_exact
+    assert E311.d_scaling_exact and E312.d_scaling_exact and E211.d_scaling_exact
+    for seed in (5, 13):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        bracket = mu_bound(a, e4)
+        if bracket.closed:
+            assert mu(a, e4) == bracket.upper
+        else:
+            with pytest.raises(ValueError, match="gap"):
+                mu(a, e4)
+
+
+def test_mu_peak_memory_is_small():
+    rng = np.random.default_rng(50)  # the first matrix of acceptance criterion 5
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    mu(a, E311)  # first call outside the trace: numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        mu(a, E311)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
