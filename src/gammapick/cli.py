@@ -14,6 +14,7 @@ malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .domains import BlockStructure, GammaPoint, mu, tetrablock_member
 from .fractional import SingularFractionError, se_values
+from .hardy import winding_memo
 from .kernels import SampleGrid, combine_k, kernel_rank, membership, tensor_grid, upper_e
 from .linalg import IndefiniteMatrixError
 from .lurking import (
@@ -382,16 +384,11 @@ def _cmd_np(args):
         return 2, report
     except (GramInconsistencyError, ArithmeticError) as exc:
         return 2, {"error": str(exc), "options": {"tol": tol}}
-    vals = f.evaluate_many(np.asarray(data.nodes))
-    resid = max(
-        float(np.linalg.norm(vals[j] - data.targets[j], 2))
-        for j in range(len(data.nodes))
-    )
     report = {
         "solvable": True,
         "min_eig": data.spectrum.min,
         "state_dim": int(f.m),
-        "target_residual": resid,
+        "target_residual": f.target_residual,
         "options": {"tol": tol},
     }
     return 0, report
@@ -590,7 +587,10 @@ def _render_text(value, indent: str = "") -> list[str]:
     return lines
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; it depends on nothing but ``_HANDLERS``, so it is
+    built once per process."""
     parser = argparse.ArgumentParser(
         prog="gammapick",
         description="Structured singular values, kernel triples, and Pick reductions.",
@@ -614,10 +614,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code, report = _HANDLERS[args.command](args)
+        # one operation: each distinct denominator is certified once
+        with winding_memo():
+            code, report = _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,20 +12,30 @@ kernel average over those samples.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 __all__ = [
+    "POLY_NOISE",
     "RationalFunction",
     "InnerOuterPair",
     "blaschke_eval",
     "inner_outer",
     "outer_sqrt_eval",
+    "winding_memo",
 ]
 
 _CIRCLE_SNAP = 1e-9
+# rounding noise of polynomial arithmetic, per unit of coefficient mass
+POLY_NOISE = 1e3 * np.finfo(float).eps
+_WINDING_CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
+# bytes of the last denominator that passed the winding check inside
+# winding_memo() (b"" before the first); None outside it
+_last_passed: ContextVar[bytes | None] = ContextVar("_last_passed", default=None)
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -47,16 +57,28 @@ def _validate_den_outside_disc(den: np.ndarray):
     roots: repeated factors make computed roots scatter, while the winding
     number of the boundary values stays exact as long as the polynomial is
     bounded away from zero there.
+
+    Inside :func:`winding_memo`, a denominator byte-equal to the last one
+    that passed is not checked again; a rejected one raises every time.
     """
-    n = 4096
-    circle = np.exp(2j * np.pi * np.arange(n) / n)
-    vals = npoly.polyval(circle, den)
+    key = den.tobytes()
+    last = _last_passed.get()
+    if key == last:
+        return
+    _boundary_winding(den)
+    if last is not None:
+        _last_passed.set(key)
+
+
+def _boundary_winding(den: np.ndarray):
+    """The 4096-point winding check behind :func:`_validate_den_outside_disc`."""
+    vals = npoly.polyval(_WINDING_CIRCLE, den)
     top = float(np.abs(vals).max())
     low = float(np.abs(vals).min())
     # the floor is the evaluation noise, not a fraction of the peak: high
     # multiplicity factors legitimately dip many orders below their maximum
     mass = float(np.abs(den).sum())
-    noise = max(1e3 * np.finfo(float).eps * mass, 1e-12 * top)
+    noise = max(POLY_NOISE * mass, 1e-12 * top)
     if low <= noise:
         raise ValueError(
             f"denominator nearly vanishes on the unit circle (min |den| = {low:.3e})"
@@ -70,6 +92,26 @@ def _validate_den_outside_disc(den: np.ndarray):
         )
     if winding != 0:
         raise ValueError(f"denominator has {winding} root(s) inside the unit disc")
+
+
+@contextmanager
+def winding_memo():
+    """Certify each denominator once per block instead of once per function.
+
+    Arithmetic on functions over one denominator (the components of a curve,
+    the coordinates of a slice) constructs that denominator again and again;
+    inside this block a run of byte-equal denominators is checked once.
+    Nested blocks share the outermost one's memo, which is dropped when that
+    block exits, so nothing carries over from one operation to the next.
+    """
+    if _last_passed.get() is not None:
+        yield
+        return
+    token = _last_passed.set(b"")
+    try:
+        yield
+    finally:
+        _last_passed.reset(token)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,20 +21,20 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .domains import GammaPoint
-from .hardy import InnerOuterPair, RationalFunction, inner_outer
+from .hardy import POLY_NOISE, InnerOuterPair, RationalFunction, inner_outer, winding_memo
 from .linalg import (
     STATE_CUTOFF,
     GramInconsistencyError,
     Spectrum,
     as_cmatrix,
     extend_isometry,
-    operator_norm,
 )
 from .realization import RealizedSchurFunction
 
 __all__ = [
     "UnsolvablePickError",
     "PickData",
+    "PickInterpolant",
     "GammaCurve",
     "GammaNodes",
     "SlicedSchur2x2",
@@ -122,7 +122,16 @@ def pick_matrix(data: PickData) -> np.ndarray:
     return m
 
 
-def np_solve(data: PickData, tol: float = 1e-9) -> RealizedSchurFunction:
+@dataclass(frozen=True)
+class PickInterpolant(RealizedSchurFunction):
+    """Schur function that solves a Pick problem, with its largest target
+    miss ``max_j ||F(lam_j) - W_j||`` (operator norm) as measured by
+    :func:`np_solve`."""
+
+    target_residual: float = float("nan")
+
+
+def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
     """Solve a solvable matricial Nevanlinna-Pick problem by isometry extension.
 
     Parameters
@@ -134,9 +143,9 @@ def np_solve(data: PickData, tol: float = 1e-9) -> RealizedSchurFunction:
 
     Returns
     -------
-    RealizedSchurFunction
-        A Schur function with ``F(lam_j) = W_j`` to 1e-8; its state dimension
-        is at most ``k * len(nodes)``.
+    PickInterpolant
+        A Schur function with ``F(lam_j) = W_j`` to 1e-8, carrying that
+        residual; its state dimension is at most ``k * len(nodes)``.
 
     Raises
     ------
@@ -168,16 +177,16 @@ def np_solve(data: PickData, tol: float = 1e-9) -> RealizedSchurFunction:
             f"interpolation Gram defect {defect:.3e}; data are numerically inconsistent"
         )
     v = extend_isometry(right, left, slack=1e-8)
-    f = RealizedSchurFunction(k, r, v[:k, :k], v[:k, k:], v[k:, :k], v[k:, k:])
+    f = PickInterpolant(k, r, v[:k, :k], v[:k, k:], v[k:, :k], v[k:, k:])
 
-    vals = f.evaluate_many(np.asarray(data.nodes))
-    worst = max(
-        operator_norm(vals[j] - data.targets[j]) for j in range(n)
-    )
+    misses = f.evaluate_many(np.asarray(data.nodes)) - np.stack(data.targets)
+    worst = float(np.linalg.norm(misses, 2, axis=(1, 2)).max())
     if worst > 1e-8:
         raise ArithmeticError(
             f"constructed interpolant misses a target by {worst:.3e}"
         )
+    # recorded on the frozen result before it leaves this function
+    object.__setattr__(f, "target_residual", worst)
     return f
 
 
@@ -202,6 +211,12 @@ class GammaCurve:
         if not all(isinstance(c, RationalFunction) for c in comps):
             raise ValueError("curve components must be RationalFunction instances")
         object.__setattr__(self, "components", comps)
+
+    @cached_property
+    def shared_numerators(self):
+        """The components over one denominator, ``(numerators, denominator)``,
+        or None when their denominators differ (see ``_shared_numerators``)."""
+        return _shared_numerators(self.components)
 
     def point_at(self, lam: complex) -> GammaPoint:
         return GammaPoint(self.variant, tuple(complex(c(lam)) for c in self.components))
@@ -261,6 +276,7 @@ def _shared_numerators(fs: Sequence[RationalFunction]):
     return nums, base
 
 
+@winding_memo()
 def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
     """Coordinate curve of a 3x3 matrix function with rational entries.
 
@@ -361,6 +377,7 @@ def _slice5_point(entries: Sequence[complex], z: complex, det_denominator: str):
     return (p1, p2, p3)
 
 
+@winding_memo()
 def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
     """Slice a gamma point or curve at disc parameter ``z``.
 
@@ -378,7 +395,7 @@ def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
             return _slice5_point(x.entries, z, det_denominator)
         raise ValueError("slice_coordinates needs gamma7 or gamma5 data")
     if isinstance(x, GammaCurve):
-        shared = _shared_numerators(x.components)
+        shared = x.shared_numerators
         if x.variant == "gamma7":
             if shared is not None:
                 (n1, n2, n3, n4, n5, n6, n7), big = shared
@@ -520,6 +537,14 @@ class SlicedSchur2x2:
         return np.abs(self.pair.inner_eval(nodes)) * half, half
 
 
+# contractivity grid of build_slice_schur: 12 radii by 8 angles
+_SLICE_GRID = (
+    np.linspace(0.05, 1.0 - 1e-3, 12)[:, None]
+    * np.exp(2j * np.pi * np.arange(8) / 8.0)[None, :]
+).ravel()
+
+
+@winding_memo()
 def build_slice_schur(
     x: GammaCurve,
     z: complex,
@@ -531,8 +556,9 @@ def build_slice_schur(
 
     The construction verifies contractivity on an interior grid (slack 1e-6),
     that the determinant of the result matches the determinant slice, and
-    that the lower-left entry is positive at the origin.  Failures raise
-    ``ValueError`` with the worst offending point.
+    that the lower-left entry is positive at the origin, all from one
+    evaluation of the slice.  Failures raise ``ValueError`` with the worst
+    offending point.
     """
     if not isinstance(x, GammaCurve):
         raise TypeError("build_slice_schur expects a GammaCurve")
@@ -543,10 +569,14 @@ def build_slice_schur(
     shared = _shared_numerators([f11, f22, det_slice])
     if shared is not None:
         (n1, n2, n3), den = shared
-        d = RationalFunction(
-            npoly.polysub(npoly.polymul(n1, n2), npoly.polymul(n3, den)),
-            npoly.polymul(den, den),
-        )
+        diag, corr = npoly.polymul(n1, n2), npoly.polymul(n3, den)
+        num = npoly.polysub(diag, corr)
+        # f11 f22 - det vanishes identically when what is left of it is the
+        # rounding noise of the two products
+        noise = POLY_NOISE * float(np.abs(diag).sum() + np.abs(corr).sum())
+        if float(np.abs(num).max()) <= noise:
+            num = np.zeros(1, dtype=complex)
+        d = RationalFunction(num, npoly.polymul(den, den))
     else:
         d = f11 * f22 - det_slice
     if d.is_zero:
@@ -555,10 +585,9 @@ def build_slice_schur(
         pair = inner_outer(d, n_boundary=n_boundary, tol=min(tol, 1e-6))
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, False)
 
-    radii = np.linspace(0.05, 1.0 - 1e-3, 12)
-    angles = np.exp(2j * np.pi * np.arange(8) / 8.0)
-    lam = (radii[:, None] * angles[None, :]).ravel()
-    vals = sliced.evaluate_many(lam)
+    lam = _SLICE_GRID
+    vals = sliced.evaluate_many(np.append(lam, 0.0))
+    vals, origin = vals[:-1], vals[-1]
     norms = np.linalg.norm(vals, ord=2, axis=(1, 2))
     worst = int(np.argmax(norms))
     if float(norms[worst]) > 1.0 + 1e-6:
@@ -566,10 +595,11 @@ def build_slice_schur(
             f"slice at z={z} is not contractive: norm {norms[worst]:.9f} at "
             f"lam={lam[worst]:.4f}"
         )
-    det_err = float(np.abs(sliced.det_eval(lam) - det_slice(lam)).max())
+    dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
+    det_err = float(np.abs(dets - det_slice(lam)).max())
     if det_err > max(tol, 1e-8):
         raise ValueError(f"slice determinant mismatch {det_err:.3e}")
-    corner = complex(sliced.evaluate(0.0)[1, 0])
+    corner = complex(origin[1, 0])
     if corner.real < -1e-10 or abs(corner.imag) > 1e-10:
         raise ValueError(f"lower-left entry at the origin is not positive: {corner}")
     return sliced
@@ -695,13 +725,8 @@ def _certify(data: GammaNodes, z_grid, split_rules, tol, reducer) -> Certificati
                 continue
             min_eig = pick.spectrum.min
             try:
-                f = np_solve(pick, tol=tol)
-                vals = f.evaluate_many(np.asarray(pick.nodes))
-                resid = max(
-                    operator_norm(vals[j] - pick.targets[j])
-                    for j in range(len(pick.nodes))
-                )
-                rows.append(CertificationRow(z, split, True, min_eig, float(resid), note))
+                resid = np_solve(pick, tol=tol).target_residual
+                rows.append(CertificationRow(z, split, True, min_eig, resid, note))
             except (UnsolvablePickError, GramInconsistencyError, ArithmeticError) as exc:
                 rows.append(CertificationRow(z, split, False, min_eig, None, str(exc)))
     return CertificationReport(data.variant, tuple(rows), tuple(split_rules))

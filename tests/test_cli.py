@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from gammapick import cli, hardy
 from gammapick.cli import run
 from gammapick.domains import E311, mu, pi_coordinates
-from gammapick.nevanlinna import gamma_curve_from_entries
+from gammapick.nevanlinna import DEFAULT_Z_GRID, gamma_curve_from_entries
 from gammapick.realization import random_schur, realization_to_rational
 from gammapick.serialize import (
     cmatrix_to_json,
@@ -378,3 +379,71 @@ def test_singular_fractional_map_is_declined(tmp_path, capsys, command):
     assert code == 2
     assert "resolvent determinant" in report["error"]
     assert report["options"]["grid"] == {"points": 1, "diagonal": False}
+
+
+def test_parser_reuse_matches_lone_calls(tmp_path, capsys):
+    path = _write(tmp_path, "mu.json", _E311_DIAG)
+    sequence = [
+        ["gamma-check", "--in", path, "--text"],
+        ["gamma-check", "--in", path],
+        ["gamma-check", "--in", path, "--tol", "0.25"],
+        ["gamma-check", "--in", path],
+    ]
+    lone = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        lone.append((run(argv), capsys.readouterr().out))
+    cli._build_parser.cache_clear()
+    together = []
+    for argv in sequence:
+        together.append((run(argv), capsys.readouterr().out))
+        # a rejected command line leaves the shared parser as it was
+        with pytest.raises(SystemExit):
+            run(["gamma-check", "--split", "nope"])
+        capsys.readouterr()
+    assert together == lone
+    assert lone[0][1] != lone[1][1] and lone[2][1] != lone[3][1]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def _winding_checks(argv) -> int:
+    """Number of 4096-point winding checks one ``run(argv)`` computes."""
+    count = 0
+    original = hardy._boundary_winding
+
+    def counted(den):
+        nonlocal count
+        count += 1
+        return original(den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardy, "_boundary_winding", counted)
+        run(argv)
+    return count
+
+
+def _rational_curve_file(tmp_path, seed):
+    f = random_schur(3, 2, seed=seed, max_sigma=0.9)
+    curve = gamma_curve_from_entries(realization_to_rational(f), "gamma7")
+    payload = {
+        "curve": curve_to_json(curve),
+        "nodes": [complex_to_json(v) for v in (0.2, -0.3j, 0.4)],
+    }
+    return _write(tmp_path, f"curve{seed}.json", payload)
+
+
+def test_certify_checks_each_denominator_once(tmp_path, capsys):
+    path = _rational_curve_file(tmp_path, 4)
+    # one for the curve's shared denominator and, per slice parameter, one for
+    # the slice denominator and one for its square (7 + 4 per slice before)
+    assert _winding_checks(["certify", "--in", path]) <= 1 + 2 * len(DEFAULT_Z_GRID)
+    report = json.loads(capsys.readouterr().out)
+    assert all(row["ok"] for row in report["slice_checks"])
+
+
+def test_certify_repeats_its_winding_work(tmp_path, capsys):
+    a, b = _rational_curve_file(tmp_path, 4), _rational_curve_file(tmp_path, 5)
+    counts = [_winding_checks(["certify", "--in", p]) for p in (a, b, a)]
+    capsys.readouterr()
+    # nothing certified for curve a carries over to its second op
+    assert counts[0] == counts[2] > 0

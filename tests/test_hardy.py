@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from gammapick import hardy
 from gammapick.hardy import (
     InnerOuterPair,
     RationalFunction,
     blaschke_eval,
     inner_outer,
     outer_sqrt_eval,
+    winding_memo,
 )
 
 
@@ -169,3 +173,119 @@ def test_exact_pair_root_validation():
             den_roots=np.zeros(0, dtype=complex),
             outer_scale=1.0,
         )
+
+
+# ---------------------------------------------------------------------------
+# each denominator is certified once per winding_memo block
+
+
+def winding_checks(fn) -> int:
+    """Number of 4096-point winding checks ``fn()`` computes."""
+    count = 0
+    original = hardy._boundary_winding
+
+    def counted(den):
+        nonlocal count
+        count += 1
+        return original(den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardy, "_boundary_winding", counted)
+        fn()
+    return count
+
+
+_DEN_A = [1.0, 0.1, 0.04]
+_DEN_B = [1.0, -0.3]
+
+
+def test_winding_memo_checks_a_run_of_equal_denominators_once():
+    def five_over_a():
+        for c in range(5):
+            RationalFunction([1.0, c], _DEN_A)
+
+    assert winding_checks(five_over_a) == 5
+
+    def in_memo():
+        with winding_memo():
+            five_over_a()
+
+    assert winding_checks(in_memo) == 1
+
+
+def test_winding_memo_holds_one_entry():
+    def alternate():
+        with winding_memo():
+            for den in (_DEN_A, _DEN_B, _DEN_A, _DEN_A):
+                RationalFunction([1.0], den)
+
+    assert winding_checks(alternate) == 3
+
+
+def test_winding_memo_nests_and_is_dropped_on_exit():
+    def nested():
+        with winding_memo():
+            RationalFunction([1.0], _DEN_A)
+            with winding_memo():
+                RationalFunction([2.0], _DEN_A)
+            RationalFunction([3.0], _DEN_A)
+        RationalFunction([4.0], _DEN_A)
+
+    # one inside the blocks, one after the outer block has dropped its memo
+    assert winding_checks(nested) == 2
+    assert hardy._last_passed.get() is None
+
+
+def test_rejected_denominator_raises_on_every_construction():
+    def rejected():
+        with winding_memo():
+            for _ in range(3):
+                with pytest.raises(ValueError, match="root"):
+                    RationalFunction([1.0], [1.0, -2.0])  # pole at 0.5
+
+    assert winding_checks(rejected) == 3
+
+
+# ---------------------------------------------------------------------------
+# inner_outer on both sides of each circle margin
+
+
+def _root_at(modulus: float) -> RationalFunction:
+    # a phase away from every boundary node, so the quadrature is not hit head on
+    return RationalFunction([1.0, -1.0 / (modulus * np.exp(0.7j))])
+
+
+@pytest.mark.parametrize(
+    "modulus, exact, snapped, tol",
+    [
+        # the 1e-9 snap: inside it the root is a Blaschke zero
+        (1.0 - 2e-9, True, False, 1e-6),
+        (1.0 - 0.5e-9, False, True, 1e-4),
+        (1.0 + 0.5e-9, False, True, 1e-4),
+        # the 1e-6 margin for outer roots
+        (1.0 + 0.5e-6, False, False, 1e-4),
+        (1.0 + 2e-6, True, False, 1e-6),
+    ],
+)
+def test_inner_outer_numerator_root_margins(modulus, exact, snapped, tol):
+    # off the exact path the quadrature resolves a root this close to the
+    # circle only to ~1e-5 with 2048 nodes, so those cases ask for tol 1e-4
+    f = _root_at(modulus)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pair = inner_outer(f, tol=tol)
+    assert any("unit circle" in str(w.message) for w in caught) == snapped
+    assert pair.has_exact_outer == exact
+    assert pair.blaschke_zeros.size == (1 if modulus < 1.0 - 1e-9 else 0)
+    scale = max(1.0, float(np.abs(f(_circle(2048))).max()))
+    assert _reconstruction_error(f, pair, radius=0.7) <= tol * scale
+
+
+@pytest.mark.parametrize("modulus, exact", [(1.0 + 0.5e-3, False), (1.0 + 2e-3, True)])
+def test_inner_outer_pole_margin(modulus, exact):
+    tol = 1e-5
+    f = RationalFunction([0.5, 0.2], [1.0, -1.0 / (modulus * np.exp(0.7j))])
+    pair = inner_outer(f, tol=tol)
+    assert pair.has_exact_outer == exact
+    scale = max(1.0, float(np.abs(f(_circle(2048))).max()))
+    assert _reconstruction_error(f, pair, radius=0.7) <= tol * scale

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from gammapick import nevanlinna
 from gammapick.domains import E311, GammaPoint, mu, pi_coordinates
 from gammapick.fractional import se_eval
+from gammapick.hardy import RationalFunction
 from gammapick.nevanlinna import (
+    DEFAULT_Z_GRID,
     GammaCurve,
     GammaNodes,
     PickData,
+    SlicedSchur2x2,
     UnsolvablePickError,
     build_slice_schur,
     certify_gamma5_interpolation,
@@ -267,3 +271,61 @@ def test_certify_gamma5_both_denominators():
 def test_gamma_nodes_validation():
     with pytest.raises(ValueError):
         GammaNodes("gamma7", (0.1, 0.2), (pi_coordinates(np.eye(3) * 0.1, "gamma7"),))
+
+
+# ---------------------------------------------------------------------------
+# each slice invariant is computed once
+
+
+def _calls(owner, name, fn) -> int:
+    count = 0
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, counted)
+        fn()
+    return count
+
+
+def test_curve_keeps_its_shared_form():
+    _, curve = _curve(seed=11, m=2)
+
+    def slice_all():
+        for z in DEFAULT_Z_GRID:
+            slice_coordinates(curve, z)
+
+    # once for the curve, not once per slice parameter
+    assert _calls(nevanlinna, "_shared_numerators", slice_all) == 1
+    assert curve.shared_numerators is curve.shared_numerators
+
+
+def test_build_slice_schur_evaluates_the_slice_once():
+    _, curve = _curve(seed=9)
+    calls = _calls(SlicedSchur2x2, "evaluate_many", lambda: build_slice_schur(curve, 0.35))
+    assert calls == 1
+
+
+def test_slice_with_vanishing_product_to_rounding_is_triangular():
+    # third criterion-7 map: at z = 0 its gamma5 slice has f11 f22 - det = 0,
+    # which the shared-denominator arithmetic leaves at 1e-16
+    a = ((0.4, 0.1j, 0.0), (0.0, 0.35, 0.15), (0.1, 0.0, 0.45))
+    entries = [[RationalFunction([0.0, a[i][j]]) for j in range(3)] for i in range(3)]
+    curve = gamma_curve_from_entries(entries, "gamma5")
+    s = build_slice_schur(curve, 0.0)
+    assert s.triangular
+    lam = np.array([0.3, -0.5j])
+    np.testing.assert_allclose(s.det_eval(lam), s.det_slice(lam), atol=1e-15)
+
+
+def test_np_solve_reports_its_target_residual():
+    pick = reduce_gamma7(_scaled_nodes(), 0.3)
+    f = np_solve(pick)
+    vals = f.evaluate_many(np.asarray(pick.nodes))
+    misses = [np.linalg.norm(v - t, 2) for v, t in zip(vals, pick.targets)]
+    assert f.target_residual == max(misses)
+    assert f.target_residual <= 1e-8
