@@ -470,6 +470,9 @@ def _cmd_certify(args):
     z_grid = _parse_z_grid(args.z2_grid)
     splits = (args.split,) if args.split else ("balanced",)
     tol = float(args.tol) if args.tol is not None else 1e-9
+    if args.n_boundary < 64:
+        # the floor of inner_outer's boundary quadrature
+        raise _fail(f"--n-boundary must be at least 64, got {args.n_boundary}")
     options = {
         "split_rules": list(splits),
         "z2_grid": [complex_to_json(z) for z in z_grid],
@@ -509,6 +512,8 @@ def _cmd_certify(args):
 
 def _cmd_verify_identities(args):
     seed = int(args.seed) if args.seed is not None else 7
+    if seed < 0:
+        raise _fail(f"--seed must be non-negative, got {seed}")
     grid_n = int(args.grid) if args.grid is not None else 16
     tol = float(args.tol) if args.tol is not None else 1e-8
     f = random_schur(3, 4, seed=seed)
@@ -616,6 +621,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.tol is not None and not np.isfinite(args.tol):
+            raise _fail(f"--tol must be finite, got {args.tol}")
         # one operation: each distinct denominator is certified once
         with winding_memo():
             code, report = _HANDLERS[args.command](args)

@@ -25,7 +25,6 @@ __all__ = [
     "InnerOuterPair",
     "blaschke_eval",
     "inner_outer",
-    "outer_sqrt_eval",
     "winding_memo",
 ]
 
@@ -411,8 +410,3 @@ def inner_outer(f: RationalFunction, n_boundary: int = 2048, tol: float = 1e-6) 
             f"{tol * scale:.3e}; boundary quadrature is likely under-resolved"
         )
     return pair
-
-
-def outer_sqrt_eval(pair: InnerOuterPair, lam):
-    """Analytic square root of the outer factor, positive at the origin."""
-    return pair.outer_sqrt(lam)

@@ -214,8 +214,8 @@ class GammaCurve:
 
     @cached_property
     def shared_numerators(self):
-        """The components over one denominator, ``(numerators, denominator)``,
-        or None when their denominators differ (see ``_shared_numerators``)."""
+        """The components over one denominator, ``(numerators, denominator)``
+        (see ``_shared_numerators``)."""
         return _shared_numerators(self.components)
 
     def point_at(self, lam: complex) -> GammaPoint:
@@ -253,94 +253,95 @@ def sample_curve(curve: GammaCurve, nodes: Sequence[complex]) -> GammaNodes:
     return GammaNodes(curve.variant, nodes, tuple(curve.point_at(v) for v in nodes))
 
 
-def _shared_numerators(fs: Sequence[RationalFunction]):
-    """Numerators of ``fs`` over the common denominator ``fs[0].denominator``.
-
-    Returns ``None`` unless every denominator is a scalar multiple of the
-    first.  The shared form lets slice arithmetic cancel the denominator
-    instead of stacking repeated factors, which would make downstream root
-    extraction ill conditioned.
-    """
-    base = fs[0].denominator
+def _scalar_ratio(den: np.ndarray, base: np.ndarray):
+    """``den / base`` when ``den`` is a scalar multiple of ``base``, else None."""
+    if den.size != base.size:
+        return None
     anchor = int(np.argmax(np.abs(base)))
-    nums = []
+    ratio = den[anchor] / base[anchor]
+    scale = float(np.abs(den).max())
+    if not np.allclose(den, ratio * base, rtol=1e-11, atol=1e-13 * scale):
+        return None
+    return ratio
+
+
+def _shared_numerators(fs: Sequence[RationalFunction]):
+    """Numerators of ``fs`` over one common denominator, as
+    ``(numerators, denominator)``.
+
+    Denominators that are scalar multiples of an earlier one count once, and
+    the common denominator is the product of those that differ; functions
+    over one denominator (the usual case) keep it.  The shared form lets
+    slice arithmetic cancel the denominator instead of stacking repeated
+    factors, which would make downstream root extraction ill conditioned.
+    """
+    bases, parts = [], []
     for f in fs:
-        den = f.denominator
-        if den.size != base.size:
-            return None
-        ratio = den[anchor] / base[anchor]
-        scale = float(np.abs(den).max())
-        if not np.allclose(den, ratio * base, rtol=1e-11, atol=1e-13 * scale):
-            return None
-        nums.append(f.numerator / ratio)
-    return nums, base
+        # compared last with itself: no multiple of an earlier one opens a base
+        for k, base in enumerate([*bases, f.denominator]):
+            ratio = _scalar_ratio(f.denominator, base)
+            if ratio is not None:
+                break
+        if k == len(bases):
+            bases.append(f.denominator)
+        parts.append((k, f.numerator / ratio))
+    nums = []
+    for k, num in parts:
+        for j, base in enumerate(bases):
+            if j != k:
+                num = npoly.polymul(num, base)
+        nums.append(num)
+    common = bases[0]
+    for base in bases[1:]:
+        common = npoly.polymul(common, base)
+    return nums, common
 
 
 @winding_memo()
 def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
     """Coordinate curve of a 3x3 matrix function with rational entries.
 
-    ``entries`` is a 3x3 nested list of :class:`RationalFunction`.  Entries
-    sharing one denominator (the usual case for transfer-function entries)
-    produce components over a single cubed denominator; otherwise minors and
-    determinant fall back to generic rational arithmetic.
+    ``entries`` is a 3x3 nested list of :class:`RationalFunction`.  The
+    entries are put over one denominator (their shared one, the usual case
+    for transfer-function entries, or else the product of the distinct
+    ones), and the components over its cube.
     """
-    e = entries
-    flat = [e[i][j] for i in range(3) for j in range(3)]
-    shared = _shared_numerators(flat)
-    if shared is not None:
-        nums, delta = shared
-        p = [nums[3 * i : 3 * i + 3] for i in range(3)]
-        m12n = npoly.polysub(npoly.polymul(p[0][0], p[1][1]), npoly.polymul(p[0][1], p[1][0]))
-        m13n = npoly.polysub(npoly.polymul(p[0][0], p[2][2]), npoly.polymul(p[0][2], p[2][0]))
-        m23n = npoly.polysub(npoly.polymul(p[1][1], p[2][2]), npoly.polymul(p[1][2], p[2][1]))
-        c12n = npoly.polysub(npoly.polymul(p[1][0], p[2][2]), npoly.polymul(p[1][2], p[2][0]))
-        c13n = npoly.polysub(npoly.polymul(p[1][0], p[2][1]), npoly.polymul(p[1][1], p[2][0]))
-        detn = npoly.polyadd(
-            npoly.polysub(npoly.polymul(p[0][0], m23n), npoly.polymul(p[0][1], c12n)),
-            npoly.polymul(p[0][2], c13n),
-        )
-        delta2 = npoly.polymul(delta, delta)
-        big = npoly.polymul(delta2, delta)
-
-        def over_big(num, power):
-            # num / delta**power rewritten over the common denominator big.
-            lift = {1: delta2, 2: delta, 3: np.ones(1, dtype=complex)}[power]
-            return RationalFunction(npoly.polymul(num, lift), big)
-
-        x1 = over_big(p[0][0], 1)
-        x2 = over_big(p[1][1], 1)
-        x4 = over_big(p[2][2], 1)
-        x3 = over_big(m12n, 2)
-        x5 = over_big(m13n, 2)
-        x6 = over_big(m23n, 2)
-        x7 = over_big(detn, 3)
-        if variant == "gamma7":
-            comps = (x1, x2, x3, x4, x5, x6, x7)
-        elif variant == "gamma5":
-            comps = (
-                x1,
-                over_big(npoly.polyadd(m12n, m13n), 2),
-                x7,
-                over_big(npoly.polyadd(p[1][1], p[2][2]), 1),
-                x6,
-            )
-        else:
-            raise ValueError(f"unsupported variant {variant!r}")
-        return GammaCurve(variant, comps)
-
-    m12 = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    m13 = e[0][0] * e[2][2] - e[0][2] * e[2][0]
-    m23 = e[1][1] * e[2][2] - e[1][2] * e[2][1]
-    det = (
-        e[0][0] * m23
-        - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-        + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
+    nums, delta = _shared_numerators([entry for row in entries for entry in row])
+    p = [nums[3 * i : 3 * i + 3] for i in range(3)]
+    m12n = npoly.polysub(npoly.polymul(p[0][0], p[1][1]), npoly.polymul(p[0][1], p[1][0]))
+    m13n = npoly.polysub(npoly.polymul(p[0][0], p[2][2]), npoly.polymul(p[0][2], p[2][0]))
+    m23n = npoly.polysub(npoly.polymul(p[1][1], p[2][2]), npoly.polymul(p[1][2], p[2][1]))
+    c12n = npoly.polysub(npoly.polymul(p[1][0], p[2][2]), npoly.polymul(p[1][2], p[2][0]))
+    c13n = npoly.polysub(npoly.polymul(p[1][0], p[2][1]), npoly.polymul(p[1][1], p[2][0]))
+    detn = npoly.polyadd(
+        npoly.polysub(npoly.polymul(p[0][0], m23n), npoly.polymul(p[0][1], c12n)),
+        npoly.polymul(p[0][2], c13n),
     )
+    delta2 = npoly.polymul(delta, delta)
+    big = npoly.polymul(delta2, delta)
+
+    def over_big(num, power):
+        # num / delta**power rewritten over the common denominator big.
+        lift = {1: delta2, 2: delta, 3: np.ones(1, dtype=complex)}[power]
+        return RationalFunction(npoly.polymul(num, lift), big)
+
+    x1 = over_big(p[0][0], 1)
+    x2 = over_big(p[1][1], 1)
+    x4 = over_big(p[2][2], 1)
+    x3 = over_big(m12n, 2)
+    x5 = over_big(m13n, 2)
+    x6 = over_big(m23n, 2)
+    x7 = over_big(detn, 3)
     if variant == "gamma7":
-        comps = (e[0][0], e[1][1], m12, e[2][2], m13, m23, det)
+        comps = (x1, x2, x3, x4, x5, x6, x7)
     elif variant == "gamma5":
-        comps = (e[0][0], m12 + m13, det, e[1][1] + e[2][2], m23)
+        comps = (
+            x1,
+            over_big(npoly.polyadd(m12n, m13n), 2),
+            x7,
+            over_big(npoly.polyadd(p[1][1], p[2][2]), 1),
+            x6,
+        )
     else:
         raise ValueError(f"unsupported variant {variant!r}")
     return GammaCurve(variant, comps)
@@ -349,32 +350,40 @@ def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
 # ---------------------------------------------------------------------------
 # slices
 
-
-def _slice7_point(entries: Sequence[complex], z: complex):
-    x1, x2, x3, x4, x5, x6, x7 = entries
-    den = 1.0 - z * x2
-    if abs(den) < 1e-12:
-        raise ZeroDivisionError(f"slice denominator 1 - z*x2 vanishes at z={z}")
-    return ((x1 - z * x3) / den, (x4 - z * x6) / den, (x5 - z * x7) / den)
+# the slice denominator of each variant, as the point errors name it
+_SLICE_DENOMINATOR = {"gamma7": "1 - z*x2", "gamma5": "2 - z*x4"}
 
 
-def _slice5_point(entries: Sequence[complex], z: complex, det_denominator: str):
-    s1, s2, s3, s4, s5 = entries
-    den = 2.0 - z * s4
-    if abs(den) < 1e-12:
-        raise ZeroDivisionError(f"slice denominator 2 - z*x4 vanishes at z={z}")
-    p1 = (2.0 * s1 - z * s2) / den
-    p2 = (s4 - 2.0 * z * s5) / den
-    if det_denominator == "corrected":
-        p3 = (s2 - 2.0 * z * s3) / den
-    elif det_denominator == "printed":
-        pden = 1.0 - z * s4
-        if abs(pden) < 1e-12:
-            raise ZeroDivisionError(f"printed slice denominator 1 - z*x4 vanishes at z={z}")
-        p3 = (s2 - 2.0 * z * s3) / pden
-    else:
+def _slice_terms(h, z: complex, det_denominator: str):
+    """The slice formulas, once for points and curves.
+
+    ``h = (h0, h1, ...)`` are homogeneous coordinates, ``x_i = h_i / h0``: a
+    point passes numbers with ``h0 = 1``, a curve coefficient arrays of one
+    length with ``h0`` its denominator.  Returns the numerators of
+    ``(f11, f22, det)``, the denominator of ``f11`` and ``f22``, and that
+    of ``det``.
+    """
+    if len(h) == 8:
+        den = h[0] - z * h[2]
+        return (h[1] - z * h[3], h[4] - z * h[6], h[5] - z * h[7]), den, den
+    if det_denominator not in ("corrected", "printed"):
         raise ValueError(f"unknown det_denominator {det_denominator!r}")
-    return (p1, p2, p3)
+    den = 2.0 * h[0] - z * h[4]
+    nums = (2.0 * h[1] - z * h[2], h[4] - 2.0 * z * h[5], h[2] - 2.0 * z * h[3])
+    return nums, den, den if det_denominator == "corrected" else h[0] - z * h[4]
+
+
+def _slice_point(x: GammaPoint, z: complex, det_denominator: str):
+    if x.variant not in _SLICE_DENOMINATOR:
+        raise ValueError("slice_coordinates needs gamma7 or gamma5 data")
+    (n1, n2, n3), den, det_den = _slice_terms((1.0, *x.entries), z, det_denominator)
+    if abs(den) < 1e-12:
+        raise ZeroDivisionError(
+            f"slice denominator {_SLICE_DENOMINATOR[x.variant]} vanishes at z={z}"
+        )
+    if abs(det_den) < 1e-12:
+        raise ZeroDivisionError(f"printed slice denominator 1 - z*x4 vanishes at z={z}")
+    return (n1 / den, n2 / den, n3 / det_den)
 
 
 @winding_memo()
@@ -385,53 +394,23 @@ def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
     slice function; for a 5-tuple the analogous triple of the one-variable
     structure.  ``det_denominator`` selects between the corrected determinant
     slice (default; it makes the slice identities hold) and the printed
-    variant with denominator ``1 - z*x4``.
+    variant with denominator ``1 - z*x4``.  A curve's slice keeps the curve's
+    shared denominator form.
     """
     z = complex(z)
     if isinstance(x, GammaPoint):
-        if x.variant == "gamma7":
-            return _slice7_point(x.entries, z)
-        if x.variant == "gamma5":
-            return _slice5_point(x.entries, z, det_denominator)
-        raise ValueError("slice_coordinates needs gamma7 or gamma5 data")
+        return _slice_point(x, z, det_denominator)
     if isinstance(x, GammaCurve):
-        shared = x.shared_numerators
-        if x.variant == "gamma7":
-            if shared is not None:
-                (n1, n2, n3, n4, n5, n6, n7), big = shared
-                den = npoly.polysub(big, z * n2)
-                return (
-                    RationalFunction(npoly.polysub(n1, z * n3), den),
-                    RationalFunction(npoly.polysub(n4, z * n6), den),
-                    RationalFunction(npoly.polysub(n5, z * n7), den),
-                )
-            x1, x2, x3, x4, x5, x6, x7 = x.components
-            den = 1.0 - z * x2
-            return ((x1 - z * x3) / den, (x4 - z * x6) / den, (x5 - z * x7) / den)
-        if shared is not None:
-            (n1, n2, n3, n4, n5), big = shared
-            den = npoly.polysub(2.0 * big, z * n4)
-            p1 = RationalFunction(npoly.polysub(2.0 * n1, z * n2), den)
-            p2 = RationalFunction(npoly.polysub(n4, 2.0 * z * n5), den)
-            p3n = npoly.polysub(n2, 2.0 * z * n3)
-            if det_denominator == "corrected":
-                p3 = RationalFunction(p3n, den)
-            elif det_denominator == "printed":
-                p3 = RationalFunction(p3n, npoly.polysub(big, z * n4))
-            else:
-                raise ValueError(f"unknown det_denominator {det_denominator!r}")
-            return (p1, p2, p3)
-        s1, s2, s3, s4, s5 = x.components
-        den = 2.0 - z * s4
-        p1 = (2.0 * s1 - z * s2) / den
-        p2 = (s4 - 2.0 * z * s5) / den
-        if det_denominator == "corrected":
-            p3 = (s2 - 2.0 * z * s3) / den
-        elif det_denominator == "printed":
-            p3 = (s2 - 2.0 * z * s3) / (1.0 - z * s4)
-        else:
-            raise ValueError(f"unknown det_denominator {det_denominator!r}")
-        return (p1, p2, p3)
+        nums, big = x.shared_numerators
+        h = np.zeros((1 + len(nums), max(c.size for c in (big, *nums))), dtype=complex)
+        for row, c in zip(h, (big, *nums)):
+            row[: c.size] = c
+        (n1, n2, n3), den, det_den = _slice_terms(h, z, det_denominator)
+        return (
+            RationalFunction(n1, den),
+            RationalFunction(n2, den),
+            RationalFunction(n3, det_den),
+        )
     raise TypeError("slice_coordinates expects a GammaPoint or GammaCurve")
 
 
@@ -566,10 +545,13 @@ def build_slice_schur(
     if abs(z) >= 1.0:
         raise ValueError("slice parameter must lie in the open unit disc")
     f11, f22, det_slice = slice_coordinates(x, z, det_denominator)
-    shared = _shared_numerators([f11, f22, det_slice])
-    if shared is not None:
-        (n1, n2, n3), den = shared
-        diag, corr = npoly.polymul(n1, n2), npoly.polymul(n3, den)
+    # f11 and f22 share one denominator; the printed determinant slice has
+    # its own, the only place where two denominators meet
+    den = f11.denominator
+    ratio = _scalar_ratio(det_slice.denominator, den)
+    if ratio is not None:
+        diag = npoly.polymul(f11.numerator, f22.numerator)
+        corr = npoly.polymul(det_slice.numerator / ratio, den)
         num = npoly.polysub(diag, corr)
         # f11 f22 - det vanishes identically when what is left of it is the
         # rounding noise of the two products
@@ -629,8 +611,11 @@ def _split_pairs(products: Sequence[complex], split_rule) -> list[tuple[complex,
     return pairs
 
 
-def _reduce(data: GammaNodes, z: complex, split_rule, slicer) -> PickData:
-    slices = [slicer(p.entries, z) for p in data.points]
+def _reduce(data: GammaNodes, z: complex, split_rule, det_denominator="corrected") -> PickData:
+    slices = [_slice_point(p, z, det_denominator) for p in data.points]
+    if data.variant == "gamma7":
+        # diagonal order swapped relative to the slice function itself
+        slices = [(t2, t1, t3) for t1, t2, t3 in slices]
     products = [a * b - c for a, b, c in slices]
     pairs = _split_pairs(products, split_rule)
     targets = []
@@ -651,14 +636,7 @@ def reduce_gamma7(data: GammaNodes, z2: complex, split_rule="balanced") -> PickD
     """
     if data.variant != "gamma7":
         raise ValueError("reduce_gamma7 needs gamma7 data")
-    z2 = complex(z2)
-
-    def slicer(entries, z):
-        t1, t2, t3 = _slice7_point(entries, z)
-        # diagonal order swapped relative to the slice function itself
-        return (t2, t1, t3)
-
-    return _reduce(data, z2, split_rule, slicer)
+    return _reduce(data, complex(z2), split_rule)
 
 
 def reduce_gamma5(
@@ -667,12 +645,7 @@ def reduce_gamma5(
     """2x2 Pick data of a 5-coordinate interpolation problem sliced at ``z``."""
     if data.variant != "gamma5":
         raise ValueError("reduce_gamma5 needs gamma5 data")
-    z = complex(z)
-
-    def slicer(entries, zz):
-        return _slice5_point(entries, zz, det_denominator)
-
-    return _reduce(data, z, split_rule, slicer)
+    return _reduce(data, complex(z), split_rule, det_denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,14 @@ def test_out_file_and_text_mode(tmp_path, capsys):
 
 
 _E311_DIAG = {"matrix": cmatrix_to_json(np.diag([0.5, 0.25, 0.2])), "structure": "E(3;3;1,1,1)"}
+_CURVE = {
+    "curve": curve_to_json(
+        gamma_curve_from_entries(
+            realization_to_rational(random_schur(3, 1, seed=6, max_sigma=0.9)), "gamma7"
+        )
+    ),
+    "nodes": [complex_to_json(v) for v in (0.2, -0.3j, 0.4)],
+}
 
 
 def _with_grid(grid):
@@ -292,6 +300,11 @@ def _with_grid(grid):
             [],
             id="point-variant",
         ),
+        pytest.param("gamma-check", _E311_DIAG, ["--tol", "nan"], id="gamma-check-tol-nan"),
+        pytest.param("certify", _CURVE, ["--tol", "inf"], id="certify-tol-inf"),
+        pytest.param("verify-identities", {}, ["--tol=-inf"], id="verify-identities-tol-inf"),
+        pytest.param("verify-identities", {}, ["--seed", "-1"], id="verify-identities-seed"),
+        pytest.param("certify", _CURVE, ["--n-boundary", "0"], id="certify-n-boundary-0"),
     ],
 )
 def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, extra):

@@ -9,7 +9,6 @@ from gammapick.hardy import (
     RationalFunction,
     blaschke_eval,
     inner_outer,
-    outer_sqrt_eval,
     winding_memo,
 )
 
@@ -134,7 +133,6 @@ def test_exact_outer_path_and_sqrt():
     s = pair.outer_sqrt(lam)
     np.testing.assert_allclose(s * s, f(lam), atol=1e-9)
     assert np.all(s.real > 0)  # factors stay in the right half-plane
-    np.testing.assert_allclose(outer_sqrt_eval(pair, lam), s, atol=0)
 
 
 def test_outer_sqrt_matches_principal_branch():

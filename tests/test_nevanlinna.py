@@ -123,15 +123,64 @@ def test_sample_curve_collects_points():
     )
 
 
+def _mixed_entries(seed=8):
+    """Entries of F = A diag(b1, b2, b3): ||A|| = 0.9 and Blaschke factors
+    b_j with distinct poles p_j, so no two columns share a denominator."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a = 0.9 * g / np.linalg.norm(g, 2)
+    inv_p = (0.3 + 0.4 * rng.random(3)) * np.exp(2j * np.pi * rng.random(3))
+    b = [RationalFunction([-1 / np.conj(p), 1], [1, -1 / p]) for p in 1 / inv_p]
+    return [[a[i, j] * b[j] for j in range(3)] for i in range(3)]
+
+
 def test_slice_coordinates_curve_agrees_with_point():
-    _, curve = _curve(seed=5)
     z = 0.3 - 0.2j
-    f11, f22, det = slice_coordinates(curve, z)
-    for lam in (0.15, -0.4j):
-        t1, t2, t3 = slice_coordinates(curve.point_at(lam), z)
-        assert complex(f11([lam])[0]) == pytest.approx(t1, abs=1e-10)
-        assert complex(f22([lam])[0]) == pytest.approx(t2, abs=1e-10)
-        assert complex(det([lam])[0]) == pytest.approx(t3, abs=1e-10)
+    for variant in ("gamma7", "gamma5"):
+        shared = _curve(seed=5, variant=variant)[1]
+        mixed = gamma_curve_from_entries(_mixed_entries(), variant)
+        for curve in (shared, mixed):
+            for det_denominator in ("corrected", "printed"):
+                f11, f22, det = slice_coordinates(curve, z, det_denominator)
+                for lam in (0.15, -0.4j):
+                    t1, t2, t3 = slice_coordinates(curve.point_at(lam), z, det_denominator)
+                    assert complex(f11([lam])[0]) == pytest.approx(t1, abs=1e-10)
+                    assert complex(f22([lam])[0]) == pytest.approx(t2, abs=1e-10)
+                    assert complex(det([lam])[0]) == pytest.approx(t3, abs=1e-10)
+
+
+def test_mixed_denominator_curve_slices_are_schur():
+    # the entries' denominators differ: the curve goes over their product,
+    # and every slice must pass its determinant check
+    entries = _mixed_entries()
+    for variant in ("gamma7", "gamma5"):
+        curve = gamma_curve_from_entries(entries, variant)
+        for z in DEFAULT_Z_GRID:
+            s = build_slice_schur(curve, z)
+            lam = np.array([0.3, -0.5j])
+            np.testing.assert_allclose(s.det_eval(lam), s.det_slice(lam), atol=1e-8)
+
+
+def test_printed_slice_on_both_sides_of_the_denominator_test():
+    # at z = 0 the printed determinant denominator is half the slice
+    # denominator, so f11 f22 - det cancels it; at z = 0.3 they differ and
+    # the two denominators meet in rational arithmetic
+    _, curve = _curve(seed=6, variant="gamma5")
+    expected = {
+        0.0: -0.013056450461381737 + 0.1767959852345403j,
+        0.3: 0.004364779312062172 + 0.16585293741696697j,
+    }
+    for z, product in expected.items():
+        s = build_slice_schur(curve, z, det_denominator="printed")
+        proportional = np.allclose(2.0 * s.det_slice.denominator, s.f11.denominator)
+        assert proportional == (z == 0.0)
+        assert not s.triangular
+        v = s.evaluate(0.25)
+        assert complex(v[0, 1] * v[1, 0]) == pytest.approx(product, abs=1e-12)
+    _, curve = _curve(seed=7, variant="gamma5")
+    assert not build_slice_schur(curve, 0.0, det_denominator="printed").triangular
+    with pytest.raises(ValueError, match=r"not contractive: norm 1\.007402168 at lam=0\.9990"):
+        build_slice_schur(curve, 0.3, det_denominator="printed")
 
 
 def test_slice_coordinates_gamma5_variants_differ():
