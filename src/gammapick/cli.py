@@ -99,9 +99,12 @@ def _parse_z_grid(text: str | None):
         if not token:
             continue
         try:
-            out.append(complex(token))
+            z = complex(token)
         except ValueError as exc:
             raise _fail(f"cannot parse {token!r} as a complex number") from exc
+        if not np.isfinite(z):
+            raise _fail(f"--z2-grid entries must be finite, got {token!r}")
+        out.append(z)
     if not out:
         raise _fail("--z2-grid is empty")
     return tuple(out)
@@ -255,6 +258,9 @@ def _cmd_se(args):
         g = se_values(f, lam, z1, z2)[0]
     except SingularFractionError as exc:
         return 2, {"error": str(exc), "options": {}}
+    except ValueError as exc:
+        # a point outside the disc, or a function that is not 3x3
+        raise _fail(str(exc)) from exc
     values = -g
     report = {
         "values": [complex_to_json(v) for v in values],

@@ -175,7 +175,10 @@ class GammaPoint:
                 f"{self.variant} needs {self._SIZES[self.variant]} entries, "
                 f"got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(complex(e) for e in self.entries))
+        entries = tuple(complex(e) for e in self.entries)
+        if not np.all(np.isfinite(entries)):
+            raise ValueError(f"{self.variant} entries must be finite")
+        object.__setattr__(self, "entries", entries)
 
 
 def _char_coeffs(a: np.ndarray, structure: BlockStructure) -> dict:

@@ -55,7 +55,7 @@ class SEEvaluation:
 
 
 def _check_disc(name: str, values: np.ndarray):
-    if values.size and float(np.abs(values).max()) >= 1.0:
+    if not np.all(np.abs(values) < 1.0):
         raise ValueError(f"{name} must lie in the open unit disc")
 
 

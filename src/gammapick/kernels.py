@@ -60,7 +60,7 @@ class SampleGrid:
             (complex(p[0]), complex(p[1]), complex(p[2])) for p in self.points
         )
         for lam, z1, z2 in pts:
-            if max(abs(lam), abs(z1), abs(z2)) >= 1.0:
+            if not (abs(lam) < 1.0 and abs(z1) < 1.0 and abs(z2) < 1.0):
                 raise ValueError("grid points must lie in the open unit polydisc")
         if len(set(pts)) != len(pts):
             raise ValueError("grid points must be pairwise distinct")

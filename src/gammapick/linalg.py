@@ -15,7 +15,6 @@ __all__ = [
     "NonHermitianError",
     "GramInconsistencyError",
     "STATE_CUTOFF",
-    "FIT_RCOND",
     "Spectrum",
     "as_cmatrix",
     "operator_norm",
@@ -27,12 +26,8 @@ __all__ = [
 
 # Eigenvalue cutoff, relative to the top eigenvalue, for the machine-rank
 # factors that span a state space.  Anything coarser leaks truncation error
-# into the Gram-equality defect, which the least squares step amplifies by a
-# square root.
+# into the Gram-equality defect and from there into the isometry fit.
 STATE_CUTOFF = 1e-13
-
-# Singular-value cutoff of the least-squares fit in :func:`extend_isometry`.
-FIT_RCOND = 1e-11
 
 
 class IndefiniteMatrixError(ValueError):
@@ -157,15 +152,13 @@ def gram_factor(g, tol: float = 1e-9) -> np.ndarray:
     return l
 
 
-def extend_isometry(right: np.ndarray, left: np.ndarray, slack: float) -> np.ndarray:
-    """Least-squares contraction ``V`` with ``V @ right ~ left``.
+def extend_isometry(right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Unitary ``V`` closest to mapping the columns of ``right`` onto those of ``left``.
 
-    Roundoff amplified through ill-conditioned Grams can push the fit past
-    unit norm: above ``1 + slack`` raises :class:`GramInconsistencyError`, a
-    smaller excess is clipped to 1.  Callers check the residual.
+    This is the orthogonal Procrustes factor (Schönemann 1966): with
+    ``left @ right* = U S Vh``, ``V = U @ Vh`` minimises ``|V right - left|``
+    over the unitaries.  When the two families share their Gram matrix, ``V``
+    maps one onto the other; callers check the Gram defect and the residual.
     """
-    sol, *_ = np.linalg.lstsq(right.T, left.T, rcond=FIT_RCOND)
-    uu, sig, vh = np.linalg.svd(sol.T)
-    if sig.size and float(sig[0]) > 1.0 + slack:
-        raise GramInconsistencyError(f"fitted map has norm {sig[0]:.12f} > 1")
-    return (uu * np.minimum(sig, 1.0)) @ vh
+    u, _, vh = np.linalg.svd(left @ right.conj().T)
+    return u @ vh

@@ -2,9 +2,9 @@
 
 Given a triple whose kernels satisfy the rank-one conditions, the sampled
 decomposition identity makes the right vectors ``(1, z1 f1, z2 f2, lam v)``
-and left vectors ``(g, f1, f2, v)`` share their Gram matrix, so a partial
-isometry maps one family onto the other.  Extending that isometry by zero on
-the orthogonal complement yields a contractive colligation whose transfer
+and left vectors ``(g, f1, f2, v)`` share their Gram matrix, so a unitary
+maps one family onto the other (the lurking isometry).  That unitary, the
+Procrustes factor of the two families, is a colligation whose transfer
 function reproduces the data on the grid, up to a joint torus conjugation of
 the middle and last rows and columns.
 """
@@ -112,8 +112,9 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
     RankError
         When the rank conditions fail.
     GramInconsistencyError
-        When the left/right Grams differ beyond ``tol`` or the fitted map
-        is expansive.
+        When the left/right Grams differ beyond ``tol`` or the unitary
+        :func:`~gammapick.linalg.extend_isometry` fit misses the left family
+        by more than ``tol`` relative to its largest entry.
     """
     if not membership(triple, "R11"):
         raise RankError("triple fails the rank-1/1/1 membership conditions")
@@ -137,13 +138,12 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
             f"left/right Gram defect {defect:.3e} exceeds {tol:.1e} * {scale:.1e}"
         )
 
-    v = extend_isometry(right, left, slack=1e-6)
+    v = extend_isometry(right, left)
     fit = float(np.abs(v @ right - left).max())
     if fit > max(tol, 1e-9) * max(1.0, float(np.abs(left).max())):
         raise GramInconsistencyError(f"isometry fit residual {fit:.3e} too large")
 
-    xi = RealizedSchurFunction(3, m, v[:3, :3], v[:3, 3:], v[3:, :3], v[3:, 3:])
-    return UWResult(xi, f1, f2, g, m)
+    return UWResult(RealizedSchurFunction.from_colligation(v, 3, m), f1, f2, g, m)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,17 @@ class UnsolvablePickError(ValueError):
         self.min_eig = min_eig
 
 
+def _disc_nodes(values) -> tuple[complex, ...]:
+    """``values`` as complex nodes, checked pairwise distinct and in the open disc
+    (so not NaN)."""
+    nodes = tuple(complex(v) for v in values)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("nodes must be pairwise distinct")
+    if not all(abs(v) < 1.0 for v in nodes):
+        raise ValueError("nodes must lie in the open unit disc")
+    return nodes
+
+
 @dataclass(frozen=True)
 class PickData:
     """Nodes in the open disc with square matrix targets of a common size."""
@@ -83,13 +94,9 @@ class PickData:
     targets: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        nodes = tuple(complex(v) for v in self.nodes)
-        if len(nodes) == 0:
+        nodes = _disc_nodes(self.nodes)
+        if not nodes:
             raise ValueError("need at least one node")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("nodes must be pairwise distinct")
-        if max(abs(v) for v in nodes) >= 1.0:
-            raise ValueError("nodes must lie in the open unit disc")
         mats = tuple(np.atleast_2d(as_cmatrix(np.atleast_2d(t))) for t in self.targets)
         if len(mats) != len(nodes):
             raise ValueError("need one target per node")
@@ -161,23 +168,18 @@ def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
     n, k = len(data.nodes), data.k
     r = l.shape[1]
 
-    right = np.zeros((k + r, n * k), dtype=complex)
-    left = np.zeros((k + r, n * k), dtype=complex)
-    eye = np.eye(k, dtype=complex)
-    for j, (lj, wj) in enumerate(zip(data.nodes, data.targets)):
-        hj = l[j * k : (j + 1) * k, :]
-        right[:k, j * k : (j + 1) * k] = eye
-        right[k:, j * k : (j + 1) * k] = lj * hj.conj().T
-        left[:k, j * k : (j + 1) * k] = wj
-        left[k:, j * k : (j + 1) * k] = hj.conj().T
+    # column block j is (I, lam_j h_j*) on the right and (W_j, h_j*) on the
+    # left, with h_j the j-th block of k rows of l
+    lam = np.repeat(np.asarray(data.nodes), k)
+    right = np.vstack([np.tile(np.eye(k, dtype=complex), n), lam * l.conj().T])
+    left = np.vstack([np.hstack(data.targets), l.conj().T])
 
     defect = float(np.abs(right.conj().T @ right - left.conj().T @ left).max())
     if defect > max(tol, 1e-9) * max(1.0, spec.top) * 10:
         raise GramInconsistencyError(
             f"interpolation Gram defect {defect:.3e}; data are numerically inconsistent"
         )
-    v = extend_isometry(right, left, slack=1e-8)
-    f = PickInterpolant(k, r, v[:k, :k], v[:k, k:], v[k:, :k], v[k:, k:])
+    f = PickInterpolant.from_colligation(extend_isometry(right, left), k, r)
 
     misses = f.evaluate_many(np.asarray(data.nodes)) - np.stack(data.targets)
     worst = float(np.linalg.norm(misses, 2, axis=(1, 2)).max())
@@ -233,11 +235,7 @@ class GammaNodes:
     def __post_init__(self):
         if self.variant not in ("gamma7", "gamma5"):
             raise ValueError(f"unsupported variant {self.variant!r}")
-        nodes = tuple(complex(v) for v in self.nodes)
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("nodes must be pairwise distinct")
-        if nodes and max(abs(v) for v in nodes) >= 1.0:
-            raise ValueError("nodes must lie in the open unit disc")
+        nodes = _disc_nodes(self.nodes)
         pts = tuple(self.points)
         if len(pts) != len(nodes):
             raise ValueError("need one coordinate point per node")
@@ -249,7 +247,7 @@ class GammaNodes:
 
 def sample_curve(curve: GammaCurve, nodes: Sequence[complex]) -> GammaNodes:
     """Evaluate a curve at finitely many nodes."""
-    nodes = tuple(complex(v) for v in nodes)
+    nodes = _disc_nodes(nodes)
     return GammaNodes(curve.variant, nodes, tuple(curve.point_at(v) for v in nodes))
 
 

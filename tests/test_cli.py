@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gammapick
 from gammapick import cli, hardy
 from gammapick.cli import run
 from gammapick.domains import E311, mu, pi_coordinates
@@ -271,6 +276,30 @@ def _with_grid(grid):
     return {**_function_payload(seed=3, m=2), "grid": grid}
 
 
+_NAN = float("nan")
+
+
+def _with_se_points(points):
+    return {**_function_payload(seed=2), "points": points}
+
+
+def _with_nodes(payload, nodes):
+    return {**payload, "nodes": nodes}
+
+
+def _with_first_entry(payload, value):
+    points = [list(p) for p in payload["points"]]
+    points[0][0] = value
+    return {**payload, "points": points}
+
+
+_PICK = {
+    "nodes": [[0.2, 0.0], [-0.3, 0.1]],
+    "targets": [[[[0.1, 0.0]]], [[[0.2, 0.0]]]],
+}
+_NODES = _nodes_payload()
+
+
 @pytest.mark.parametrize(
     "command, payload, extra",
     [
@@ -305,6 +334,35 @@ def _with_grid(grid):
         pytest.param("verify-identities", {}, ["--tol=-inf"], id="verify-identities-tol-inf"),
         pytest.param("verify-identities", {}, ["--seed", "-1"], id="verify-identities-seed"),
         pytest.param("certify", _CURVE, ["--n-boundary", "0"], id="certify-n-boundary-0"),
+        pytest.param(
+            "se",
+            _with_se_points([[[1.5, 0], [0.1, 0], [0.2, 0]]]),
+            [],
+            id="se-point-outside",
+        ),
+        pytest.param(
+            "se", _with_se_points([[[_NAN, 0], [0.1, 0], [0.2, 0]]]), [], id="se-point-nan"
+        ),
+        pytest.param("np", _with_nodes(_PICK, [[_NAN, 0.0], [0.3, 0.0]]), [], id="np-node-nan"),
+        pytest.param(
+            "uw", _with_grid({"points": [[0.1, 0.2, 0.3], [_NAN, 0.2, 0.3]]}), [], id="uw-point-nan"
+        ),
+        pytest.param(
+            "certify", _with_nodes(_CURVE, [[0.2, 0.0], [_NAN, 0.0]]), [], id="certify-node-nan"
+        ),
+        pytest.param(
+            "certify", _with_first_entry(_NODES, [_NAN, 0.0]), [], id="certify-point-nan"
+        ),
+        pytest.param(
+            "reduce", _with_nodes(_NODES, [[_NAN, 0.0], [0.1, 0.0], [0.2, 0.0]]), [],
+            id="reduce-node-nan",
+        ),
+        pytest.param(
+            "gamma-check", {"point": [[_NAN, 0.0], [0.2, 0.0], [0.05, 0.0]]}, [],
+            id="gamma-check-point-nan",
+        ),
+        pytest.param("reduce", _NODES, ["--z2-grid", "nan"], id="reduce-z2-grid-nan"),
+        pytest.param("certify", _NODES, ["--z2-grid", "0,inf"], id="certify-z2-grid-inf"),
     ],
 )
 def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, extra):
@@ -460,3 +518,19 @@ def test_certify_repeats_its_winding_work(tmp_path, capsys):
     capsys.readouterr()
     # nothing certified for curve a carries over to its second op
     assert counts[0] == counts[2] > 0
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # modules loaded before the import (site hooks of the interpreter) are
+    # not the package's
+    probe = (
+        "import sys; before = set(sys.modules); import gammapick, gammapick.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = str(Path(gammapick.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    assert "gammapick" in out
+    assert {m for m in out if m not in sys.stdlib_module_names} <= {"numpy", "gammapick"}

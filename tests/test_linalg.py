@@ -7,6 +7,7 @@ from gammapick.linalg import (
     IndefiniteMatrixError,
     NonHermitianError,
     as_cmatrix,
+    extend_isometry,
     gram_factor,
     hermitian_part,
     is_psd,
@@ -81,6 +82,19 @@ def test_gram_factor_reconstructs_and_reports_rank():
 def test_gram_factor_raises_on_indefinite():
     with pytest.raises(IndefiniteMatrixError, match="indefinite"):
         gram_factor(np.diag([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("rank", [6, 3], ids=["full-rank", "deficient"])
+def test_extend_isometry_is_unitary_and_maps_right_onto_left(rank):
+    rng = np.random.default_rng(rank)
+    right = (rng.normal(size=(6, rank)) + 1j * rng.normal(size=(6, rank))) @ (
+        rng.normal(size=(rank, 20)) + 1j * rng.normal(size=(rank, 20))
+    )
+    w, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    left = w @ right
+    v = extend_isometry(right, left)
+    assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-12
+    np.testing.assert_allclose(v @ right, left, atol=1e-12 * np.abs(left).max())
 
 
 def test_gram_factor_zero_matrix_has_zero_columns():

@@ -74,6 +74,20 @@ def test_uw_reconstruction_is_torus_conjugate_of_source():
     assert all(abs(abs(e) - 1.0) <= 1e-9 for e in fit.eta)
 
 
+def test_uw_passes_on_a_64_point_grid():
+    # roundoff in this grid's near-singular Gram pushes a least-squares fit
+    # to norm 1.035; the unitary fit has no excess norm to refuse
+    triple = upper_e(random_schur(3, 2, seed=0), tensor_grid(8, 8, radius=0.9, seed=0))
+    result = uw_construct(triple)
+    assert verify_uw(result).passed
+    back = upper_e(result.xi, triple.grid)
+    gram_match = max(
+        float(np.abs(b.gram - a.gram).max())
+        for a, b in ((triple.n1, back.n1), (triple.n2, back.n2), (triple.n3, back.n3))
+    )
+    assert gram_match <= 1e-8
+
+
 def test_uw_rejects_rank_deficient_triple():
     f = random_schur(3, 2, seed=6)
     grid = _grid(seed=2)

@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gammapick import nevanlinna
+from gammapick.cli import run
 from gammapick.domains import E311, GammaPoint, mu, pi_coordinates
 from gammapick.fractional import se_eval
 from gammapick.hardy import RationalFunction
@@ -26,6 +31,7 @@ from gammapick.nevanlinna import (
     slice_coordinates,
 )
 from gammapick.realization import random_schur, realization_to_rational, verify_schur
+from gammapick.serialize import pick_data_to_json
 
 
 def _curve(seed=0, variant="gamma7", m=1):
@@ -378,3 +384,41 @@ def test_np_solve_reports_its_target_residual():
     misses = [np.linalg.norm(v - t, 2) for v, t in zip(vals, pick.targets)]
     assert f.target_residual == max(misses)
     assert f.target_residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Pick data sampled from Schur functions
+
+_PICK_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+_PICK_CASES = dict(m=st.integers(0, 4), n=st.integers(1, 7), seed=st.integers(0, 2**16))
+
+
+def _schur_pick_data(m: int, n: int, seed: int):
+    """Nodes with |lam| <= 0.9 and the values of ``random_schur(2, m, seed)`` there."""
+    rng = np.random.default_rng(seed)
+    nodes = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    return nodes, random_schur(2, m, seed).evaluate_many(nodes)
+
+
+@_PICK_PROPERTY
+@given(**_PICK_CASES)
+# roundoff pushes a least-squares fit of these data to norm 1 + 5.3e-5
+@example(m=0, n=7, seed=25)
+def test_np_solve_property_schur_values_solve(m, n, seed):
+    nodes, targets = _schur_pick_data(m, n, seed)
+    f = np_solve(PickData(tuple(nodes), tuple(targets)))
+    assert f.target_residual <= 1e-8
+    assert f.m <= f.k * n
+
+
+@_PICK_PROPERTY
+@given(**_PICK_CASES)
+def test_np_property_targets_scaled_past_norm_one_are_unsolvable(tmp_path_factory, m, n, seed):
+    nodes, targets = _schur_pick_data(m, n, seed)
+    targets *= 1.1 / max(np.linalg.norm(t, 2) for t in targets)
+    data = PickData(tuple(nodes), tuple(targets))
+    with pytest.raises(UnsolvablePickError):
+        np_solve(data)
+    path = tmp_path_factory.mktemp("pick") / "scaled.json"
+    path.write_text(json.dumps(pick_data_to_json(data)))
+    assert run(["np", "--in", str(path)]) == 2
