@@ -219,7 +219,7 @@ def torus_fit(
         etas.append(complex(corr / abs(corr)))
     d1 = np.diag(etas)
     d2 = np.diag([1.0, np.conj(etas[1]), np.conj(etas[2])])
-    resid = float(max(np.linalg.norm(x - d1 @ f @ d2, 2) for x, f in zip(xv, fv)))
+    resid = float(np.linalg.norm(xv - d1 @ fv @ d2, 2, axis=(1, 2)).max())
     return TorusFit((etas[0], etas[1], etas[2]), resid)
 
 

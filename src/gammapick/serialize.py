@@ -47,7 +47,8 @@ def complex_from_json(data) -> complex:
 
 
 def cvector_to_json(vec) -> list:
-    return [complex_to_json(v) for v in np.asarray(vec, dtype=complex).ravel()]
+    vec = np.asarray(vec, dtype=complex).ravel()
+    return np.stack((vec.real, vec.imag), axis=1).tolist()
 
 
 def cvector_from_json(data) -> np.ndarray:

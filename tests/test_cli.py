@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gammapick
 from gammapick import cli, hardy
@@ -363,6 +365,12 @@ _NODES = _nodes_payload()
         ),
         pytest.param("reduce", _NODES, ["--z2-grid", "nan"], id="reduce-z2-grid-nan"),
         pytest.param("certify", _NODES, ["--z2-grid", "0,inf"], id="certify-z2-grid-inf"),
+        # slice parameters on or outside the unit circle
+        *(
+            pytest.param(command, _CURVE, [f"--z2-grid={z}"], id=f"{command}-z2-grid-{z}")
+            for command in ("reduce", "certify")
+            for z in ("1.5", "1", "-1j")
+        ),
     ],
 )
 def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, extra):
@@ -373,6 +381,132 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, e
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_out_of_disc_slice_parameter_names_the_entry(tmp_path, capsys):
+    path = _write(tmp_path, "curve.json", _CURVE)
+    assert run(["certify", "--in", path, "--z2-grid", "0.3,1.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --z2-grid entries must lie in the open unit disc, got '1.5'\n"
+    )
+
+
+# se points: one array decode for [re, im] triples, entry by entry otherwise
+_SE_PAIRS = [
+    [[0.3, 0.0], [0.2, 0.0], [-0.4, 0.0]],
+    [[0.0, -0.1], [0.0, 0.5], [0.0, 0.0]],
+    [[0.0, 0.0], [0.25, 0.0], [0.0, 1e-3]],
+]
+
+
+def _se_stdout(tmp_path, capsys, points, text=False):
+    path = _write(tmp_path, "se.json", _with_se_points(points))
+    code = run(["se", "--in", path, *(["--text"] if text else [])])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        pytest.param([[0.3, 0.2, -0.4], [[0, -0.1], [0, 0.5], 0], [0, 0.25, [0, 1e-3]]], id="scalar-real"),
+        pytest.param([[[0.3, 0], [0.2, 0], [-0.4, 0]], *_SE_PAIRS[1:]], id="int-parts"),
+        pytest.param([[[0.3, 0.0], 0.2, -0.4], *_SE_PAIRS[1:]], id="mixed"),
+    ],
+)
+@pytest.mark.parametrize("text", [False, True])
+def test_se_points_decode_the_same_in_any_form(tmp_path, capsys, points, text):
+    want = _se_stdout(tmp_path, capsys, _SE_PAIRS, text)
+    assert want[0] == 0
+    assert _se_stdout(tmp_path, capsys, points, text) == want
+
+
+_SE_TRIPLES = "error: points must be [lam, z1, z2] triples: "
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        pytest.param(
+            [["0.5", [0.1, 0], [0.2, 0]]], "expected [re, im] pair, got '0.5'", id="string-entry"
+        ),
+        pytest.param([[None, [0.1, 0], [0.2, 0]]], "expected [re, im] pair, got None", id="null-entry"),
+        pytest.param(
+            [[[None, 0], [0.1, 0], [0.2, 0]]],
+            "float() argument must be a string or a real number, not 'NoneType'",
+            id="null-part",
+        ),
+        pytest.param(None, "'NoneType' object is not iterable", id="null-points"),
+        pytest.param([[[0.1, 0], [0.2, 0]]], "list index out of range", id="two-entries"),
+        pytest.param(
+            [_SE_PAIRS[0], [[0.1, 0], [0.2, 0], [0.3]]],
+            "expected [re, im] pair, got [0.3]",
+            id="ragged",
+        ),
+        pytest.param(
+            [[[0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0]]],
+            "expected [re, im] pair, got [0.1, 0, 0]",
+            id="triple-parts",
+        ),
+        pytest.param(5, "'int' object is not iterable", id="points-number"),
+        pytest.param("abc", "expected [re, im] pair, got 'a'", id="points-string"),
+    ],
+)
+def test_malformed_se_points_keep_their_message(tmp_path, capsys, points, message):
+    path = _write(tmp_path, "bad.json", _with_se_points(points))
+    assert run(["se", "--in", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{_SE_TRIPLES}{message}\n"
+
+
+# the report renderer against json.dumps(sort_keys=True, indent=2, allow_nan=False)
+class _Float(float):
+    def __repr__(self):  # json writes float.__repr__, not the subclass's
+        return "not a float"
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, _Float(0.1), _Float(-2.5)]
+)
+
+
+def _values(floats):
+    scalars = st.none() | st.booleans() | st.integers() | st.text() | floats
+    pairs = st.lists(st.lists(floats | st.integers(-2, 2), min_size=2, max_size=2), min_size=1)
+    return st.recursive(
+        scalars | pairs,
+        lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+        max_leaves=40,
+    )
+
+
+def _json(value):
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values(st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS))
+@example({"values": [[0.1, -0.0], [1e308, 5e-324]], "é\n\"\\\u2028": []})
+@example([[[_Float(0.5), 1.0]], {}, [], "\x00\U0001f600"])
+def test_render_json_matches_json_dumps(value):
+    assert cli._render_json(value) == _json(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values(st.floats()))
+@example({"values": [[0.1, 0.2], [float("nan"), 0.0]]})
+@example([[1e308, float("inf")]])
+@example({"a": [[0.1, 0.2]], "b": -float("inf")})
+def test_render_json_refuses_non_finite_floats_where_json_does(value):
+    try:
+        expected = _json(value)
+    except ValueError:
+        with pytest.raises(ValueError, match="Out of range float values"):
+            cli._render_json(value)
+    else:
+        assert cli._render_json(value) == expected
 
 
 def test_mu_reports_certified_bracket(tmp_path, capsys):

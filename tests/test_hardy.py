@@ -1,7 +1,10 @@
 import warnings
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammapick import hardy
 from gammapick.hardy import (
@@ -287,3 +290,34 @@ def test_inner_outer_pole_margin(modulus, exact):
     assert pair.has_exact_outer == exact
     scale = max(1.0, float(np.abs(f(_circle(2048))).max()))
     assert _reconstruction_error(f, pair, radius=0.7) <= tol * scale
+
+
+# inner_outer on random rational functions with every root and pole away from the circle
+def _roots(moduli):
+    return st.lists(
+        st.tuples(moduli, st.floats(0.0, 2 * np.pi)).map(lambda rt: rt[0] * np.exp(1j * rt[1])),
+        max_size=4,
+    )
+
+
+_OFF_CIRCLE = st.floats(0.0, 0.9) | st.floats(1.1, 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    zeros=_roots(_OFF_CIRCLE),
+    poles=_roots(st.floats(1.1, 3.0)),
+    scale=st.floats(0.1, 10.0),
+    phase=st.floats(0.0, 2 * np.pi),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+def test_inner_outer_property_on_random_rational_functions(zeros, poles, scale, phase, tol):
+    # polyfromroots([]) is the constant 1
+    f = RationalFunction(
+        scale * np.exp(1j * phase) * npoly.polyfromroots(zeros), npoly.polyfromroots(poles)
+    )
+    pair = inner_outer(f, tol=tol)
+    assert float(np.abs(np.abs(pair.inner_eval(_circle(512))) - 1.0).max()) <= 1e-12
+    assert pair.blaschke_zeros.size == sum(abs(z) < 1.0 for z in zeros)
+    fscale = max(1.0, float(np.abs(f(_circle(2048))).max()))
+    assert _reconstruction_error(f, pair, radius=0.95, n=200) <= tol * fscale

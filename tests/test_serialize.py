@@ -48,6 +48,15 @@ def test_complex_roundtrip_and_errors():
         complex_from_json("1+2j")
 
 
+def test_cvector_to_json_writes_the_pairs_of_complex_to_json():
+    v = np.array([complex(0.1, -0.0), complex(-0.0, 1e-300), complex(1e308, -5e-324), 3.0])
+    got = cvector_to_json(v)
+    assert got == [complex_to_json(x) for x in v]
+    assert {type(x) for pair in got for x in pair} == {float}
+    assert json.dumps(got) == json.dumps([complex_to_json(x) for x in v])
+    assert cvector_to_json([]) == []
+
+
 def test_vector_and_matrix_roundtrip():
     v = np.array([1.0, -2j, 0.5 + 0.5j])
     np.testing.assert_array_equal(cvector_from_json(_json_clean(cvector_to_json(v))), v)
