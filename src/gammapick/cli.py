@@ -208,8 +208,8 @@ def _se_points(pts):
     """The ``lam``, ``z1``, ``z2`` columns of an ``se`` point list.
 
     A list of ``[re, im]`` triples of numbers is decoded as one array; any
-    other list (scalar-real entries, malformed entries) goes entry by entry,
-    which accepts the same inputs and names the first bad one.
+    other list (scalar-real entries, malformed entries) goes entry by entry
+    through ``complex_from_json``, which names the first bad one.
     """
     try:
         arr = np.asarray(pts)
@@ -219,9 +219,17 @@ def _se_points(pts):
         cols = np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
         return cols[:, 0], cols[:, 1], cols[:, 2]
     try:
-        return tuple(np.array([complex_from_json(p[i]) for p in pts]) for i in range(3))
+        cols = tuple(np.array([complex_from_json(p[i]) for p in pts]) for i in range(3))
+        long = next((j for j, p in enumerate(pts) if len(p) != 3), None)
+    except KeyError:  # p[0] of an object
+        raise _fail("points must be [lam, z1, z2] triples, got an object") from None
     except (IndexError, TypeError, ValueError) as exc:
         raise _fail(f"points must be [lam, z1, z2] triples: {exc}") from exc
+    if long is not None:
+        raise _fail(
+            f"points must be [lam, z1, z2] triples: point {long} has {len(pts[long])} entries"
+        )
+    return cols
 
 
 def _row_json(row) -> dict:

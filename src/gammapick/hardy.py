@@ -23,7 +23,9 @@ __all__ = [
     "POLY_NOISE",
     "RationalFunction",
     "InnerOuterPair",
+    "SAMPLES",
     "blaschke_eval",
+    "certify_denominator",
     "inner_outer",
     "winding_memo",
 ]
@@ -32,6 +34,18 @@ _CIRCLE_SNAP = 1e-9
 # rounding noise of polynomial arithmetic, per unit of coefficient mass
 POLY_NOISE = 1e3 * np.finfo(float).eps
 _WINDING_CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
+# the fixed interior points where inner_outer reads f: the anchor probes and
+# the reconstruction check grid
+_PROBES = np.array([0.0, 0.21 + 0.13j, -0.17 + 0.29j, 0.33 - 0.11j, -0.27 - 0.23j])
+_CHECK = (
+    np.linspace(0.05, 0.7, 14)[:, None] * np.exp(2j * np.pi * np.arange(5)[None, :] / 5.0)
+).ravel()
+# every point where the winding check and inner_outer read a function, for
+# callers that know its values there: the winding circle (whose every
+# (4096 / n_boundary)-th point is a boundary node of inner_outer), the probes
+# and the check grid
+SAMPLES = np.concatenate([_WINDING_CIRCLE, _PROBES, _CHECK])
+_PROBE_AT = _WINDING_CIRCLE.size
 # bytes of the last denominator that passed the winding check inside
 # winding_memo() (b"" before the first); None outside it
 _last_passed: ContextVar[bytes | None] = ContextVar("_last_passed", default=None)
@@ -39,17 +53,18 @@ _last_passed: ContextVar[bytes | None] = ContextVar("_last_passed", default=None
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size == 0:
-        return np.zeros(1, dtype=complex)
-    top = float(np.abs(c).max())
+    mods = np.abs(c)
+    top = float(mods.max()) if c.size else 0.0
     if top == 0.0:
         return np.zeros(1, dtype=complex)
-    c = np.where(np.abs(c) <= 1e-13 * top, 0.0, c)
-    last = int(np.max(np.nonzero(np.abs(c) > 0.0)[0]))
+    small = mods <= 1e-13 * top
+    c = np.where(small, 0.0, c)
+    # the nonzero entries of c (a NaN is neither small nor nonzero)
+    last = int(np.flatnonzero(~small & (mods > 0.0)).max())
     return c[: last + 1]
 
 
-def _validate_den_outside_disc(den: np.ndarray):
+def _validate_den_outside_disc(den: np.ndarray, values: np.ndarray | None = None):
     """Check that a polynomial has no zeros in the closed unit disc.
 
     Uses the argument principle on the unit circle instead of numerical
@@ -59,19 +74,33 @@ def _validate_den_outside_disc(den: np.ndarray):
 
     Inside :func:`winding_memo`, a denominator byte-equal to the last one
     that passed is not checked again; a rejected one raises every time.
+    ``values``, when given, are those of ``den`` on the winding circle.
     """
     key = den.tobytes()
     last = _last_passed.get()
     if key == last:
         return
-    _boundary_winding(den)
+    _boundary_winding(den, values)
     if last is not None:
         _last_passed.set(key)
 
 
-def _boundary_winding(den: np.ndarray):
-    """The 4096-point winding check behind :func:`_validate_den_outside_disc`."""
-    vals = npoly.polyval(_WINDING_CIRCLE, den)
+def certify_denominator(den, samples: np.ndarray) -> None:
+    """Run the winding check of a ``RationalFunction`` over ``den`` ahead of
+    its construction, on ``samples``, the values of ``den`` at :data:`SAMPLES`.
+
+    Inside :func:`winding_memo` the constructions over ``den`` that follow
+    find it checked; a constant denominator is not checked, as there.
+    """
+    den = _trim(den)
+    if den.size > 1:
+        _validate_den_outside_disc(den, samples[:_PROBE_AT])
+
+
+def _boundary_winding(den: np.ndarray, values: np.ndarray | None = None):
+    """The 4096-point winding check behind :func:`_validate_den_outside_disc`,
+    on ``den``'s values at the circle points (evaluated here when not given)."""
+    vals = npoly.polyval(_WINDING_CIRCLE, den) if values is None else values
     top = float(np.abs(vals).max())
     low = float(np.abs(vals).min())
     # the floor is the evaluation noise, not a fraction of the peak: high
@@ -82,7 +111,9 @@ def _boundary_winding(den: np.ndarray):
         raise ValueError(
             f"denominator nearly vanishes on the unit circle (min |den| = {low:.3e})"
         )
-    raw = float(np.angle(np.roll(vals, -1) / vals).sum() / (2.0 * np.pi))
+    # the turn from each value to the next, the last back to the first
+    turns = np.angle(np.roll(vals, -1) * vals.conj())
+    raw = float(turns.sum() / (2.0 * np.pi))
     winding = int(np.rint(raw))
     if abs(raw - winding) > 0.25:
         # a root sitting on the circle contributes a half turn
@@ -333,14 +364,21 @@ class InnerOuterPair:
         return self.inner_eval(lam) * self.outer_eval(lam)
 
 
-def inner_outer(f: RationalFunction, n_boundary: int = 2048, tol: float = 1e-6) -> InnerOuterPair:
+def inner_outer(
+    f: RationalFunction,
+    n_boundary: int = 2048,
+    tol: float = 1e-6,
+    samples: np.ndarray | None = None,
+) -> InnerOuterPair:
     """Inner-outer factorization of a rational function bounded on the disc.
 
     Numerator roots strictly inside the disc turn into Blaschke zeros; roots
     within ``1e-9`` of the circle are assigned to the outer factor with a
     warning, since a genuine boundary zero spoils the quadrature.  The
     reconstruction ``inner * outer`` is checked against ``f`` on an interior
-    grid to ``tol`` before returning.
+    grid to ``tol`` before returning.  ``samples``, when given, are the values
+    of ``f`` at :data:`SAMPLES`, read instead of evaluating ``f`` (at the
+    boundary nodes only when ``n_boundary`` divides 4096).
     """
     if not isinstance(f, RationalFunction):
         f = _as_rational(f)
@@ -359,8 +397,19 @@ def inner_outer(f: RationalFunction, n_boundary: int = 2048, tol: float = 1e-6) 
             "circle assigned to the outer factor",
             stacklevel=2,
         )
-    nodes = np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
-    fvals = f(nodes)
+    # the nodes of a power-of-two circle are every step-th point of the
+    # winding circle, to the last bit
+    step = _WINDING_CIRCLE.size // n_boundary
+    on_circle = step * n_boundary == _WINDING_CIRCLE.size
+    if on_circle:
+        nodes = _WINDING_CIRCLE[::step]
+    else:
+        nodes = np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
+    if samples is None:
+        fvals, interior = f(nodes), f(SAMPLES[_PROBE_AT:])
+    else:
+        fvals = samples[:_PROBE_AT:step] if on_circle else f(nodes)
+        interior = samples[_PROBE_AT:]
     bvals = blaschke_eval(inside, 1.0, nodes)
     logmod = np.log(np.maximum(np.abs(fvals), 1e-300)) - np.log(np.abs(bvals))
 
@@ -387,10 +436,9 @@ def inner_outer(f: RationalFunction, n_boundary: int = 2048, tol: float = 1e-6) 
     pair = InnerOuterPair(1.0 + 0j, inside, logmod, exact_out, exact_den, exact_scale)
 
     constant = None
-    for probe in (0.0, 0.21 + 0.13j, -0.17 + 0.29j, 0.33 - 0.11j, -0.27 - 0.23j):
-        probe = complex(probe)
+    for probe, numer in zip(_PROBES, interior[: _PROBES.size]):
+        probe, numer = complex(probe), complex(numer)
         denom = complex(blaschke_eval(inside, 1.0, probe) * pair.outer_eval(probe))
-        numer = complex(f(probe))
         if abs(denom) > 1e-10 and abs(numer) > 1e-12 * max(1.0, float(np.abs(fvals).max())):
             constant = numer / denom
             break
@@ -399,10 +447,7 @@ def inner_outer(f: RationalFunction, n_boundary: int = 2048, tol: float = 1e-6) 
     constant = constant / abs(constant)
     pair = InnerOuterPair(constant, inside, logmod, exact_out, exact_den, exact_scale)
 
-    check = np.linspace(0.05, 0.7, 14)[:, None] * np.exp(
-        2j * np.pi * np.arange(5)[None, :] / 5.0
-    )
-    err = float(np.abs(pair.eval(check) - f(check)).max())
+    err = float(np.abs(pair.eval(_CHECK) - interior[_PROBES.size :]).max())
     scale = max(1.0, float(np.abs(fvals).max()))
     if err > tol * scale:
         raise ValueError(

@@ -18,6 +18,7 @@ __all__ = [
     "Spectrum",
     "as_cmatrix",
     "operator_norm",
+    "operator_norms",
     "hermitian_part",
     "is_psd",
     "gram_factor",
@@ -60,6 +61,22 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def operator_norms(ms) -> np.ndarray:
+    """Largest singular value of each matrix of a ``(n, k, k)`` stack.
+
+    For ``k = 2`` in closed form, with no cancellation: the square root of
+    the top eigenvalue ``(p + r) / 2 + hypot((p - r) / 2, |q|)`` of
+    ``m* m = [[p, q], [conj(q), r]]``.
+    """
+    ms = np.asarray(ms)
+    if ms.shape[1:] != (2, 2):
+        return np.linalg.norm(ms, 2, axis=(1, 2))
+    sq = np.abs(ms) ** 2
+    p, r = sq[:, 0, 0] + sq[:, 1, 0], sq[:, 0, 1] + sq[:, 1, 1]
+    q = np.conj(ms[:, 0, 0]) * ms[:, 0, 1] + np.conj(ms[:, 1, 0]) * ms[:, 1, 1]
+    return np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(q)))
+
+
 def hermitian_part(m) -> np.ndarray:
     """Return ``(m + m*) / 2``."""
     m = as_cmatrix(m)
@@ -77,9 +94,28 @@ class Spectrum:
         m = as_cmatrix(m)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        self.values, self.vectors = np.linalg.eigh(hermitian_part(m))
-        self.min = float(self.values[0]) if self.values.size else 0.0
-        self.top = float(self.values[-1]) if self.values.size else 0.0
+        self._set(*np.linalg.eigh(hermitian_part(m)))
+
+    def _set(self, values: np.ndarray, vectors: np.ndarray):
+        self.values, self.vectors = values, vectors
+        self.min = float(values[0]) if values.size else 0.0
+        self.top = float(values[-1]) if values.size else 0.0
+
+    @classmethod
+    def many(cls, matrices) -> list["Spectrum"]:
+        """Spectra of square matrices of one shape from one stacked ``eigh``;
+        each equals ``Spectrum(m)`` of its matrix to the last bit."""
+        if not matrices:
+            return []
+        ms = np.stack([as_cmatrix(m) for m in matrices])
+        if ms.shape[1] != ms.shape[2]:
+            raise ValueError(f"expected square matrices, got shape {ms.shape[1:]}")
+        out = []
+        for values, vectors in zip(*np.linalg.eigh((ms + ms.conj().swapaxes(1, 2)) / 2.0)):
+            spec = cls.__new__(cls)
+            spec._set(values, vectors)
+            out.append(spec)
+        return out
 
     def is_psd(self, tol: float) -> bool:
         """Whether ``min >= -tol * max(1, top)``."""

@@ -21,13 +21,22 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .domains import GammaPoint
-from .hardy import POLY_NOISE, InnerOuterPair, RationalFunction, inner_outer, winding_memo
+from .hardy import (
+    POLY_NOISE,
+    SAMPLES,
+    InnerOuterPair,
+    RationalFunction,
+    certify_denominator,
+    inner_outer,
+    winding_memo,
+)
 from .linalg import (
     STATE_CUTOFF,
     GramInconsistencyError,
     Spectrum,
     as_cmatrix,
     extend_isometry,
+    operator_norms,
 )
 from .realization import RealizedSchurFunction
 
@@ -119,14 +128,11 @@ class PickData:
 def pick_matrix(data: PickData) -> np.ndarray:
     """Block matrix ``(I - W_i* W_j) / (1 - conj(lam_i) lam_j)``."""
     n, k = len(data.nodes), data.k
-    eye = np.eye(k, dtype=complex)
-    m = np.empty((n * k, n * k), dtype=complex)
-    for i, (li, wi) in enumerate(zip(data.nodes, data.targets)):
-        for j, (lj, wj) in enumerate(zip(data.nodes, data.targets)):
-            m[i * k : (i + 1) * k, j * k : (j + 1) * k] = (
-                eye - wi.conj().T @ wj
-            ) / (1.0 - np.conj(li) * lj)
-    return m
+    w = np.hstack(data.targets)  # block column j is W_j
+    lam = np.repeat(np.asarray(data.nodes), k)
+    return (np.tile(np.eye(k, dtype=complex), (n, n)) - w.conj().T @ w) / (
+        1.0 - np.conj(lam)[:, None] * lam[None, :]
+    )
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,7 @@ def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
     f = PickInterpolant.from_colligation(extend_isometry(right, left), k, r)
 
     misses = f.evaluate_many(np.asarray(data.nodes)) - np.stack(data.targets)
-    worst = float(np.linalg.norm(misses, 2, axis=(1, 2)).max())
+    worst = float(operator_norms(misses).max())
     if worst > 1e-8:
         raise ArithmeticError(
             f"constructed interpolant misses a target by {worst:.3e}"
@@ -219,6 +225,30 @@ class GammaCurve:
         """The components over one denominator, ``(numerators, denominator)``
         (see ``_shared_numerators``)."""
         return _shared_numerators(self.components)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Homogeneous coordinate rows: the shared denominator, then the
+        numerators, zero-padded to one length."""
+        nums, big = self.shared_numerators
+        h = np.zeros((1 + len(nums), max(c.size for c in (big, *nums))), dtype=complex)
+        for row, c in zip(h, (big, *nums)):
+            row[: c.size] = c
+        return h
+
+    @cached_property
+    def row_values(self) -> np.ndarray:
+        """``rows`` at ``_CURVE_POINTS``, evaluated once: each slice reads its
+        values from these (see ``_curve_slice``)."""
+        h = self.rows
+        out = np.empty((h.shape[0], _CURVE_POINTS.size), dtype=complex)
+        out[:] = h[:, -1:]
+        # Horner's rule in place, as npoly.polyval computes it but with no
+        # (rows, points) temporary per step
+        for col in h.T[-2::-1]:
+            out *= _CURVE_POINTS
+            out += col[:, None]
+        return out
 
     def point_at(self, lam: complex) -> GammaPoint:
         return GammaPoint(self.variant, tuple(complex(c(lam)) for c in self.components))
@@ -258,7 +288,10 @@ def _scalar_ratio(den: np.ndarray, base: np.ndarray):
     anchor = int(np.argmax(np.abs(base)))
     ratio = den[anchor] / base[anchor]
     scale = float(np.abs(den).max())
-    if not np.allclose(den, ratio * base, rtol=1e-11, atol=1e-13 * scale):
+    # the test of np.allclose(den, ratio * base, rtol=1e-11, atol=1e-13 *
+    # scale) written out, without its overhead; the same on finite input
+    scaled = ratio * base
+    if not (np.abs(den - scaled) <= 1e-13 * scale + 1e-11 * np.abs(scaled)).all():
         return None
     return ratio
 
@@ -399,17 +432,25 @@ def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
     if isinstance(x, GammaPoint):
         return _slice_point(x, z, det_denominator)
     if isinstance(x, GammaCurve):
-        nums, big = x.shared_numerators
-        h = np.zeros((1 + len(nums), max(c.size for c in (big, *nums))), dtype=complex)
-        for row, c in zip(h, (big, *nums)):
-            row[: c.size] = c
-        (n1, n2, n3), den, det_den = _slice_terms(h, z, det_denominator)
-        return (
-            RationalFunction(n1, den),
-            RationalFunction(n2, den),
-            RationalFunction(n3, det_den),
-        )
+        return _curve_slice(x, z, det_denominator)[0]
     raise TypeError("slice_coordinates expects a GammaPoint or GammaCurve")
+
+
+def _curve_slice(x: GammaCurve, z: complex, det_denominator: str):
+    """The slice functions ``(f11, f22, det)`` of a curve and the values of
+    their terms at ``_CURVE_POINTS``, ``(n11, n22, n_det, den, det_den)``.
+
+    Each denominator is certified on its values just before the functions
+    over it are built, so inside :func:`winding_memo` no construction
+    evaluates it again.
+    """
+    (n1, n2, n3), den, det_den = _slice_terms(x.rows, z, det_denominator)
+    nums_v, den_v, det_den_v = _slice_terms(x.row_values, z, det_denominator)
+    certify_denominator(den, den_v[:_N_SAMPLES])
+    f11, f22 = RationalFunction(n1, den), RationalFunction(n2, den)
+    if det_den is not den:
+        certify_denominator(det_den, det_den_v[:_N_SAMPLES])
+    return (f11, f22, RationalFunction(n3, det_den)), (*nums_v, den_v, det_den_v)
 
 
 def psi3_eval(x: GammaCurve, lam: complex, z1: complex, z2: complex) -> complex:
@@ -475,11 +516,13 @@ class SlicedSchur2x2:
     pair: InnerOuterPair | None
     triangular: bool
 
-    def evaluate_many(self, lam) -> np.ndarray:
+    def evaluate_many(self, lam, diagonal=None) -> np.ndarray:
+        """Values at ``lam``, shape ``(n, 2, 2)``; ``diagonal``, when given,
+        holds the values of ``(f11, f22)`` at ``lam``, read instead of
+        evaluating them."""
         lam = np.asarray(lam, dtype=complex).ravel()
         out = np.zeros((lam.size, 2, 2), dtype=complex)
-        out[:, 0, 0] = self.f11(lam)
-        out[:, 1, 1] = self.f22(lam)
+        out[:, 0, 0], out[:, 1, 1] = (self.f11(lam), self.f22(lam)) if diagonal is None else diagonal
         if not self.triangular:
             sqrt_outer = self.pair.outer_sqrt(lam)
             out[:, 0, 1] = self.pair.inner_eval(lam) * sqrt_outer
@@ -519,6 +562,10 @@ _SLICE_GRID = (
     np.linspace(0.05, 1.0 - 1e-3, 12)[:, None]
     * np.exp(2j * np.pi * np.arange(8) / 8.0)[None, :]
 ).ravel()
+# where a curve is evaluated once (GammaCurve.row_values): the points of the
+# winding check and inner_outer, then the contractivity grid and the origin
+_N_SAMPLES = SAMPLES.size
+_CURVE_POINTS = np.concatenate([SAMPLES, _SLICE_GRID, [0.0]])
 
 
 @winding_memo()
@@ -535,19 +582,26 @@ def build_slice_schur(
     that the determinant of the result matches the determinant slice, and
     that the lower-left entry is positive at the origin, all from one
     evaluation of the slice.  Failures raise ``ValueError`` with the worst
-    offending point.
+    offending point.  Every value of the slice's terms, including those the
+    winding checks and ``inner_outer`` read, comes from the curve's
+    ``row_values``.
     """
     if not isinstance(x, GammaCurve):
         raise TypeError("build_slice_schur expects a GammaCurve")
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("slice parameter must lie in the open unit disc")
-    f11, f22, det_slice = slice_coordinates(x, z, det_denominator)
+    (f11, f22, det_slice), (v11, v22, v_det, v_den, v_det_den) = _curve_slice(
+        x, z, det_denominator
+    )
     # f11 and f22 share one denominator; the printed determinant slice has
     # its own, the only place where two denominators meet
     den = f11.denominator
     ratio = _scalar_ratio(det_slice.denominator, den)
+    den2, v_den2 = npoly.polymul(den, den), v_den * v_den
+    certify_denominator(den2, v_den2[:_N_SAMPLES])
     if ratio is not None:
+        d_v = (v11 * v22 - v_det / ratio * v_den) / v_den2
         diag = npoly.polymul(f11.numerator, f22.numerator)
         corr = npoly.polymul(det_slice.numerator / ratio, den)
         num = npoly.polysub(diag, corr)
@@ -556,19 +610,23 @@ def build_slice_schur(
         noise = POLY_NOISE * float(np.abs(diag).sum() + np.abs(corr).sum())
         if float(np.abs(num).max()) <= noise:
             num = np.zeros(1, dtype=complex)
-        d = RationalFunction(num, npoly.polymul(den, den))
+        d = RationalFunction(num, den2)
     else:
         d = f11 * f22 - det_slice
+        d_v = v11 * v22 / v_den2 - v_det / v_det_den
     if d.is_zero:
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, None, True)
     else:
-        pair = inner_outer(d, n_boundary=n_boundary, tol=min(tol, 1e-6))
+        pair = inner_outer(
+            d, n_boundary=n_boundary, tol=min(tol, 1e-6), samples=d_v[:_N_SAMPLES]
+        )
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, False)
 
     lam = _SLICE_GRID
-    vals = sliced.evaluate_many(np.append(lam, 0.0))
+    at = slice(_N_SAMPLES, None)  # the contractivity grid, then the origin
+    vals = sliced.evaluate_many(_CURVE_POINTS[at], (v11[at] / v_den[at], v22[at] / v_den[at]))
     vals, origin = vals[:-1], vals[-1]
-    norms = np.linalg.norm(vals, ord=2, axis=(1, 2))
+    norms = operator_norms(vals)
     worst = int(np.argmax(norms))
     if float(norms[worst]) > 1.0 + 1e-6:
         raise ValueError(
@@ -576,7 +634,7 @@ def build_slice_schur(
             f"lam={lam[worst]:.4f}"
         )
     dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
-    det_err = float(np.abs(dets - det_slice(lam)).max())
+    det_err = float(np.abs(dets - (v_det[at] / v_det_den[at])[:-1]).max())
     if det_err > max(tol, 1e-8):
         raise ValueError(f"slice determinant mismatch {det_err:.3e}")
     corner = complex(origin[1, 0])
@@ -686,18 +744,25 @@ def _certify(data: GammaNodes, z_grid, split_rules, tol, reducer) -> Certificati
         split_rules = (split_rules,)
     rows = []
     for split in split_rules:
+        picks = []
         for z in z_grid:
             z = complex(z)
-            note = ""
             try:
-                pick = reducer(data, z, split)
+                picks.append((z, reducer(data, z, split)))
             except (ZeroDivisionError, ValueError) as exc:
-                rows.append(CertificationRow(z, split, False, float("nan"), None, str(exc)))
+                picks.append((z, str(exc)))
+        # every Pick matrix of the grid has the same size: one stacked eigh
+        solved = [pick for _, pick in picks if isinstance(pick, PickData)]
+        for pick, spec in zip(solved, Spectrum.many([pick_matrix(p) for p in solved])):
+            object.__setattr__(pick, "spectrum", spec)  # fills the cached property
+        for z, pick in picks:
+            if not isinstance(pick, PickData):
+                rows.append(CertificationRow(z, split, False, float("nan"), None, pick))
                 continue
             min_eig = pick.spectrum.min
             try:
                 resid = np_solve(pick, tol=tol).target_residual
-                rows.append(CertificationRow(z, split, True, min_eig, resid, note))
+                rows.append(CertificationRow(z, split, True, min_eig, resid))
             except (UnsolvablePickError, GramInconsistencyError, ArithmeticError) as exc:
                 rows.append(CertificationRow(z, split, False, min_eig, None, str(exc)))
     return CertificationReport(data.variant, tuple(rows), tuple(split_rules))

@@ -64,7 +64,12 @@ class RealizedSchurFunction:
 
     @staticmethod
     def colligation_of(p, q, r, s) -> np.ndarray:
-        return np.block([[p, q], [r, s]])
+        """The block matrix ``[[p, q], [r, s]]`` (``np.block``, without its
+        general-purpose overhead)."""
+        k, m = p.shape[0], s.shape[0]
+        v = np.empty((k + m, k + m), dtype=np.result_type(p, q, r, s))
+        v[:k, :k], v[:k, k:], v[k:, :k], v[k:, k:] = p, q, r, s
+        return v
 
     @property
     def colligation(self) -> np.ndarray:

@@ -39,11 +39,19 @@ def complex_to_json(value) -> list[float]:
 
 
 def complex_from_json(data) -> complex:
-    if isinstance(data, (int, float)):
+    """A JSON number or ``[re, im]`` pair of numbers as a complex scalar.
+
+    Booleans are not numbers here, and strings are not parsed: ``float()``
+    alone would read ``true`` as 1 and ``"0.5"`` as 0.5.
+    """
+    if isinstance(data, (int, float)) and not isinstance(data, bool):
         return complex(float(data), 0.0)
     if not (isinstance(data, (list, tuple)) and len(data) == 2):
         raise ValueError(f"expected [re, im] pair, got {data!r}")
-    return complex(float(data[0]), float(data[1]))
+    re, im = data
+    if isinstance(re, (str, bool)) or isinstance(im, (str, bool)):
+        raise ValueError(f"expected [re, im] pair of numbers, got {data!r}")
+    return complex(float(re), float(im))
 
 
 def cvector_to_json(vec) -> list:

@@ -363,6 +363,10 @@ _NODES = _nodes_payload()
             "gamma-check", {"point": [[_NAN, 0.0], [0.2, 0.0], [0.05, 0.0]]}, [],
             id="gamma-check-point-nan",
         ),
+        pytest.param("np", _with_nodes(_PICK, [["0.2", 0.0], [0.3, 0.0]]), [], id="np-node-string"),
+        pytest.param(
+            "certify", _with_nodes(_CURVE, [[0.2, 0.0], [False, 0.0]]), [], id="certify-node-bool"
+        ),
         pytest.param("reduce", _NODES, ["--z2-grid", "nan"], id="reduce-z2-grid-nan"),
         pytest.param("certify", _NODES, ["--z2-grid", "0,inf"], id="certify-z2-grid-inf"),
         # slice parameters on or outside the unit circle
@@ -459,6 +463,43 @@ def test_malformed_se_points_keep_their_message(tmp_path, capsys, points, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{_SE_TRIPLES}{message}\n"
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        pytest.param(
+            [[["0.5", 0], [0.1, 0], [0.2, 0]]],
+            "expected [re, im] pair of numbers, got ['0.5', 0]",
+            id="string-part",
+        ),
+        pytest.param(
+            [[[False, False], [False, False], [False, False]]],
+            "expected [re, im] pair of numbers, got [False, False]",
+            id="bool-parts",
+        ),
+        pytest.param([[True, 0.1, 0.2]], "expected [re, im] pair, got True", id="bool-entry"),
+        pytest.param(
+            [[[0.1, 0], [0.2, 0], [0.3, 0], [0.4, 0]]], "point 0 has 4 entries", id="four-pairs"
+        ),
+        pytest.param(
+            [_SE_PAIRS[0], [0.1, 0.2, 0.3, 0.4]], "point 1 has 4 entries", id="four-entries"
+        ),
+    ],
+)
+def test_se_points_are_number_triples(tmp_path, capsys, points, message):
+    path = _write(tmp_path, "bad.json", _with_se_points(points))
+    assert run(["se", "--in", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{_SE_TRIPLES}{message}\n"
+
+
+def test_se_point_object_is_one_line_error(tmp_path, capsys):
+    path = _write(tmp_path, "bad.json", _with_se_points([{"lam": [0.1, 0]}]))
+    assert run(["se", "--in", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: points must be [lam, z1, z2] triples, got an object\n"
 
 
 # the report renderer against json.dumps(sort_keys=True, indent=2, allow_nan=False)
@@ -611,15 +652,18 @@ def test_parser_reuse_matches_lone_calls(tmp_path, capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
-def _winding_checks(argv) -> int:
-    """Number of 4096-point winding checks one ``run(argv)`` computes."""
+def _winding_checks(argv, on_given_values=None) -> int:
+    """Number of 4096-point winding checks one ``run(argv)`` computes, on
+    circle values it evaluates or is given; with ``on_given_values`` True or
+    False, only those on given or on evaluated values."""
     count = 0
     original = hardy._boundary_winding
 
-    def counted(den):
+    def counted(den, values=None):
         nonlocal count
-        count += 1
-        return original(den)
+        if on_given_values is None or on_given_values == (values is not None):
+            count += 1
+        return original(den, values)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hardy, "_boundary_winding", counted)
@@ -639,11 +683,17 @@ def _rational_curve_file(tmp_path, seed):
 
 def test_certify_checks_each_denominator_once(tmp_path, capsys):
     path = _rational_curve_file(tmp_path, 4)
+    argv = ["certify", "--in", path]
     # one for the curve's shared denominator and, per slice parameter, one for
-    # the slice denominator and one for its square (7 + 4 per slice before)
-    assert _winding_checks(["certify", "--in", path]) <= 1 + 2 * len(DEFAULT_Z_GRID)
+    # the slice denominator and one for its square (7 + 4 per slice before);
+    # at z = 0 the slice denominator is the curve's, which the memo holds
+    assert _winding_checks(argv) == 2 * len(DEFAULT_Z_GRID)
     report = json.loads(capsys.readouterr().out)
     assert all(row["ok"] for row in report["slice_checks"])
+    # only the curve's own check evaluates its denominator; the slices' run on
+    # values read from the curve's coordinate rows
+    assert _winding_checks(argv, on_given_values=False) == 1
+    capsys.readouterr()
 
 
 def test_certify_repeats_its_winding_work(tmp_path, capsys):

@@ -181,14 +181,15 @@ def test_exact_pair_root_validation():
 
 
 def winding_checks(fn) -> int:
-    """Number of 4096-point winding checks ``fn()`` computes."""
+    """Number of 4096-point winding checks ``fn()`` computes, on circle
+    values evaluated or given."""
     count = 0
     original = hardy._boundary_winding
 
-    def counted(den):
+    def counted(den, values=None):
         nonlocal count
         count += 1
-        return original(den)
+        return original(den, values)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hardy, "_boundary_winding", counted)
@@ -235,6 +236,21 @@ def test_winding_memo_nests_and_is_dropped_on_exit():
     # one inside the blocks, one after the outer block has dropped its memo
     assert winding_checks(nested) == 2
     assert hardy._last_passed.get() is None
+
+
+def test_certified_denominator_is_not_checked_again_in_the_memo():
+    values = npoly.polyval(hardy.SAMPLES, _DEN_A)
+
+    def certified_then_built():
+        with winding_memo():
+            hardy.certify_denominator(np.array([*_DEN_A, 0.0]), values)  # trimmed as built
+            for c in range(3):
+                RationalFunction([1.0, c], _DEN_A)
+
+    assert winding_checks(certified_then_built) == 1
+    with pytest.raises(ValueError, match="root"):
+        hardy.certify_denominator([1.0, -2.0], npoly.polyval(hardy.SAMPLES, [1.0, -2.0]))
+    hardy.certify_denominator([2.0], None)  # a constant is not checked
 
 
 def test_rejected_denominator_raises_on_every_construction():

@@ -6,12 +6,14 @@ from gammapick.kernels import SampleGrid, SampledKernel, kernel_rank, tensor_gri
 from gammapick.linalg import (
     IndefiniteMatrixError,
     NonHermitianError,
+    Spectrum,
     as_cmatrix,
     extend_isometry,
     gram_factor,
     hermitian_part,
     is_psd,
     operator_norm,
+    operator_norms,
 )
 from gammapick.lurking import rank1_factor, right_s, uw_construct
 from gammapick.nevanlinna import (
@@ -206,6 +208,32 @@ def test_right_s_decomposes_each_kernel_once():
     assert _decompositions(lambda: right_s(triple)) <= 4
 
 
+def test_closed_form_2x2_norms_match_the_svd():
+    rng = np.random.default_rng(2)
+    m = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    # equal singular values, a tiny matrix, rank one, zero
+    m[:4] = [u, 1e-9 * u + np.diag([0.0, 1e-17]), np.outer([1, 2j], [3, -1]), np.zeros((2, 2))]
+    want = np.linalg.norm(m, 2, axis=(1, 2))
+    np.testing.assert_allclose(operator_norms(m), want, rtol=1e-15, atol=0)
+    wide = m.reshape(50, 4, 4)
+    assert np.array_equal(operator_norms(wide), np.linalg.norm(wide, 2, axis=(1, 2)))
+
+
+def test_stacked_spectra_equal_the_single_ones_to_the_last_bit():
+    rng = np.random.default_rng(4)
+    for n in (1, 6, 10):
+        ms = rng.normal(size=(9, n, n)) + 1j * rng.normal(size=(9, n, n))
+        ms = ms @ ms.conj().transpose(0, 2, 1) - 0.5 * n * np.eye(n)  # some indefinite
+        for one, many in zip(map(Spectrum, ms), Spectrum.many(list(ms))):
+            assert one.values.tobytes() == many.values.tobytes()
+            assert one.vectors.tobytes() == many.vectors.tobytes()
+            assert (one.min, one.top) == (many.min, many.top)
+    assert Spectrum.many([]) == []
+    with pytest.raises(ValueError, match="square"):
+        Spectrum.many([np.zeros((2, 3))])
+
+
 def test_certify_decomposes_each_pick_matrix_once():
     a0 = np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]], complex)
     nodes = (0.2, -0.35 + 0.1j, 0.45j)
@@ -214,3 +242,5 @@ def test_certify_decomposes_each_pick_matrix_once():
     reports = []
     count = _decompositions(lambda: reports.append(certify_gamma7_interpolation(data)))
     assert count <= len(reports[0].rows)
+    # one stacked eigh for the grid's Pick matrices, none in np_solve
+    assert count == 1

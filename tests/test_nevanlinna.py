@@ -1,11 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gammapick import nevanlinna
+from numpy.polynomial import polynomial as npoly
+
+from gammapick import hardy, nevanlinna
 from gammapick.cli import run
 from gammapick.domains import E311, GammaPoint, mu, pi_coordinates
 from gammapick.fractional import se_eval
@@ -55,6 +58,21 @@ def test_pick_matrix_two_node_scalar():
     data = PickData((0.0, 0.5), (np.array([[0.0]]), np.array([[0.3]])))
     expected = np.array([[1.0, 1.0], [1.0, (1 - 0.09) / (1 - 0.25)]])
     np.testing.assert_allclose(pick_matrix(data), expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pick_matrix_matches_the_block_formula(seed):
+    rng = np.random.default_rng(seed)
+    n, k = 1 + seed % 5, 1 + seed % 3
+    nodes = 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    targets = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
+    blocks = [
+        [(np.eye(k) - wi.conj().T @ wj) / (1.0 - np.conj(li) * lj) for lj, wj in zip(nodes, targets)]
+        for li, wi in zip(nodes, targets)
+    ]
+    want = np.block(blocks)
+    got = pick_matrix(PickData(tuple(nodes), tuple(targets)))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_pick_data_validation():
@@ -187,6 +205,108 @@ def test_printed_slice_on_both_sides_of_the_denominator_test():
     assert not build_slice_schur(curve, 0.0, det_denominator="printed").triangular
     with pytest.raises(ValueError, match=r"not contractive: norm 1\.007402168 at lam=0\.9990"):
         build_slice_schur(curve, 0.3, det_denominator="printed")
+
+
+# ---------------------------------------------------------------------------
+# slices read from the curve's cached coordinate rows
+
+
+@pytest.mark.parametrize("variant", ["gamma7", "gamma5"])
+@pytest.mark.parametrize("det_denominator", ["corrected", "printed"])
+def test_cached_slice_values_match_the_slice_coefficients(variant, det_denominator):
+    points = nevanlinna._CURVE_POINTS
+    shared = _curve(seed=5, variant=variant, m=2)[1]
+    for curve in (shared, gamma_curve_from_entries(_mixed_entries(), variant)):
+        for z in (*DEFAULT_Z_GRID, 0.95 - 0.1j):
+            (f11, f22, det), values = nevanlinna._curve_slice(curve, z, det_denominator)
+            dens = (f11.denominator, det.denominator)
+            for c, v in zip((f11.numerator, f22.numerator, det.numerator, *dens), values):
+                want = npoly.polyval(points, c)
+                assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _numbers_out(message: str) -> str:
+    return re.sub(r"-?[\d.]+(e[-+]\d+)?", "#", message)
+
+
+def _slice_outcome(den, values=None) -> str:
+    """What the winding check decides on ``den``: "pass", or its message
+    with the numbers taken out."""
+    try:
+        hardy._boundary_winding(den, values)
+    except ValueError as exc:
+        return _numbers_out(str(exc))
+    return "pass"
+
+
+def _curve_with_slice_root(root: complex, z: complex = 0.5) -> GammaCurve:
+    """gamma7 curve over the denominator ``1 - 0.5 lam`` whose slice
+    denominator ``h0 - z h2`` at ``z`` is ``(1 - lam / root)(1 - 0.3 lam)``."""
+    big = np.array([1.0, -0.5], dtype=complex)
+    target = npoly.polymul([1.0, -1.0 / root], [1.0, -0.3])
+    h2 = npoly.polysub(big, target) / z
+    rng = np.random.default_rng(0)
+    comps = [RationalFunction(0.1 * rng.normal(size=2), big) for _ in range(7)]
+    comps[1] = RationalFunction(h2, big)
+    return GammaCurve("gamma7", tuple(comps))
+
+
+_INSIDE = "denominator has # root(s) inside the unit disc"
+_VANISHES = "denominator nearly vanishes on the unit circle (min |den| = #)"
+
+
+# the noise floor of this slice denominator is 1e-12 of its peak 2.6, and
+# |den| bottoms out near 0.7 * (|root| - 1) at lam = 1
+@pytest.mark.parametrize(
+    "root, outcome, squared",
+    [
+        (1.0 - 1e-3, _INSIDE, _INSIDE),
+        (1.0 + 1e-3, "pass", "pass"),
+        (-1.0 - 1e-3, "pass", "pass"),
+        ((1.0 - 1e-3) * 1j, _INSIDE, _INSIDE),
+        (1.0 + 8e-12, "pass", _VANISHES),
+        (1.0 + 2e-12, _VANISHES, _VANISHES),
+        (1.0 - 2e-12, _VANISHES, _VANISHES),
+    ],
+)
+def test_cached_winding_decisions_match_the_evaluated_ones(root, outcome, squared):
+    z = 0.5
+    curve = _curve_with_slice_root(root, z)
+    _, den, _ = nevanlinna._slice_terms(curve.rows, z, "corrected")
+    _, values, _ = nevanlinna._slice_terms(curve.row_values, z, "corrected")
+    den = hardy._trim(den)
+    circle = values[:4096]
+    assert _slice_outcome(den, circle) == _slice_outcome(den) == outcome
+    den2 = hardy._trim(npoly.polymul(den, den))
+    assert _slice_outcome(den2, circle * circle) == _slice_outcome(den2) == squared
+    # build_slice_schur stops at the first of the two that fails
+    if "pass" != outcome or "pass" != squared:
+        with pytest.raises(ValueError) as info:
+            build_slice_schur(curve, z)
+        assert _numbers_out(str(info.value)) == (squared if outcome == "pass" else outcome)
+
+
+def test_slice_checks_run_on_cached_values():
+    _, curve = _curve(seed=3, m=2)
+    sources = []
+    original = hardy._boundary_winding
+
+    def recorded(den, values=None):
+        sources.append(values is not None)
+        return original(den, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardy, "_boundary_winding", recorded)
+        mp.setattr(hardy.RationalFunction, "__call__", None)  # no slice is evaluated
+        build_slice_schur(curve, 0.3)
+    # the slice denominator and its square, both on values read from the rows
+    assert sources == [True, True]
+
+
+def test_slice_cache_is_small():
+    _, curve = _curve(seed=3, m=3)
+    assert curve.row_values.shape == (8, nevanlinna._CURVE_POINTS.size)
+    assert curve.row_values.nbytes < 0.6e6
 
 
 def test_slice_coordinates_gamma5_variants_differ():

@@ -48,6 +48,30 @@ def test_complex_roundtrip_and_errors():
         complex_from_json("1+2j")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (["0.5", 0], "expected [re, im] pair of numbers, got ['0.5', 0]"),
+        ([0.5, "0"], "expected [re, im] pair of numbers, got [0.5, '0']"),
+        ([True, 0], "expected [re, im] pair of numbers, got [True, 0]"),
+        ([0.1, False], "expected [re, im] pair of numbers, got [0.1, False]"),
+        (True, "expected [re, im] pair, got True"),
+        ("0.5", "expected [re, im] pair, got '0.5'"),
+    ],
+)
+def test_complex_from_json_takes_numbers_only(data, message):
+    with pytest.raises(ValueError) as info:
+        complex_from_json(data)
+    assert str(info.value) == message
+
+
+def test_complex_from_json_takes_ints_and_floats():
+    assert complex_from_json([1, -2]) == 1 - 2j
+    assert complex_from_json(3) == 3 + 0j
+    assert complex_from_json((0.5, 1e-300)) == complex(0.5, 1e-300)
+    assert complex_from_json(np.float64(0.25)) == 0.25
+
+
 def test_cvector_to_json_writes_the_pairs_of_complex_to_json():
     v = np.array([complex(0.1, -0.0), complex(-0.0, 1e-300), complex(1e308, -5e-324), 3.0])
     got = cvector_to_json(v)
