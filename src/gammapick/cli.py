@@ -8,7 +8,8 @@ so identical inputs and seeds give byte-identical output.
 Exit codes: 0 for a successful/affirmative computation, 2 for a
 well-formed problem with a negative answer (unsolvable Pick data,
 membership failure, a verification residual above tolerance), 1 for
-malformed input.
+malformed input, a command line that does not parse included; ``--help``
+exits 0.
 """
 
 from __future__ import annotations
@@ -209,13 +210,23 @@ def _se_points(pts):
 
     A list of ``[re, im]`` triples of numbers is decoded as one array; any
     other list (scalar-real entries, malformed entries) goes entry by entry
-    through ``complex_from_json``, which names the first bad one.
+    through ``complex_from_json``, which names the first bad one.  The array
+    reads ``false``/``true`` among numbers as 0/1, so a list whose array
+    holds an exact 0 or 1 has its member types scanned, and one with a
+    boolean member goes entry by entry too.
     """
     try:
         arr = np.asarray(pts)
     except ValueError:  # a ragged list
         arr = np.empty(0)
-    if arr.dtype.kind in "fi" and arr.shape[1:] == (3, 2):
+    if (
+        arr.dtype.kind in "fi"
+        and arr.shape[1:] == (3, 2)
+        and not (
+            ((arr == 0) | (arr == 1)).any()
+            and bool in set(map(type, chain.from_iterable(chain.from_iterable(pts))))
+        )
+    ):
         cols = np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
         return cols[:, 0], cols[:, 1], cols[:, 2]
     try:
@@ -682,11 +693,20 @@ def _render_json(value, indent: str = "") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are malformed input (exit code 1,
+    one line), not argparse's usage text and exit code 2, which here means a
+    negative answer."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser; it depends on nothing but ``_HANDLERS``, so it is
-    built once per process."""
-    parser = argparse.ArgumentParser(
+    built once per process.  Its subcommand parsers are ``_Parser``s too."""
+    parser = _Parser(
         prog="gammapick",
         description="Structured singular values, kernel triples, and Pick reductions.",
     )
@@ -709,8 +729,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.tol is not None and not np.isfinite(args.tol):
             raise _fail(f"--tol must be finite, got {args.tol}")
         # one operation: each distinct denominator is certified once

@@ -367,6 +367,12 @@ _NODES = _nodes_payload()
         pytest.param(
             "certify", _with_nodes(_CURVE, [[0.2, 0.0], [False, 0.0]]), [], id="certify-node-bool"
         ),
+        # command lines argparse rejects
+        pytest.param("gamma-check", _E311_DIAG, ["--tol", "abc"], id="gamma-check-tol-abc"),
+        pytest.param("gamma-check", _E311_DIAG, ["--grid", "4.5"], id="gamma-check-grid-float"),
+        pytest.param("gamma-check", _E311_DIAG, ["--split", "nope"], id="gamma-check-split-nope"),
+        pytest.param("gamma-check", _E311_DIAG, ["--bogus"], id="gamma-check-unknown-option"),
+        pytest.param("nope", _E311_DIAG, [], id="unknown-subcommand"),
         pytest.param("reduce", _NODES, ["--z2-grid", "nan"], id="reduce-z2-grid-nan"),
         pytest.param("certify", _NODES, ["--z2-grid", "0,inf"], id="certify-z2-grid-inf"),
         # slice parameters on or outside the unit circle
@@ -417,6 +423,9 @@ def _se_stdout(tmp_path, capsys, points, text=False):
         pytest.param([[0.3, 0.2, -0.4], [[0, -0.1], [0, 0.5], 0], [0, 0.25, [0, 1e-3]]], id="scalar-real"),
         pytest.param([[[0.3, 0], [0.2, 0], [-0.4, 0]], *_SE_PAIRS[1:]], id="int-parts"),
         pytest.param([[[0.3, 0.0], 0.2, -0.4], *_SE_PAIRS[1:]], id="mixed"),
+        pytest.param(
+            [_SE_PAIRS[0], [[0, -0.1], [0, 0.5], [0, 0]], _SE_PAIRS[2]], id="int-zeros"
+        ),
     ],
 )
 @pytest.mark.parametrize("text", [False, True])
@@ -479,6 +488,22 @@ def test_malformed_se_points_keep_their_message(tmp_path, capsys, points, messag
             id="bool-parts",
         ),
         pytest.param([[True, 0.1, 0.2]], "expected [re, im] pair, got True", id="bool-entry"),
+        # booleans among numbers, which one array decode would read as 0 and 1
+        pytest.param(
+            [[[False, 0], [0.1, 0], [0.2, 0]]],
+            "expected [re, im] pair of numbers, got [False, 0]",
+            id="false-part-among-numbers",
+        ),
+        pytest.param(
+            [_SE_PAIRS[0], [[0.1, 0.0], [True, 0.0], [0.2, 0.0]]],
+            "expected [re, im] pair of numbers, got [True, 0.0]",
+            id="true-part-among-numbers",
+        ),
+        pytest.param(
+            [[[0.1, 0], [0.2, 0], [False, False]]],
+            "expected [re, im] pair of numbers, got [False, False]",
+            id="bool-pair-among-numbers",
+        ),
         pytest.param(
             [[[0.1, 0], [0.2, 0], [0.3, 0], [0.4, 0]]], "point 0 has 4 entries", id="four-pairs"
         ),
@@ -643,13 +668,22 @@ def test_parser_reuse_matches_lone_calls(tmp_path, capsys):
     together = []
     for argv in sequence:
         together.append((run(argv), capsys.readouterr().out))
-        # a rejected command line leaves the shared parser as it was
-        with pytest.raises(SystemExit):
-            run(["gamma-check", "--split", "nope"])
-        capsys.readouterr()
+        # a rejected command line is malformed input, and leaves the shared
+        # parser as it was
+        assert run(["gamma-check", "--split", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert together == lone
     assert lone[0][1] != lone[1][1] and lone[2][1] != lone[3][1]
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gammapick")
 
 
 def _winding_checks(argv, on_given_values=None) -> int:

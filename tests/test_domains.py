@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gammapick import domains
 from gammapick.domains import (
     E211,
     E311,
@@ -304,3 +305,93 @@ def test_mu_peak_memory_is_small():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# the lean evaluation of sigma_max(D a D^-1): scaling, gradient and plan
+
+_LEAN = [
+    E311,
+    E312,
+    E211,
+    BlockStructure.parse("E(4;4;1,1,1,1)"),
+    BlockStructure.parse("E(4;2;1,3)"),
+]
+
+
+def _scaling_matrix(x, structure) -> np.ndarray:
+    """``D`` from its parameters, written out: ``D[0, 0] = 1``, the other
+    diagonal entries ``exp(x[:n - 1])``, then the entries below the diagonal
+    of each block, row by row, real parts first and imaginary parts after."""
+    n = structure.n
+    d = np.eye(n, dtype=complex)
+    d[range(1, n), range(1, n)] = np.exp(x[: n - 1])
+    lower = [
+        (j, k)
+        for start, size in zip(np.cumsum((0,) + structure.r[:-1]).tolist(), structure.r)
+        for j in range(start, start + size)
+        for k in range(start, j)
+    ]
+    entries = x[n - 1 : n - 1 + len(lower)] + 1j * x[n - 1 + len(lower) :]
+    for (j, k), value in zip(lower, entries):
+        d[j, k] = value
+    return d
+
+
+def _parameter_count(structure) -> int:
+    return structure.n - 1 + sum(r * (r - 1) for r in structure.r)
+
+
+@pytest.mark.parametrize("structure", _LEAN, ids=BlockStructure.label)
+def test_scaled_matrix_matches_the_general_inverse(structure):
+    rng = np.random.default_rng(31)
+    plan = domains._plan(structure)
+    for _ in range(20):
+        a = rng.standard_normal((structure.n,) * 2) + 1j * rng.standard_normal((structure.n,) * 2)
+        x = rng.standard_normal(_parameter_count(structure))
+        d = _scaling_matrix(x, structure)
+        want = d @ a @ np.linalg.inv(d)
+        got = domains._scaled(a, x, plan)[0]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("structure", _LEAN, ids=BlockStructure.label)
+def test_scaled_sigma_gradient_matches_central_differences(structure):
+    rng = np.random.default_rng(32)
+    plan = domains._plan(structure)
+    h = 1e-6
+    checked = 0
+    while checked < 10:
+        a = rng.standard_normal((structure.n,) * 2) + 1j * rng.standard_normal((structure.n,) * 2)
+        x = 0.5 * rng.standard_normal(_parameter_count(structure))
+        sv = np.linalg.svd(domains._scaled(a, x, plan)[0], compute_uv=False)
+        if sv[0] - sv[1] < 1e-2 * sv[0]:
+            continue  # sigma_max is (nearly) double: no gradient there
+        sigma, grad, _, _ = domains._scaled_sigma(a, x, plan)
+        assert sigma == pytest.approx(sv[0], rel=1e-14)
+        step = h * np.eye(x.size)
+        central = np.array(
+            [
+                domains._scaled_sigma(a, x + e, plan)[0] - domains._scaled_sigma(a, x - e, plan)[0]
+                for e in step
+            ]
+        ) / (2 * h)
+        np.testing.assert_allclose(grad, central, rtol=1e-5, atol=1e-5 * np.abs(central).max())
+        checked += 1
+
+
+def test_equal_structures_share_one_plan():
+    assert domains._plan(BlockStructure.parse("E(3;2;1,2)")) is domains._plan(E312)
+    assert domains._plan(BlockStructure(3, 3, (1, 1, 1))) is domains._plan(E311)
+    assert domains._plan(E311) is not domains._plan(E312)
+
+
+def test_stalled_descent_bracket_still_contains_mu():
+    # sigma_max is double along the descent, and BFGS stalls a little above
+    # the infimum of the D-scaling bound: the upper end is then a valid upper
+    # bound above mu, and the bracket still holds mu
+    a = np.random.default_rng(443).standard_normal((3, 3))
+    bracket = mu_bound(a, E312)
+    ora = mu_oracle(a, E312.label())
+    assert bracket.lower <= ora * (1 + 1e-9)
+    assert ora <= bracket.upper * (1 + 1e-9)
