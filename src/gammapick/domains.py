@@ -18,7 +18,7 @@ blocks of size 1 and ``S`` repeated scalar blocks of size 2 or more.
   bound; nothing else in the loop calls LAPACK.  ``D a D^-1`` is an
   entrywise rescaling of ``a`` for a diagonal ``D``; for a block-triangular
   ``D`` its inverse is a finite series in the nilpotent part.  The index
-  sets these read (free entries, block map, minors) form a plan built once
+  sets these read (free entries, block map, block starts) form a plan built once
   per structure.
 - Lower bound: ``rho(A Q) <= mu`` for every unitary ``Q`` of the structure.
   Each iterate's top singular pair ``(u, v)`` proposes the block phases
@@ -189,62 +189,47 @@ class _Plan:
     """The index sets of one structure that ``mu_bound`` reads on every step.
 
     The free entries of ``D = diag(L_1, ..., L_s)``, each ``L_i`` lower
-    triangular, are its diagonal entries other than the first
-    (``D[0, 0] = 1`` fixes the scale) and the ``(rows[m], cols[m])`` strictly
-    below the diagonal inside each block; ``at_rows``/``at_cols`` list both
-    kinds in that order, the entries the gradient reads.  The strictly lower
-    part of ``D`` vanishes at its ``depth + 1``-th power (the largest block
-    size); ``eye`` is the n x n identity.  ``block`` is the block of each
-    position, ``starts`` the first position of each block, and ``minors``
-    the principal index sets of each size with their :func:`_char_coeffs`
-    keys.
+    triangular, are ``(rows[m], cols[m])``: first its diagonal entries other
+    than the first (``D[0, 0] = 1`` fixes the scale), then the entries
+    strictly below the diagonal inside each block.  The strictly lower part
+    of ``D`` vanishes at its ``depth + 1``-th power (the largest block size);
+    ``eye`` is the n x n identity.  ``block`` is the block of each position
+    and ``starts`` the first position of each block.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    at_rows: np.ndarray
-    at_cols: np.ndarray
     depth: int
     eye: np.ndarray
     block: np.ndarray
     starts: np.ndarray
-    minors: tuple
 
 
 @functools.cache
 def _plan(structure: BlockStructure) -> _Plan:
     """The plan of ``structure``, built once per distinct structure."""
     starts = np.concatenate(([0], np.cumsum(structure.r)[:-1]))
-    tril = []
+    free = [(j, j) for j in range(1, structure.n)]
     for start, size in zip(starts.tolist(), structure.r):
         for j in range(start, start + size):
-            tril.extend((j, k) for k in range(start, j))
-    rows, cols = np.array(tril, dtype=int).reshape(-1, 2).T
-    diag = np.arange(1, structure.n)
-    block = np.repeat(np.arange(structure.s), structure.r)
-    minors = []
-    for size in range(1, structure.n + 1):
-        index = np.array(list(combinations(range(structure.n), size)))
-        minors.append((index, tuple(map(tuple, block[index].tolist()))))
+            free.extend((j, k) for k in range(start, j))
+    rows, cols = np.array(free, dtype=int).reshape(-1, 2).T
     plan = _Plan(
         rows=rows,
         cols=cols,
-        at_rows=np.concatenate((diag, rows)),
-        at_cols=np.concatenate((diag, cols)),
         depth=max(structure.r) - 1,
         eye=np.eye(structure.n),
-        block=block,
+        block=np.repeat(np.arange(structure.s), structure.r),
         starts=starts,
-        minors=tuple(minors),
     )
     # every mu_bound call on the structure shares these arrays
-    shared = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-    for array in shared + [index for index, _ in minors]:
-        array.flags.writeable = False
+    for array in vars(plan).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
     return plan
 
 
-def _char_coeffs(a: np.ndarray, plan: _Plan) -> dict:
+def _char_coeffs(a: np.ndarray, structure: BlockStructure) -> dict:
     """Non-constant coefficients of ``det(I - a diag(z_1 I_{r_1}, ...))``.
 
     Up to its sign, the coefficient of ``z_1^{k_1} ... z_s^{k_s}`` is the sum
@@ -252,10 +237,13 @@ def _char_coeffs(a: np.ndarray, plan: _Plan) -> dict:
     from block ``i``.  The key of a coefficient lists the blocks of such an
     index set in order, e.g. ``(0, 1, 1)`` for ``z_1 z_2^2``.
     """
+    n = structure.n
+    block = np.repeat(np.arange(structure.s), structure.r)
     coeffs: dict = {}
-    for rows, keys in plan.minors:
+    for size in range(1, n + 1):
+        rows = np.array(list(combinations(range(n), size)))
         minors = np.linalg.det(a[rows[:, :, None], rows[:, None, :]])
-        for key, minor in zip(keys, minors.tolist()):
+        for key, minor in zip(map(tuple, block[rows].tolist()), minors.tolist()):
             coeffs[key] = coeffs.get(key, 0.0) + minor
     return coeffs
 
@@ -271,14 +259,16 @@ def _scaled(a: np.ndarray, x: np.ndarray, plan: _Plan):
     ``N^depth``, and ``D a D^-1`` is ``(I + N) a (I + N)^-1`` times
     ``delta_j / delta_k`` entry by entry.
     """
-    nd, nl = a.shape[0] - 1, plan.rows.size
+    nd = a.shape[0] - 1
+    nl = plan.rows.size - nd
     delta = np.empty(nd + 1)
     delta[0] = 1.0
     np.exp(x[:nd], out=delta[1:])
     unit_inv = None
     if nl:
         nil = np.zeros(a.shape, dtype=complex)
-        nil[plan.rows, plan.cols] = (x[nd : nd + nl] + 1j * x[nd + nl :]) / delta[plan.rows]
+        rows, cols = plan.rows[nd:], plan.cols[nd:]
+        nil[rows, cols] = (x[nd : nd + nl] + 1j * x[nd + nl :]) / delta[rows]
         # I - N (I - N (I - ...)), with depth factors N
         unit_inv = plan.eye - nil
         for _ in range(plan.depth - 1):
@@ -305,8 +295,8 @@ def _scaled_sigma(a: np.ndarray, x: np.ndarray, plan: _Plan):
     # entry (j, k) of u* E_p u - v* E_p v: conj(u_j) (D^-1 u)_k - conj(v_j) (D^-1 v)_k
     d_inv_u, d_inv_v = unit_inv @ (u / delta), unit_inv @ (v / delta)
     g = (
-        u[plan.at_rows].conj() * d_inv_u[plan.at_cols]
-        - v[plan.at_rows].conj() * d_inv_v[plan.at_cols]
+        u[plan.rows].conj() * d_inv_u[plan.cols]
+        - v[plan.rows].conj() * d_inv_v[plan.cols]
     )
     nd = delta.size - 1
     g[:nd] *= delta[1:]
@@ -407,9 +397,9 @@ def mu_bound(
     a = a / peak
     plan = _plan(structure)
     # mu = 0 exactly when det(I - a Delta) = 1 for every Delta in the structure
-    if all(c == 0 for c in _char_coeffs(a, plan).values()):
+    if all(c == 0 for c in _char_coeffs(a, structure).values()):
         return MuBound(0.0, 0.0)
-    x = np.zeros(structure.n - 1 + 2 * plan.rows.size)
+    x = np.zeros(2 * plan.rows.size - (structure.n - 1))
     # at D = I the top singular value is the operator norm: divide by it
     norm, grad, u, v = _scaled_sigma(a, x, plan)
     a = a / norm
