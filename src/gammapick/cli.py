@@ -223,7 +223,7 @@ def _se_points(pts):
         arr.dtype.kind in "fi"
         and arr.shape[1:] == (3, 2)
         and not (
-            ((arr == 0) | (arr == 1)).any()
+            np.isin(arr, (0.0, 1.0)).any()
             and bool in set(map(type, chain.from_iterable(chain.from_iterable(pts))))
         )
     ):

