@@ -26,7 +26,6 @@ import numpy as np
 
 from .domains import BlockStructure, GammaPoint, mu, tetrablock_member
 from .fractional import SingularFractionError, se_values
-from .hardy import winding_memo
 from .kernels import SampleGrid, combine_k, kernel_rank, membership, tensor_grid, upper_e
 from .linalg import IndefiniteMatrixError
 from .lurking import (
@@ -56,6 +55,8 @@ from .serialize import (
     curve_from_json,
     cvector_to_json,
     gamma_nodes_from_json,
+    grid_field,
+    grid_from_json,
     pick_data_from_json,
     pick_data_to_json,
 )
@@ -146,13 +147,6 @@ def _matrix_and_structure(payload: dict) -> tuple[np.ndarray, BlockStructure]:
     return matrix, structure
 
 
-def _grid_int(spec: dict, key: str, default: int) -> int:
-    value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"grid field {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def _grid_from(payload: dict, args) -> tuple[SampleGrid, dict]:
     """Grid plus the echoed grid options; --seed/--grid override the file."""
     spec = payload.get("grid", {})
@@ -160,18 +154,15 @@ def _grid_from(payload: dict, args) -> tuple[SampleGrid, dict]:
         raise _fail("grid field must be a JSON object")
     try:
         if "points" in spec:
-            points = tuple(
-                tuple(complex_from_json(v) for v in pt) for pt in spec["points"]
-            )
-            grid = SampleGrid(points, diagonal=bool(spec.get("diagonal", False)))
-            return grid, {"points": len(points), "diagonal": grid.diagonal}
-        n_lambda = _grid_int(spec, "n_lambda", 4)
-        n_z = _grid_int(spec, "n_z", 4)
+            grid = grid_from_json(spec)
+            return grid, {"points": len(grid), "diagonal": grid.diagonal}
+        n_lambda = grid_field(spec, "n_lambda", 4, int)
+        n_z = grid_field(spec, "n_z", 4, int)
         if args.grid is not None:
             n_z = max(1, int(args.grid) // max(1, n_lambda))
-        radius = float(spec.get("radius", 0.9))
-        seed = _grid_int(spec, "seed", 0) if args.seed is None else int(args.seed)
-        diagonal = bool(spec.get("diagonal", False))
+        radius = grid_field(spec, "radius", 0.9, float)
+        seed = grid_field(spec, "seed", 0, int) if args.seed is None else int(args.seed)
+        diagonal = grid_field(spec, "diagonal", False, bool)
         grid = tensor_grid(n_lambda, n_z, radius=radius, seed=seed, diagonal=diagonal)
     except (TypeError, ValueError) as exc:
         raise _fail(f"bad grid: {exc}") from exc
@@ -451,7 +442,7 @@ def _gamma_instance(payload):
             curve = curve_from_json(payload["curve"])
             nodes = tuple(complex_from_json(v) for v in _require(payload, "nodes"))
             return sample_curve(curve, nodes), curve
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise _fail(f"bad gamma curve data: {exc}") from exc
     try:
         return gamma_nodes_from_json(payload), None
@@ -733,9 +724,7 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.tol is not None and not np.isfinite(args.tol):
             raise _fail(f"--tol must be finite, got {args.tol}")
-        # one operation: each distinct denominator is certified once
-        with winding_memo():
-            code, report = _HANDLERS[args.command](args)
+        code, report = _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -82,6 +82,9 @@ _MIN_STEP = 1e-12
 # exp(-40): negligible unless the entries of A span tens of orders of
 # magnitude.
 _SCALING_BOX = 40.0
+# Golden-section iterations per phase when the lower bound of an open
+# bracket is polished.
+_REFINE_ITERS = 48
 
 
 @dataclass(frozen=True)
@@ -320,12 +323,13 @@ def _rho_exact(a: np.ndarray, phases: np.ndarray, plan: _Plan) -> float:
     return float(np.abs(np.linalg.eigvals(a * np.exp(1j * phases)[plan.block])).max())
 
 
-def _golden_max(f, lo: float, hi: float, iters: int):
-    """Golden-section maximization of a unimodal-ish 1-d slice."""
+def _golden_max(f, lo: float, hi: float):
+    """Golden-section maximization of a unimodal-ish 1-d slice, in
+    ``_REFINE_ITERS`` iterations."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(_REFINE_ITERS):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -337,7 +341,7 @@ def _golden_max(f, lo: float, hi: float, iters: int):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _polish(a: np.ndarray, phases: np.ndarray, plan: _Plan, width: float, iters: int) -> float:
+def _polish(a: np.ndarray, phases: np.ndarray, plan: _Plan, width: float) -> float:
     """Largest ``rho(a Q)`` found by two golden-section sweeps over each free
     phase (all but the first block's), each within ``+-width`` of the current
     point."""
@@ -350,16 +354,14 @@ def _polish(a: np.ndarray, phases: np.ndarray, plan: _Plan, width: float, iters:
                 point[i] = t
                 return _rho_exact(a, point, plan)
 
-            t_star, v = _golden_max(slice_f, current[i] - width, current[i] + width, iters)
+            t_star, v = _golden_max(slice_f, current[i] - width, current[i] + width)
             if v > val:
                 current[i] = t_star
                 val = v
     return val
 
 
-def mu_bound(
-    a, structure: BlockStructure, phase_grid: int = 720, refine_iters: int = 48
-) -> MuBound:
+def mu_bound(a, structure: BlockStructure, phase_grid: int = 720) -> MuBound:
     """Certified bracket ``lower <= mu(a) <= upper``.
 
     The upper bound is ``sigma_max(D a D^-1)`` after a BFGS descent with
@@ -369,8 +371,8 @@ def mu_bound(
     singular pair of each iterate aligns (:func:`_aligned_phases`).  The
     descent stops once the gap is below ``BRACKET_RTOL`` times the upper
     bound, or when no step decreases ``sigma_max``.  If the gap is still open,
-    the phases of the best ``Q`` are polished by ``refine_iters`` golden-section
-    iterations per phase within ``+-2 pi / phase_grid``.
+    the phases of the best ``Q`` are polished by 48 golden-section iterations
+    per phase within ``+-2 pi / phase_grid``.
 
     ``a`` is divided by its operator norm first, so the bracket of ``c a``
     is ``|c|`` times that of ``a`` up to roundoff.
@@ -441,13 +443,13 @@ def mu_bound(
         if val > low:
             low, phases = val, candidate
     if upper - low > BRACKET_RTOL * upper:
-        low = max(low, _polish(a, phases, plan, 2.0 * np.pi / phase_grid, refine_iters))
+        low = max(low, _polish(a, phases, plan, 2.0 * np.pi / phase_grid))
     # rho(a Q) <= sigma_max(D a D^-1) holds exactly; drop the roundoff excess
     low = min(low, upper)
     return MuBound(low * scale, upper * scale)
 
 
-def mu(a, structure: BlockStructure, phase_grid: int = 720, refine_iters: int = 48) -> MuValue:
+def mu(a, structure: BlockStructure, phase_grid: int = 720) -> MuValue:
     """Structured singular value of ``a`` with respect to ``structure``.
 
     Parameters
@@ -459,8 +461,6 @@ def mu(a, structure: BlockStructure, phase_grid: int = 720, refine_iters: int = 
     phase_grid : int
         The phase polish of the lower bound searches within
         ``+-2 pi / phase_grid``; at least 4.
-    refine_iters : int
-        Golden-section iterations per phase in that polish.
 
     Returns
     -------
@@ -481,7 +481,7 @@ def mu(a, structure: BlockStructure, phase_grid: int = 720, refine_iters: int = 
         For a structure with ``2S + F > 3`` whose bracket did not close; the
         message gives the gap.
     """
-    bracket = mu_bound(a, structure, phase_grid, refine_iters)
+    bracket = mu_bound(a, structure, phase_grid)
     if not (structure.d_scaling_exact or bracket.closed):
         raise ValueError(
             f"mu bracket [{bracket.lower!r}, {bracket.upper!r}] did not close "

@@ -12,8 +12,6 @@ kernel average over those samples.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +23,7 @@ __all__ = [
     "InnerOuterPair",
     "SAMPLES",
     "blaschke_eval",
-    "certify_denominator",
     "inner_outer",
-    "winding_memo",
 ]
 
 _CIRCLE_SNAP = 1e-9
@@ -46,9 +42,6 @@ _CHECK = (
 # and the check grid
 SAMPLES = np.concatenate([_WINDING_CIRCLE, _PROBES, _CHECK])
 _PROBE_AT = _WINDING_CIRCLE.size
-# bytes of the last denominator that passed the winding check inside
-# winding_memo() (b"" before the first); None outside it
-_last_passed: ContextVar[bytes | None] = ContextVar("_last_passed", default=None)
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -64,42 +57,26 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return c[: last + 1]
 
 
-def _validate_den_outside_disc(den: np.ndarray, values: np.ndarray | None = None):
-    """Check that a polynomial has no zeros in the closed unit disc.
+def _certified(den, samples: np.ndarray | None = None) -> np.ndarray:
+    """``den`` trimmed, checked to have no zeros in the closed unit disc.
 
     Uses the argument principle on the unit circle instead of numerical
     roots: repeated factors make computed roots scatter, while the winding
     number of the boundary values stays exact as long as the polynomial is
-    bounded away from zero there.
-
-    Inside :func:`winding_memo`, a denominator byte-equal to the last one
-    that passed is not checked again; a rejected one raises every time.
-    ``values``, when given, are those of ``den`` on the winding circle.
-    """
-    key = den.tobytes()
-    last = _last_passed.get()
-    if key == last:
-        return
-    _boundary_winding(den, values)
-    if last is not None:
-        _last_passed.set(key)
-
-
-def certify_denominator(den, samples: np.ndarray) -> None:
-    """Run the winding check of a ``RationalFunction`` over ``den`` ahead of
-    its construction, on ``samples``, the values of ``den`` at :data:`SAMPLES`.
-
-    Inside :func:`winding_memo` the constructions over ``den`` that follow
-    find it checked; a constant denominator is not checked, as there.
+    bounded away from zero there.  ``samples``, when given, are the values
+    of ``den`` at :data:`SAMPLES`.  A constant is not checked.
     """
     den = _trim(den)
+    if float(np.abs(den).max()) == 0.0:
+        raise ZeroDivisionError("denominator is identically zero")
     if den.size > 1:
-        _validate_den_outside_disc(den, samples[:_PROBE_AT])
+        _boundary_winding(den, None if samples is None else samples[:_PROBE_AT])
+    return den
 
 
 def _boundary_winding(den: np.ndarray, values: np.ndarray | None = None):
-    """The 4096-point winding check behind :func:`_validate_den_outside_disc`,
-    on ``den``'s values at the circle points (evaluated here when not given)."""
+    """The 4096-point winding check behind :func:`_certified`, on ``den``'s
+    values at the circle points (evaluated here when not given)."""
     vals = npoly.polyval(_WINDING_CIRCLE, den) if values is None else values
     top = float(np.abs(vals).max())
     low = float(np.abs(vals).min())
@@ -124,26 +101,6 @@ def _boundary_winding(den: np.ndarray, values: np.ndarray | None = None):
         raise ValueError(f"denominator has {winding} root(s) inside the unit disc")
 
 
-@contextmanager
-def winding_memo():
-    """Certify each denominator once per block instead of once per function.
-
-    Arithmetic on functions over one denominator (the components of a curve,
-    the coordinates of a slice) constructs that denominator again and again;
-    inside this block a run of byte-equal denominators is checked once.
-    Nested blocks share the outermost one's memo, which is dropped when that
-    block exits, so nothing carries over from one operation to the next.
-    """
-    if _last_passed.get() is not None:
-        yield
-        return
-    token = _last_passed.set(b"")
-    try:
-        yield
-    finally:
-        _last_passed.reset(token)
-
-
 @dataclass(frozen=True, eq=False)
 class RationalFunction:
     """Quotient of polynomials, analytic on the closed unit disc.
@@ -158,14 +115,23 @@ class RationalFunction:
     denominator: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=complex))
 
     def __post_init__(self):
-        num = _trim(np.asarray(self.numerator, dtype=complex))
-        den = _trim(np.asarray(self.denominator, dtype=complex))
-        if float(np.abs(den).max()) == 0.0:
-            raise ZeroDivisionError("denominator is identically zero")
-        if den.size > 1:
-            _validate_den_outside_disc(den)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "numerator", _trim(self.numerator))
+        object.__setattr__(self, "denominator", _certified(self.denominator))
+
+    @classmethod
+    def over(cls, denominator, numerators, samples: np.ndarray | None = None):
+        """One function per numerator, all over ``denominator``, which is
+        trimmed and certified once: on ``samples``, its values at
+        :data:`SAMPLES`, when given, else on values evaluated here."""
+        nums = [_trim(num) for num in numerators]
+        den = _certified(denominator, samples)
+        out = []
+        for num in nums:
+            f = object.__new__(cls)
+            object.__setattr__(f, "numerator", num)
+            object.__setattr__(f, "denominator", den)
+            out.append(f)
+        return out
 
     @property
     def is_zero(self) -> bool:

@@ -26,9 +26,7 @@ from .hardy import (
     SAMPLES,
     InnerOuterPair,
     RationalFunction,
-    certify_denominator,
     inner_outer,
-    winding_memo,
 )
 from .linalg import (
     STATE_CUTOFF,
@@ -329,7 +327,6 @@ def _shared_numerators(fs: Sequence[RationalFunction]):
     return nums, common
 
 
-@winding_memo()
 def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
     """Coordinate curve of a 3x3 matrix function with rational entries.
 
@@ -350,33 +347,24 @@ def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
         npoly.polymul(p[0][2], c13n),
     )
     delta2 = npoly.polymul(delta, delta)
-    big = npoly.polymul(delta2, delta)
-
-    def over_big(num, power):
-        # num / delta**power rewritten over the common denominator big.
-        lift = {1: delta2, 2: delta, 3: np.ones(1, dtype=complex)}[power]
-        return RationalFunction(npoly.polymul(num, lift), big)
-
-    x1 = over_big(p[0][0], 1)
-    x2 = over_big(p[1][1], 1)
-    x4 = over_big(p[2][2], 1)
-    x3 = over_big(m12n, 2)
-    x5 = over_big(m13n, 2)
-    x6 = over_big(m23n, 2)
-    x7 = over_big(detn, 3)
+    # numerator / delta**power rewritten over the common denominator delta**3
+    lift = {1: delta2, 2: delta, 3: np.ones(1, dtype=complex)}
     if variant == "gamma7":
-        comps = (x1, x2, x3, x4, x5, x6, x7)
+        terms = (
+            (p[0][0], 1), (p[1][1], 1), (m12n, 2), (p[2][2], 1), (m13n, 2), (m23n, 2), (detn, 3)
+        )
     elif variant == "gamma5":
-        comps = (
-            x1,
-            over_big(npoly.polyadd(m12n, m13n), 2),
-            x7,
-            over_big(npoly.polyadd(p[1][1], p[2][2]), 1),
-            x6,
+        terms = (
+            (p[0][0], 1),
+            (npoly.polyadd(m12n, m13n), 2),
+            (detn, 3),
+            (npoly.polyadd(p[1][1], p[2][2]), 1),
+            (m23n, 2),
         )
     else:
         raise ValueError(f"unsupported variant {variant!r}")
-    return GammaCurve(variant, comps)
+    nums = [npoly.polymul(num, lift[power]) for num, power in terms]
+    return GammaCurve(variant, RationalFunction.over(npoly.polymul(delta2, delta), nums))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +406,6 @@ def _slice_point(x: GammaPoint, z: complex, det_denominator: str):
     return (n1 / den, n2 / den, n3 / det_den)
 
 
-@winding_memo()
 def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
     """Slice a gamma point or curve at disc parameter ``z``.
 
@@ -441,17 +428,16 @@ def _curve_slice(x: GammaCurve, z: complex, det_denominator: str):
     """The slice functions ``(f11, f22, det)`` of a curve and the values of
     their terms at ``_CURVE_POINTS``, ``(n11, n22, n_det, den, det_den)``.
 
-    Each denominator is certified on its values just before the functions
-    over it are built, so inside :func:`winding_memo` no construction
-    evaluates it again.
+    Each denominator is certified once, on its values.
     """
     (n1, n2, n3), den, det_den = _slice_terms(x.rows, z, det_denominator)
     nums_v, den_v, det_den_v = _slice_terms(x.row_values, z, det_denominator)
-    certify_denominator(den, den_v[:_N_SAMPLES])
-    f11, f22 = RationalFunction(n1, den), RationalFunction(n2, den)
-    if det_den is not den:
-        certify_denominator(det_den, det_den_v[:_N_SAMPLES])
-    return (f11, f22, RationalFunction(n3, det_den)), (*nums_v, den_v, det_den_v)
+    if det_den is den:
+        f11, f22, det = RationalFunction.over(den, (n1, n2, n3), den_v[:_N_SAMPLES])
+    else:
+        f11, f22 = RationalFunction.over(den, (n1, n2), den_v[:_N_SAMPLES])
+        (det,) = RationalFunction.over(det_den, (n3,), det_den_v[:_N_SAMPLES])
+    return (f11, f22, det), (*nums_v, den_v, det_den_v)
 
 
 def psi3_eval(x: GammaCurve, lam: complex, z1: complex, z2: complex) -> complex:
@@ -567,14 +553,15 @@ _SLICE_GRID = (
 # winding check and inner_outer, then the contractivity grid and the origin
 _N_SAMPLES = SAMPLES.size
 _CURVE_POINTS = np.concatenate([SAMPLES, _SLICE_GRID, [0.0]])
+# inner_outer's reconstruction tolerance on a slice, and the largest miss of
+# the slice determinant
+_SLICE_TOL = 1e-6
 
 
-@winding_memo()
 def build_slice_schur(
     x: GammaCurve,
     z: complex,
     n_boundary: int = 2048,
-    tol: float = 1e-6,
     det_denominator: str = "corrected",
 ) -> SlicedSchur2x2:
     """Construct the 2x2 Schur-class slice of a gamma curve at parameter ``z``.
@@ -600,10 +587,9 @@ def build_slice_schur(
     den = f11.denominator
     ratio = _scalar_ratio(det_slice.denominator, den)
     den2, v_den2 = npoly.polymul(den, den), v_den * v_den
-    certify_denominator(den2, v_den2[:_N_SAMPLES])
+    diag = npoly.polymul(f11.numerator, f22.numerator)
     if ratio is not None:
         d_v = (v11 * v22 - v_det / ratio * v_den) / v_den2
-        diag = npoly.polymul(f11.numerator, f22.numerator)
         corr = npoly.polymul(det_slice.numerator / ratio, den)
         num = npoly.polysub(diag, corr)
         # f11 f22 - det vanishes identically when what is left of it is the
@@ -611,16 +597,24 @@ def build_slice_schur(
         noise = POLY_NOISE * float(np.abs(diag).sum() + np.abs(corr).sum())
         if float(np.abs(num).max()) <= noise:
             num = np.zeros(1, dtype=complex)
-        d = RationalFunction(num, den2)
+        (d,) = RationalFunction.over(den2, (num,), v_den2[:_N_SAMPLES])
     else:
-        d = f11 * f22 - det_slice
+        # f11 f22 - det over den**2 * det_den, with the coefficients that
+        # the quotient arithmetic f11 * f22 - det_slice gives
+        (prod,) = RationalFunction.over(den2, (diag,), v_den2[:_N_SAMPLES])
+        det_den = det_slice.denominator
+        num = npoly.polysub(
+            npoly.polymul(prod.numerator, det_den),
+            npoly.polymul(det_slice.numerator, prod.denominator),
+        )
+        (d,) = RationalFunction.over(
+            npoly.polymul(prod.denominator, det_den), (num,), (v_den2 * v_det_den)[:_N_SAMPLES]
+        )
         d_v = v11 * v22 / v_den2 - v_det / v_det_den
     if d.is_zero:
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, None, True)
     else:
-        pair = inner_outer(
-            d, n_boundary=n_boundary, tol=min(tol, 1e-6), samples=d_v[:_N_SAMPLES]
-        )
+        pair = inner_outer(d, n_boundary=n_boundary, tol=_SLICE_TOL, samples=d_v[:_N_SAMPLES])
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, False)
 
     lam = _SLICE_GRID
@@ -636,7 +630,7 @@ def build_slice_schur(
         )
     dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
     det_err = float(np.abs(dets - (v_det[at] / v_det_den[at])[:-1]).max())
-    if det_err > max(tol, 1e-8):
+    if det_err > _SLICE_TOL:
         raise ValueError(f"slice determinant mismatch {det_err:.3e}")
     corner = complex(origin[1, 0])
     if corner.real < -1e-10 or abs(corner.imag) > 1e-10:

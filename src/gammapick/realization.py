@@ -178,24 +178,21 @@ def realization_to_rational(f: RealizedSchurFunction):
 
     poly = np.polynomial.polynomial
     if f.m == 0:
-        return [
-            [RationalFunction([f.p[i, j]], [1.0]) for j in range(f.k)]
+        den, coeffs = np.ones(1), [[v] for v in f.p.ravel()]
+    else:
+        eigs = np.linalg.eigvals(f.s)
+        den = np.array([1.0 + 0j])
+        for e in eigs:
+            den = poly.polymul(den, np.array([1.0, -e], dtype=complex))
+        # F_ij * den is a polynomial of degree <= m: interpolate on m+1 nodes
+        nodes = 0.5 * np.exp(2j * np.pi * np.arange(f.m + 1) / (f.m + 1))
+        vals = f.evaluate_many(nodes)
+        denvals = poly.polyval(nodes, den)
+        vander = np.vander(nodes, f.m + 1, increasing=True)
+        coeffs = [
+            np.linalg.solve(vander, vals[:, i, j] * denvals)
             for i in range(f.k)
+            for j in range(f.k)
         ]
-    eigs = np.linalg.eigvals(f.s)
-    den = np.array([1.0 + 0j])
-    for e in eigs:
-        den = poly.polymul(den, np.array([1.0, -e], dtype=complex))
-    # F_ij * den is a polynomial of degree <= m: interpolate on m+1 nodes
-    nodes = 0.5 * np.exp(2j * np.pi * np.arange(f.m + 1) / (f.m + 1))
-    vals = f.evaluate_many(nodes)
-    denvals = poly.polyval(nodes, den)
-    vander = np.vander(nodes, f.m + 1, increasing=True)
-    out = []
-    for i in range(f.k):
-        row = []
-        for j in range(f.k):
-            coeffs = np.linalg.solve(vander, vals[:, i, j] * denvals)
-            row.append(RationalFunction(coeffs, den))
-        out.append(row)
-    return out
+    entries = RationalFunction.over(den, coeffs)
+    return [entries[i * f.k : (i + 1) * f.k] for i in range(f.k)]

@@ -17,6 +17,7 @@ __all__ = [
     "cmatrix_to_json",
     "cmatrix_from_json",
     "grid_to_json",
+    "grid_field",
     "grid_from_json",
     "triple_to_json",
     "triple_from_json",
@@ -91,14 +92,26 @@ def grid_to_json(grid) -> dict:
     }
 
 
+def grid_field(spec: dict, key: str, default, kind: type):
+    """``spec[key]`` (``default`` when absent) as a ``kind``: ``bool`` takes a
+    JSON boolean, ``int`` an integer and ``float`` any number.
+
+    Booleans are not numbers here, and strings are not parsed: ``bool()``
+    alone would read ``"false"`` as true and ``float()`` would read ``"0.7"``.
+    """
+    value = spec.get(key, default)
+    types = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        name = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+        raise ValueError(f"grid field {key!r} must be {name}, got {value!r}")
+    return kind(value)
+
+
 def grid_from_json(data):
     from .kernels import SampleGrid
 
-    points = tuple(
-        (complex_from_json(p[0]), complex_from_json(p[1]), complex_from_json(p[2]))
-        for p in data["points"]
-    )
-    return SampleGrid(points, diagonal=bool(data.get("diagonal", False)))
+    points = tuple(tuple(complex_from_json(v) for v in p) for p in data["points"])
+    return SampleGrid(points, diagonal=grid_field(data, "diagonal", False, bool))
 
 
 def triple_to_json(triple) -> dict:
@@ -211,9 +224,22 @@ def curve_to_json(curve) -> dict:
 
 
 def curve_from_json(data):
+    """A curve whose components are built over each distinct denominator at
+    once, so each is certified once."""
+    from .hardy import RationalFunction
     from .nevanlinna import GammaCurve
 
-    return GammaCurve(
-        str(data["variant"]),
-        tuple(rational_from_json(c) for c in data["components"]),
-    )
+    variant = str(data["variant"])
+    comps = [
+        (cvector_from_json(c["numerator"]), cvector_from_json(c["denominator"]))
+        for c in data["components"]
+    ]
+    groups: dict[bytes, list[int]] = {}
+    for i, (_, den) in enumerate(comps):
+        groups.setdefault(den.tobytes(), []).append(i)
+    built = [None] * len(comps)
+    for idx in groups.values():
+        funcs = RationalFunction.over(comps[idx[0]][1], [comps[i][0] for i in idx])
+        for i, f in zip(idx, funcs):
+            built[i] = f
+    return GammaCurve(variant, tuple(built))

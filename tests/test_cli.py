@@ -295,6 +295,12 @@ def _with_first_entry(payload, value):
     return {**payload, "points": points}
 
 
+def _with_first_denominator(payload, den):
+    comps = [dict(c) for c in payload["curve"]["components"]]
+    comps[0]["denominator"] = den
+    return {**payload, "curve": {**payload["curve"], "components": comps}}
+
+
 _PICK = {
     "nodes": [[0.2, 0.0], [-0.3, 0.1]],
     "targets": [[[[0.1, 0.0]]], [[[0.2, 0.0]]]],
@@ -313,6 +319,16 @@ _NODES = _nodes_payload()
         pytest.param("right-s", _with_grid({"n_lambda": -2}), [], id="n_lambda-negative"),
         pytest.param("upper-e", _with_grid({"radius": 1.2}), [], id="radius-above"),
         pytest.param("uw", _with_grid({"radius": 0.2}), [], id="radius-below"),
+        pytest.param("upper-e", _with_grid({"radius": "0.7"}), [], id="radius-string"),
+        pytest.param("uw", _with_grid({"radius": True}), [], id="radius-bool"),
+        pytest.param("upper-e", _with_grid({"diagonal": "false"}), [], id="diagonal-string"),
+        pytest.param("right-s", _with_grid({"diagonal": 1}), [], id="diagonal-int"),
+        pytest.param(
+            "upper-e",
+            _with_grid({"points": [[0.1, 0.1, 0.1]], "diagonal": "false"}),
+            [],
+            id="points-diagonal-string",
+        ),
         pytest.param(
             "right-s", _with_grid({"points": [[0.1, 0.2, 1.5]]}), [], id="point-outside"
         ),
@@ -366,6 +382,12 @@ _NODES = _nodes_payload()
         pytest.param("np", _with_nodes(_PICK, [["0.2", 0.0], [0.3, 0.0]]), [], id="np-node-string"),
         pytest.param(
             "certify", _with_nodes(_CURVE, [[0.2, 0.0], [False, 0.0]]), [], id="certify-node-bool"
+        ),
+        pytest.param(
+            "certify", _with_first_denominator(_CURVE, [[0.0, 0.0]]), [], id="certify-zero-den"
+        ),
+        pytest.param(
+            "reduce", _with_first_denominator(_CURVE, [1.0, -2.0]), [], id="reduce-pole-inside"
         ),
         # command lines argparse rejects
         pytest.param("gamma-check", _E311_DIAG, ["--tol", "abc"], id="gamma-check-tol-abc"),
@@ -705,29 +727,49 @@ def _winding_checks(argv, on_given_values=None) -> int:
     return count
 
 
-def _rational_curve_file(tmp_path, seed):
+def _rational_curve_file(tmp_path, seed, variant="gamma7"):
     f = random_schur(3, 2, seed=seed, max_sigma=0.9)
-    curve = gamma_curve_from_entries(realization_to_rational(f), "gamma7")
+    curve = gamma_curve_from_entries(realization_to_rational(f), variant)
     payload = {
         "curve": curve_to_json(curve),
         "nodes": [complex_to_json(v) for v in (0.2, -0.3j, 0.4)],
     }
-    return _write(tmp_path, f"curve{seed}.json", payload)
+    return _write(tmp_path, f"curve{seed}-{variant}.json", payload)
+
+
+# DEFAULT_Z_GRID with z = 0, its first entry, moved last
+_ZERO_LAST = ",".join(repr(complex(z)).strip("()") for z in (*DEFAULT_Z_GRID[1:], 0.0))
 
 
 def test_certify_checks_each_denominator_once(tmp_path, capsys):
     path = _rational_curve_file(tmp_path, 4)
     argv = ["certify", "--in", path]
     # one for the curve's shared denominator and, per slice parameter, one for
-    # the slice denominator and one for its square (7 + 4 per slice before);
-    # at z = 0 the slice denominator is the curve's, which the memo holds
-    assert _winding_checks(argv) == 2 * len(DEFAULT_Z_GRID)
+    # the slice denominator and one for its square, wherever z = 0 sits
+    assert _winding_checks(argv) == 1 + 2 * len(DEFAULT_Z_GRID)
     report = json.loads(capsys.readouterr().out)
+    assert all(row["ok"] for row in report["slice_checks"])
+    assert _winding_checks([*argv, "--z2-grid", _ZERO_LAST]) == 1 + 2 * len(DEFAULT_Z_GRID)
+    report = json.loads(capsys.readouterr().out)
+    assert report["slice_checks"][-1]["z"] == [0.0, 0.0]
     assert all(row["ok"] for row in report["slice_checks"])
     # only the curve's own check evaluates its denominator; the slices' run on
     # values read from the curve's coordinate rows
     assert _winding_checks(argv, on_given_values=False) == 1
     capsys.readouterr()
+
+
+def test_printed_certify_evaluates_one_winding_check(tmp_path, capsys):
+    path = _rational_curve_file(tmp_path, 4, "gamma5")
+    argv = ["certify", "--in", path, "--det-denominator", "printed"]
+    # f11 f22 - det goes over den**2 * det_den at once, checked on values
+    assert _winding_checks(argv, on_given_values=False) == 1
+    rows = json.loads(capsys.readouterr().out)["slice_checks"]
+    # the printed convention breaks contractivity at the outer real and
+    # imaginary parameters
+    failed = [complex(*row["z"]) for row in rows if not row["ok"]]
+    assert failed == [0.6, -0.6, 0.6j]
+    assert all("not contractive" in row["error"] for row in rows if not row["ok"])
 
 
 def test_certify_repeats_its_winding_work(tmp_path, capsys):

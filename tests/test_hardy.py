@@ -12,7 +12,6 @@ from gammapick.hardy import (
     RationalFunction,
     blaschke_eval,
     inner_outer,
-    winding_memo,
 )
 
 
@@ -177,18 +176,20 @@ def test_exact_pair_root_validation():
 
 
 # ---------------------------------------------------------------------------
-# each denominator is certified once per winding_memo block
+# RationalFunction.over certifies a shared denominator once
 
 
-def winding_checks(fn) -> int:
+def winding_checks(fn, on_given_values=None) -> int:
     """Number of 4096-point winding checks ``fn()`` computes, on circle
-    values evaluated or given."""
+    values evaluated or given; with ``on_given_values`` True or False, only
+    those on given or on evaluated values."""
     count = 0
     original = hardy._boundary_winding
 
     def counted(den, values=None):
         nonlocal count
-        count += 1
+        if on_given_values is None or on_given_values == (values is not None):
+            count += 1
         return original(den, values)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -198,69 +199,65 @@ def winding_checks(fn) -> int:
 
 
 _DEN_A = [1.0, 0.1, 0.04]
-_DEN_B = [1.0, -0.3]
 
 
-def test_winding_memo_checks_a_run_of_equal_denominators_once():
-    def five_over_a():
-        for c in range(5):
-            RationalFunction([1.0, c], _DEN_A)
-
-    assert winding_checks(five_over_a) == 5
-
-    def in_memo():
-        with winding_memo():
-            five_over_a()
-
-    assert winding_checks(in_memo) == 1
+def test_over_checks_k_numerators_once():
+    nums = [[1.0, c] for c in range(5)]
+    built = []
+    assert winding_checks(lambda: built.extend(RationalFunction.over(_DEN_A, nums))) == 1
+    # the same functions as the constructor builds, one check each
+    assert winding_checks(lambda: [RationalFunction(n, _DEN_A) for n in nums]) == 5
+    lam = _disc_grid()
+    for f, num in zip(built, nums):
+        assert type(f) is RationalFunction
+        np.testing.assert_array_equal(f(lam), RationalFunction(num, _DEN_A)(lam))
 
 
-def test_winding_memo_holds_one_entry():
-    def alternate():
-        with winding_memo():
-            for den in (_DEN_A, _DEN_B, _DEN_A, _DEN_A):
-                RationalFunction([1.0], den)
+def test_over_reads_given_samples_and_evaluates_nothing():
+    samples = npoly.polyval(hardy.SAMPLES, _DEN_A)
 
-    assert winding_checks(alternate) == 3
+    def built():
+        RationalFunction.over(_DEN_A, [[1.0], [2.0]], samples)
 
-
-def test_winding_memo_nests_and_is_dropped_on_exit():
-    def nested():
-        with winding_memo():
-            RationalFunction([1.0], _DEN_A)
-            with winding_memo():
-                RationalFunction([2.0], _DEN_A)
-            RationalFunction([3.0], _DEN_A)
-        RationalFunction([4.0], _DEN_A)
-
-    # one inside the blocks, one after the outer block has dropped its memo
-    assert winding_checks(nested) == 2
-    assert hardy._last_passed.get() is None
-
-
-def test_certified_denominator_is_not_checked_again_in_the_memo():
-    values = npoly.polyval(hardy.SAMPLES, _DEN_A)
-
-    def certified_then_built():
-        with winding_memo():
-            hardy.certify_denominator(np.array([*_DEN_A, 0.0]), values)  # trimmed as built
-            for c in range(3):
-                RationalFunction([1.0, c], _DEN_A)
-
-    assert winding_checks(certified_then_built) == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardy, "npoly", None)  # nothing is evaluated
+        assert winding_checks(built, on_given_values=True) == 1
+        assert winding_checks(built, on_given_values=False) == 0
+    # the check runs on the samples given: those of a polynomial with a root
+    # inside the disc fail it, whatever the denominator
     with pytest.raises(ValueError, match="root"):
-        hardy.certify_denominator([1.0, -2.0], npoly.polyval(hardy.SAMPLES, [1.0, -2.0]))
-    hardy.certify_denominator([2.0], None)  # a constant is not checked
+        RationalFunction.over(_DEN_A, [[1.0]], npoly.polyval(hardy.SAMPLES, [1.0, -2.0]))
 
 
-def test_rejected_denominator_raises_on_every_construction():
+def test_over_raises_on_every_call_for_a_rejected_denominator():
     def rejected():
-        with winding_memo():
-            for _ in range(3):
-                with pytest.raises(ValueError, match="root"):
-                    RationalFunction([1.0], [1.0, -2.0])  # pole at 0.5
+        for _ in range(3):
+            with pytest.raises(ValueError, match="root"):
+                RationalFunction.over([1.0, -2.0], [[1.0], [2.0]])  # pole at 0.5
 
     assert winding_checks(rejected) == 3
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction.over([0.0, 0.0], [[1.0]])
+
+
+def test_over_does_not_check_a_constant_denominator():
+    built = []
+
+    def constant():
+        built.extend(RationalFunction.over([2.0, 0.0], [[1.0, 3.0]]))
+
+    assert winding_checks(constant) == 0
+    np.testing.assert_array_equal(built[0].denominator, [2.0])
+
+
+def test_over_trims_as_the_constructor_trims():
+    den = [*_DEN_A, 1e-15, 0.0]
+    num = [1.0, 1e-16, 0.5, 0.0, 1e-17]
+    (f,) = RationalFunction.over(den, [num])
+    g = RationalFunction(num, den)
+    assert f.numerator.tobytes() == g.numerator.tobytes()
+    assert f.denominator.tobytes() == g.denominator.tobytes()
+    assert f.denominator.size == 3 and f.numerator.size == 3
 
 
 # ---------------------------------------------------------------------------

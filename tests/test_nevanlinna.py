@@ -207,6 +207,40 @@ def test_printed_slice_on_both_sides_of_the_denominator_test():
         build_slice_schur(curve, 0.3, det_denominator="printed")
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("z", [0.3, 0.2 - 0.1j, -0.6j])
+def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
+    # f11 f22 - det goes over den**2 * det_den at once, with the coefficients
+    # of f11 * f22 - det_slice, and every winding check of the slice runs on
+    # values read from the curve's rows
+    _, curve = _curve(seed=m + 4, variant="gamma5", m=m)
+    f11, f22, det = slice_coordinates(curve, z, "printed")
+    expected = f11 * f22 - det
+    handed, sources = [], []
+    original_io, original_winding = nevanlinna.inner_outer, hardy._boundary_winding
+
+    def recorded_io(d, **kwargs):
+        handed.append(d)
+        return original_io(d, **kwargs)
+
+    def recorded_winding(den, values=None):
+        sources.append(values is not None)
+        return original_winding(den, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nevanlinna, "inner_outer", recorded_io)
+        mp.setattr(hardy, "_boundary_winding", recorded_winding)
+        try:
+            build_slice_schur(curve, z, det_denominator="printed")
+        except ValueError as exc:
+            assert "not contractive" in str(exc)
+    (d,) = handed
+    assert d.numerator.tobytes() == expected.numerator.tobytes()
+    assert d.denominator.tobytes() == expected.denominator.tobytes()
+    # den, det_den, den**2 and den**2 * det_den
+    assert sources == [True] * 4
+
+
 # ---------------------------------------------------------------------------
 # slices read from the curve's cached coordinate rows
 

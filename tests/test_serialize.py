@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gammapick import hardy
 from gammapick.domains import pi_coordinates
 from gammapick.hardy import RationalFunction
 from gammapick.kernels import tensor_grid, upper_e
@@ -150,9 +151,34 @@ def test_curve_roundtrip_evaluates_identically():
     )
 
 
+def test_curve_from_json_checks_each_distinct_denominator_once():
+    dens = ([1.0, 0.1], [1.0, -0.2, 0.05])
+    comps = [
+        rational_to_json(RationalFunction([0.1 * i, 0.2], dens[i % 2])) for i in range(7)
+    ]
+    payload = _json_clean({"variant": "gamma7", "components": comps})
+    checked = []
+    original = hardy._boundary_winding
+
+    def counted(den, values=None):
+        checked.append(den.size)
+        return original(den, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardy, "_boundary_winding", counted)
+        curve = curve_from_json(payload)
+    assert sorted(checked) == [2, 3]
+    for comp, data in zip(curve.components, comps):
+        back = rational_from_json(data)
+        assert comp.numerator.tobytes() == back.numerator.tobytes()
+        assert comp.denominator.tobytes() == back.denominator.tobytes()
+
+
 def test_from_json_rejects_malformed_payloads():
     with pytest.raises((ValueError, KeyError, TypeError)):
         grid_from_json({"points": "nope"})
+    with pytest.raises(ValueError, match="diagonal"):
+        grid_from_json({"points": [[[0.1, 0], [0.2, 0], [0.2, 0]]], "diagonal": "false"})
     with pytest.raises((ValueError, KeyError, TypeError)):
         pick_data_from_json({"nodes": [[0.1, 0.0]]})
     with pytest.raises((ValueError, KeyError, TypeError)):
