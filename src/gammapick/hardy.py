@@ -64,7 +64,9 @@ def _certified(den, samples: np.ndarray | None = None) -> np.ndarray:
     roots: repeated factors make computed roots scatter, while the winding
     number of the boundary values stays exact as long as the polynomial is
     bounded away from zero there.  ``samples``, when given, are the values
-    of ``den`` at :data:`SAMPLES`.  A constant is not checked.
+    of ``den`` at :data:`SAMPLES`.  A constant is not checked.  A product of
+    certified factors needs no check of its own (see
+    :meth:`RationalFunction.over_product`).
     """
     den = _trim(den)
     if float(np.abs(den).max()) == 0.0:
@@ -72,6 +74,12 @@ def _certified(den, samples: np.ndarray | None = None) -> np.ndarray:
     if den.size > 1:
         _boundary_winding(den, None if samples is None else samples[:_PROBE_AT])
     return den
+
+
+def _factors(den: np.ndarray) -> tuple:
+    """The factors of a certified denominator standing alone: itself, once,
+    unless it is a constant."""
+    return ((den, 1),) if den.size > 1 else ()
 
 
 def _boundary_winding(den: np.ndarray, values: np.ndarray | None = None):
@@ -106,32 +114,69 @@ class RationalFunction:
     """Quotient of polynomials, analytic on the closed unit disc.
 
     Coefficients are ascending.  The denominator must have all of its roots
-    strictly outside the closed unit disc, certified through the boundary
-    winding number; trailing coefficients below ``1e-13`` of the leading
-    scale are trimmed.
+    strictly outside the closed unit disc; trailing coefficients below
+    ``1e-13`` of the leading scale are trimmed.  ``factors`` holds the
+    denominator's non-constant factors with their multiplicities, pairs
+    ``(coefficients, multiplicity)`` whose product is the denominator up to
+    a constant.  Each factor is certified by the boundary winding number
+    where it first enters a denominator, and a product of certified factors
+    is certified with no check of its own: the winding number of a product
+    is the sum over its factors.
     """
 
     numerator: np.ndarray
     denominator: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=complex))
+    factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "numerator", _trim(self.numerator))
         object.__setattr__(self, "denominator", _certified(self.denominator))
+        object.__setattr__(self, "factors", _factors(self.denominator))
+
+    @classmethod
+    def _built(cls, numerator: np.ndarray, denominator: np.ndarray, factors: tuple):
+        """A function from trimmed coefficients and the certified factors of
+        ``denominator``, with no check."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "numerator", numerator)
+        object.__setattr__(f, "denominator", denominator)
+        object.__setattr__(f, "factors", factors)
+        return f
 
     @classmethod
     def over(cls, denominator, numerators, samples: np.ndarray | None = None):
         """One function per numerator, all over ``denominator``, which is
         trimmed and certified once: on ``samples``, its values at
-        :data:`SAMPLES`, when given, else on values evaluated here."""
+        :data:`SAMPLES`, when given, else on values evaluated here.  The
+        denominator is the functions' one factor."""
         nums = [_trim(num) for num in numerators]
         den = _certified(denominator, samples)
-        out = []
-        for num in nums:
-            f = object.__new__(cls)
-            object.__setattr__(f, "numerator", num)
-            object.__setattr__(f, "denominator", den)
-            out.append(f)
-        return out
+        factors = _factors(den)
+        return [cls._built(num, den, factors) for num in nums]
+
+    @classmethod
+    def over_product(cls, powers, numerators):
+        """One function per numerator, all over the product of the
+        denominators of ``powers``, pairs ``(function, power)``.
+
+        The product is expanded in the order given, trimmed after each
+        multiplication, and runs no winding check: its factors are those of
+        the functions, with multiplicities scaled by the powers and added
+        where two functions share a factor.
+        """
+        den, factors = None, []
+        for f, power in powers:
+            for _ in range(power):
+                den = f.denominator if den is None else _trim(npoly.polymul(den, f.denominator))
+            for factor, mult in f.factors:
+                for i, (seen, count) in enumerate(factors):
+                    if np.array_equal(seen, factor):
+                        factors[i] = (seen, count + power * mult)
+                        break
+                else:
+                    factors.append((factor, power * mult))
+        factors = tuple(factors)
+        return [cls._built(_trim(num), den, factors) for num in numerators]
 
     @property
     def is_zero(self) -> bool:
@@ -146,20 +191,20 @@ class RationalFunction:
         # Equal denominators combine without squaring the denominator;
         # repeated factors make downstream root extraction ill conditioned.
         if np.array_equal(self.denominator, other.denominator):
-            return RationalFunction(
-                npoly.polyadd(self.numerator, other.numerator), self.denominator
-            )
+            num = _trim(npoly.polyadd(self.numerator, other.numerator))
+            return RationalFunction._built(num, self.denominator, self.factors)
         num = npoly.polyadd(
             npoly.polymul(self.numerator, other.denominator),
             npoly.polymul(other.numerator, self.denominator),
         )
-        return RationalFunction(num, npoly.polymul(self.denominator, other.denominator))
+        (f,) = RationalFunction.over_product(((self, 1), (other, 1)), (num,))
+        return f
 
     def __radd__(self, other) -> "RationalFunction":
         return self.__add__(other)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numerator, self.denominator)
+        return RationalFunction._built(_trim(-self.numerator), self.denominator, self.factors)
 
     def __sub__(self, other) -> "RationalFunction":
         return self.__add__(_as_rational(other).__neg__())
@@ -169,10 +214,9 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         other = _as_rational(other)
-        return RationalFunction(
-            npoly.polymul(self.numerator, other.numerator),
-            npoly.polymul(self.denominator, other.denominator),
-        )
+        num = npoly.polymul(self.numerator, other.numerator)
+        (f,) = RationalFunction.over_product(((self, 1), (other, 1)), (num,))
+        return f
 
     def __rmul__(self, other) -> "RationalFunction":
         return self.__mul__(other)
@@ -181,12 +225,15 @@ class RationalFunction:
         other = _as_rational(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
+        # the divisor's numerator is the one new factor, certified here
+        (inverse,) = RationalFunction.over(other.numerator, (other.denominator,))
         if np.array_equal(self.denominator, other.denominator):
-            return RationalFunction(self.numerator, other.numerator)
-        return RationalFunction(
-            npoly.polymul(self.numerator, other.denominator),
-            npoly.polymul(self.denominator, other.numerator),
-        )
+            return RationalFunction._built(
+                self.numerator, inverse.denominator, inverse.factors
+            )
+        num = npoly.polymul(self.numerator, other.denominator)
+        (f,) = RationalFunction.over_product(((self, 1), (inverse, 1)), (num,))
+        return f
 
     def numerator_roots(self) -> np.ndarray:
         if self.is_zero or self.numerator.size == 1:
@@ -342,8 +389,10 @@ def inner_outer(
     within ``1e-9`` of the circle are assigned to the outer factor with a
     warning, since a genuine boundary zero spoils the quadrature.  The
     reconstruction ``inner * outer`` is checked against ``f`` on an interior
-    grid to ``tol`` before returning.  ``samples``, when given, are the values
-    of ``f`` at :data:`SAMPLES`, read instead of evaluating ``f`` (at the
+    grid to ``tol`` before returning.  The poles are the roots of each of
+    ``f.factors``, repeated by its multiplicity: the expanded denominator's
+    repeated roots would scatter.  ``samples``, when given, are the values of
+    ``f`` at :data:`SAMPLES`, read instead of evaluating ``f`` (at the
     boundary nodes only when ``n_boundary`` divides 4096).
     """
     if not isinstance(f, RationalFunction):
@@ -387,11 +436,14 @@ def inner_outer(
     use_exact = snapped.size == 0
     if outside.size and float(np.abs(outside).min()) <= 1.0 + 1e-6:
         use_exact = False
-    droots = np.zeros(0, dtype=complex)
-    if f.denominator.size > 1:
-        droots = npoly.polyroots(f.denominator)
-        if float(np.abs(droots).min()) <= 1.0 + 1e-3:
-            use_exact = False
+    # the poles from each certified factor, never from their expanded
+    # product, whose repeated roots would scatter
+    droots = np.concatenate(
+        [np.zeros(0, dtype=complex)]
+        + [np.repeat(npoly.polyroots(c), m) for c, m in f.factors]
+    )
+    if droots.size and float(np.abs(droots).min()) <= 1.0 + 1e-3:
+        use_exact = False
     if use_exact:
         lead = complex(f.numerator[-1])
         exact_scale = (

@@ -137,8 +137,10 @@ def pick_matrix(data: PickData) -> np.ndarray:
 class PickInterpolant(RealizedSchurFunction):
     """Schur function that solves a Pick problem, with its largest target
     miss ``max_j ||F(lam_j) - W_j||`` (operator norm) as measured by
-    :func:`np_solve`."""
+    :func:`np_solve`.  Its colligation comes from ``extend_isometry``,
+    unitary by construction, and is certified by its Gram defect."""
 
+    _unitary = True
     target_residual: float = float("nan")
 
 
@@ -156,7 +158,9 @@ def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
     -------
     PickInterpolant
         A Schur function with ``F(lam_j) = W_j`` to 1e-8, carrying that
-        residual; its state dimension is at most ``k * len(nodes)``.
+        residual; its state dimension is at most ``k * len(nodes)``.  Its
+        colligation is unitary by construction and certified by its Gram
+        defect, with no SVD.
 
     Raises
     ------
@@ -572,7 +576,11 @@ def build_slice_schur(
     evaluation of the slice.  Failures raise ``ValueError`` with the worst
     offending point.  Every value of the slice's terms, including those the
     winding checks and ``inner_outer`` read, comes from the curve's
-    ``row_values``.
+    ``row_values``.  A winding check runs on each slice denominator, once:
+    ``f11 f22 - det`` goes over the square of the slice denominator (times
+    the printed determinant denominator, when that differs), certified by
+    those factors with no check of its own, and ``inner_outer`` takes its
+    poles from them.
     """
     if not isinstance(x, GammaCurve):
         raise TypeError("build_slice_schur expects a GammaCurve")
@@ -583,10 +591,12 @@ def build_slice_schur(
         x, z, det_denominator
     )
     # f11 and f22 share one denominator; the printed determinant slice has
-    # its own, the only place where two denominators meet
+    # its own, the only place where two denominators meet.  f11 f22 - det
+    # goes over a product of the certified slice denominators, checked by
+    # its factors
     den = f11.denominator
     ratio = _scalar_ratio(det_slice.denominator, den)
-    den2, v_den2 = npoly.polymul(den, den), v_den * v_den
+    v_den2 = v_den * v_den
     diag = npoly.polymul(f11.numerator, f22.numerator)
     if ratio is not None:
         d_v = (v11 * v22 - v_det / ratio * v_den) / v_den2
@@ -597,19 +607,16 @@ def build_slice_schur(
         noise = POLY_NOISE * float(np.abs(diag).sum() + np.abs(corr).sum())
         if float(np.abs(num).max()) <= noise:
             num = np.zeros(1, dtype=complex)
-        (d,) = RationalFunction.over(den2, (num,), v_den2[:_N_SAMPLES])
+        (d,) = RationalFunction.over_product(((f11, 2),), (num,))
     else:
         # f11 f22 - det over den**2 * det_den, with the coefficients that
         # the quotient arithmetic f11 * f22 - det_slice gives
-        (prod,) = RationalFunction.over(den2, (diag,), v_den2[:_N_SAMPLES])
-        det_den = det_slice.denominator
+        (prod,) = RationalFunction.over_product(((f11, 2),), (diag,))
         num = npoly.polysub(
-            npoly.polymul(prod.numerator, det_den),
+            npoly.polymul(prod.numerator, det_slice.denominator),
             npoly.polymul(det_slice.numerator, prod.denominator),
         )
-        (d,) = RationalFunction.over(
-            npoly.polymul(prod.denominator, det_den), (num,), (v_den2 * v_det_den)[:_N_SAMPLES]
-        )
+        (d,) = RationalFunction.over_product(((f11, 2), (det_slice, 1)), (num,))
         d_v = v11 * v22 / v_den2 - v_det / v_det_den
     if d.is_zero:
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, None, True)

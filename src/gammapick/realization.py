@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 _NORM_SLACK = 1e-10
+# ||V* V - I||_F <= 2e-10 bounds ||V||**2 by 1 + 2e-10, so ||V|| by 1 + 1e-10
+_GRAM_SLACK = 2.0 * _NORM_SLACK
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,11 @@ class RealizedSchurFunction:
     ``m x m``; the stacked block matrix must be a contraction within 1e-10.
     ``m = 0`` encodes a constant function.
     """
+
+    # a class whose colligations are unitary by construction sets this: its
+    # colligation is then first certified by its Gram defect, with no SVD,
+    # and only one that fails that test goes on to the norm check
+    _unitary = False
 
     k: int
     m: int
@@ -54,9 +61,10 @@ class RealizedSchurFunction:
         if s.shape != (self.m, self.m):
             raise ValueError(f"s must be {self.m}x{self.m}")
         v = self.colligation_of(p, q, r, s)
-        norm = operator_norm(v)
-        if norm > 1.0 + _NORM_SLACK:
-            raise ValueError(f"colligation norm {norm:.12f} exceeds 1 + {_NORM_SLACK}")
+        if not (self._unitary and _gram_defect(v) <= _GRAM_SLACK):
+            norm = operator_norm(v)
+            if norm > 1.0 + _NORM_SLACK:
+                raise ValueError(f"colligation norm {norm:.12f} exceeds 1 + {_NORM_SLACK}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
@@ -125,6 +133,13 @@ class RealizedSchurFunction:
             cmatrix_from_json(data["r"], (m, k)),
             cmatrix_from_json(data["s"], (m, m)),
         )
+
+
+def _gram_defect(v: np.ndarray) -> float:
+    """``||V* V - I||_F``."""
+    gram = v.conj().T @ v
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.linalg.norm(gram))
 
 
 def random_schur(k: int, m: int, seed: int, max_sigma: float = 1.0 - 1e-6) -> RealizedSchurFunction:

@@ -745,11 +745,12 @@ def test_certify_checks_each_denominator_once(tmp_path, capsys):
     path = _rational_curve_file(tmp_path, 4)
     argv = ["certify", "--in", path]
     # one for the curve's shared denominator and, per slice parameter, one for
-    # the slice denominator and one for its square, wherever z = 0 sits
-    assert _winding_checks(argv) == 1 + 2 * len(DEFAULT_Z_GRID)
+    # the slice denominator, wherever z = 0 sits; its square is certified by
+    # its factor, with no check of its own
+    assert _winding_checks(argv) == 1 + len(DEFAULT_Z_GRID)
     report = json.loads(capsys.readouterr().out)
     assert all(row["ok"] for row in report["slice_checks"])
-    assert _winding_checks([*argv, "--z2-grid", _ZERO_LAST]) == 1 + 2 * len(DEFAULT_Z_GRID)
+    assert _winding_checks([*argv, "--z2-grid", _ZERO_LAST]) == 1 + len(DEFAULT_Z_GRID)
     report = json.loads(capsys.readouterr().out)
     assert report["slice_checks"][-1]["z"] == [0.0, 0.0]
     assert all(row["ok"] for row in report["slice_checks"])

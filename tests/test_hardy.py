@@ -334,3 +334,50 @@ def test_inner_outer_property_on_random_rational_functions(zeros, poles, scale, 
     assert pair.blaschke_zeros.size == sum(abs(z) < 1.0 for z in zeros)
     fscale = max(1.0, float(np.abs(f(_circle(2048))).max()))
     assert _reconstruction_error(f, pair, radius=0.95, n=200) <= tol * fscale
+
+
+# ---------------------------------------------------------------------------
+# a product of certified factors is certified by its factors
+
+
+_DEN_B = [1.0, -0.5]
+
+
+def test_over_product_checks_nothing_and_expands_as_the_arithmetic_does():
+    (f,) = RationalFunction.over(_DEN_A, [[1.0, 2.0]])
+    (g,) = RationalFunction.over(_DEN_B, [[0.5]])
+    built = []
+
+    def product():
+        built.extend(RationalFunction.over_product(((f, 2), (g, 1)), [[1.0], [0.0, 3.0]]))
+
+    assert winding_checks(product) == 0
+    expected = f * f * g
+    for h in built:
+        assert h.denominator.tobytes() == expected.denominator.tobytes()
+    # f's factor merges into one of multiplicity 2, g's stays once
+    (a, ma), (b, mb) = built[0].factors
+    assert (ma, mb) == (2, 1)
+    np.testing.assert_array_equal(a, f.denominator)
+    np.testing.assert_array_equal(b, g.denominator)
+
+
+def test_arithmetic_checks_only_the_new_factors():
+    (f,) = RationalFunction.over(_DEN_A, [[1.0, 2.0]])
+    (g,) = RationalFunction.over(_DEN_B, [[2.0, 0.5]])
+    assert winding_checks(lambda: (f * g, f + g, f - g, -f, 3.0 * f)) == 0
+    # a quotient's one new factor is the divisor's numerator
+    assert winding_checks(lambda: f / g) == 1
+    assert [m for _, m in (f * g * f).factors] == [2, 1]
+    assert (f + 1.0).factors == f.factors
+    with pytest.raises(ValueError, match="root"):
+        f / RationalFunction([1.0, -2.0])  # the divisor vanishes at 0.5
+
+
+def test_inner_outer_takes_poles_from_each_factor():
+    base = np.array([1.0, -1.0 / 1.25])
+    (f,) = RationalFunction.over(base, [[1.0]])
+    g = f * f * f * f
+    pair = inner_outer(g)
+    assert pair.has_exact_outer
+    np.testing.assert_array_equal(pair.den_roots, np.full(4, 1.25 + 0j))

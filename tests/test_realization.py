@@ -1,6 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gammapick import realization
+from gammapick.linalg import extend_isometry
+from gammapick.nevanlinna import PickData, PickInterpolant, np_solve
 from gammapick.realization import (
     RealizedSchurFunction,
     random_schur,
@@ -98,3 +105,49 @@ def test_verify_schur_flags_expansive_values():
     report = verify_schur(f)
     assert not report.passed
     assert report.max_norm > 1.0
+
+
+# ---------------------------------------------------------------------------
+# a PickInterpolant's colligation is certified by its Gram defect first
+
+
+def _accepts(cls, v, k: int) -> bool:
+    try:
+        cls.from_colligation(v, k, v.shape[0] - k)
+    except ValueError as exc:
+        assert re.fullmatch(r"colligation norm \d\.\d{12} exceeds 1 \+ 1e-10", str(exc))
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 3),
+    m=st.integers(0, 8),
+    c=st.sampled_from([1.0, 1.0 + 5e-11, 1.0 + 2e-10, 1.0 + 1e-9]),
+)
+def test_gram_certificate_accepts_the_set_the_norm_check_accepts(seed, k, m, c):
+    rng = np.random.default_rng(seed)
+    n = k + m
+    right, left = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)))
+    unitary = extend_isometry(right, left)
+    for v in (c * unitary, c * random_schur(k, m, seed=seed).colligation):
+        expected = float(np.linalg.svd(v, compute_uv=False)[0]) <= 1.0 + 1e-10
+        assert _accepts(PickInterpolant, v, k) == expected
+        assert _accepts(RealizedSchurFunction, v, k) == expected
+
+
+def test_np_solve_certifies_its_colligation_without_a_norm_check():
+    nodes = (0.1, -0.4j, 0.5)
+    data = PickData(nodes, tuple(random_schur(2, 2, seed=4, max_sigma=0.9).evaluate_many(nodes)))
+
+    def no_norm(v):
+        raise AssertionError("norm check ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realization, "operator_norm", no_norm)
+        f = np_solve(data)
+        with pytest.raises(AssertionError, match="norm check ran"):
+            RealizedSchurFunction.from_colligation(f.colligation, f.k, f.m)
+    assert float(np.linalg.svd(f.colligation, compute_uv=False)[0]) <= 1.0 + 1e-10
