@@ -126,12 +126,23 @@ def tensor_grid(
     return SampleGrid(tuple(points), diagonal=diagonal)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SampledKernel:
-    """A kernel sampled on a grid: hermitian Gram matrix plus its grid."""
+    """A kernel sampled on a grid: hermitian Gram matrix plus its grid.
+
+    ``gram`` is read-only, so its spectrum, computed on first use, never goes
+    stale.  A kernel built by :meth:`outer` keeps its factor and reads its
+    spectrum off it.
+    """
 
     grid: SampleGrid
     gram: np.ndarray
+    _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=complex)
@@ -141,11 +152,22 @@ class SampledKernel:
         scale = max(1.0, float(np.abs(g).max()) if g.size else 0.0)
         if g.size and float(np.abs(g - g.conj().T).max()) > 1e-9 * scale:
             raise ValueError("gram matrix must be hermitian")
-        object.__setattr__(self, "gram", hermitian_part(g))
+        object.__setattr__(self, "gram", _read_only(hermitian_part(g)))
+
+    @classmethod
+    def outer(cls, grid: SampleGrid, u) -> "SampledKernel":
+        """The rank-one kernel ``u u*``; its spectrum comes in closed form
+        (:meth:`~gammapick.linalg.Spectrum.outer`), with no ``eigh``."""
+        u = _read_only(np.array(u, dtype=complex).ravel())
+        kernel = cls(grid, np.outer(u, u.conj()))
+        object.__setattr__(kernel, "_factor", u)
+        return kernel
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Spectrum of ``gram``, computed once: do not modify ``gram`` in place."""
+        """Spectrum of ``gram``, computed once."""
+        if self._factor is not None:
+            return Spectrum.outer(self._factor)
         return Spectrum(self.gram)
 
     def is_psd(self, tol: float = 1e-9) -> bool:
@@ -191,16 +213,14 @@ def upper_e(f: RealizedSchurFunction, grid: SampleGrid) -> KernelTriple:
     """
     lam, z1, z2 = grid.lam, grid.z1, grid.z2
     g, gamma, eta, _, fv = se_values(f, lam, z1, z2)
-    n1 = np.outer(gamma[:, 0], gamma[:, 0].conj())
-    n2 = np.outer(gamma[:, 1], gamma[:, 1].conj())
     feta = np.einsum("tij,tj->ti", fv, eta)
     num = eta @ eta.conj().T - feta @ feta.conj().T
     den = 1.0 - lam[:, None] * lam.conj()[None, :]
     n3 = num / den
     return KernelTriple(
         grid,
-        SampledKernel(grid, n1),
-        SampledKernel(grid, n2),
+        SampledKernel.outer(grid, gamma[:, 0]),
+        SampledKernel.outer(grid, gamma[:, 1]),
         SampledKernel(grid, n3),
         g,
     )

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "IndefiniteMatrixError",
-    "NonHermitianError",
     "GramInconsistencyError",
     "STATE_CUTOFF",
     "Spectrum",
@@ -20,8 +19,6 @@ __all__ = [
     "operator_norm",
     "operator_norms",
     "hermitian_part",
-    "is_psd",
-    "gram_factor",
     "extend_isometry",
 ]
 
@@ -33,10 +30,6 @@ STATE_CUTOFF = 1e-13
 
 class IndefiniteMatrixError(ValueError):
     """A matrix expected to be positive semidefinite has negative spectrum."""
-
-
-class NonHermitianError(ValueError):
-    """A matrix expected to be hermitian is not, beyond tolerance."""
 
 
 class GramInconsistencyError(ValueError):
@@ -117,6 +110,31 @@ class Spectrum:
             out.append(spec)
         return out
 
+    @classmethod
+    def outer(cls, u) -> "Spectrum":
+        """Spectrum of ``u u*`` in closed form, with no ``eigh``.
+
+        ``values`` are ``[0, ..., 0, |u|**2]``.  ``vectors`` complete
+        ``u / |u|``, their last column, to a unitary by one Householder
+        reflection; for ``u = 0`` they are the identity.
+        """
+        u = np.asarray(u, dtype=complex).ravel()
+        values, vectors = np.zeros(u.size), np.eye(u.size, dtype=complex)
+        norm = float(np.linalg.norm(u))
+        if norm > 0.0:
+            values[-1] = norm * norm
+            w = u / norm
+            # conj(phase) w ends in a nonnegative entry, so v = e_n + conj(phase) w
+            # has no cancellation; the reflection along v maps e_n to
+            # -conj(phase) w, and -phase times it maps e_n to w
+            phase = w[-1] / abs(w[-1]) if w[-1] != 0 else 1.0
+            v = np.conj(phase) * w
+            v[-1] += 1.0
+            vectors = phase * (np.outer(v, v.conj()) * (2.0 / np.vdot(v, v).real) - vectors)
+        spec = cls.__new__(cls)
+        spec._set(values, vectors)
+        return spec
+
     def is_psd(self, tol: float) -> bool:
         """Whether ``min >= -tol * max(1, top)``."""
         return self.min >= -tol * max(1.0, self.top)
@@ -140,52 +158,6 @@ class Spectrum:
         """``(n, r)`` factor ``L``, ``L L*`` = the part above ``cutoff * top``."""
         keep = self.values > cutoff * max(self.top, 1e-300)
         return self.vectors[:, keep] * np.sqrt(np.maximum(self.values[keep], 0.0))
-
-
-def is_psd(m, tol: float = 1e-9) -> bool:
-    """Whether a hermitian matrix is positive semidefinite within ``tol``.
-
-    The matrix must be hermitian within ``tol`` (relative to its scale);
-    otherwise :class:`NonHermitianError` is raised.  The test itself is
-    ``min eigenvalue >= -tol``.
-    """
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("is_psd expects a square matrix")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    skew = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if skew > tol * scale:
-        raise NonHermitianError(f"matrix is not hermitian: |M - M*| = {skew:.3e}")
-    return Spectrum(m).min >= -tol
-
-
-def gram_factor(g, tol: float = 1e-9) -> np.ndarray:
-    """Factor a PSD Gram matrix ``g`` as ``L @ L.conj().T`` with full column rank.
-
-    Parameters
-    ----------
-    g : array_like
-        Hermitian positive semidefinite matrix.  It is symmetrized as
-        ``(g + g*) / 2`` before factoring.
-    tol : float
-        Relative eigenvalue cutoff: eigenvalues above ``tol * max_eig``
-        count towards the rank.  Eigenvalues below ``-tol * max_eig``
-        raise :class:`IndefiniteMatrixError`.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n, r)`` factor where ``r`` is the numerical rank.
-    """
-    g = hermitian_part(g)
-    spec = Spectrum(g)
-    if spec.rank(tol) == 0:
-        return np.zeros((g.shape[0], 0), dtype=complex)
-    l = spec.factor(tol)
-    resid = float(np.abs(g - l @ l.conj().T).max())
-    if resid > max(10 * tol * spec.top, 1e-12):
-        raise IndefiniteMatrixError(f"gram factorization residual {resid:.3e} too large")
-    return l
 
 
 def extend_isometry(right: np.ndarray, left: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gammapick.fractional import se_eval
+from gammapick.fractional import se_eval, se_values
 from gammapick.kernels import (
     KernelTriple,
     SampleGrid,
@@ -122,3 +122,25 @@ def test_sampled_kernel_requires_hermitian():
     grid = SampleGrid(((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
     with pytest.raises(ValueError, match="hermitian"):
         SampledKernel(grid, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_sampled_kernels_are_read_only():
+    grid = tensor_grid(2, 2, seed=0)
+    triple = upper_e(random_schur(3, 2, seed=1), grid)
+    kernels = (triple.n1, triple.n2, triple.n3, combine_k(triple), SampledKernel(grid, np.eye(4)))
+    for kernel in kernels:
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.gram[0, 0] = 2.0
+    for kernel in (triple.n1, triple.n2):
+        with pytest.raises(ValueError, match="read-only"):
+            kernel._factor[0] = 2.0
+
+
+def test_rank_one_kernels_keep_the_gram_of_their_outer_product():
+    grid = tensor_grid(3, 3, seed=4)
+    triple = upper_e(random_schur(3, 4, seed=7), grid)
+    gamma = se_values(random_schur(3, 4, seed=7), grid.lam, grid.z1, grid.z2)[1]
+    for j, kernel in enumerate((triple.n1, triple.n2)):
+        outer = SampledKernel(grid, np.outer(gamma[:, j], gamma[:, j].conj()))
+        assert kernel.gram.tobytes() == outer.gram.tobytes()
+        assert kernel.spectrum.rank(1e-9) == outer.spectrum.rank(1e-9) == 1

@@ -1,17 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from gammapick import cli
 from gammapick.domains import GammaPoint, pi_coordinates
 from gammapick.kernels import SampleGrid, SampledKernel, kernel_rank, tensor_grid, upper_e
 from gammapick.linalg import (
     IndefiniteMatrixError,
-    NonHermitianError,
     Spectrum,
     as_cmatrix,
     extend_isometry,
-    gram_factor,
     hermitian_part,
-    is_psd,
     operator_norm,
     operator_norms,
 )
@@ -61,29 +64,20 @@ def test_hermitian_part_is_hermitian_and_projects():
 def test_is_psd_on_gram_and_indefinite():
     rng = np.random.default_rng(2)
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert is_psd(b.conj().T @ b)
-    assert not is_psd(np.diag([1.0, -1e-3]))
+    assert Spectrum(b.conj().T @ b).is_psd(1e-9)
+    assert not Spectrum(np.diag([1.0, -1e-3])).is_psd(1e-9)
     # tolerance absorbs tiny negative eigenvalues
-    assert is_psd(np.diag([1.0, -1e-12]), tol=1e-9)
+    assert Spectrum(np.diag([1.0, -1e-12])).is_psd(1e-9)
 
 
-def test_is_psd_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_gram_factor_reconstructs_and_reports_rank():
+def test_spectrum_factor_reconstructs_and_reports_rank():
     rng = np.random.default_rng(3)
     v = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
     g = v @ v.conj().T
-    f = gram_factor(g)
-    assert f.shape[1] == 2
+    spec = Spectrum(g)
+    f = spec.factor(1e-9)
+    assert spec.rank(1e-9) == f.shape[1] == 2
     np.testing.assert_allclose(f @ f.conj().T, g, atol=1e-10)
-
-
-def test_gram_factor_raises_on_indefinite():
-    with pytest.raises(IndefiniteMatrixError, match="indefinite"):
-        gram_factor(np.diag([1.0, -0.5]))
 
 
 @pytest.mark.parametrize("rank", [6, 3], ids=["full-rank", "deficient"])
@@ -99,9 +93,67 @@ def test_extend_isometry_is_unitary_and_maps_right_onto_left(rank):
     np.testing.assert_allclose(v @ right, left, atol=1e-12 * np.abs(left).max())
 
 
-def test_gram_factor_zero_matrix_has_zero_columns():
-    f = gram_factor(np.zeros((3, 3)))
-    assert f.shape == (3, 0)
+_RNG = np.random.default_rng(5)
+_EDGE_VECTORS = {
+    "zero": np.zeros(4, dtype=complex),
+    "length-1": np.array([0.3 - 0.4j]),
+    "last-entry-zero": np.array([1.0 - 2.0j, 0.5j, 0.0]),
+    "scale-1e-150": 1e-150 * (_RNG.normal(size=6) + 1j * _RNG.normal(size=6)),
+    "scale-1e150": 1e150 * (_RNG.normal(size=6) + 1j * _RNG.normal(size=6)),
+}
+
+
+def _agrees_with_eigh(u: np.ndarray, tols=(1e-9, 1e-12)):
+    """``Spectrum.outer(u)`` against the ``eigh`` of ``u u*``: same decisions,
+    same top to 1e-13 relative, unitary vectors whose last column is ``u / |u|``."""
+    spec, ref = Spectrum.outer(u), Spectrum(np.outer(u, u.conj()))
+    n = u.size
+    assert np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(n)).max() <= 1e-14
+    for tol in tols:
+        assert spec.rank(tol) == ref.rank(tol)
+        assert spec.is_psd(tol) == ref.is_psd(tol)
+    assert abs(spec.top - ref.top) <= 1e-13 * ref.top
+    assert spec.values[:-1].tolist() == [0.0] * (n - 1)
+    norm = np.linalg.norm(u)
+    if norm > 0:
+        assert np.abs(spec.vectors[:, -1] - u / norm).max() <= 1e-15
+    return spec
+
+
+@pytest.mark.parametrize("name", list(_EDGE_VECTORS))
+def test_outer_spectrum_edge_cases(name):
+    u = _EDGE_VECTORS[name]
+    spec = _agrees_with_eigh(u)
+    f = spec.factor(1e-9)
+    if name == "zero":
+        assert spec.rank(1e-9) == 0 and f.shape == (4, 0)
+        assert Spectrum(np.zeros((4, 4))).factor(1e-9).shape == (4, 0)
+        assert spec.values.tolist() == [0.0] * 4
+        assert np.array_equal(spec.vectors, np.eye(4))
+    else:
+        assert f.shape == (u.size, 1)
+        np.testing.assert_allclose(f @ f.conj().T, np.outer(u, u.conj()), rtol=1e-14, atol=0)
+    # the rank-one factor of the kernel u u* is u up to phase, or zeros
+    points = tuple((0.1 * j, 0.2, 0.3) for j in range(u.size))
+    values = rank1_factor(SampledKernel.outer(SampleGrid(points), u)).values
+    if name == "zero":
+        assert np.array_equal(values, np.zeros(u.size))
+    else:
+        np.testing.assert_allclose(np.abs(values), np.abs(u), rtol=1e-14, atol=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    parts=st.integers(1, 24).flatmap(
+        lambda n: arrays(float, (2, n), elements=st.floats(-1.0, 1.0, allow_subnormal=False))
+    ),
+    exponent=st.integers(-150, 150),
+)
+def test_outer_spectrum_agrees_with_eigh(parts, exponent):
+    u = 10.0**exponent * (parts[0] + 1j * parts[1])
+    # keep |u|**2 a normal float, where eigh itself is accurate
+    assume(np.linalg.norm(parts) >= 1e-3 or not np.any(parts))
+    _agrees_with_eigh(u)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +190,6 @@ def _accepts(exc, fn):
 
 # predicate -> (accepts(top, low), rejection threshold as a function of top)
 _CONTRACTS = {
-    "linalg.is_psd": (lambda t, l: is_psd(_diag(t, l), TOL), lambda t: TOL),
     "SampledKernel.is_psd": (
         lambda t, l: _kernel(t, l).is_psd(TOL),
         lambda t: TOL * max(1.0, t),
@@ -153,10 +204,6 @@ _CONTRACTS = {
     ),
     "rank1_factor": (
         lambda t, l: _accepts(IndefiniteMatrixError, lambda: rank1_factor(_kernel(t, l), TOL)),
-        lambda t: TOL * t,
-    ),
-    "gram_factor": (
-        lambda t, l: _accepts(IndefiniteMatrixError, lambda: gram_factor(_diag(t, l), TOL)),
         lambda t: TOL * t,
     ),
 }
@@ -197,15 +244,29 @@ def _fresh_triple():
     return upper_e(random_schur(3, 2, seed=2), tensor_grid(4, 4, radius=0.9, seed=2))
 
 
+# N1 and N2 are rank one by construction and carry a closed-form spectrum,
+# so only N3 and the combined kernel K are decomposed
+
+
 def test_uw_construct_decomposes_each_kernel_once():
     triple = _fresh_triple()
     assert len(triple.grid) == 16
-    assert _decompositions(lambda: uw_construct(triple)) <= 4
+    assert _decompositions(lambda: uw_construct(triple)) == 2
 
 
 def test_right_s_decomposes_each_kernel_once():
     triple = _fresh_triple()
-    assert _decompositions(lambda: right_s(triple)) <= 4
+    assert _decompositions(lambda: right_s(triple)) == 2
+
+
+def test_upper_e_command_decomposes_each_kernel_once(tmp_path, capsys):
+    path = tmp_path / "ue.json"
+    path.write_text(json.dumps({"function": random_schur(3, 2, seed=2).to_json()}))
+    codes = []
+    assert _decompositions(lambda: codes.append(cli.run(["upper-e", "--in", str(path)]))) == 2
+    assert codes == [0]
+    ranks = json.loads(capsys.readouterr().out)["ranks"]
+    assert (ranks["n1"], ranks["n2"], ranks["k"]) == (1, 1, 1)
 
 
 def test_closed_form_2x2_norms_match_the_svd():
