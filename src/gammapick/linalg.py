@@ -96,13 +96,16 @@ class Spectrum:
 
     @classmethod
     def many(cls, matrices) -> list["Spectrum"]:
-        """Spectra of square matrices of one shape from one stacked ``eigh``;
-        each equals ``Spectrum(m)`` of its matrix to the last bit."""
-        if not matrices:
+        """Spectra of square matrices of one shape (a sequence or a stack)
+        from one stacked ``eigh``; each equals ``Spectrum(m)`` of its matrix
+        to the last bit."""
+        if len(matrices) == 0:
             return []
-        ms = np.stack([as_cmatrix(m) for m in matrices])
-        if ms.shape[1] != ms.shape[2]:
+        ms = np.asarray(matrices, dtype=complex)
+        if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
             raise ValueError(f"expected square matrices, got shape {ms.shape[1:]}")
+        if not np.isfinite(ms).all():
+            raise ValueError("matrix entries must be finite")
         out = []
         for values, vectors in zip(*np.linalg.eigh((ms + ms.conj().swapaxes(1, 2)) / 2.0)):
             spec = cls.__new__(cls)
@@ -167,6 +170,8 @@ def extend_isometry(right: np.ndarray, left: np.ndarray) -> np.ndarray:
     ``left @ right* = U S Vh``, ``V = U @ Vh`` minimises ``|V right - left|``
     over the unitaries.  When the two families share their Gram matrix, ``V``
     maps one onto the other; callers check the Gram defect and the residual.
+    Stacks of pairs ``(..., d, N)`` give a stack of factors from one stacked
+    SVD, each equal to that of its pair alone.
     """
-    u, _, vh = np.linalg.svd(left @ right.conj().T)
+    u, _, vh = np.linalg.svd(left @ right.conj().swapaxes(-1, -2))
     return u @ vh

@@ -110,6 +110,8 @@ class PickData:
         k = mats[0].shape[0]
         if any(m.shape != (k, k) for m in mats):
             raise ValueError("targets must be square matrices of a common size")
+        if k == 0:
+            raise ValueError("targets must be at least 1x1")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", mats)
 
@@ -123,14 +125,30 @@ class PickData:
         return Spectrum(pick_matrix(self))
 
 
+def _targets(problems: Sequence[PickData]):
+    """Targets of problems of one shape, ``(b, n, k, k)``, and the rows
+    ``(W_1, ..., W_n)`` of each problem, ``(b, k, n k)``."""
+    targets = np.array([data.targets for data in problems])
+    b, n, k, _ = targets.shape
+    return targets, targets.transpose(0, 2, 1, 3).reshape(b, k, n * k)
+
+
 def pick_matrix(data: PickData) -> np.ndarray:
     """Block matrix ``(I - W_i* W_j) / (1 - conj(lam_i) lam_j)``."""
-    n, k = len(data.nodes), data.k
-    w = np.hstack(data.targets)  # block column j is W_j
-    lam = np.repeat(np.asarray(data.nodes), k)
-    return (np.tile(np.eye(k, dtype=complex), (n, n)) - w.conj().T @ w) / (
-        1.0 - np.conj(lam)[:, None] * lam[None, :]
-    )
+    return _pick_matrices([data])[0]
+
+
+def _pick_matrices(problems: Sequence[PickData]) -> np.ndarray:
+    """The Pick matrices of problems with one node count and target size,
+    from one stacked expression.  Targets far outside the unit ball overflow
+    it, silently: the solver reports such a problem as unsolvable."""
+    n, k = len(problems[0].nodes), problems[0].k
+    _, w = _targets(problems)
+    lam = np.repeat(np.array([data.nodes for data in problems]), k, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.tile(np.eye(k, dtype=complex), (n, n)) - w.conj().swapaxes(1, 2) @ w) / (
+            1.0 - np.conj(lam)[:, :, None] * lam[:, None, :]
+        )
 
 
 @dataclass(frozen=True)
@@ -146,6 +164,8 @@ class PickInterpolant(RealizedSchurFunction):
 
 def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
     """Solve a solvable matricial Nevanlinna-Pick problem by isometry extension.
+
+    This is :func:`_solve_many` on the one problem ``[data]``.
 
     Parameters
     ----------
@@ -164,41 +184,121 @@ def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
 
     Raises
     ------
+    OverflowError
+        When the Pick matrix overflows, which only targets of norm far above
+        1 make it do: the problem is unsolvable.
     UnsolvablePickError
         When the Pick matrix is indefinite beyond ``tol``.
+    GramInconsistencyError
+        When the two families of the lurking isometry do not share their Gram
+        matrix to within ``10 max(tol, 1e-9) max(1, top eigenvalue)``.
+    ArithmeticError
+        When the interpolant misses a target by more than 1e-8.
     """
-    spec = data.spectrum
-    if not spec.is_psd(tol):
-        raise UnsolvablePickError(
-            f"Pick matrix is indefinite: min eigenvalue {spec.min:.6e}", spec.min
-        )
-    l = spec.factor(STATE_CUTOFF)
-    n, k = len(data.nodes), data.k
-    r = l.shape[1]
+    (outcome,) = _solve_many([data], tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
+
+def _solve_many(problems: Sequence[PickData], tol: float) -> list:
+    """Solve Pick problems together by the lurking-isometry construction.
+
+    Each problem gets the :class:`PickInterpolant` or the exception that
+    :func:`np_solve` gives it, as one list entry: the same checks in the same
+    order, and no check twice.  The Pick spectra come from one stacked
+    ``eigh`` per node count and target size, and fill each problem's cached
+    ``spectrum`` (one already cached is read).  The problems that pass the
+    positivity test then go by their shape ``(n, k, r)``, with ``r`` the rank
+    of the Pick factor at ``STATE_CUTOFF`` (see :func:`_solve_shape`).
+    """
+    out: list = [None] * len(problems)
+    fresh = [i for i, data in enumerate(problems) if "spectrum" not in vars(data)]
+    for idx in _groups(fresh, lambda i: (len(problems[i].nodes), problems[i].k)):
+        mats = _pick_matrices([problems[i] for i in idx])
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        for i, spec in zip(np.compress(finite, idx), Spectrum.many(mats[finite])):
+            object.__setattr__(problems[i], "spectrum", spec)  # fills the cached property
+        for i in np.compress(~finite, idx):
+            out[i] = OverflowError(
+                "Pick matrix overflows: a target has norm far above 1, so the problem "
+                "is unsolvable"
+            )
+    factors = {}
+    for i, data in enumerate(problems):
+        if out[i] is None:
+            spec = data.spectrum
+            if spec.is_psd(tol):
+                factors[i] = spec.factor(STATE_CUTOFF)
+            else:
+                out[i] = UnsolvablePickError(
+                    f"Pick matrix is indefinite: min eigenvalue {spec.min:.6e}", spec.min
+                )
+    shape = lambda i: (len(problems[i].nodes), problems[i].k, factors[i].shape[1])
+    for idx in _groups(factors, shape):
+        outcomes = _solve_shape([problems[i] for i in idx], np.stack([factors[i] for i in idx]), tol)
+        for i, outcome in zip(idx, outcomes):
+            out[i] = outcome
+    return out
+
+
+def _groups(indices, key) -> list[list[int]]:
+    """``indices`` grouped by ``key``, in order within each group."""
+    groups: dict = {}
+    for i in indices:
+        groups.setdefault(key(i), []).append(i)
+    return list(groups.values())
+
+
+def _solve_shape(problems: Sequence[PickData], factors: np.ndarray, tol: float) -> list:
+    """The outcomes of positive problems of one shape ``(n, k, r)`` with Pick
+    factors ``factors``, shape ``(b, n k, r)``.
+
+    One stacked Gram defect, one stacked Procrustes SVD, one colligation
+    certificate, one stacked solve for the values ``F(lam_j)`` and one
+    stacked SVD norm of the misses, each step on the problems the checks
+    before it passed.  Every stacked step gives each problem what it gives
+    that problem alone, to the last bit.
+    """
+    n, k, r = len(problems[0].nodes), problems[0].k, factors.shape[2]
+    out: list = [None] * len(problems)
+    lam = np.array([data.nodes for data in problems])
+    targets, w = _targets(problems)
     # column block j is (I, lam_j h_j*) on the right and (W_j, h_j*) on the
-    # left, with h_j the j-th block of k rows of l
-    lam = np.repeat(np.asarray(data.nodes), k)
-    right = np.vstack([np.tile(np.eye(k, dtype=complex), n), lam * l.conj().T])
-    left = np.vstack([np.hstack(data.targets), l.conj().T])
+    # left, with h_j the j-th block of k rows of a factor
+    lh = factors.conj().swapaxes(1, 2)
+    eyes = np.broadcast_to(np.tile(np.eye(k, dtype=complex), n), (len(problems), k, n * k))
+    right = np.concatenate([eyes, np.repeat(lam, k, axis=1)[:, None, :] * lh], axis=1)
+    left = np.concatenate([w, lh], axis=1)
 
-    defect = float(np.abs(right.conj().T @ right - left.conj().T @ left).max())
-    if defect > max(tol, 1e-9) * max(1.0, spec.top) * 10:
-        raise GramInconsistencyError(
-            f"interpolation Gram defect {defect:.3e}; data are numerically inconsistent"
+    defects = np.abs(
+        right.conj().swapaxes(1, 2) @ right - left.conj().swapaxes(1, 2) @ left
+    ).max(axis=(1, 2))
+    tops = np.array([data.spectrum.top for data in problems])
+    consistent = ~(defects > max(tol, 1e-9) * np.maximum(1.0, tops) * 10)
+    for b in np.flatnonzero(~consistent):
+        out[b] = GramInconsistencyError(
+            f"interpolation Gram defect {defects[b]:.3e}; data are numerically inconsistent"
         )
-    f = PickInterpolant.from_colligation(extend_isometry(right, left), k, r)
+    live = np.flatnonzero(consistent)
+    vs = extend_isometry(right[live], left[live])
+    contractive = []
+    for b, v, error in zip(live, vs, PickInterpolant.check_colligations(vs)):
+        out[b] = error or PickInterpolant.from_checked(v, k, r)
+        contractive.append(error is None)
+    live, vs = live[contractive], vs[contractive]
 
-    misses = f.evaluate_many(np.asarray(data.nodes)) - np.stack(data.targets)
+    blocks = vs[:, :k, :k], vs[:, :k, k:], vs[:, k:, :k], vs[:, k:, k:]
+    vals = PickInterpolant.values_of(*blocks, lam[live])
     # the SVD norm, so the residual is the largest miss to the last bit
-    worst = float(np.linalg.norm(misses, 2, axis=(1, 2)).max())
-    if worst > 1e-8:
-        raise ArithmeticError(
-            f"constructed interpolant misses a target by {worst:.3e}"
-        )
-    # recorded on the frozen result before it leaves this function
-    object.__setattr__(f, "target_residual", worst)
-    return f
+    worst = np.linalg.norm(vals - targets[live], 2, axis=(2, 3)).max(axis=1)
+    for b, miss in zip(live, worst):
+        if miss > 1e-8:
+            out[b] = ArithmeticError(f"constructed interpolant misses a target by {miss:.3e}")
+        else:
+            # recorded on the frozen result before it leaves the solver
+            object.__setattr__(out[b], "target_residual", float(miss))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +369,8 @@ class GammaNodes:
         if self.variant not in ("gamma7", "gamma5"):
             raise ValueError(f"unsupported variant {self.variant!r}")
         nodes = _disc_nodes(self.nodes)
+        if not nodes:
+            raise ValueError("need at least one node")
         pts = tuple(self.points)
         if len(pts) != len(nodes):
             raise ValueError("need one coordinate point per node")
@@ -740,33 +842,36 @@ class CertificationReport:
 
 
 def _certify(data: GammaNodes, z_grid, split_rules, tol, reducer) -> CertificationReport:
+    """Reduce ``data`` at every split and slice parameter, then solve all the
+    Pick problems of the table together (:func:`_solve_many`), each exactly
+    as :func:`np_solve` would."""
     if z_grid is None:
         z_grid = DEFAULT_Z_GRID
     if isinstance(split_rules, str):
         split_rules = (split_rules,)
-    rows = []
+    cells = []
     for split in split_rules:
-        picks = []
         for z in z_grid:
             z = complex(z)
             try:
-                picks.append((z, reducer(data, z, split)))
+                cells.append((z, split, reducer(data, z, split)))
             except (ZeroDivisionError, ValueError) as exc:
-                picks.append((z, str(exc)))
-        # every Pick matrix of the grid has the same size: one stacked eigh
-        solved = [pick for _, pick in picks if isinstance(pick, PickData)]
-        for pick, spec in zip(solved, Spectrum.many([pick_matrix(p) for p in solved])):
-            object.__setattr__(pick, "spectrum", spec)  # fills the cached property
-        for z, pick in picks:
-            if not isinstance(pick, PickData):
-                rows.append(CertificationRow(z, split, False, float("nan"), None, pick))
-                continue
-            min_eig = pick.spectrum.min
-            try:
-                resid = np_solve(pick, tol=tol).target_residual
-                rows.append(CertificationRow(z, split, True, min_eig, resid))
-            except (UnsolvablePickError, GramInconsistencyError, ArithmeticError) as exc:
-                rows.append(CertificationRow(z, split, False, min_eig, None, str(exc)))
+                cells.append((z, split, str(exc)))
+    outcomes = iter(_solve_many([pick for *_, pick in cells if isinstance(pick, PickData)], tol))
+    rows = []
+    for z, split, pick in cells:
+        if not isinstance(pick, PickData):
+            rows.append(CertificationRow(z, split, False, float("nan"), None, pick))
+            continue
+        outcome = next(outcomes)
+        if isinstance(outcome, PickInterpolant):
+            rows.append(CertificationRow(z, split, True, pick.spectrum.min, outcome.target_residual))
+        elif isinstance(outcome, (UnsolvablePickError, GramInconsistencyError, ArithmeticError)):
+            # an overflowing Pick matrix has no spectrum
+            min_eig = float("nan") if isinstance(outcome, OverflowError) else pick.spectrum.min
+            rows.append(CertificationRow(z, split, False, min_eig, None, str(outcome)))
+        else:
+            raise outcome
     return CertificationReport(data.variant, tuple(rows), tuple(split_rules))
 
 

@@ -35,9 +35,8 @@ class RealizedSchurFunction:
     ``m = 0`` encodes a constant function.
     """
 
-    # a class whose colligations are unitary by construction sets this: its
-    # colligation is then first certified by its Gram defect, with no SVD,
-    # and only one that fails that test goes on to the norm check
+    # a class whose colligations are unitary by construction sets this (see
+    # check_colligations)
     _unitary = False
 
     k: int
@@ -60,15 +59,46 @@ class RealizedSchurFunction:
             raise ValueError(f"r must be {self.m}x{self.k}")
         if s.shape != (self.m, self.m):
             raise ValueError(f"s must be {self.m}x{self.m}")
-        v = self.colligation_of(p, q, r, s)
-        if not (self._unitary and _gram_defect(v) <= _GRAM_SLACK):
-            norm = operator_norm(v)
-            if norm > 1.0 + _NORM_SLACK:
-                raise ValueError(f"colligation norm {norm:.12f} exceeds 1 + {_NORM_SLACK}")
+        (error,) = self.check_colligations(self.colligation_of(p, q, r, s)[None])
+        if error is not None:
+            raise error
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
+
+    @classmethod
+    def check_colligations(cls, vs: np.ndarray) -> list[ValueError | None]:
+        """For each colligation of a ``(b, d, d)`` stack, None when it is a
+        contraction within 1e-10, else the ``ValueError`` that says it is not.
+
+        A class whose colligations are unitary by construction certifies the
+        whole stack by one stacked Gram defect, with no SVD; only a
+        colligation that fails that test goes on to the norm check.
+        """
+        if cls._unitary:
+            gram = vs.conj().swapaxes(1, 2) @ vs
+            gram[:, np.arange(vs.shape[1]), np.arange(vs.shape[1])] -= 1.0
+            # ||V* V - I||_F of each colligation
+            certified = np.linalg.norm(gram, axis=(1, 2)) <= _GRAM_SLACK
+        else:
+            certified = np.zeros(len(vs), dtype=bool)
+        errors: list = [None] * len(vs)
+        for b in np.flatnonzero(~certified):
+            norm = operator_norm(vs[b])
+            if norm > 1.0 + _NORM_SLACK:
+                errors[b] = ValueError(f"colligation norm {norm:.12f} exceeds 1 + {_NORM_SLACK}")
+        return errors
+
+    @classmethod
+    def from_checked(cls, v: np.ndarray, k: int, m: int):
+        """The function of a ``(k + m)``-square colligation that
+        :meth:`check_colligations` has passed, built without a second check."""
+        f = cls.__new__(cls)
+        blocks = {"k": k, "m": m, "p": v[:k, :k], "q": v[:k, k:], "r": v[k:, :k], "s": v[k:, k:]}
+        for name, value in blocks.items():
+            object.__setattr__(f, name, value)
+        return f
 
     @staticmethod
     def colligation_of(p, q, r, s) -> np.ndarray:
@@ -99,12 +129,22 @@ class RealizedSchurFunction:
         lam = np.asarray(lam, dtype=complex).ravel()
         if lam.size and float(np.abs(lam).max()) >= 1.0:
             raise ValueError("evaluation points must lie in the open unit disc")
-        if self.m == 0:
-            return np.broadcast_to(self.p, (lam.size, self.k, self.k)).copy()
-        eye = np.eye(self.m, dtype=complex)
-        a = eye[None, :, :] - lam[:, None, None] * self.s[None, :, :]
-        x = np.linalg.solve(a, np.broadcast_to(self.r, (lam.size, self.m, self.k)))
-        return self.p[None, :, :] + lam[:, None, None] * (self.q[None, :, :] @ x)
+        return self.values_of(self.p, self.q, self.r, self.s, lam)
+
+    @staticmethod
+    def values_of(p, q, r, s, lam) -> np.ndarray:
+        """``F(lam) = p + lam q (I - lam s)^{-1} r`` at points ``lam`` of shape
+        ``(..., n)``, for the blocks of one function or of a ``(...)`` stack
+        of functions of one shape: shape ``(..., n, k, k)``.  A stack gives
+        each function the values it gives that function alone, to the last
+        bit."""
+        k, m = p.shape[-1], s.shape[-1]
+        at, p = lam[..., None, None], p[..., None, :, :]
+        if m == 0:
+            return np.broadcast_to(p, (*lam.shape, k, k)).copy()
+        a = np.eye(m, dtype=complex) - at * s[..., None, :, :]
+        x = np.linalg.solve(a, np.broadcast_to(r[..., None, :, :], (*lam.shape, m, k)))
+        return p + at * (q[..., None, :, :] @ x)
 
     def to_json(self) -> dict:
         """JSON-safe dict with complex entries encoded as [re, im] pairs."""
@@ -133,13 +173,6 @@ class RealizedSchurFunction:
             cmatrix_from_json(data["r"], (m, k)),
             cmatrix_from_json(data["s"], (m, m)),
         )
-
-
-def _gram_defect(v: np.ndarray) -> float:
-    """``||V* V - I||_F``."""
-    gram = v.conj().T @ v
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.linalg.norm(gram))
 
 
 def random_schur(k: int, m: int, seed: int, max_sigma: float = 1.0 - 1e-6) -> RealizedSchurFunction:

@@ -389,6 +389,13 @@ _NODES = _nodes_payload()
         pytest.param(
             "reduce", _with_first_denominator(_CURVE, [1.0, -2.0]), [], id="reduce-pole-inside"
         ),
+        pytest.param("np", {"nodes": [[0.2, 0.0]], "targets": [[]]}, [], id="np-target-0x0"),
+        *(
+            pytest.param(command, {"variant": "gamma7", "nodes": [], "points": []}, [],
+                         id=f"{command}-no-nodes")
+            for command in ("reduce", "certify")
+        ),
+        pytest.param("certify", _with_nodes(_CURVE, []), [], id="certify-curve-no-nodes"),
         # command lines argparse rejects
         pytest.param("gamma-check", _E311_DIAG, ["--tol", "abc"], id="gamma-check-tol-abc"),
         pytest.param("gamma-check", _E311_DIAG, ["--grid", "4.5"], id="gamma-check-grid-float"),
@@ -413,6 +420,27 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, e
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_overflowing_pick_problems_are_unsolvable(tmp_path, capsys):
+    # |w|**2 overflows: a target of norm above 1 makes the problem unsolvable
+    path = _write(tmp_path, "pick.json", {"nodes": [0.1, 0.2], "targets": [[[1e308]], [[-1e308]]]})
+    assert run(["np", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert set(report) == {"command", "error", "options"}
+    assert report["error"].startswith("Pick matrix overflows")
+    # gamma5 node data whose first point holds 1e300: every Pick matrix overflows
+    payload = _nodes_payload(variant="gamma5")
+    payload["points"][0] = [[1e300, 0.0]] + payload["points"][0][1:]
+    path = _write(tmp_path, "nodes.json", payload)
+    code, report = _run(capsys, ["certify", "--in", path])
+    assert code == 2
+    for table in report["by_denominator"].values():
+        for row in table["rows"]:
+            assert not row["solvable"] and row["min_eig"] is None
+            assert row["note"].startswith("Pick matrix overflows") and "\n" not in row["note"]
 
 
 def test_out_of_disc_slice_parameter_names_the_entry(tmp_path, capsys):

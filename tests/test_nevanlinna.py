@@ -33,7 +33,12 @@ from gammapick.nevanlinna import (
     sample_curve,
     slice_coordinates,
 )
-from gammapick.realization import random_schur, realization_to_rational, verify_schur
+from gammapick.realization import (
+    RealizedSchurFunction,
+    random_schur,
+    realization_to_rational,
+    verify_schur,
+)
 from gammapick.serialize import pick_data_to_json
 
 
@@ -628,3 +633,118 @@ def test_np_property_targets_scaled_past_norm_one_are_unsolvable(tmp_path_factor
     path = tmp_path_factory.mktemp("pick") / "scaled.json"
     path.write_text(json.dumps(pick_data_to_json(data)))
     assert run(["np", "--in", str(path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the stacked solver: a batch solves each problem as it is solved alone
+
+_KINDS = ("solvable", "unsolvable", "deficient")
+
+
+def _batch_problem(kind: str, k: int, n: int, seed: int) -> PickData:
+    """Values at ``n`` nodes of a ``k x k`` Schur function: a strict
+    contraction's (solvable), the same scaled by 1.3 (unsolvable), or a
+    unitary colligation's with ``m < n k`` states, whose Pick matrix has
+    rank ``m`` (deficient)."""
+    rng = np.random.default_rng(seed)
+    nodes = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    if kind == "deficient":
+        m = int(rng.integers(0, n * k))
+        raw = rng.normal(size=(k + m, k + m)) + 1j * rng.normal(size=(k + m, k + m))
+        f = RealizedSchurFunction.from_colligation(np.linalg.qr(raw)[0], k, m)
+    else:
+        f = random_schur(k, int(rng.integers(0, 5)), seed, max_sigma=0.9)
+    targets = f.evaluate_many(nodes) * (1.3 if kind == "unsolvable" else 1.0)
+    return PickData(tuple(nodes), tuple(targets))
+
+
+def _outcome(data: PickData):
+    try:
+        return np_solve(data)
+    except Exception as exc:  # every outcome is compared, exceptions too
+        return exc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 3),
+    n=st.integers(1, 5),
+    cases=st.lists(
+        st.tuples(
+            st.sampled_from(_KINDS),
+            st.integers(0, 2**16),
+            st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 5))),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+# one shape, three ranks: 6 (solvable), 3 and 1 (deficient), and an unsolvable
+@example(
+    k=2, n=3, cases=[("solvable", 0, None), ("deficient", 1, None), ("unsolvable", 2, None),
+                     ("deficient", 3, None), ("solvable", 4, (1, 2))],
+)
+def test_a_batch_solves_each_problem_as_it_is_solved_alone(k, n, cases):
+    problems = [_batch_problem(kind, *(shape or (k, n)), seed) for kind, seed, shape in cases]
+    together = nevanlinna._solve_many(problems, 1e-9)
+    for data, got in zip(problems, together):
+        alone = _outcome(PickData(data.nodes, data.targets))
+        assert type(got) is type(alone)
+        if isinstance(alone, Exception):
+            assert str(got) == str(alone)
+        else:
+            assert got.target_residual.hex() == alone.target_residual.hex()
+            assert got.m == alone.m
+
+
+def test_the_batch_example_mixes_ranks_in_one_shape():
+    problems = [_batch_problem(kind, 2, 3, seed) for kind, seed in
+                [("solvable", 0), ("deficient", 1), ("deficient", 3)]]
+    ranks = {f.m for f in nevanlinna._solve_many(problems, 1e-9)}
+    assert len(ranks) == 3 and 6 in ranks
+
+
+def test_certify_solves_its_pick_problems_in_one_stacked_pass():
+    # a criterion-7 curve's node data: one Pick shape at every slice parameter
+    a = ((0.5, 0.2, 0.0), (0.0, 0.4, 0.1), (0.1, 0.0, 0.3))
+    entries = [[RationalFunction([0.0, a[i][j]]) for j in range(3)] for i in range(3)]
+    data = sample_curve(gamma_curve_from_entries(entries, "gamma7"), (0.2, -0.35 + 0.1j, 0.45j))
+
+    def counts(z_grid):
+        calls = {"svd": 0, "solve": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                mp.setattr(np.linalg, name, counted(name))
+            report = certify_gamma7_interpolation(data, z_grid=z_grid)
+        assert all(row.solvable for row in report.rows)
+        return calls
+
+    assert counts((0.0, 0.3, -0.3j)) == counts(DEFAULT_Z_GRID) == {"svd": 1, "solve": 1}
+
+
+def test_overflowing_pick_matrix_is_unsolvable():
+    data = PickData((0.1, 0.2), (np.array([[1e308]]), np.array([[-1e308]])))
+    with pytest.raises(OverflowError, match="Pick matrix overflows"):
+        np_solve(data)
+    # the overflow stays with its problem
+    fine = PickData((0.1, 0.2), (np.array([[0.1]]), np.array([[0.2]])))
+    over, solved = nevanlinna._solve_many([data, fine], 1e-9)
+    assert isinstance(over, OverflowError)
+    assert solved.target_residual <= 1e-8
+
+
+def test_empty_targets_and_node_sets_are_rejected():
+    with pytest.raises(ValueError, match="at least 1x1"):
+        PickData((0.1,), (np.zeros((0, 0)),))
+    with pytest.raises(ValueError, match="at least one node"):
+        GammaNodes("gamma7", (), ())
