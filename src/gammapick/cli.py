@@ -336,6 +336,8 @@ def _sampled_triple(args, default_tol: float):
         triple = upper_e(f, grid)
     except SingularFractionError as exc:
         raise Declined({"error": str(exc), "options": options}) from exc
+    except ValueError as exc:  # a function that is not 3x3
+        raise _fail(str(exc)) from exc
     return f, triple, options
 
 

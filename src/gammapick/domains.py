@@ -106,7 +106,7 @@ class BlockStructure:
     @classmethod
     def parse(cls, text: str) -> "BlockStructure":
         """Parse ``"E(3;3;1,1,1)"`` style labels."""
-        t = text.strip()
+        t = text.strip() if isinstance(text, str) else ""
         if not (t.startswith("E(") and t.endswith(")")):
             raise ValueError(f"cannot parse structure label {text!r}")
         parts = t[2:-1].split(";")

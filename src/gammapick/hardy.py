@@ -186,65 +186,10 @@ class RationalFunction:
         lam = np.asarray(lam, dtype=complex)
         return npoly.polyval(lam, self.numerator) / npoly.polyval(lam, self.denominator)
 
-    def __add__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        # Equal denominators combine without squaring the denominator;
-        # repeated factors make downstream root extraction ill conditioned.
-        if np.array_equal(self.denominator, other.denominator):
-            num = _trim(npoly.polyadd(self.numerator, other.numerator))
-            return RationalFunction._built(num, self.denominator, self.factors)
-        num = npoly.polyadd(
-            npoly.polymul(self.numerator, other.denominator),
-            npoly.polymul(other.numerator, self.denominator),
-        )
-        (f,) = RationalFunction.over_product(((self, 1), (other, 1)), (num,))
-        return f
-
-    def __radd__(self, other) -> "RationalFunction":
-        return self.__add__(other)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction._built(_trim(-self.numerator), self.denominator, self.factors)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self.__add__(_as_rational(other).__neg__())
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return _as_rational(other).__sub__(self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        num = npoly.polymul(self.numerator, other.numerator)
-        (f,) = RationalFunction.over_product(((self, 1), (other, 1)), (num,))
-        return f
-
-    def __rmul__(self, other) -> "RationalFunction":
-        return self.__mul__(other)
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        # the divisor's numerator is the one new factor, certified here
-        (inverse,) = RationalFunction.over(other.numerator, (other.denominator,))
-        if np.array_equal(self.denominator, other.denominator):
-            return RationalFunction._built(
-                self.numerator, inverse.denominator, inverse.factors
-            )
-        num = npoly.polymul(self.numerator, other.denominator)
-        (f,) = RationalFunction.over_product(((self, 1), (inverse, 1)), (num,))
-        return f
-
     def numerator_roots(self) -> np.ndarray:
         if self.is_zero or self.numerator.size == 1:
             return np.zeros(0, dtype=complex)
         return npoly.polyroots(self.numerator)
-
-
-def _as_rational(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(np.asarray([value], dtype=complex))
 
 
 def blaschke_eval(zeros, constant: complex, lam):
@@ -369,10 +314,6 @@ class InnerOuterPair:
         )
         return vals.reshape(lam.shape)
 
-    def boundary_outer_modulus(self) -> np.ndarray:
-        """|outer| at the stored uniform boundary nodes."""
-        return np.exp(self.boundary_logmod)
-
     def eval(self, lam):
         return self.inner_eval(lam) * self.outer_eval(lam)
 
@@ -396,7 +337,7 @@ def inner_outer(
     boundary nodes only when ``n_boundary`` divides 4096).
     """
     if not isinstance(f, RationalFunction):
-        f = _as_rational(f)
+        raise TypeError("inner_outer expects a RationalFunction")
     if f.is_zero:
         raise ValueError("the zero function has no inner-outer factorization")
     if n_boundary < 64:

@@ -29,7 +29,6 @@ __all__ = [
     "rank1_factor",
     "uw_construct",
     "verify_uw",
-    "torus_conjugate",
     "torus_fit",
     "right_s",
 ]
@@ -170,28 +169,6 @@ def verify_uw(result: UWResult, grid: SampleGrid | None = None, tol: float = 1e-
     i = int(np.argmax(resid))
     top = float(resid[i])
     return UWVerification(top, grid.points[i], bool(top <= tol), tol)
-
-
-def _check_unimodular(name: str, value: complex):
-    if abs(abs(value) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be unimodular, got |{name}| = {abs(value):.12f}")
-
-
-def torus_conjugate(
-    f: RealizedSchurFunction, eta1: complex, eta2: complex, eta3: complex
-) -> RealizedSchurFunction:
-    """Conjugate a 3x3 realization by ``diag(eta)`` and ``diag(1, conj(eta2), conj(eta3))``.
-
-    The kernel triple is invariant under this family, which is exactly the
-    gauge freedom of the reconstruction.
-    """
-    if f.k != 3:
-        raise ValueError("torus conjugation is defined for 3x3 functions")
-    for name, value in (("eta1", eta1), ("eta2", eta2), ("eta3", eta3)):
-        _check_unimodular(name, complex(value))
-    d1 = np.diag([eta1, eta2, eta3]).astype(complex)
-    d2 = np.diag([1.0, np.conj(eta2), np.conj(eta3)]).astype(complex)
-    return RealizedSchurFunction(3, f.m, d1 @ f.p @ d2, d1 @ f.q, f.r @ d2, f.s)
 
 
 @dataclass(frozen=True)

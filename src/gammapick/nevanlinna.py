@@ -625,12 +625,6 @@ class SlicedSchur2x2:
     def evaluate(self, lam: complex) -> np.ndarray:
         return self.evaluate_many([lam])[0]
 
-    def det_eval(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        vals = self.evaluate_many(lam.ravel())
-        dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
-        return dets.reshape(lam.shape)
-
     def transfer_eval(self, lam: complex, z1: complex) -> complex:
         """One-variable fractional form ``f11 + z1 f12 f21 / (1 - f22 z1)``."""
         v = self.evaluate(lam)
@@ -711,8 +705,8 @@ def build_slice_schur(
             num = np.zeros(1, dtype=complex)
         (d,) = RationalFunction.over_product(((f11, 2),), (num,))
     else:
-        # f11 f22 - det over den**2 * det_den, with the coefficients that
-        # the quotient arithmetic f11 * f22 - det_slice gives
+        # f11 f22 - det over den**2 * det_den, with the coefficients of
+        # f11 * f22 - det_slice taken as a difference of quotients
         (prod,) = RationalFunction.over_product(((f11, 2),), (diag,))
         num = npoly.polysub(
             npoly.polymul(prod.numerator, det_slice.denominator),

@@ -1,8 +1,8 @@
 """JSON encoding helpers.
 
 Complex scalars are encoded as two-element ``[re, im]`` lists and matrices as
-nested lists of such pairs, so every artifact of the package can be written
-to and read back from plain JSON deterministically.
+nested lists of such pairs, so the CLI's instances and reports are plain
+JSON, written deterministically.
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ __all__ = [
     "cvector_from_json",
     "cmatrix_to_json",
     "cmatrix_from_json",
-    "grid_to_json",
     "grid_field",
     "grid_from_json",
-    "triple_to_json",
-    "triple_from_json",
-    "uw_result_to_json",
-    "uw_result_from_json",
     "pick_data_to_json",
     "pick_data_from_json",
     "gamma_nodes_to_json",
@@ -82,16 +77,6 @@ def cmatrix_from_json(data, shape=None) -> np.ndarray:
     return mat
 
 
-def grid_to_json(grid) -> dict:
-    return {
-        "diagonal": bool(grid.diagonal),
-        "points": [
-            [complex_to_json(lam), complex_to_json(z1), complex_to_json(z2)]
-            for lam, z1, z2 in grid.points
-        ],
-    }
-
-
 def grid_field(spec: dict, key: str, default, kind: type):
     """``spec[key]`` (``default`` when absent) as a ``kind``: ``bool`` takes a
     JSON boolean, ``int`` an integer and ``float`` any number.
@@ -112,55 +97,6 @@ def grid_from_json(data):
 
     points = tuple(tuple(complex_from_json(v) for v in p) for p in data["points"])
     return SampleGrid(points, diagonal=grid_field(data, "diagonal", False, bool))
-
-
-def triple_to_json(triple) -> dict:
-    return {
-        "grid": grid_to_json(triple.grid),
-        "n1": cmatrix_to_json(triple.n1.gram),
-        "n2": cmatrix_to_json(triple.n2.gram),
-        "n3": cmatrix_to_json(triple.n3.gram),
-        "g_values": cvector_to_json(triple.g_values),
-    }
-
-
-def triple_from_json(data):
-    from .kernels import KernelTriple, SampledKernel
-
-    grid = grid_from_json(data["grid"])
-    t = len(grid)
-    return KernelTriple(
-        grid,
-        SampledKernel(grid, cmatrix_from_json(data["n1"], (t, t))),
-        SampledKernel(grid, cmatrix_from_json(data["n2"], (t, t))),
-        SampledKernel(grid, cmatrix_from_json(data["n3"], (t, t))),
-        cvector_from_json(data["g_values"]),
-    )
-
-
-def uw_result_to_json(result) -> dict:
-    return {
-        "xi": result.xi.to_json(),
-        "grid": grid_to_json(result.f1.grid),
-        "f1": cvector_to_json(result.f1.values),
-        "f2": cvector_to_json(result.f2.values),
-        "g": cvector_to_json(result.g.values),
-        "state_dim": int(result.state_dim),
-    }
-
-
-def uw_result_from_json(data):
-    from .lurking import RankOneFactor, UWResult
-    from .realization import RealizedSchurFunction
-
-    grid = grid_from_json(data["grid"])
-    return UWResult(
-        RealizedSchurFunction.from_json(data["xi"]),
-        RankOneFactor(grid, cvector_from_json(data["f1"])),
-        RankOneFactor(grid, cvector_from_json(data["f2"])),
-        RankOneFactor(grid, cvector_from_json(data["g"])),
-        int(data["state_dim"]),
-    )
 
 
 def pick_data_to_json(data) -> dict:
@@ -234,6 +170,8 @@ def curve_from_json(data):
         (cvector_from_json(c["numerator"]), cvector_from_json(c["denominator"]))
         for c in data["components"]
     ]
+    if not all(np.isfinite(c).all() for comp in comps for c in comp):
+        raise ValueError("curve coefficients must be finite")
     groups: dict[bytes, list[int]] = {}
     for i, (_, den) in enumerate(comps):
         groups.setdefault(den.tobytes(), []).append(i)

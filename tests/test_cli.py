@@ -274,11 +274,12 @@ _CURVE = {
 }
 
 
-def _with_grid(grid):
-    return {**_function_payload(seed=3, m=2), "grid": grid}
+def _with_grid(grid, k=3):
+    return {**_function_payload(seed=3, m=2, k=k), "grid": grid}
 
 
 _NAN = float("nan")
+_INF = float("inf")
 
 
 def _with_se_points(points):
@@ -396,6 +397,17 @@ _NODES = _nodes_payload()
             for command in ("reduce", "certify")
         ),
         pytest.param("certify", _with_nodes(_CURVE, []), [], id="certify-curve-no-nodes"),
+        *(
+            pytest.param(command, {**_E311_DIAG, "structure": structure}, [],
+                         id=f"{command}-structure-{type(structure).__name__}")
+            for command in ("mu", "gamma-check")
+            for structure in (5, None, ["E(3;3;1,1,1)"], {"n": 3}, True)
+        ),
+        *(
+            pytest.param(command, _with_grid({}, k=k), [], id=f"{command}-k{k}")
+            for command in ("upper-e", "uw", "right-s")
+            for k in (1, 2)
+        ),
         # command lines argparse rejects
         pytest.param("gamma-check", _E311_DIAG, ["--tol", "abc"], id="gamma-check-tol-abc"),
         pytest.param("gamma-check", _E311_DIAG, ["--grid", "4.5"], id="gamma-check-grid-float"),
@@ -420,6 +432,30 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, e
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        pytest.param("mu", {**_E311_DIAG, "structure": 5},
+                     "bad matrix instance: cannot parse structure label 5", id="mu-structure"),
+        pytest.param("gamma-check", {**_E311_DIAG, "structure": None},
+                     "bad matrix instance: cannot parse structure label None",
+                     id="gamma-check-structure"),
+        pytest.param("uw", _with_grid({}, k=2),
+                     "the fractional map needs a 3x3 matrix Schur function", id="uw-k2"),
+        pytest.param("certify", _with_first_denominator(_CURVE, [[1.0, 0.0], [_NAN, 0.0]]),
+                     "bad gamma curve data: curve coefficients must be finite",
+                     id="certify-denominator-nan"),
+        pytest.param("reduce", _with_first_denominator(_CURVE, [[1.0, 0.0], [-_INF, 0.0]]),
+                     "bad gamma curve data: curve coefficients must be finite",
+                     id="reduce-denominator-inf"),
+    ],
+)
+def test_malformed_input_names_the_problem(tmp_path, capsys, command, payload, message):
+    path = _write(tmp_path, "bad.json", payload)
+    assert run([command, "--in", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_overflowing_pick_problems_are_unsolvable(tmp_path, capsys):

@@ -24,28 +24,6 @@ def _disc_grid(radius=0.7, n=50):
     return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
-def test_rational_arithmetic_matches_pointwise():
-    # numerator roots of g stay outside the disc so the quotient is admissible
-    f = RationalFunction([1.0, 2.0], [1.0, 0.0, 0.25])  # poles at |lam| = 2
-    g = RationalFunction([1.0, 0.0, 0.5], [1.0, -0.3])
-    lam = _disc_grid()
-    np.testing.assert_allclose((f + g)(lam), f(lam) + g(lam), atol=1e-12)
-    np.testing.assert_allclose((f * g)(lam), f(lam) * g(lam), atol=1e-12)
-    np.testing.assert_allclose((f - g)(lam), f(lam) - g(lam), atol=1e-12)
-    np.testing.assert_allclose((f / g)(lam), f(lam) / g(lam), atol=1e-12)
-
-
-def test_rational_same_denominator_addition_keeps_denominator():
-    den = np.array([1.0, 0.1, 0.04])
-    f = RationalFunction([1.0, 1.0], den)
-    g = RationalFunction([2.0, 0.5], den)
-    h = f + g
-    np.testing.assert_array_equal(h.denominator, den)
-    np.testing.assert_allclose(h.numerator, [3.0, 1.5])
-    q = f / g
-    np.testing.assert_array_equal(q.denominator, np.array([2.0, 0.5]))
-
-
 def test_rational_rejects_pole_inside_disc():
     with pytest.raises(ValueError, match="root"):
         RationalFunction([1.0], [1.0, -2.0])  # pole at 0.5
@@ -100,9 +78,7 @@ def test_inner_outer_polynomial_with_interior_zero():
     assert pair.outer_eval(np.array([0.0]))[0].real > 0
     # boundary modulus of the outer factor equals |f| there
     nodes = _circle(pair.n_boundary)
-    np.testing.assert_allclose(
-        pair.boundary_outer_modulus(), np.abs(f(nodes)), atol=1e-8
-    )
+    np.testing.assert_allclose(np.exp(pair.boundary_logmod), np.abs(f(nodes)), atol=1e-8)
 
 
 def test_inner_outer_blaschke_factor_has_trivial_outer():
@@ -124,6 +100,11 @@ def test_inner_outer_constant():
 def test_inner_outer_zero_function_rejected():
     with pytest.raises(ValueError):
         inner_outer(RationalFunction([0.0], [1.0]))
+
+
+def test_inner_outer_takes_only_a_rational_function():
+    with pytest.raises(TypeError, match="RationalFunction"):
+        inner_outer(2.0)
 
 
 def test_exact_outer_path_and_sqrt():
@@ -352,9 +333,9 @@ def test_over_product_checks_nothing_and_expands_as_the_arithmetic_does():
         built.extend(RationalFunction.over_product(((f, 2), (g, 1)), [[1.0], [0.0, 3.0]]))
 
     assert winding_checks(product) == 0
-    expected = f * f * g
+    expected = npoly.polymul(npoly.polymul(f.denominator, f.denominator), g.denominator)
     for h in built:
-        assert h.denominator.tobytes() == expected.denominator.tobytes()
+        assert h.denominator.tobytes() == expected.tobytes()
     # f's factor merges into one of multiplicity 2, g's stays once
     (a, ma), (b, mb) = built[0].factors
     assert (ma, mb) == (2, 1)
@@ -362,22 +343,10 @@ def test_over_product_checks_nothing_and_expands_as_the_arithmetic_does():
     np.testing.assert_array_equal(b, g.denominator)
 
 
-def test_arithmetic_checks_only_the_new_factors():
-    (f,) = RationalFunction.over(_DEN_A, [[1.0, 2.0]])
-    (g,) = RationalFunction.over(_DEN_B, [[2.0, 0.5]])
-    assert winding_checks(lambda: (f * g, f + g, f - g, -f, 3.0 * f)) == 0
-    # a quotient's one new factor is the divisor's numerator
-    assert winding_checks(lambda: f / g) == 1
-    assert [m for _, m in (f * g * f).factors] == [2, 1]
-    assert (f + 1.0).factors == f.factors
-    with pytest.raises(ValueError, match="root"):
-        f / RationalFunction([1.0, -2.0])  # the divisor vanishes at 0.5
-
-
 def test_inner_outer_takes_poles_from_each_factor():
     base = np.array([1.0, -1.0 / 1.25])
     (f,) = RationalFunction.over(base, [[1.0]])
-    g = f * f * f * f
+    (g,) = RationalFunction.over_product(((f, 4),), [[1.0]])
     pair = inner_outer(g)
     assert pair.has_exact_outer
     np.testing.assert_array_equal(pair.den_roots, np.full(4, 1.25 + 0j))

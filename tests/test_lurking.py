@@ -14,12 +14,11 @@ from gammapick.lurking import (
     RankError,
     rank1_factor,
     right_s,
-    torus_conjugate,
     torus_fit,
     uw_construct,
     verify_uw,
 )
-from gammapick.realization import random_schur
+from gammapick.realization import RealizedSchurFunction, random_schur
 
 
 def _grid(seed=0, n=3):
@@ -126,7 +125,11 @@ def test_torus_conjugate_preserves_kernels_and_fit_recovers_phases():
     f = random_schur(3, 3, seed=8)
     grid = tensor_grid(3, 4, radius=0.85, seed=4)
     etas = (np.exp(0.3j), np.exp(-1.1j), np.exp(2.0j))
-    g = torus_conjugate(f, *etas)
+    # conjugation by diag(eta) on the left and diag(1, conj(eta2), conj(eta3))
+    # on the right, the gauge freedom of the reconstruction
+    d1 = np.diag(etas)
+    d2 = np.diag([1.0, np.conj(etas[1]), np.conj(etas[2])])
+    g = RealizedSchurFunction(3, f.m, d1 @ f.p @ d2, d1 @ f.q, f.r @ d2, f.s)
     a = upper_e(f, grid)
     b = upper_e(g, grid)
     np.testing.assert_allclose(a.n1.gram, b.n1.gram, atol=1e-10)
@@ -135,12 +138,6 @@ def test_torus_conjugate_preserves_kernels_and_fit_recovers_phases():
     fit = torus_fit(f, g, np.unique(grid.lam))
     assert fit.max_residual <= 1e-10
     np.testing.assert_allclose(fit.eta, etas, atol=1e-9)
-
-
-def test_torus_conjugate_requires_unimodular_phases():
-    f = random_schur(3, 2, seed=9)
-    with pytest.raises(ValueError, match="unimodular"):
-        torus_conjugate(f, 0.5, 1.0, 1.0)
 
 
 def test_right_s_matches_fractional_values():

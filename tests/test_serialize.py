@@ -6,8 +6,7 @@ import pytest
 from gammapick import hardy
 from gammapick.domains import pi_coordinates
 from gammapick.hardy import RationalFunction
-from gammapick.kernels import tensor_grid, upper_e
-from gammapick.lurking import uw_construct
+from gammapick.kernels import SampleGrid
 from gammapick.nevanlinna import GammaNodes, PickData, gamma_curve_from_entries
 from gammapick.realization import random_schur, realization_to_rational
 from gammapick.serialize import (
@@ -22,15 +21,10 @@ from gammapick.serialize import (
     gamma_nodes_from_json,
     gamma_nodes_to_json,
     grid_from_json,
-    grid_to_json,
     pick_data_from_json,
     pick_data_to_json,
     rational_from_json,
     rational_to_json,
-    triple_from_json,
-    triple_to_json,
-    uw_result_from_json,
-    uw_result_to_json,
 )
 
 
@@ -92,28 +86,13 @@ def test_vector_and_matrix_roundtrip():
 
 
 def test_grid_roundtrip_preserves_diagonal_flag():
-    grid = tensor_grid(3, 3, seed=1, diagonal=True)
-    back = grid_from_json(_json_clean(grid_to_json(grid)))
-    assert back == grid
+    payload = {
+        "points": [[[0.1, 0.2], [0.3, 0.0], [0.3, 0.0]], [[-0.4, 0.0], [0.0, -0.5], [0.0, -0.5]]],
+        "diagonal": True,
+    }
+    back = grid_from_json(payload)
+    assert back == SampleGrid(((0.1 + 0.2j, 0.3, 0.3), (-0.4, -0.5j, -0.5j)), diagonal=True)
     assert back.diagonal
-
-
-def test_triple_roundtrip():
-    f = random_schur(3, 2, seed=0)
-    triple = upper_e(f, tensor_grid(3, 3, seed=0))
-    back = triple_from_json(_json_clean(triple_to_json(triple)))
-    np.testing.assert_allclose(back.n1.gram, triple.n1.gram, atol=1e-15)
-    np.testing.assert_allclose(back.n3.gram, triple.n3.gram, atol=1e-15)
-    np.testing.assert_allclose(back.g_values, triple.g_values, atol=1e-15)
-
-
-def test_uw_result_roundtrip():
-    f = random_schur(3, 2, seed=1)
-    result = uw_construct(upper_e(f, tensor_grid(4, 4, seed=1)))
-    back = uw_result_from_json(_json_clean(uw_result_to_json(result)))
-    assert back.state_dim == result.state_dim
-    np.testing.assert_allclose(back.xi.colligation, result.xi.colligation, atol=1e-15)
-    np.testing.assert_allclose(back.g.values, result.g.values, atol=1e-15)
 
 
 def test_pick_data_roundtrip():
@@ -183,3 +162,6 @@ def test_from_json_rejects_malformed_payloads():
         pick_data_from_json({"nodes": [[0.1, 0.0]]})
     with pytest.raises((ValueError, KeyError, TypeError)):
         curve_from_json({"variant": "gamma7", "components": []})
+    nan_num = {"numerator": [[0.1, 0.0], [float("nan"), 0.0]], "denominator": [[1.0, 0.0]]}
+    with pytest.raises(ValueError, match="curve coefficients must be finite"):
+        curve_from_json({"variant": "gamma7", "components": [nan_num] * 7})
