@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Problem instances are JSON files with complex numbers encoded as
+Problem instances are JSON files (``--in``) with complex numbers encoded as
 ``[re, im]`` pairs.  Reports go to standard output as JSON (or ``--text``
 for a line-oriented rendering) and embed the options that produced them,
-so identical inputs and seeds give byte-identical output.
+so identical inputs and seeds give byte-identical output.  Each subcommand
+accepts only the options it reads, as declared in ``_COMMANDS``.
 
 Exit codes: 0 for a successful/affirmative computation, 2 for a
 well-formed problem with a negative answer (unsolvable Pick data,
@@ -77,28 +78,22 @@ class Declined(Exception):
         self.report = report
 
 
-def _fail(message: str) -> InputError:
-    return InputError(message)
-
-
 def _load_payload(args) -> dict:
-    if not getattr(args, "infile", None):
-        raise _fail("this subcommand needs --in FILE")
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read {args.infile}: {exc}") from exc
+        raise InputError(f"cannot read {args.infile}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"malformed JSON in {args.infile}: {exc}") from exc
+        raise InputError(f"malformed JSON in {args.infile}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise _fail("instance file must hold a JSON object")
+        raise InputError("instance file must hold a JSON object")
     return payload
 
 
-def _parse_z_grid(text: str | None):
-    if text is None:
-        return tuple(DEFAULT_Z_GRID)
+def _parse_z_grid(text: str) -> tuple:
+    """The ``--z2-grid`` type.  Its ``InputError`` is not an argparse error,
+    so it leaves the parser with its own message."""
     out = []
     for token in text.split(","):
         token = token.strip()
@@ -107,20 +102,20 @@ def _parse_z_grid(text: str | None):
         try:
             z = complex(token)
         except ValueError as exc:
-            raise _fail(f"cannot parse {token!r} as a complex number") from exc
+            raise InputError(f"cannot parse {token!r} as a complex number") from exc
         if not np.isfinite(z):
-            raise _fail(f"--z2-grid entries must be finite, got {token!r}")
+            raise InputError(f"--z2-grid entries must be finite, got {token!r}")
         if abs(z) >= 1.0:
-            raise _fail(f"--z2-grid entries must lie in the open unit disc, got {token!r}")
+            raise InputError(f"--z2-grid entries must lie in the open unit disc, got {token!r}")
         out.append(z)
     if not out:
-        raise _fail("--z2-grid is empty")
+        raise InputError("--z2-grid is empty")
     return tuple(out)
 
 
 def _require(payload: dict, key: str):
     if key not in payload:
-        raise _fail(f"instance file is missing the {key!r} field")
+        raise InputError(f"instance file is missing the {key!r} field")
     return payload[key]
 
 
@@ -128,8 +123,8 @@ def _function_from(payload: dict) -> RealizedSchurFunction:
     data = _require(payload, "function")
     try:
         return RealizedSchurFunction.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad realization data: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: k or m inf
+        raise InputError(f"bad realization data: {exc}") from exc
 
 
 def _matrix_and_structure(payload: dict) -> tuple[np.ndarray, BlockStructure]:
@@ -139,33 +134,31 @@ def _matrix_and_structure(payload: dict) -> tuple[np.ndarray, BlockStructure]:
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise
-        raise _fail(f"bad matrix instance: {exc}") from exc
+        raise InputError(f"bad matrix instance: {exc}") from exc
     if matrix.shape != (structure.n, structure.n):
-        raise _fail(
+        raise InputError(
             f"matrix shape {matrix.shape} does not fit structure {structure.label()}"
         )
     return matrix, structure
 
 
-def _grid_from(payload: dict, args) -> tuple[SampleGrid, dict]:
-    """Grid plus the echoed grid options; --seed/--grid override the file."""
+def _grid_from(payload: dict) -> tuple[SampleGrid, dict]:
+    """Grid plus the echoed grid options."""
     spec = payload.get("grid", {})
     if not isinstance(spec, dict):
-        raise _fail("grid field must be a JSON object")
+        raise InputError("grid field must be a JSON object")
     try:
         if "points" in spec:
             grid = grid_from_json(spec)
             return grid, {"points": len(grid), "diagonal": grid.diagonal}
         n_lambda = grid_field(spec, "n_lambda", 4, int)
         n_z = grid_field(spec, "n_z", 4, int)
-        if args.grid is not None:
-            n_z = max(1, int(args.grid) // max(1, n_lambda))
         radius = grid_field(spec, "radius", 0.9, float)
-        seed = grid_field(spec, "seed", 0, int) if args.seed is None else int(args.seed)
+        seed = grid_field(spec, "seed", 0, int)
         diagonal = grid_field(spec, "diagonal", False, bool)
         grid = tensor_grid(n_lambda, n_z, radius=radius, seed=seed, diagonal=diagonal)
     except (TypeError, ValueError) as exc:
-        raise _fail(f"bad grid: {exc}") from exc
+        raise InputError(f"bad grid: {exc}") from exc
     return grid, {
         "n_lambda": n_lambda,
         "n_z": n_z,
@@ -179,20 +172,19 @@ def _mu_report(payload: dict, args) -> dict:
     """mu of the instance's matrix, its certified bracket, its structure, and
     the phase grid (--grid) in the report's options."""
     matrix, structure = _matrix_and_structure(payload)
-    phase_grid = int(args.grid) if args.grid is not None else 720
-    if phase_grid < 4:
-        raise _fail(f"--grid must be at least 4 for the mu phase grid, got {phase_grid}")
+    if args.grid < 4:
+        raise InputError(f"--grid must be at least 4 for the mu phase grid, got {args.grid}")
     try:
-        value = mu(matrix, structure, phase_grid=phase_grid)
+        value = mu(matrix, structure, phase_grid=args.grid)
     except ValueError as exc:
         # non-finite entries, or an open bracket on a structure where the
         # D-scaling bound may exceed mu
-        raise _fail(str(exc)) from exc
+        raise InputError(str(exc)) from exc
     return {
         "mu": float(value),
         "mu_bracket": [value.bracket.lower, value.bracket.upper],
         "structure": structure.label(),
-        "options": {"phase_grid": phase_grid},
+        "options": {"phase_grid": args.grid},
     }
 
 
@@ -224,11 +216,11 @@ def _se_points(pts):
         cols = tuple(np.array([complex_from_json(p[i]) for p in pts]) for i in range(3))
         long = next((j for j, p in enumerate(pts) if len(p) != 3), None)
     except KeyError:  # p[0] of an object
-        raise _fail("points must be [lam, z1, z2] triples, got an object") from None
+        raise InputError("points must be [lam, z1, z2] triples, got an object") from None
     except (IndexError, TypeError, ValueError) as exc:
-        raise _fail(f"points must be [lam, z1, z2] triples: {exc}") from exc
+        raise InputError(f"points must be [lam, z1, z2] triples: {exc}") from exc
     if long is not None:
-        raise _fail(
+        raise InputError(
             f"points must be [lam, z1, z2] triples: point {long} has {len(pts[long])} entries"
         )
     return cols
@@ -255,7 +247,7 @@ def _cmd_mu(args):
 
 def _cmd_gamma_check(args):
     payload = _load_payload(args)
-    tol = float(args.tol) if args.tol is not None else 1e-9
+    tol = args.tol
     if "point" in payload:
         try:
             point = GammaPoint(
@@ -263,9 +255,9 @@ def _cmd_gamma_check(args):
                 tuple(complex_from_json(v) for v in payload["point"]),
             )
         except (TypeError, ValueError) as exc:
-            raise _fail(f"bad gamma point: {exc}") from exc
+            raise InputError(f"bad gamma point: {exc}") from exc
         if point.variant != "gamma3":
-            raise _fail("point membership checks support the gamma3 variant only")
+            raise InputError("point membership checks support the gamma3 variant only")
         member = tetrablock_member(point.entries, tol=tol)
         report = {
             "member": bool(member),
@@ -291,7 +283,7 @@ def _cmd_se(args):
         return 2, {"error": str(exc), "options": {}}
     except ValueError as exc:
         # a point outside the disc, or a function that is not 3x3
-        raise _fail(str(exc)) from exc
+        raise InputError(str(exc)) from exc
     values = -g
     report = {
         "values": cvector_to_json(values),
@@ -325,24 +317,23 @@ def _kernel_identity(triple) -> float:
     return float(np.abs(combine_k(triple).gram - np.outer(g, np.conj(g))).max())
 
 
-def _sampled_triple(args, default_tol: float):
+def _sampled_triple(args):
     """Schur function and kernel triple of a grid instance, plus echoed options."""
     payload = _load_payload(args)
     f = _function_from(payload)
-    grid, grid_opts = _grid_from(payload, args)
-    tol = float(args.tol) if args.tol is not None else default_tol
-    options = {"tol": tol, "grid": grid_opts}
+    grid, grid_opts = _grid_from(payload)
+    options = {"tol": args.tol, "grid": grid_opts}
     try:
         triple = upper_e(f, grid)
     except SingularFractionError as exc:
         raise Declined({"error": str(exc), "options": options}) from exc
     except ValueError as exc:  # a function that is not 3x3
-        raise _fail(str(exc)) from exc
+        raise InputError(str(exc)) from exc
     return f, triple, options
 
 
 def _cmd_upper_e(args):
-    _, triple, options = _sampled_triple(args, 1e-9)
+    _, triple, options = _sampled_triple(args)
     tol = options["tol"]
 
     def safe_rank(kernel):
@@ -366,7 +357,7 @@ def _cmd_upper_e(args):
 
 
 def _cmd_uw(args):
-    f, triple, options = _sampled_triple(args, 1e-8)
+    f, triple, options = _sampled_triple(args)
     tol = options["tol"]
     try:
         result = uw_construct(triple, tol=tol)
@@ -389,7 +380,7 @@ def _cmd_uw(args):
 
 
 def _cmd_right_s(args):
-    _, triple, options = _sampled_triple(args, 1e-9)
+    _, triple, options = _sampled_triple(args)
     try:
         factor = right_s(triple, tol=options["tol"])
     except (RankError, ValueError, IndefiniteMatrixError) as exc:
@@ -410,25 +401,20 @@ def _cmd_np(args):
     try:
         data = pick_data_from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad Pick data: {exc}") from exc
-    tol = float(args.tol) if args.tol is not None else 1e-9
+        raise InputError(f"bad Pick data: {exc}") from exc
+    options = {"tol": args.tol}
     try:
-        f = np_solve(data, tol=tol)
+        f = np_solve(data, tol=args.tol)
     except UnsolvablePickError as exc:
-        report = {
-            "solvable": False,
-            "min_eig": float(exc.min_eig),
-            "options": {"tol": tol},
-        }
-        return 2, report
+        return 2, {"solvable": False, "min_eig": float(exc.min_eig), "options": options}
     except (GramInconsistencyError, ArithmeticError) as exc:
-        return 2, {"error": str(exc), "options": {"tol": tol}}
+        return 2, {"error": str(exc), "options": options}
     report = {
         "solvable": True,
         "min_eig": data.spectrum.min,
         "state_dim": int(f.m),
         "target_residual": f.target_residual,
-        "options": {"tol": tol},
+        "options": options,
     }
     return 0, report
 
@@ -445,18 +431,17 @@ def _gamma_instance(payload):
             nodes = tuple(complex_from_json(v) for v in _require(payload, "nodes"))
             return sample_curve(curve, nodes), curve
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise _fail(f"bad gamma curve data: {exc}") from exc
+            raise InputError(f"bad gamma curve data: {exc}") from exc
     try:
         return gamma_nodes_from_json(payload), None
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad gamma node data: {exc}") from exc
+        raise InputError(f"bad gamma node data: {exc}") from exc
 
 
 def _cmd_reduce(args):
     payload = _load_payload(args)
     data, _ = _gamma_instance(payload)
-    z_grid = _parse_z_grid(args.z2_grid)
-    split = args.split or "balanced"
+    z_grid, split = args.z2_grid, args.split
     problems = []
     for z in z_grid:
         entry = {"z": complex_to_json(z), "split": split}
@@ -506,12 +491,10 @@ def _certify_table(rep) -> dict:
 def _cmd_certify(args):
     payload = _load_payload(args)
     data, curve = _gamma_instance(payload)
-    z_grid = _parse_z_grid(args.z2_grid)
-    splits = (args.split,) if args.split else ("balanced",)
-    tol = float(args.tol) if args.tol is not None else 1e-9
+    z_grid, splits, tol = args.z2_grid, (args.split,), args.tol
     if args.n_boundary < 64:
         # the floor of inner_outer's boundary quadrature
-        raise _fail(f"--n-boundary must be at least 64, got {args.n_boundary}")
+        raise InputError(f"--n-boundary must be at least 64, got {args.n_boundary}")
     options = {
         "split_rules": list(splits),
         "z2_grid": cvector_to_json(z_grid),
@@ -550,11 +533,9 @@ def _cmd_certify(args):
 
 
 def _cmd_verify_identities(args):
-    seed = int(args.seed) if args.seed is not None else 7
+    seed, grid_n, tol = args.seed, args.grid, args.tol
     if seed < 0:
-        raise _fail(f"--seed must be non-negative, got {seed}")
-    grid_n = int(args.grid) if args.grid is not None else 16
-    tol = float(args.tol) if args.tol is not None else 1e-8
+        raise InputError(f"--seed must be non-negative, got {seed}")
     f = random_schur(3, 4, seed=seed)
     grid = tensor_grid(4, max(1, grid_n // 4), radius=0.9, seed=seed)
     triple = upper_e(f, grid)
@@ -593,20 +574,6 @@ def _cmd_verify_identities(args):
         "options": {"seed": seed, "grid": grid_n, "tol": tol, "se_samples": n_samples},
     }
     return (0 if passed else 2), report
-
-
-_HANDLERS = {
-    "mu": _cmd_mu,
-    "gamma-check": _cmd_gamma_check,
-    "se": _cmd_se,
-    "upper-e": _cmd_upper_e,
-    "uw": _cmd_uw,
-    "right-s": _cmd_right_s,
-    "np": _cmd_np,
-    "reduce": _cmd_reduce,
-    "certify": _cmd_certify,
-    "verify-identities": _cmd_verify_identities,
-}
 
 
 def _render_text(value, indent: str = "") -> list[str]:
@@ -695,28 +662,67 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _finite(text: str) -> float:
+    """The ``--tol`` type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# the argparse settings of each option a subcommand may read
+_OPTIONS = {
+    "--tol": {"type": _finite},
+    "--grid": {"type": int},
+    "--seed": {"type": int},
+    "--z2-grid": {"type": _parse_z_grid, "metavar": "LIST",
+                  "help": "comma-separated complex slice parameters, e.g. 0,0.3,-0.3j"},
+    "--split": {"choices": ("balanced", "left-one")},
+    "--n-boundary": {"type": int},
+    "--det-denominator": {"choices": ("corrected", "printed")},
+}
+_SLICE_OPTIONS = {"--z2-grid": DEFAULT_Z_GRID, "--split": "balanced",
+                  "--det-denominator": "corrected"}
+
+# each subcommand: its handler, whether it reads --in, and the options it reads
+# with their defaults; every subcommand also takes --out and --text
+_COMMANDS = {
+    "mu": (_cmd_mu, True, {"--grid": 720}),
+    "gamma-check": (_cmd_gamma_check, True, {"--tol": 1e-9, "--grid": 720}),
+    "se": (_cmd_se, True, {}),
+    "upper-e": (_cmd_upper_e, True, {"--tol": 1e-9}),
+    "uw": (_cmd_uw, True, {"--tol": 1e-8}),
+    "right-s": (_cmd_right_s, True, {"--tol": 1e-9}),
+    "np": (_cmd_np, True, {"--tol": 1e-9}),
+    "reduce": (_cmd_reduce, True, _SLICE_OPTIONS),
+    "certify": (_cmd_certify, True, {**_SLICE_OPTIONS, "--tol": 1e-9, "--n-boundary": 2048}),
+    "verify-identities": (
+        _cmd_verify_identities, False, {"--seed": 7, "--grid": 16, "--tol": 1e-8}
+    ),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser; it depends on nothing but ``_HANDLERS``, so it is
-    built once per process.  Its subcommand parsers are ``_Parser``s too."""
+    """The argument parser; it depends on nothing but ``_COMMANDS``, so it is
+    built once per process.  Its subcommand parsers are ``_Parser``s too, and
+    each accepts exactly the options its handler reads."""
     parser = _Parser(
         prog="gammapick",
         description="Structured singular values, kernel triples, and Pick reductions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, reads_in, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--in", dest="infile", metavar="FILE", help="JSON instance file")
+        if reads_in:
+            p.add_argument("--in", dest="infile", metavar="FILE", required=True,
+                           help="JSON instance file")
         p.add_argument("--out", dest="outfile", metavar="FILE", help="also write the report here")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--z2-grid", dest="z2_grid", default=None, metavar="LIST",
-                       help="comma-separated complex slice parameters, e.g. 0,0.3,-0.3j")
-        p.add_argument("--split", choices=("balanced", "left-one"), default=None)
-        p.add_argument("--n-boundary", dest="n_boundary", type=int, default=2048)
-        p.add_argument("--det-denominator", dest="det_denominator",
-                       choices=("corrected", "printed"), default="corrected")
+        for flag, default in options.items():
+            p.add_argument(flag, default=default, **_OPTIONS[flag])
         p.add_argument("--text", action="store_true", help="line-oriented output instead of JSON")
     return parser
 
@@ -724,9 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.tol is not None and not np.isfinite(args.tol):
-            raise _fail(f"--tol must be finite, got {args.tol}")
-        code, report = _HANDLERS[args.command](args)
+        code, report = _COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

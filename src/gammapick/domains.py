@@ -519,14 +519,14 @@ def pi_coordinates(a, variant: str) -> GammaPoint:
     raise ValueError(f"unknown gamma variant {variant!r}")
 
 
-def in_gamma(a, structure: BlockStructure, tol: float = 1e-9, **mu_opts) -> bool:
+def in_gamma(a, structure: BlockStructure, tol: float = 1e-9) -> bool:
     """Whether ``a`` lies in the closed mu-unit ball for ``structure``.
 
     Membership is ``mu(a) <= 1 + tol``; points within ``tol`` of the boundary
     therefore count as members.  Pass a negative ``tol`` to test the open
     ball up to numerical slack.
     """
-    return mu(a, structure, **mu_opts) <= 1.0 + tol
+    return mu(a, structure) <= 1.0 + tol
 
 
 def tetrablock_member(x, tol: float = 1e-9) -> bool:

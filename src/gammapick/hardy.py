@@ -52,9 +52,16 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
         return np.zeros(1, dtype=complex)
     small = mods <= 1e-13 * top
     c = np.where(small, 0.0, c)
-    # the nonzero entries of c (a NaN is neither small nor nonzero)
-    last = int(np.flatnonzero(~small & (mods > 0.0)).max())
+    last = int(np.flatnonzero(~small).max())
     return c[: last + 1]
+
+
+def _finite(coeffs) -> np.ndarray:
+    """``coeffs`` as a complex array, refused if an entry is not finite."""
+    c = np.asarray(coeffs, dtype=complex)
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    return c
 
 
 def _certified(den, samples: np.ndarray | None = None) -> np.ndarray:
@@ -129,8 +136,8 @@ class RationalFunction:
     factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", _trim(self.numerator))
-        object.__setattr__(self, "denominator", _certified(self.denominator))
+        object.__setattr__(self, "numerator", _trim(_finite(self.numerator)))
+        object.__setattr__(self, "denominator", _certified(_finite(self.denominator)))
         object.__setattr__(self, "factors", _factors(self.denominator))
 
     @classmethod
@@ -149,8 +156,8 @@ class RationalFunction:
         trimmed and certified once: on ``samples``, its values at
         :data:`SAMPLES`, when given, else on values evaluated here.  The
         denominator is the functions' one factor."""
-        nums = [_trim(num) for num in numerators]
-        den = _certified(denominator, samples)
+        nums = [_trim(_finite(num)) for num in numerators]
+        den = _certified(_finite(denominator), samples)
         factors = _factors(den)
         return [cls._built(num, den, factors) for num in nums]
 

@@ -44,7 +44,7 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Finite list of pairwise distinct sample points of ``D^3``.
+    """Finite, non-empty list of pairwise distinct sample points of ``D^3``.
 
     ``diagonal`` marks grids with ``z1 == z2`` everywhere, used by the
     diagonal membership test.
@@ -54,6 +54,8 @@ class SampleGrid:
     diagonal: bool = False
 
     def __post_init__(self):
+        if len(self.points) == 0:
+            raise ValueError("need at least one point")
         if any(len(p) != 3 for p in self.points):
             raise ValueError("grid points must be (lam, z1, z2) triples")
         pts = tuple(
@@ -149,8 +151,8 @@ class SampledKernel:
         t = len(self.grid)
         if g.shape != (t, t):
             raise ValueError(f"gram must be {t}x{t}")
-        scale = max(1.0, float(np.abs(g).max()) if g.size else 0.0)
-        if g.size and float(np.abs(g - g.conj().T).max()) > 1e-9 * scale:
+        scale = max(1.0, float(np.abs(g).max()))
+        if float(np.abs(g - g.conj().T).max()) > 1e-9 * scale:
             raise ValueError("gram matrix must be hermitian")
         object.__setattr__(self, "gram", _read_only(hermitian_part(g)))
 

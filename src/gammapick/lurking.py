@@ -148,19 +148,15 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
 @dataclass(frozen=True)
 class UWVerification:
     max_residual: float
-    worst_point: tuple[complex, complex, complex] | None
+    worst_point: tuple[complex, complex, complex]
     passed: bool
     tol: float
 
 
-def verify_uw(result: UWResult, grid: SampleGrid | None = None, tol: float = 1e-8) -> UWVerification:
-    """Check ``Xi(lam_t) (1, z1 f1, z2 f2)^T = (g, f1, f2)^T`` over the grid."""
-    if grid is None:
-        grid = result.f1.grid
-    elif grid != result.f1.grid and len(grid) > 0:
-        raise ValueError("verification grid must match the grid of the factors")
-    if len(grid) == 0:
-        return UWVerification(0.0, None, True, tol)
+def verify_uw(result: UWResult, tol: float = 1e-8) -> UWVerification:
+    """Check ``Xi(lam_t) (1, z1 f1, z2 f2)^T = (g, f1, f2)^T`` over the grid
+    of the factors."""
+    grid = result.f1.grid
     lam, z1, z2 = grid.lam, grid.z1, grid.z2
     vals = result.xi.evaluate_many(lam)
     rhs = np.stack([np.ones_like(lam), z1 * result.f1.values, z2 * result.f2.values], axis=-1)
@@ -210,7 +206,7 @@ def right_s(triple: KernelTriple, tol: float = 1e-9) -> RankOneFactor:
     if not membership(triple, "S1" if triple.grid.diagonal else "R1", tol):
         raise RankError("triple fails the PSD / rank-at-most-one conditions")
     factor = rank1_factor(combine_k(triple), tol)
-    worst = float(np.abs(factor.values).max()) if len(factor.values) else 0.0
+    worst = float(np.abs(factor.values).max())
     if worst > 1.0 + tol:
         raise ValueError(f"factor modulus {worst:.12f} exceeds 1 + tol")
     return factor

@@ -158,7 +158,6 @@ class PickInterpolant(RealizedSchurFunction):
     :func:`np_solve`.  Its colligation comes from ``extend_isometry``,
     unitary by construction, and is certified by its Gram defect."""
 
-    _unitary = True
     target_residual: float = float("nan")
 
 
@@ -746,8 +745,6 @@ def build_slice_schur(
 
 
 def _split_pairs(products: Sequence[complex], split_rule) -> list[tuple[complex, complex]]:
-    if callable(split_rule):
-        return [tuple(map(complex, split_rule(p, j))) for j, p in enumerate(products)]
     if isinstance(split_rule, str):
         if split_rule == "balanced":
             return [(complex(np.sqrt(p)), complex(np.sqrt(p))) for p in products]
@@ -784,7 +781,7 @@ def reduce_gamma7(data: GammaNodes, z2: complex, split_rule="balanced") -> PickD
     The diagonal targets are the ``(x4, x1)``-type slice pair and the
     off-diagonal entries split the product constraint
     ``b c = t1 t2 - t3`` according to ``split_rule`` (``"balanced"``,
-    ``"left-one"``, a callable, or explicit pairs).  Solvability for some
+    ``"left-one"``, or explicit pairs).  Solvability for some
     split certifies the original data; the search here covers only the
     configured splits.
     """

@@ -35,10 +35,6 @@ class RealizedSchurFunction:
     ``m = 0`` encodes a constant function.
     """
 
-    # a class whose colligations are unitary by construction sets this (see
-    # check_colligations)
-    _unitary = False
-
     k: int
     m: int
     p: np.ndarray
@@ -67,22 +63,19 @@ class RealizedSchurFunction:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
 
-    @classmethod
-    def check_colligations(cls, vs: np.ndarray) -> list[ValueError | None]:
+    @staticmethod
+    def check_colligations(vs: np.ndarray) -> list[ValueError | None]:
         """For each colligation of a ``(b, d, d)`` stack, None when it is a
         contraction within 1e-10, else the ``ValueError`` that says it is not.
 
-        A class whose colligations are unitary by construction certifies the
-        whole stack by one stacked Gram defect, with no SVD; only a
-        colligation that fails that test goes on to the norm check.
+        One stacked Gram defect certifies the unitary colligations with no
+        SVD; only a colligation that fails that test goes on to the norm
+        check.
         """
-        if cls._unitary:
-            gram = vs.conj().swapaxes(1, 2) @ vs
-            gram[:, np.arange(vs.shape[1]), np.arange(vs.shape[1])] -= 1.0
-            # ||V* V - I||_F of each colligation
-            certified = np.linalg.norm(gram, axis=(1, 2)) <= _GRAM_SLACK
-        else:
-            certified = np.zeros(len(vs), dtype=bool)
+        gram = vs.conj().swapaxes(1, 2) @ vs
+        gram[:, np.arange(vs.shape[1]), np.arange(vs.shape[1])] -= 1.0
+        # ||V* V - I||_F of each colligation
+        certified = np.linalg.norm(gram, axis=(1, 2)) <= _GRAM_SLACK
         errors: list = [None] * len(vs)
         for b in np.flatnonzero(~certified):
             norm = operator_norm(vs[b])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -350,8 +351,8 @@ _NODES = _nodes_payload()
         ),
         pytest.param("gamma-check", _E311_DIAG, ["--tol", "nan"], id="gamma-check-tol-nan"),
         pytest.param("certify", _CURVE, ["--tol", "inf"], id="certify-tol-inf"),
-        pytest.param("verify-identities", {}, ["--tol=-inf"], id="verify-identities-tol-inf"),
-        pytest.param("verify-identities", {}, ["--seed", "-1"], id="verify-identities-seed"),
+        pytest.param("verify-identities", None, ["--tol=-inf"], id="verify-identities-tol-inf"),
+        pytest.param("verify-identities", None, ["--seed", "-1"], id="verify-identities-seed"),
         pytest.param("certify", _CURVE, ["--n-boundary", "0"], id="certify-n-boundary-0"),
         pytest.param(
             "se",
@@ -408,11 +409,31 @@ _NODES = _nodes_payload()
             for command in ("upper-e", "uw", "right-s")
             for k in (1, 2)
         ),
+        *(
+            pytest.param(command, _with_grid({"points": []}), [], id=f"{command}-no-points")
+            for command in ("upper-e", "uw", "right-s")
+        ),
+        # JSON numbers too large for a float parse as inf
+        *(
+            pytest.param(
+                command,
+                {**payload, "function": {**payload["function"], size: _INF}},
+                [],
+                id=f"{command}-{size}-inf",
+            )
+            for command, payload in (
+                ("se", _with_se_points([[[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]])),
+                *((command, _with_grid({})) for command in ("upper-e", "uw", "right-s")),
+            )
+            for size in ("k", "m")
+        ),
         # command lines argparse rejects
         pytest.param("gamma-check", _E311_DIAG, ["--tol", "abc"], id="gamma-check-tol-abc"),
         pytest.param("gamma-check", _E311_DIAG, ["--grid", "4.5"], id="gamma-check-grid-float"),
         pytest.param("gamma-check", _E311_DIAG, ["--split", "nope"], id="gamma-check-split-nope"),
+        pytest.param("reduce", _NODES, ["--split", "nope"], id="reduce-split-nope"),
         pytest.param("gamma-check", _E311_DIAG, ["--bogus"], id="gamma-check-unknown-option"),
+        pytest.param("mu", None, [], id="mu-no-in"),
         pytest.param("nope", _E311_DIAG, [], id="unknown-subcommand"),
         pytest.param("reduce", _NODES, ["--z2-grid", "nan"], id="reduce-z2-grid-nan"),
         pytest.param("certify", _NODES, ["--z2-grid", "0,inf"], id="certify-z2-grid-inf"),
@@ -425,8 +446,8 @@ _NODES = _nodes_payload()
     ],
 )
 def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, extra):
-    path = _write(tmp_path, "bad.json", payload)
-    code = run([command, "--in", path, *extra])
+    infile = [] if payload is None else ["--in", _write(tmp_path, "bad.json", payload)]
+    code = run([command, *infile, *extra])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -770,6 +791,63 @@ def test_help_exits_zero(capsys):
         run(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: gammapick")
+
+
+# the options each subcommand reads besides --out and --text, and for each
+# option a command-line value and what it parses to
+_READS = {
+    "mu": ("--in", "--grid"),
+    "gamma-check": ("--in", "--tol", "--grid"),
+    "se": ("--in",),
+    "upper-e": ("--in", "--tol"),
+    "uw": ("--in", "--tol"),
+    "right-s": ("--in", "--tol"),
+    "np": ("--in", "--tol"),
+    "reduce": ("--in", "--z2-grid", "--split", "--det-denominator"),
+    "certify": ("--in", "--z2-grid", "--split", "--det-denominator", "--tol", "--n-boundary"),
+    "verify-identities": ("--seed", "--grid", "--tol"),
+}
+_VALUES = {
+    "--in": (["x.json"], "x.json"),
+    "--out": (["y.json"], "y.json"),
+    "--text": ([], True),
+    "--tol": (["0.5"], 0.5),
+    "--grid": (["8"], 8),
+    "--seed": (["3"], 3),
+    "--z2-grid": (["0.1,0.2j"], (0.1, 0.2j)),
+    "--split": (["left-one"], "left-one"),
+    "--n-boundary": (["64"], 64),
+    "--det-denominator": (["printed"], "printed"),
+}
+
+
+def test_parser_has_47_settable_values():
+    (sub,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert flags == {name: {*reads, "--out", "--text"} for name, reads in _READS.items()}
+    assert sum(map(len, flags.values())) == 47
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_subcommand_parses_exactly_the_options_it_reads(tmp_path, capsys, command):
+    reads = {*_READS[command], "--out", "--text"}
+    infile = ["--in", _write(tmp_path, "x.json", {})] if "--in" in reads else []
+    for flag, (tokens, value) in _VALUES.items():
+        if flag in reads:
+            args = cli._build_parser().parse_args(
+                [command, *(infile if flag != "--in" else []), flag, *tokens]
+            )
+            dest = {"--in": "infile", "--out": "outfile"}.get(flag, flag[2:].replace("-", "_"))
+            assert getattr(args, dest) == value, flag
+        else:
+            assert run([command, *infile, flag, *tokens]) == 1, flag
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: unrecognized arguments: ")
+            assert captured.err.count("\n") == 1
 
 
 def _winding_checks(argv, on_given_values=None) -> int:

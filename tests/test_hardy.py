@@ -48,6 +48,27 @@ def test_rational_accepts_high_multiplicity_outside_pole():
     np.testing.assert_allclose(f(lam), direct, atol=1e-10)
 
 
+_NON_FINITE = [
+    pytest.param([0.1, np.nan], [1.0], id="numerator-nan-last"),
+    pytest.param([np.nan], [1.0], id="numerator-nan-alone"),
+    pytest.param([0.1, np.inf], [1.0], id="numerator-inf"),
+    pytest.param([0.1], [1.0, -np.inf], id="denominator-inf"),
+    pytest.param([0.1], [1.0, 0.1, complex(0.0, np.nan)], id="denominator-nan-imag"),
+]
+
+
+@pytest.mark.parametrize("num, den", _NON_FINITE)
+def test_rational_rejects_non_finite_coefficients(num, den):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("num, den", _NON_FINITE)
+def test_over_rejects_non_finite_coefficients(num, den):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        RationalFunction.over(den, [[0.5], num])
+
+
 def test_rational_trim_and_zero_and_roots():
     f = RationalFunction([0.25, -1.0, 0.0, 0.0], [1.0])
     assert f.numerator.size == 2

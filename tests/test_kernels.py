@@ -17,6 +17,8 @@ from gammapick.realization import random_schur
 
 
 def test_sample_grid_validation():
+    with pytest.raises(ValueError, match="at least one point"):
+        SampleGrid(())
     with pytest.raises(ValueError, match="open unit polydisc"):
         SampleGrid(((1.0, 0.0, 0.0),))
     with pytest.raises(ValueError, match="distinct"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammapick import realization
-from gammapick.linalg import extend_isometry
+from gammapick.linalg import extend_isometry, operator_norm
 from gammapick.nevanlinna import PickData, PickInterpolant, np_solve
 from gammapick.realization import (
     RealizedSchurFunction,
@@ -148,6 +148,27 @@ def test_np_solve_certifies_its_colligation_without_a_norm_check():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(realization, "operator_norm", no_norm)
         f = np_solve(data)
+        # a unitary colligation is certified by its Gram defect in any class
+        RealizedSchurFunction.from_colligation(f.colligation, f.k, f.m)
+        # and a strict contraction fails that test and goes on to the norm
         with pytest.raises(AssertionError, match="norm check ran"):
-            RealizedSchurFunction.from_colligation(f.colligation, f.k, f.m)
+            random_schur(2, 2, seed=4, max_sigma=0.9)
     assert float(np.linalg.svd(f.colligation, compute_uv=False)[0]) <= 1.0 + 1e-10
+
+
+def test_colligation_check_decides_as_the_norm_bound():
+    rng = np.random.default_rng(11)
+    eps = (1e-12, 1e-11, 5e-11, 2e-10, 1e-9, 1e-8)
+    tops = (1.0, 0.9, *(1.0 + e for e in eps), *(1.0 - e for e in eps))
+    for d in (1, 3, 6):
+        vs = []
+        for _ in range(20):
+            u, _, vh = np.linalg.svd(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            for top in tops:
+                # the rest of the spectrum unitary, or a strict contraction
+                for rest in (np.ones(d - 1), rng.uniform(0.1, 0.99, d - 1)):
+                    vs.append((u * np.concatenate([[top], rest])) @ vh)
+        errors = RealizedSchurFunction.check_colligations(np.array(vs))
+        assert [e is None for e in errors] == [operator_norm(v) <= 1.0 + 1e-10 for v in vs]
+        # all but the tops 1 + 2e-10, 1 + 1e-9 and 1 + 1e-8 pass
+        assert sum(e is None for e in errors) == 20 * 2 * (len(tops) - 3)

@@ -165,3 +165,7 @@ def test_from_json_rejects_malformed_payloads():
     nan_num = {"numerator": [[0.1, 0.0], [float("nan"), 0.0]], "denominator": [[1.0, 0.0]]}
     with pytest.raises(ValueError, match="curve coefficients must be finite"):
         curve_from_json({"variant": "gamma7", "components": [nan_num] * 7})
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        rational_from_json(nan_num)
+    with pytest.raises(ValueError, match="at least one point"):
+        grid_from_json({"points": []})
