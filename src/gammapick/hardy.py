@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -21,27 +22,25 @@ __all__ = [
     "POLY_NOISE",
     "RationalFunction",
     "InnerOuterPair",
+    "INTERIOR",
     "SAMPLES",
     "blaschke_eval",
+    "boundary_nodes",
+    "node_step",
     "inner_outer",
 ]
 
 _CIRCLE_SNAP = 1e-9
 # rounding noise of polynomial arithmetic, per unit of coefficient mass
 POLY_NOISE = 1e3 * np.finfo(float).eps
-_WINDING_CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
-# the fixed interior points where inner_outer reads f: the anchor probes and
-# the reconstruction check grid
+# where the winding check reads a denominator: 4096 points of the circle,
+# whose every (4096 / n_boundary)-th point is a boundary node of inner_outer
+SAMPLES = np.exp(2j * np.pi * np.arange(4096) / 4096)
+# where inner_outer reads f inside the disc: the anchor probes, then the
+# reconstruction check grid
 _PROBES = np.array([0.0, 0.21 + 0.13j, -0.17 + 0.29j, 0.33 - 0.11j, -0.27 - 0.23j])
-_CHECK = (
-    np.linspace(0.05, 0.7, 14)[:, None] * np.exp(2j * np.pi * np.arange(5)[None, :] / 5.0)
-).ravel()
-# every point where the winding check and inner_outer read a function, for
-# callers that know its values there: the winding circle (whose every
-# (4096 / n_boundary)-th point is a boundary node of inner_outer), the probes
-# and the check grid
-SAMPLES = np.concatenate([_WINDING_CIRCLE, _PROBES, _CHECK])
-_PROBE_AT = _WINDING_CIRCLE.size
+_CHECK = (np.linspace(0.05, 0.7, 14)[:, None] * np.exp(2j * np.pi * np.arange(5) / 5.0)).ravel()
+INTERIOR = np.concatenate([_PROBES, _CHECK])
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -79,7 +78,7 @@ def _certified(den, samples: np.ndarray | None = None) -> np.ndarray:
     if float(np.abs(den).max()) == 0.0:
         raise ZeroDivisionError("denominator is identically zero")
     if den.size > 1:
-        _boundary_winding(den, None if samples is None else samples[:_PROBE_AT])
+        _boundary_winding(den, samples)
     return den
 
 
@@ -91,10 +90,10 @@ def _factors(den: np.ndarray) -> tuple:
 
 def _boundary_winding(den: np.ndarray, values: np.ndarray | None = None):
     """The 4096-point winding check behind :func:`_certified`, on ``den``'s
-    values at the circle points (evaluated here when not given)."""
-    vals = npoly.polyval(_WINDING_CIRCLE, den) if values is None else values
-    top = float(np.abs(vals).max())
-    low = float(np.abs(vals).min())
+    values at :data:`SAMPLES` (evaluated here when not given)."""
+    vals = npoly.polyval(SAMPLES, den) if values is None else values
+    mods = np.abs(vals)
+    top, low = float(mods.max()), float(mods.min())
     # the floor is the evaluation noise, not a fraction of the peak: high
     # multiplicity factors legitimately dip many orders below their maximum
     mass = float(np.abs(den).sum())
@@ -104,7 +103,7 @@ def _boundary_winding(den: np.ndarray, values: np.ndarray | None = None):
             f"denominator nearly vanishes on the unit circle (min |den| = {low:.3e})"
         )
     # the turn from each value to the next, the last back to the first
-    turns = np.angle(np.roll(vals, -1) * vals.conj())
+    turns = np.angle(np.concatenate((vals[1:], vals[:1])) * vals.conj())
     raw = float(turns.sum() / (2.0 * np.pi))
     winding = int(np.rint(raw))
     if abs(raw - winding) > 0.25:
@@ -220,39 +219,52 @@ def blaschke_eval(zeros, constant: complex, lam):
     return out
 
 
+def node_step(n_boundary: int) -> int:
+    """The step along :data:`SAMPLES` whose points are the ``n_boundary``
+    boundary nodes, to the last bit; 0 when ``n_boundary`` does not divide 4096."""
+    return SAMPLES.size // n_boundary if n_boundary > 0 and SAMPLES.size % n_boundary == 0 else 0
+
+
+def boundary_nodes(n_boundary: int) -> np.ndarray:
+    """The uniform boundary nodes ``exp(2 pi i j / n_boundary)``."""
+    step = node_step(n_boundary)
+    return SAMPLES[::step] if step else np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
+
+
 @dataclass(frozen=True, eq=False)
 class InnerOuterPair:
-    """Inner-outer data: unimodular constant, Blaschke zeros, boundary log-modulus.
+    """Inner-outer data: unimodular constant, Blaschke zeros, boundary values.
 
-    ``boundary_logmod[j]`` samples ``log |f_outer|`` at the uniform boundary
-    node ``exp(2 pi i j / n)``; interior evaluation uses the Herglotz kernel
-    average, so ``outer(0) = exp(mean(boundary_logmod)) > 0``.
+    ``boundary_values[j]`` is ``f`` at the uniform boundary node
+    ``exp(2 pi i j / n)``; ``boundary_logmod``, ``log |f_outer|`` there, is
+    computed from them when first read.  Interior evaluation uses its Herglotz
+    kernel average, so ``outer(0) = exp(mean(boundary_logmod)) > 0``.
 
     For rational input whose non-Blaschke roots stay safely away from the
     circle, ``outer_roots``/``den_roots``/``outer_scale`` hold an exact
     factored form ``outer = scale * prod(1 - lam/r_out) * prod(1 - conj(z) lam)
     / prod(1 - lam/p)``; evaluation then bypasses the Herglotz quadrature,
-    whose kernel is under-resolved near the boundary.
+    whose kernel is under-resolved near the boundary, and reads no log-modulus.
     """
 
     unimodular_constant: complex
     blaschke_zeros: np.ndarray
-    boundary_logmod: np.ndarray = field(repr=False)
+    boundary_values: np.ndarray = field(repr=False)
     outer_roots: np.ndarray | None = field(default=None, repr=False)
     den_roots: np.ndarray | None = field(default=None, repr=False)
     outer_scale: float = 1.0
 
     def __post_init__(self):
         zeros = np.asarray(self.blaschke_zeros, dtype=complex).ravel()
-        logmod = np.asarray(self.boundary_logmod, dtype=float).ravel()
-        if logmod.size < 16:
+        values = np.asarray(self.boundary_values, dtype=complex).ravel()
+        if values.size < 16:
             raise ValueError("need at least 16 boundary samples")
         if abs(abs(complex(self.unimodular_constant)) - 1.0) > 1e-9:
             raise ValueError("inner constant must be unimodular")
         if zeros.size and float(np.abs(zeros).max()) >= 1.0:
             raise ValueError("Blaschke zeros must lie in the open disc")
         object.__setattr__(self, "blaschke_zeros", zeros)
-        object.__setattr__(self, "boundary_logmod", logmod)
+        object.__setattr__(self, "boundary_values", values)
         if (self.outer_roots is None) != (self.den_roots is None):
             raise ValueError("exact outer data needs both root sets")
         if self.outer_roots is not None:
@@ -267,9 +279,15 @@ class InnerOuterPair:
             object.__setattr__(self, "outer_roots", out)
             object.__setattr__(self, "den_roots", den)
 
+    @cached_property
+    def boundary_logmod(self) -> np.ndarray:
+        """``log |f| - log |B|`` at the nodes, ``B`` the Blaschke product."""
+        bvals = blaschke_eval(self.blaschke_zeros, 1.0, boundary_nodes(self.n_boundary))
+        return np.log(np.maximum(np.abs(self.boundary_values), 1e-300)) - np.log(np.abs(bvals))
+
     @property
     def n_boundary(self) -> int:
-        return int(self.boundary_logmod.size)
+        return int(self.boundary_values.size)
 
     @property
     def has_exact_outer(self) -> bool:
@@ -279,7 +297,7 @@ class InnerOuterPair:
         lam = np.asarray(lam, dtype=complex)
         if lam.size and float(np.abs(lam).max()) >= 1.0:
             raise ValueError("Herglotz evaluation needs interior points")
-        nodes = np.exp(2j * np.pi * np.arange(self.n_boundary) / self.n_boundary)
+        nodes = boundary_nodes(self.n_boundary)
         flat = lam.ravel()[:, None]
         vals = np.mean((nodes + flat) / (nodes - flat) * self.boundary_logmod, axis=1)
         return vals.reshape(lam.shape)
@@ -335,13 +353,15 @@ def inner_outer(
 
     Numerator roots strictly inside the disc turn into Blaschke zeros; roots
     within ``1e-9`` of the circle are assigned to the outer factor with a
-    warning, since a genuine boundary zero spoils the quadrature.  The
-    reconstruction ``inner * outer`` is checked against ``f`` on an interior
-    grid to ``tol`` before returning.  The poles are the roots of each of
-    ``f.factors``, repeated by its multiplicity: the expanded denominator's
-    repeated roots would scatter.  ``samples``, when given, are the values of
-    ``f`` at :data:`SAMPLES`, read instead of evaluating ``f`` (at the
-    boundary nodes only when ``n_boundary`` divides 4096).
+    warning, since a genuine boundary zero spoils the quadrature.  The poles
+    are the roots of each of ``f.factors``, repeated by its multiplicity:
+    the expanded denominator's repeated roots would scatter.  ``inner *
+    outer`` is evaluated once, at :data:`INTERIOR`: its first probe where it
+    and ``f`` are safely nonzero anchors the unimodular constant, and the
+    rest checks the reconstruction against ``f`` to ``tol``.  ``samples``,
+    when given, are the values of ``f`` at the boundary nodes, when they are
+    points of :data:`SAMPLES` (``n_boundary`` divides 4096), then at
+    :data:`INTERIOR`, read instead of evaluating ``f``.
     """
     if not isinstance(f, RationalFunction):
         raise TypeError("inner_outer expects a RationalFunction")
@@ -360,21 +380,12 @@ def inner_outer(
             "circle assigned to the outer factor",
             stacklevel=2,
         )
-    # the nodes of a power-of-two circle are every step-th point of the
-    # winding circle, to the last bit
-    step = _WINDING_CIRCLE.size // n_boundary
-    on_circle = step * n_boundary == _WINDING_CIRCLE.size
-    if on_circle:
-        nodes = _WINDING_CIRCLE[::step]
-    else:
-        nodes = np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
     if samples is None:
-        fvals, interior = f(nodes), f(SAMPLES[_PROBE_AT:])
+        fvals, interior = f(boundary_nodes(n_boundary)), f(INTERIOR)
     else:
-        fvals = samples[:_PROBE_AT:step] if on_circle else f(nodes)
-        interior = samples[_PROBE_AT:]
-    bvals = blaschke_eval(inside, 1.0, nodes)
-    logmod = np.log(np.maximum(np.abs(fvals), 1e-300)) - np.log(np.abs(bvals))
+        fvals = samples[:n_boundary] if node_step(n_boundary) else f(boundary_nodes(n_boundary))
+        interior = samples[-INTERIOR.size :]
+    scale = max(1.0, float(np.abs(fvals).max()))
 
     # Attach the exact factored outer form when every non-Blaschke root and
     # every pole keeps a safe margin from the circle; otherwise fall back to
@@ -399,22 +410,21 @@ def inner_outer(
         ) / abs(complex(f.denominator[0]))
         exact_out = outside
         exact_den = droots
-    pair = InnerOuterPair(1.0 + 0j, inside, logmod, exact_out, exact_den, exact_scale)
+    pair = InnerOuterPair(1.0 + 0j, inside, fvals, exact_out, exact_den, exact_scale)
 
+    factored = pair.eval(INTERIOR)  # with the constant 1
     constant = None
-    for probe, numer in zip(_PROBES, interior[: _PROBES.size]):
-        probe, numer = complex(probe), complex(numer)
-        denom = complex(blaschke_eval(inside, 1.0, probe) * pair.outer_eval(probe))
-        if abs(denom) > 1e-10 and abs(numer) > 1e-12 * max(1.0, float(np.abs(fvals).max())):
+    for numer, denom in zip(interior[: _PROBES.size], factored[: _PROBES.size]):
+        numer, denom = complex(numer), complex(denom)
+        if abs(denom) > 1e-10 and abs(numer) > 1e-12 * scale:
             constant = numer / denom
             break
     if constant is None:
         raise ValueError("could not anchor the unimodular constant at any probe point")
     constant = constant / abs(constant)
-    pair = InnerOuterPair(constant, inside, logmod, exact_out, exact_den, exact_scale)
+    object.__setattr__(pair, "unimodular_constant", constant)  # unimodular by construction
 
-    err = float(np.abs(pair.eval(_CHECK) - interior[_PROBES.size :]).max())
-    scale = max(1.0, float(np.abs(fvals).max()))
+    err = float(np.abs(constant * factored[_PROBES.size :] - interior[_PROBES.size :]).max())
     if err > tol * scale:
         raise ValueError(
             f"inner-outer reconstruction error {err:.3e} exceeds tol * scale = "

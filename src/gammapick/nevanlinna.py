@@ -22,11 +22,14 @@ from numpy.polynomial import polynomial as npoly
 
 from .domains import GammaPoint
 from .hardy import (
+    INTERIOR,
     POLY_NOISE,
     SAMPLES,
     InnerOuterPair,
     RationalFunction,
+    boundary_nodes,
     inner_outer,
+    node_step,
 )
 from .linalg import (
     STATE_CUTOFF,
@@ -352,6 +355,11 @@ class GammaCurve:
             out += col[:, None]
         return out
 
+    @cached_property
+    def _read_rows(self) -> dict:
+        """``row_values`` where slices read them, by node step (see ``_read_values``)."""
+        return {}
+
     def point_at(self, lam: complex) -> GammaPoint:
         return GammaPoint(self.variant, tuple(complex(c(lam)) for c in self.components))
 
@@ -479,6 +487,16 @@ def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
 _SLICE_DENOMINATOR = {"gamma7": "1 - z*x2", "gamma5": "2 - z*x4"}
 
 
+def _slice_denominators(h, z: complex, det_denominator: str):
+    """The two denominators of :func:`_slice_terms`, one object when equal."""
+    if len(h) == 8:
+        return (h[0] - z * h[2],) * 2
+    if det_denominator not in ("corrected", "printed"):
+        raise ValueError(f"unknown det_denominator {det_denominator!r}")
+    den = 2.0 * h[0] - z * h[4]
+    return den, den if det_denominator == "corrected" else h[0] - z * h[4]
+
+
 def _slice_terms(h, z: complex, det_denominator: str):
     """The slice formulas, once for points and curves.
 
@@ -488,14 +506,10 @@ def _slice_terms(h, z: complex, det_denominator: str):
     ``(f11, f22, det)``, the denominator of ``f11`` and ``f22``, and that
     of ``det``.
     """
+    dens = _slice_denominators(h, z, det_denominator)
     if len(h) == 8:
-        den = h[0] - z * h[2]
-        return (h[1] - z * h[3], h[4] - z * h[6], h[5] - z * h[7]), den, den
-    if det_denominator not in ("corrected", "printed"):
-        raise ValueError(f"unknown det_denominator {det_denominator!r}")
-    den = 2.0 * h[0] - z * h[4]
-    nums = (2.0 * h[1] - z * h[2], h[4] - 2.0 * z * h[5], h[2] - 2.0 * z * h[3])
-    return nums, den, den if det_denominator == "corrected" else h[0] - z * h[4]
+        return (h[1] - z * h[3], h[4] - z * h[6], h[5] - z * h[7]), *dens
+    return (2.0 * h[1] - z * h[2], h[4] - 2.0 * z * h[5], h[2] - 2.0 * z * h[3]), *dens
 
 
 def _slice_point(x: GammaPoint, z: complex, det_denominator: str):
@@ -525,24 +539,28 @@ def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
     if isinstance(x, GammaPoint):
         return _slice_point(x, z, det_denominator)
     if isinstance(x, GammaCurve):
-        return _curve_slice(x, z, det_denominator)[0]
+        return _curve_slice(x, z, det_denominator)
     raise TypeError("slice_coordinates expects a GammaPoint or GammaCurve")
 
 
 def _curve_slice(x: GammaCurve, z: complex, det_denominator: str):
-    """The slice functions ``(f11, f22, det)`` of a curve and the values of
-    their terms at ``_CURVE_POINTS``, ``(n11, n22, n_det, den, det_den)``.
-
-    Each denominator is certified once, on its values.
-    """
+    """The slice functions ``(f11, f22, det)`` of a curve, each denominator
+    certified once, on its values at :data:`SAMPLES` read from ``row_values``."""
     (n1, n2, n3), den, det_den = _slice_terms(x.rows, z, det_denominator)
-    nums_v, den_v, det_den_v = _slice_terms(x.row_values, z, det_denominator)
+    den_v, det_den_v = _slice_denominators(x.row_values[:, : SAMPLES.size], z, det_denominator)
     if det_den is den:
-        f11, f22, det = RationalFunction.over(den, (n1, n2, n3), den_v[:_N_SAMPLES])
-    else:
-        f11, f22 = RationalFunction.over(den, (n1, n2), den_v[:_N_SAMPLES])
-        (det,) = RationalFunction.over(det_den, (n3,), det_den_v[:_N_SAMPLES])
-    return (f11, f22, det), (*nums_v, den_v, det_den_v)
+        return tuple(RationalFunction.over(den, (n1, n2, n3), den_v))
+    f11, f22 = RationalFunction.over(den, (n1, n2), den_v)
+    return f11, f22, *RationalFunction.over(det_den, (n3,), det_den_v)
+
+
+def _read_values(x: GammaCurve, z: complex, n_boundary: int, det_denominator: str):
+    """A slice's terms at the boundary nodes in SAMPLES, then at the points after SAMPLES."""
+    step = node_step(n_boundary)
+    if step not in x._read_rows:  # once per curve and node step
+        nodes = (x.row_values[:, : SAMPLES.size : step],) if step else ()
+        x._read_rows[step] = np.concatenate((*nodes, x.row_values[:, SAMPLES.size :]), axis=1)
+    return _slice_terms(x._read_rows[step], z, det_denominator)
 
 
 def psi3_eval(x: GammaCurve, lam: complex, z1: complex, z2: complex) -> complex:
@@ -637,9 +655,7 @@ class SlicedSchur2x2:
         if self.triangular:
             return np.zeros(0), np.zeros(0)
         half = np.exp(self.pair.boundary_logmod / 2.0)
-        nodes = np.exp(
-            2j * np.pi * np.arange(self.pair.n_boundary) / self.pair.n_boundary
-        )
+        nodes = boundary_nodes(self.pair.n_boundary)
         return np.abs(self.pair.inner_eval(nodes)) * half, half
 
 
@@ -649,9 +665,10 @@ _SLICE_GRID = (
     * np.exp(2j * np.pi * np.arange(8) / 8.0)[None, :]
 ).ravel()
 # where a curve is evaluated once (GammaCurve.row_values): the points of the
-# winding check and inner_outer, then the contractivity grid and the origin
-_N_SAMPLES = SAMPLES.size
-_CURVE_POINTS = np.concatenate([SAMPLES, _SLICE_GRID, [0.0]])
+# winding check, then inner_outer's interior points, the contractivity grid
+# and the origin.  A slice reads only its denominators at all of SAMPLES
+_CURVE_POINTS = np.concatenate([SAMPLES, INTERIOR, _SLICE_GRID, [0.0]])
+_GRID_AT = -(_SLICE_GRID.size + 1)
 # inner_outer's reconstruction tolerance on a slice, and the largest miss of
 # the slice determinant
 _SLICE_TOL = 1e-6
@@ -669,9 +686,11 @@ def build_slice_schur(
     that the determinant of the result matches the determinant slice, and
     that the lower-left entry is positive at the origin, all from one
     evaluation of the slice.  Failures raise ``ValueError`` with the worst
-    offending point.  Every value of the slice's terms, including those the
-    winding checks and ``inner_outer`` read, comes from the curve's
-    ``row_values``.  A winding check runs on each slice denominator, once:
+    offending point.  Every value of the slice's terms comes from the
+    curve's ``row_values``, computed only where a check reads it: the
+    denominators on the 4096 points of their winding checks, the rest at the
+    boundary nodes and interior points of ``inner_outer``, the contractivity
+    grid and the origin.  A winding check runs on each slice denominator, once:
     ``f11 f22 - det`` goes over the square of the slice denominator (times
     the printed determinant denominator, when that differs), certified by
     those factors with no check of its own, and ``inner_outer`` takes its
@@ -682,9 +701,8 @@ def build_slice_schur(
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("slice parameter must lie in the open unit disc")
-    (f11, f22, det_slice), (v11, v22, v_det, v_den, v_det_den) = _curve_slice(
-        x, z, det_denominator
-    )
+    f11, f22, det_slice = _curve_slice(x, z, det_denominator)
+    (v11, v22, v_det), v_den, v_det_den = _read_values(x, z, n_boundary, det_denominator)
     # f11 and f22 share one denominator; the printed determinant slice has
     # its own, the only place where two denominators meet.  f11 f22 - det
     # goes over a product of the certified slice denominators, checked by
@@ -716,11 +734,11 @@ def build_slice_schur(
     if d.is_zero:
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, None, True)
     else:
-        pair = inner_outer(d, n_boundary=n_boundary, tol=_SLICE_TOL, samples=d_v[:_N_SAMPLES])
+        pair = inner_outer(d, n_boundary=n_boundary, tol=_SLICE_TOL, samples=d_v[:_GRID_AT])
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, False)
 
     lam = _SLICE_GRID
-    at = slice(_N_SAMPLES, None)  # the contractivity grid, then the origin
+    at = slice(_GRID_AT, None)  # the contractivity grid, then the origin
     vals = sliced.evaluate_many(_CURVE_POINTS[at], (v11[at] / v_den[at], v22[at] / v_den[at]))
     vals, origin = vals[:-1], vals[-1]
     norms = operator_norms(vals)

@@ -156,8 +156,10 @@ class RealizedSchurFunction:
     def from_json(cls, data: dict) -> "RealizedSchurFunction":
         from .serialize import cmatrix_from_json
 
-        k = int(data["k"])
-        m = int(data["m"])
+        k, m = data["k"], data["m"]
+        for key, size in (("k", k), ("m", m)):  # int() would read 2.5, "2" and true
+            if isinstance(size, bool) or not isinstance(size, int):
+                raise ValueError(f"{key} must be an integer, got {size!r}")
         return cls(
             k,
             m,

@@ -216,6 +216,34 @@ def test_certify_curve_instance_runs_slice_checks(tmp_path, capsys):
     assert all(row["ok"] for row in report["slice_checks"])
 
 
+@pytest.mark.parametrize(
+    "variant, options, triangular_at_zero",
+    [
+        ("gamma5", ["--det-denominator", "printed"], False),
+        ("gamma7", ["--n-boundary", "1000"], True),
+    ],
+)
+def test_certify_slice_checks_off_the_default_path(
+    tmp_path, capsys, variant, options, triangular_at_zero
+):
+    # the first map of acceptance criterion 7: every slice passes, by the
+    # printed determinant slice and on 1000 boundary nodes, which are not
+    # points of the winding circle; gamma7's slice at z = 0 is diagonal
+    a = ((0.5, 0.2, 0.0), (0.0, 0.4, 0.1), (0.1, 0.0, 0.3))
+    entries = [[hardy.RationalFunction([0.0, a[i][j]]) for j in range(3)] for i in range(3)]
+    payload = {
+        "curve": curve_to_json(gamma_curve_from_entries(entries, variant)),
+        "nodes": [complex_to_json(v) for v in (0.2, -0.35 + 0.1j, 0.45j)],
+    }
+    path = _write(tmp_path, "curve.json", payload)
+    code, report = _run(capsys, ["certify", "--in", path, *options])
+    assert code == 0
+    assert report["slice_checks"] == [
+        {"z": complex_to_json(z), "ok": True, "triangular": triangular_at_zero and z == 0}
+        for z in DEFAULT_Z_GRID
+    ]
+
+
 def test_verify_identities_passes_and_is_deterministic(tmp_path, capsys):
     code = run(["verify-identities", "--seed", "7", "--grid", "16"])
     first = capsys.readouterr().out
@@ -285,6 +313,12 @@ _INF = float("inf")
 
 def _with_se_points(points):
     return {**_function_payload(seed=2), "points": points}
+
+
+def _with_size(m):
+    """An ``se`` instance whose function of size 2 gives its size ``m`` as ``m``."""
+    payload = {**_function_payload(seed=2, m=2), "points": [[[0.1, 0], [0.2, 0], [0.3, 0]]]}
+    return {**payload, "function": {**payload["function"], "m": m}}
 
 
 def _with_nodes(payload, nodes):
@@ -471,6 +505,14 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, e
         pytest.param("reduce", _with_first_denominator(_CURVE, [[1.0, 0.0], [-_INF, 0.0]]),
                      "bad gamma curve data: curve coefficients must be finite",
                      id="reduce-denominator-inf"),
+        # a size that is not a JSON integer; int() would read 2.5 and "2" as
+        # the function's true size 2, and true as 1
+        *(
+            pytest.param("se", _with_size(m),
+                         f"bad realization data: m must be an integer, got {m!r}",
+                         id=f"se-m-{type(m).__name__}")
+            for m in (2.5, "2", True)
+        ),
     ],
 )
 def test_malformed_input_names_the_problem(tmp_path, capsys, command, payload, message):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from numpy.polynomial import polynomial as npoly
 
-from gammapick import hardy, nevanlinna
+from gammapick import cli, hardy, nevanlinna
 from gammapick.cli import run
 from gammapick.domains import E311, GammaPoint, mu, pi_coordinates
 from gammapick.fractional import se_eval
@@ -268,15 +268,28 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
 @pytest.mark.parametrize("variant", ["gamma7", "gamma5"])
 @pytest.mark.parametrize("det_denominator", ["corrected", "printed"])
 def test_cached_slice_values_match_the_slice_coefficients(variant, det_denominator):
-    points = nevanlinna._CURVE_POINTS
+    # the denominators at the winding circle, and every term at the points
+    # build_slice_schur reads: the boundary nodes when they are circle points
+    # (1000 does not divide 4096, so its nodes are not), then the tail
+    circle, tail = hardy.SAMPLES, nevanlinna._CURVE_POINTS[hardy.SAMPLES.size :]
     shared = _curve(seed=5, variant=variant, m=2)[1]
     for curve in (shared, gamma_curve_from_entries(_mixed_entries(), variant)):
         for z in (*DEFAULT_Z_GRID, 0.95 - 0.1j):
-            (f11, f22, det), values = nevanlinna._curve_slice(curve, z, det_denominator)
+            f11, f22, det = nevanlinna._curve_slice(curve, z, det_denominator)
             dens = (f11.denominator, det.denominator)
-            for c, v in zip((f11.numerator, f22.numerator, det.numerator, *dens), values):
-                want = npoly.polyval(points, c)
+            on_circle = nevanlinna._slice_denominators(
+                curve.row_values[:, : circle.size], z, det_denominator
+            )
+            for c, v in zip(dens, on_circle):
+                want = npoly.polyval(circle, c)
                 assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
+            for n_boundary, nodes in ((2048, circle[::2]), (1000, [])):
+                points = np.concatenate([nodes, tail])
+                nums, *read = nevanlinna._read_values(curve, z, n_boundary, det_denominator)
+                coeffs = (f11.numerator, f22.numerator, det.numerator, *dens)
+                for c, v in zip(coeffs, (*nums, *read)):
+                    want = npoly.polyval(points, c)
+                    assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _numbers_out(message: str) -> str:
@@ -589,6 +602,90 @@ def test_build_slice_schur_evaluates_the_slice_once():
     _, curve = _curve(seed=9)
     calls = _calls(SlicedSchur2x2, "evaluate_many", lambda: build_slice_schur(curve, 0.35))
     assert calls == 1
+
+
+def _handed_to_inner_outer(curve, z, **kwargs):
+    """The slice and the function ``f11 f22 - det`` that
+    :func:`build_slice_schur` hands to ``inner_outer``."""
+    handed = []
+    original = nevanlinna.inner_outer
+
+    def recorded(d, **options):
+        handed.append(d)
+        return original(d, **options)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nevanlinna, "inner_outer", recorded)
+        s = build_slice_schur(curve, z, **kwargs)
+    (d,) = handed
+    return s, d
+
+
+@pytest.mark.parametrize("n_boundary", [64, 1000, 2048, 4096])
+def test_slice_pair_matches_a_direct_factorization(n_boundary):
+    # the slice reads f11 f22 - det from the curve's rows: at every step-th
+    # circle point for a divisor of 4096, not at all for 1000, whose nodes
+    # are no circle points.  The pair is the one inner_outer builds from
+    # values it evaluates itself
+    lam = 0.95 * np.exp(2j * np.pi * np.arange(7) / 7)
+    for variant in ("gamma7", "gamma5"):
+        _, curve = _curve(seed=4, variant=variant, m=2)
+        for z in (0.3, -0.6j):
+            s, d = _handed_to_inner_outer(curve, z, n_boundary=n_boundary)
+            direct = hardy.inner_outer(d, n_boundary=n_boundary, tol=1e-6)
+            assert s.pair.n_boundary == n_boundary
+            assert s.pair.has_exact_outer and direct.has_exact_outer
+            for got, want in (
+                (s.pair.eval(lam), direct.eval(lam)),
+                (s.pair.outer_sqrt(lam), direct.outer_sqrt(lam)),
+                (s.pair.boundary_values, d(hardy.boundary_nodes(n_boundary))),
+            ):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            assert abs(s.pair.unimodular_constant - direct.unimodular_constant) <= 1e-10
+
+
+def test_slice_pair_computes_its_log_modulus_only_when_read():
+    _, curve = _curve(seed=0, variant="gamma7", m=1)
+    s, d = _handed_to_inner_outer(curve, 0.3)
+    assert s.pair.has_exact_outer and s.pair.blaschke_zeros.size == 2
+    assert "boundary_logmod" not in vars(s.pair)
+    nodes = hardy.boundary_nodes(2048)
+    blaschke = hardy.blaschke_eval(s.pair.blaschke_zeros, 1.0, nodes)
+    want = np.log(np.abs(d(nodes))) - np.log(np.abs(blaschke))
+    np.testing.assert_allclose(s.pair.boundary_logmod, want, rtol=0, atol=1e-12)
+    assert s.pair.boundary_logmod is s.pair.boundary_logmod
+
+
+def test_slice_checks_report_a_vanishing_denominator():
+    # x2 = 2 everywhere, so the gamma7 slice denominator 1 - z x2 is zero at
+    # z = 0.5; at z = 0.3 the slice is a multiple of the curve's and fails a
+    # later check
+    big = np.array([1.0, -0.5], dtype=complex)
+    rng = np.random.default_rng(0)
+    comps = [RationalFunction(0.1 * rng.normal(size=2), big) for _ in range(7)]
+    comps[1] = RationalFunction(2.0 * big, big)
+    curve = GammaCurve("gamma7", tuple(comps))
+    assert cli._slice_checks(curve, (0.5, 0.3), 2048, "corrected") == [
+        {"z": [0.5, 0.0], "ok": False, "error": "denominator is identically zero"},
+        {
+            "z": [0.3, 0.0],
+            "ok": False,
+            "error": "slice at z=(0.3+0j) is not contractive: norm 1.608349911 at "
+            "lam=0.9990+0.0000j",
+        },
+    ]
+
+
+def test_slice_checks_report_a_printed_determinant_mismatch():
+    # one of the printed gamma5 misses of the mixed-denominator curves: the
+    # slice is contractive, and its determinant misses the printed slice
+    curve = gamma_curve_from_entries(_mixed_entries(8), "gamma5")
+    assert cli._slice_checks(curve, (0.3,), 2048, "printed") == [
+        {"z": [0.3, 0.0], "ok": False, "error": "slice determinant mismatch 3.523e-05"}
+    ]
+    assert cli._slice_checks(curve, (0.3,), 2048, "corrected") == [
+        {"z": [0.3, 0.0], "ok": True, "triangular": False}
+    ]
 
 
 def test_slice_with_vanishing_product_to_rounding_is_triangular():
