@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import pi_coordinates, tetrablock_member
 from .realization import RealizedSchurFunction
 
 __all__ = [
@@ -24,9 +23,6 @@ __all__ = [
     "SEEvaluation",
     "se_eval",
     "se_values",
-    "se_diag",
-    "se_well_defined",
-    "interior_disc_grid",
 ]
 
 _DET_FLOOR = 1e-12
@@ -76,7 +72,9 @@ def se_values(f: RealizedSchurFunction, lam, z1, z2):
     _check_disc("z1", z1)
     _check_disc("z2", z2)
     fv = f.evaluate_many(lam)
-    det_c = (1.0 - fv[:, 1, 1] * z1) * (1.0 - fv[:, 2, 2] * z2) - fv[:, 1, 2] * fv[:, 2, 1] * z1 * z2
+    # I - B Z = [[c11, -F23 z2], [-F32 z1, c22]]
+    c11, c22 = 1.0 - fv[:, 1, 1] * z1, 1.0 - fv[:, 2, 2] * z2
+    det_c = c11 * c22 - fv[:, 1, 2] * fv[:, 2, 1] * z1 * z2
     bad = np.abs(det_c) < _DET_FLOOR
     if bad.any():
         i = int(np.argmax(bad))
@@ -84,13 +82,10 @@ def se_values(f: RealizedSchurFunction, lam, z1, z2):
             f"resolvent determinant {det_c[i]:.3e} below {_DET_FLOOR} at lam={lam[i]}, "
             f"z1={z1[i]}, z2={z2[i]}"
         )
-    c = np.empty((lam.size, 2, 2), dtype=complex)
-    c[:, 0, 0] = 1.0 - fv[:, 1, 1] * z1
-    c[:, 0, 1] = -fv[:, 1, 2] * z2
-    c[:, 1, 0] = -fv[:, 2, 1] * z1
-    c[:, 1, 1] = 1.0 - fv[:, 2, 2] * z2
-    rhs = np.stack([fv[:, 1, 0], fv[:, 2, 0]], axis=-1)
-    gamma = np.linalg.solve(c, rhs[:, :, None])[:, :, 0]
+    # gamma = (I - B Z)^{-1} (F21, F31)^T by the 2x2 inverse over det_c
+    gamma = np.empty((lam.size, 2), dtype=complex)
+    gamma[:, 0] = (c22 * fv[:, 1, 0] + fv[:, 1, 2] * z2 * fv[:, 2, 0]) / det_c
+    gamma[:, 1] = (c11 * fv[:, 2, 0] + fv[:, 2, 1] * z1 * fv[:, 1, 0]) / det_c
     g = fv[:, 0, 0] + fv[:, 0, 1] * z1 * gamma[:, 0] + fv[:, 0, 2] * z2 * gamma[:, 1]
     eta = np.stack([np.ones_like(g), z1 * gamma[:, 0], z2 * gamma[:, 1]], axis=-1)
     return g, gamma, eta, det_c, fv
@@ -105,35 +100,3 @@ def se_eval(f: RealizedSchurFunction, lam: complex, z1: complex, z2: complex) ->
         (complex(eta[0, 0]), complex(eta[0, 1]), complex(eta[0, 2])),
         complex(det_c[0]),
     )
-
-
-def se_diag(f: RealizedSchurFunction, lam: complex, z: complex) -> complex:
-    """Signed fractional map on the diagonal ``z1 = z2 = z``."""
-    return complex(se_eval(f, lam, z, z).se_value)
-
-
-def interior_disc_grid(n: int, radius: float = 0.95) -> np.ndarray:
-    """Deterministic low-discrepancy points in the disc of given radius."""
-    if n < 1:
-        raise ValueError("need at least one point")
-    j = np.arange(n)
-    r = radius * np.sqrt((j + 0.5) / n)
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    return r * np.exp(2j * np.pi * ((j * golden) % 1.0))
-
-
-def se_well_defined(f: RealizedSchurFunction, grid=24, tol: float = 1e-9) -> bool:
-    """Whether the lower 2x2 corner of ``F`` stays in the closed tetrablock.
-
-    ``grid`` is either the number of deterministic interior sample points or
-    an explicit iterable of points of the open disc.  When this holds, the
-    resolvent ``I - B Z`` is invertible for all interior ``z1, z2`` and the
-    fractional map is defined everywhere on the tridisc.
-    """
-    lam = interior_disc_grid(grid) if isinstance(grid, int) else np.asarray(list(grid), complex)
-    _check_disc("grid", lam)
-    vals = f.evaluate_many(lam)
-    for v in vals:
-        if not tetrablock_member(pi_coordinates(v[1:, 1:], "gamma3"), tol):
-            return False
-    return True

@@ -27,6 +27,7 @@ __all__ = [
     "blaschke_eval",
     "boundary_nodes",
     "node_step",
+    "check_n_boundary",
     "inner_outer",
 ]
 
@@ -225,6 +226,12 @@ def node_step(n_boundary: int) -> int:
     return SAMPLES.size // n_boundary if n_boundary > 0 and SAMPLES.size % n_boundary == 0 else 0
 
 
+def check_n_boundary(n_boundary: int):
+    """Refuse fewer than the 64 boundary nodes the outer-factor quadrature needs."""
+    if n_boundary < 64:
+        raise ValueError("n_boundary too small for the quadrature")
+
+
 def boundary_nodes(n_boundary: int) -> np.ndarray:
     """The uniform boundary nodes ``exp(2 pi i j / n_boundary)``."""
     step = node_step(n_boundary)
@@ -367,8 +374,7 @@ def inner_outer(
         raise TypeError("inner_outer expects a RationalFunction")
     if f.is_zero:
         raise ValueError("the zero function has no inner-outer factorization")
-    if n_boundary < 64:
-        raise ValueError("n_boundary too small for the quadrature")
+    check_n_boundary(n_boundary)
     roots = f.numerator_roots()
     mods = np.abs(roots)
     inside = roots[mods < 1.0 - _CIRCLE_SNAP]

@@ -28,6 +28,7 @@ from .hardy import (
     InnerOuterPair,
     RationalFunction,
     boundary_nodes,
+    check_n_boundary,
     inner_outer,
     node_step,
 )
@@ -701,6 +702,7 @@ def build_slice_schur(
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("slice parameter must lie in the open unit disc")
+    check_n_boundary(n_boundary)  # a triangular slice never reaches inner_outer
     f11, f22, det_slice = _curve_slice(x, z, det_denominator)
     (v11, v22, v_det), v_den, v_det_den = _read_values(x, z, n_boundary, det_denominator)
     # f11 and f22 share one denominator; the printed determinant slice has

@@ -8,7 +8,6 @@ in the ``k x k`` contractions whenever ``V`` is a contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import as_cmatrix, operator_norm
@@ -24,6 +23,20 @@ __all__ = [
 _NORM_SLACK = 1e-10
 # ||V* V - I||_F <= 2e-10 bounds ||V||**2 by 1 + 2e-10, so ||V|| by 1 + 1e-10
 _GRAM_SLACK = 2.0 * _NORM_SLACK
+# values_of evaluates from the modal form only at this many points or more.
+# Below it, the eig, cond and solve that the modal form needs once (50-300 us
+# for m <= 12 states) win back little or nothing: uw ops (16 points) and
+# right-s ops (64 points) time the same on either path, and the stacked
+# certify Pick checks, at no more points than states, are faster on LU
+_MODAL_POINTS = 128
+# Evaluating from the eigenpairs of S computes the transfer function of
+# S + dS with ||dS|| about kappa(V) eps ||S||, where the LU path's backward
+# error is about eps ||S||.  Both meet the same sensitivity of F to S,
+# ||lam Q (I - lam S)^-1|| ||(I - lam S)^-1 R||, so the modal values carry at
+# most about kappa(V) times the LU path's error: two more lost digits at this
+# bound.  A defective or nearly defective S has kappa(V) near 1/eps or
+# infinite and stays on the LU path.
+_MODAL_KAPPA = 100.0
 
 
 @dataclass(frozen=True)
@@ -122,22 +135,37 @@ class RealizedSchurFunction:
         lam = np.asarray(lam, dtype=complex).ravel()
         if lam.size and float(np.abs(lam).max()) >= 1.0:
             raise ValueError("evaluation points must lie in the open unit disc")
-        return self.values_of(self.p, self.q, self.r, self.s, lam)
+        blocks = self.p[None], self.q[None], self.r[None], self.s[None]
+        return self.values_of(*blocks, lam[None])[0]
 
     @staticmethod
     def values_of(p, q, r, s, lam) -> np.ndarray:
-        """``F(lam) = p + lam q (I - lam s)^{-1} r`` at points ``lam`` of shape
-        ``(..., n)``, for the blocks of one function or of a ``(...)`` stack
-        of functions of one shape: shape ``(..., n, k, k)``.  A stack gives
+        """``F(lam) = p + lam q (I - lam s)^{-1} r`` for a ``(b,)`` stack of
+        functions of one shape at points ``lam`` of shape ``(b, n)``: shape
+        ``(b, n, k, k)``.
+
+        The path is chosen here and nowhere else.  With ``n >= _MODAL_POINTS``
+        and ``n > m``, each member whose eigenbasis has ``kappa(V) <=
+        _MODAL_KAPPA`` is evaluated from its modal form (:func:`_modal_forms`).
+        Every other member, and every smaller call, gets one LU solve of
+        ``I - lam s`` per point: that path is as fast or faster for few
+        points, and the only accurate one for an ill-conditioned or defective
+        eigenbasis.  The rule reads only ``n``, ``m`` and each member's own ``kappa(V)``, so a stack gives
         each function the values it gives that function alone, to the last
-        bit."""
-        k, m = p.shape[-1], s.shape[-1]
-        at, p = lam[..., None, None], p[..., None, :, :]
+        bit.
+        """
+        (b, n), m = lam.shape, s.shape[-1]
         if m == 0:
-            return np.broadcast_to(p, (*lam.shape, k, k)).copy()
-        a = np.eye(m, dtype=complex) - at * s[..., None, :, :]
-        x = np.linalg.solve(a, np.broadcast_to(r[..., None, :, :], (*lam.shape, m, k)))
-        return p + at * (q[..., None, :, :] @ x)
+            return np.broadcast_to(p[:, None], (b, n, *p.shape[1:])).copy()
+        if n < max(_MODAL_POINTS, m + 1):
+            return _lu_values(p, q, r, s, lam)
+        modal, mu, residues = _modal_forms(q, r, s)
+        out = np.empty((b, n, *p.shape[1:]), dtype=complex)
+        out[modal] = _modal_values(p[modal], mu, residues, lam[modal])
+        if not modal.all():
+            lu = ~modal
+            out[lu] = _lu_values(p[lu], q[lu], r[lu], s[lu], lam[lu])
+        return out
 
     def to_json(self) -> dict:
         """JSON-safe dict with complex entries encoded as [re, im] pairs."""
@@ -168,6 +196,44 @@ class RealizedSchurFunction:
             cmatrix_from_json(data["r"], (m, k)),
             cmatrix_from_json(data["s"], (m, m)),
         )
+
+
+def _modal_forms(q, r, s):
+    """The modal forms of a ``(b,)`` stack of functions, from one stacked ``eig``.
+
+    ``F(lam) = P + sum_j lam / (1 - lam mu_j) (QV)_{:,j} (V^{-1} R)_{j,:}``
+    with ``S = V diag(mu) V^{-1}``.  Returns ``(modal, mu, residues)``: the
+    mask of the members whose eigenbasis has ``kappa(V) <= _MODAL_KAPPA``,
+    and for those members only, the poles ``mu`` of shape ``(., m)`` and the
+    residues flattened to ``(., m, k * k)``.
+    """
+    k, m = q.shape[1:]
+    mu, v = np.linalg.eig(s)
+    modal = np.linalg.cond(v) <= _MODAL_KAPPA  # False where kappa is inf or nan
+    qv, vr = q[modal] @ v[modal], np.linalg.solve(v[modal], r[modal])
+    residues = qv.swapaxes(1, 2)[..., None] * vr[:, :, None, :]
+    return modal, mu[modal], residues.reshape(-1, m, k * k)
+
+
+def _lu_values(p, q, r, s, lam) -> np.ndarray:
+    """:meth:`RealizedSchurFunction.values_of` by one LU solve of ``I - lam s``
+    per point."""
+    (b, n), k, m = lam.shape, p.shape[-1], s.shape[-1]
+    at = lam[:, :, None, None]
+    a = np.eye(m, dtype=complex) - at * s[:, None, :, :]
+    x = np.linalg.solve(a, np.broadcast_to(r[:, None, :, :], (b, n, m, k)))
+    return p[:, None, :, :] + at * (q[:, None, :, :] @ x)
+
+
+def _modal_values(p, mu, residues, lam) -> np.ndarray:
+    """:meth:`RealizedSchurFunction.values_of` from the poles ``mu`` and
+    flattened residues of :func:`_modal_forms`."""
+    (b, n), k = lam.shape, p.shape[-1]
+    at = lam[:, :, None, None]
+    # one (m,) @ (m, k * k) product per point: one (n, m) @ (m, k * k) gemm
+    # goes to OpenBLAS threads, which stall for milliseconds on a busy host
+    terms = (at / (1.0 - at * mu[:, None, None, :])) @ residues[:, None, :, :]
+    return p[:, None, :, :] + terms.reshape(b, n, k, k)
 
 
 def random_schur(k: int, m: int, seed: int, max_sigma: float = 1.0 - 1e-6) -> RealizedSchurFunction:

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from gammapick.fractional import (
-    SingularFractionError,
-    interior_disc_grid,
-    se_diag,
-    se_eval,
-    se_values,
-    se_well_defined,
-)
+from gammapick.fractional import SingularFractionError, se_eval, se_values
 from gammapick.realization import RealizedSchurFunction, random_schur
 
 
@@ -53,17 +46,13 @@ def test_se_values_batch_matches_scalar():
 
 def test_se_is_schur_bounded_on_interior():
     f = random_schur(3, 4, seed=3)
-    pts = interior_disc_grid(12, radius=0.9)
-    lam, z1, z2 = np.meshgrid(pts[:6], pts[:6], pts[:6], indexing="ij")
+    # the first six points of a 12-point golden-angle spiral in the disc of radius 0.9
+    j = np.arange(6)
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    pts = 0.9 * np.sqrt((j + 0.5) / 12) * np.exp(2j * np.pi * ((j * golden) % 1.0))
+    lam, z1, z2 = np.meshgrid(pts, pts, pts, indexing="ij")
     g, *_ = se_values(f, lam.ravel(), z1.ravel(), z2.ravel())
     assert np.abs(g).max() <= 1.0 + 1e-10
-
-
-def test_se_diag_matches_equal_arguments():
-    # the diagonal restriction carries the sign of the signed map
-    f = random_schur(3, 2, seed=4)
-    lam, z = 0.4j, 0.35 - 0.2j
-    assert se_diag(f, lam, z) == pytest.approx(se_eval(f, lam, z, z).se_value, abs=1e-14)
 
 
 def test_se_rejects_boundary_arguments():
@@ -93,13 +82,3 @@ def test_singular_fraction_raises():
     f = RealizedSchurFunction(3, 0, p, np.zeros((3, 0)), np.zeros((0, 3)), np.zeros((0, 0)))
     with pytest.raises(SingularFractionError):
         se_eval(f, 0.0, 1 - 1e-14, 0.0)
-
-
-def test_se_well_defined_for_random_function():
-    assert se_well_defined(random_schur(3, 3, seed=8))
-
-
-def test_interior_disc_grid_stays_inside():
-    pts = interior_disc_grid(40, radius=0.95)
-    assert pts.size == 40
-    assert np.abs(pts).max() < 0.95 + 1e-12

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from numpy.polynomial import polynomial as npoly
 
-from gammapick import cli, hardy, nevanlinna
+from gammapick import cli, hardy, nevanlinna, realization
 from gammapick.cli import run
 from gammapick.domains import E311, GammaPoint, mu, pi_coordinates
 from gammapick.fractional import se_eval
@@ -18,6 +18,7 @@ from gammapick.nevanlinna import (
     GammaCurve,
     GammaNodes,
     PickData,
+    PickInterpolant,
     SlicedSchur2x2,
     UnsolvablePickError,
     build_slice_schur,
@@ -502,6 +503,17 @@ def test_build_slice_schur_triangular_for_diagonal_curve():
     assert v[0, 1] == 0 and v[1, 0] == 0
 
 
+@pytest.mark.parametrize("n_boundary", [0, 16, -5])
+def test_triangular_slice_refuses_too_few_boundary_nodes(n_boundary):
+    # f11 f22 - det vanishes, so the slice never reaches inner_outer's check
+    coeffs = ([0.0, 0.5], [0.2, 0.3], [0.1])
+    entries = [[RationalFunction(coeffs[i] if i == j else [0.0]) for j in range(3)] for i in range(3)]
+    curve = gamma_curve_from_entries(entries, "gamma7")
+    assert build_slice_schur(curve, 0.2, n_boundary=64).triangular
+    with pytest.raises(ValueError, match="^n_boundary too small for the quadrature$"):
+        build_slice_schur(curve, 0.2, n_boundary=n_boundary)
+
+
 def test_reduce_gamma7_split_rules():
     data = _scaled_nodes()
     z2 = 0.3
@@ -751,6 +763,10 @@ def test_np_property_targets_scaled_past_norm_one_are_unsolvable(tmp_path_factor
 # the stacked solver: a batch solves each problem as it is solved alone
 
 _KINDS = ("solvable", "unsolvable", "deficient")
+# more points than any batch problem's states (at most 15), enough for the
+# modal path of RealizedSchurFunction.values_of
+_N_MANY = 2 * realization._MODAL_POINTS
+_MANY_POINTS = 0.95 * np.linspace(0.1, 1.0, _N_MANY) * np.exp(2j * np.pi * np.arange(_N_MANY) / _N_MANY)
 
 
 def _batch_problem(kind: str, k: int, n: int, seed: int) -> PickData:
@@ -807,6 +823,15 @@ def test_a_batch_solves_each_problem_as_it_is_solved_alone(k, n, cases):
         else:
             assert got.target_residual.hex() == alone.target_residual.hex()
             assert got.m == alone.m
+    # the interpolants of one shape, stacked, at more points than states:
+    # each gets the values it gets alone, to the last bit
+    solved = [f for f in together if isinstance(f, PickInterpolant)]
+    for idx in nevanlinna._groups(range(len(solved)), lambda i: (solved[i].k, solved[i].m)):
+        fs = [solved[i] for i in idx]
+        blocks = (np.stack([getattr(f, name) for f in fs]) for name in "pqrs")
+        stacked = PickInterpolant.values_of(*blocks, np.tile(_MANY_POINTS, (len(fs), 1)))
+        for f, values in zip(fs, stacked):
+            assert values.tobytes() == f.evaluate_many(_MANY_POINTS).tobytes()
 
 
 def test_the_batch_example_mixes_ranks_in_one_shape():

@@ -60,6 +60,9 @@ def test_constant_function_with_zero_state():
     p = 0.5 * np.eye(2)
     f = RealizedSchurFunction(2, 0, p, np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))
     np.testing.assert_allclose(f.evaluate(0.3), p)
+    # and at more points than the modal path needs
+    vals = f.evaluate_many(_disc_points(4000, 0.999))
+    assert vals.shape == (4000, 2, 2) and (vals == p).all()
 
 
 def test_expansive_colligation_rejected():
@@ -172,3 +175,61 @@ def test_colligation_check_decides_as_the_norm_bound():
         assert [e is None for e in errors] == [operator_norm(v) <= 1.0 + 1e-10 for v in vs]
         # all but the tops 1 + 2e-10, 1 + 1e-9 and 1 + 1e-8 pass
         assert sum(e is None for e in errors) == 20 * 2 * (len(tops) - 3)
+
+
+# ---------------------------------------------------------------------------
+# the two evaluation paths: LU solves per point, or the modal form
+
+
+def _lu_reference(f, lam):
+    """``p + lam q inv(I - lam s) r`` one point at a time."""
+    return np.array([f.p + x * f.q @ np.linalg.inv(np.eye(f.m) - x * f.s) @ f.r for x in lam])
+
+
+def _disc_points(n, radius, seed=0):
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def _takes_modal_path(f: RealizedSchurFunction) -> np.ndarray:
+    """The mask :func:`realization._modal_forms` gives ``f`` alone, of shape ``(1,)``."""
+    return realization._modal_forms(f.q[None], f.r[None], f.s[None])[0]
+
+
+def _jordan(k: int, m: int, eps: float) -> RealizedSchurFunction:
+    """A contractive colligation whose ``s`` is a nilpotent Jordan block, with
+    ``eps`` added in its bottom-left corner."""
+    s = 0.5 * np.eye(m, k=1)
+    s[-1, 0] += eps
+    q, r = np.zeros((k, m)), np.zeros((m, k))
+    q[0, 0] = r[-1, 0] = 0.5
+    return RealizedSchurFunction(k, m, 0.5 * np.eye(k, k=1), q, r, s)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-10], ids=["nilpotent", "perturbed"])
+def test_a_defective_eigenbasis_takes_the_lu_path(eps):
+    f = _jordan(2, 4, eps)
+    lam = _disc_points(2 * realization._MODAL_POINTS, 0.95)
+    (modal,) = _takes_modal_path(f)
+    assert not modal
+    np.testing.assert_allclose(f.evaluate_many(lam), _lu_reference(f, lam), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_the_modal_path_matches_the_lu_path(m):
+    f = random_schur(3, m, seed=m)
+    lam = _disc_points(4000, 0.999, seed=m)
+    (modal,) = _takes_modal_path(f)
+    assert modal
+    lu = realization._lu_values(f.p[None], f.q[None], f.r[None], f.s[None], lam[None])[0]
+    np.testing.assert_allclose(f.evaluate_many(lam), lu, rtol=0, atol=1e-13)
+
+
+def test_a_stack_mixing_both_paths_gives_each_function_its_own_values():
+    fs = [random_schur(2, 4, seed=1), _jordan(2, 4, 1e-10), random_schur(2, 4, seed=2)]
+    assert [bool(_takes_modal_path(f)[0]) for f in fs] == [True, False, True]
+    lam = np.stack([_disc_points(2 * realization._MODAL_POINTS, 0.95, seed) for seed in range(3)])
+    blocks = (np.stack([getattr(f, name) for f in fs]) for name in "pqrs")
+    stacked = RealizedSchurFunction.values_of(*blocks, lam)
+    for f, points, values in zip(fs, lam, stacked):
+        assert values.tobytes() == f.evaluate_many(points).tobytes()
