@@ -46,16 +46,17 @@ print()
 
 print("== reconstruction from the kernels alone ==")
 result = uw_construct(triple)
-check = verify_uw(result)
+rebuilt = upper_e(result.xi, grid)
+check = verify_uw(result, rebuilt.f_values)
 print(f"state dimension of the reconstruction: {result.state_dim}")
 print(f"reproduces the grid data to {check.max_residual:.3e}")
-rebuilt = upper_e(result.xi, grid)
 print(f"N1 Gram match: {np.abs(rebuilt.n1.gram - triple.n1.gram).max():.3e}")
 print(f"N2 Gram match: {np.abs(rebuilt.n2.gram - triple.n2.gram).max():.3e}")
 
 # the reconstruction is free to rotate the first column by torus phases;
-# fitting those phases aligns it with the original function exactly
-fit = torus_fit(f, result.xi, np.unique(grid.lam))
+# fitting those phases, on the values both triples sampled, aligns it with
+# the original function exactly
+fit = torus_fit(triple.f_values, rebuilt.f_values)
 print(f"torus phases fitted to |eta| = {np.abs(fit.eta)}")
 print(f"after the torus alignment the functions agree to {fit.max_residual:.3e}")
 print()

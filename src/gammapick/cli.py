@@ -293,9 +293,8 @@ def _cmd_se(args):
     return 0, report
 
 
-def _gram_match(triple, xi) -> float:
-    """Largest entry gap between the kernels of ``triple`` and those of ``xi``."""
-    back = upper_e(xi, triple.grid)
+def _gram_match(triple, back) -> float:
+    """Largest entry gap between the kernels of two triples on one grid."""
     return max(
         float(np.abs(b.gram - a.gram).max())
         for a, b in ((triple.n1, back.n1), (triple.n2, back.n2), (triple.n3, back.n3))
@@ -318,7 +317,7 @@ def _kernel_identity(triple) -> float:
 
 
 def _sampled_triple(args):
-    """Schur function and kernel triple of a grid instance, plus echoed options."""
+    """Kernel triple of a grid instance, plus echoed options."""
     payload = _load_payload(args)
     f = _function_from(payload)
     grid, grid_opts = _grid_from(payload)
@@ -329,11 +328,11 @@ def _sampled_triple(args):
         raise Declined({"error": str(exc), "options": options}) from exc
     except ValueError as exc:  # a function that is not 3x3
         raise InputError(str(exc)) from exc
-    return f, triple, options
+    return triple, options
 
 
 def _cmd_upper_e(args):
-    _, triple, options = _sampled_triple(args)
+    triple, options = _sampled_triple(args)
     tol = options["tol"]
 
     def safe_rank(kernel):
@@ -357,15 +356,16 @@ def _cmd_upper_e(args):
 
 
 def _cmd_uw(args):
-    f, triple, options = _sampled_triple(args)
+    triple, options = _sampled_triple(args)
     tol = options["tol"]
     try:
         result = uw_construct(triple, tol=tol)
     except (RankError, GramInconsistencyError, ArithmeticError) as exc:
         return 2, {"error": str(exc), "options": options}
-    ver = verify_uw(result, tol=tol)
-    gram_match = _gram_match(triple, result.xi)
-    fit = torus_fit(f, result.xi, triple.grid.lam)
+    back = upper_e(result.xi, triple.grid)
+    ver = verify_uw(result, back.f_values, tol)
+    gram_match = _gram_match(triple, back)
+    fit = torus_fit(triple.f_values, back.f_values)
     passed = ver.passed and gram_match <= tol
     report = {
         "state_dim": int(result.state_dim),
@@ -380,7 +380,7 @@ def _cmd_uw(args):
 
 
 def _cmd_right_s(args):
-    _, triple, options = _sampled_triple(args)
+    triple, options = _sampled_triple(args)
     try:
         factor = right_s(triple, tol=options["tol"])
     except (RankError, ValueError, IndefiniteMatrixError) as exc:
@@ -543,9 +543,10 @@ def _cmd_verify_identities(args):
     kernel_identity = _kernel_identity(triple)
 
     result = uw_construct(triple)
-    ver = verify_uw(result)
-    gram_match = _gram_match(triple, result.xi)
-    fit = torus_fit(f, result.xi, grid.lam)
+    back = upper_e(result.xi, grid)
+    ver = verify_uw(result, back.f_values)
+    gram_match = _gram_match(triple, back)
+    fit = torus_fit(triple.f_values, back.f_values)
 
     modulus, phase = _right_s_match(right_s(triple).values, triple.g_values)
 

@@ -42,6 +42,11 @@ __all__ = [
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Finite, non-empty list of pairwise distinct sample points of ``D^3``.
@@ -73,17 +78,17 @@ class SampleGrid:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def lam(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points], dtype=complex)
+        return _read_only(np.array([p[0] for p in self.points], dtype=complex))
 
-    @property
+    @cached_property
     def z1(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points], dtype=complex)
+        return _read_only(np.array([p[1] for p in self.points], dtype=complex))
 
-    @property
+    @cached_property
     def z2(self) -> np.ndarray:
-        return np.array([p[2] for p in self.points], dtype=complex)
+        return _read_only(np.array([p[2] for p in self.points], dtype=complex))
 
 
 def tensor_grid(
@@ -128,11 +133,6 @@ def tensor_grid(
     return SampleGrid(tuple(points), diagonal=diagonal)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class SampledKernel:
     """A kernel sampled on a grid: hermitian Gram matrix plus its grid.
@@ -144,26 +144,26 @@ class SampledKernel:
 
     grid: SampleGrid
     gram: np.ndarray
-    _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=complex)
         t = len(self.grid)
         if g.shape != (t, t):
             raise ValueError(f"gram must be {t}x{t}")
-        scale = max(1.0, float(np.abs(g).max()))
-        if float(np.abs(g - g.conj().T).max()) > 1e-9 * scale:
-            raise ValueError("gram matrix must be hermitian")
+        # an outer product is hermitian up to rounding, which hermitian_part removes
+        if self._factor is None:
+            scale = max(1.0, float(np.abs(g).max()))
+            if float(np.abs(g - g.conj().T).max()) > 1e-9 * scale:
+                raise ValueError("gram matrix must be hermitian")
         object.__setattr__(self, "gram", _read_only(hermitian_part(g)))
 
     @classmethod
     def outer(cls, grid: SampleGrid, u) -> "SampledKernel":
         """The rank-one kernel ``u u*``; its spectrum comes in closed form
-        (:meth:`~gammapick.linalg.Spectrum.outer`), with no ``eigh``."""
+        (:meth:`~gammapick.linalg.Spectrum.outer`), with no decomposition."""
         u = _read_only(np.array(u, dtype=complex).ravel())
-        kernel = cls(grid, np.outer(u, u.conj()))
-        object.__setattr__(kernel, "_factor", u)
-        return kernel
+        return cls(grid, np.outer(u, u.conj()), u)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -179,13 +179,15 @@ class SampledKernel:
 
 @dataclass(frozen=True)
 class KernelTriple:
-    """The three sampled kernels of one Schur function on one grid."""
+    """The three sampled kernels of one Schur function on one grid, and the
+    function's values at the grid's ``lam`` when :func:`upper_e` sampled them."""
 
     grid: SampleGrid
     n1: SampledKernel
     n2: SampledKernel
     n3: SampledKernel
     g_values: np.ndarray = field(repr=False)
+    f_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for part in (self.n1, self.n2, self.n3):
@@ -225,6 +227,7 @@ def upper_e(f: RealizedSchurFunction, grid: SampleGrid) -> KernelTriple:
         SampledKernel.outer(grid, gamma[:, 1]),
         SampledKernel(grid, n3),
         g,
+        fv,
     )
 
 
@@ -239,8 +242,8 @@ def combine_k(triple: KernelTriple) -> SampledKernel:
 def kernel_rank(kernel: SampledKernel, tol: float = 1e-9) -> int:
     """Numerical rank of a PSD sampled kernel.
 
-    Eigenvalues above ``tol * max_eig`` count; a significantly negative
-    eigenvalue raises :class:`~gammapick.linalg.IndefiniteMatrixError`.
+    Eigenvalues above ``tol * max(1, max_eig)`` count; one below minus that
+    raises :class:`~gammapick.linalg.IndefiniteMatrixError`.
     """
     return kernel.spectrum.rank(tol)
 

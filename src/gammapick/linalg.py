@@ -2,8 +2,9 @@
 
 Everything here is a thin, contract-checked wrapper over LAPACK via
 ``numpy.linalg``.  Matrices are plain complex ndarrays.  Every hermitian
-eigendecomposition in the package goes through :class:`Spectrum`, and both
-isometry-extension constructions go through :func:`extend_isometry`.
+spectrum in the package goes through :class:`Spectrum`, which computes
+eigenvectors only for a factor, and both isometry-extension constructions go
+through :func:`extend_isometry`.
 """
 
 from __future__ import annotations
@@ -77,28 +78,29 @@ def hermitian_part(m) -> np.ndarray:
 
 
 class Spectrum:
-    """One ``eigh`` of the hermitian part of a square matrix, read by every check.
+    """Eigenvalues of the hermitian part of a square matrix, read by every check.
 
-    ``values`` ascend with orthonormal ``vectors``; ``min`` and ``top`` are
-    the extreme eigenvalues (0 for an empty matrix).
+    ``values`` ascend; ``min`` and ``top`` are the extreme eigenvalues (0 for
+    an empty matrix).  The PSD and rank decisions need no eigenvectors, so
+    ``values`` come from ``eigvalsh``; only :meth:`factor` runs ``eigh``.
     """
 
     def __init__(self, m):
         m = as_cmatrix(m)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        self._set(*np.linalg.eigh(hermitian_part(m)))
+        self._matrix = hermitian_part(m)
+        self._set(np.linalg.eigvalsh(self._matrix), None)
 
-    def _set(self, values: np.ndarray, vectors: np.ndarray):
-        self.values, self.vectors = values, vectors
+    def _set(self, values: np.ndarray, eigh: tuple | None):
+        self.values, self._eigh = values, eigh
         self.min = float(values[0]) if values.size else 0.0
         self.top = float(values[-1]) if values.size else 0.0
 
     @classmethod
     def many(cls, matrices) -> list["Spectrum"]:
         """Spectra of square matrices of one shape (a sequence or a stack)
-        from one stacked ``eigh``; each equals ``Spectrum(m)`` of its matrix
-        to the last bit."""
+        from one stacked ``eigh``, whose vectors their factors read."""
         if len(matrices) == 0:
             return []
         ms = np.asarray(matrices, dtype=complex)
@@ -109,33 +111,25 @@ class Spectrum:
         out = []
         for values, vectors in zip(*np.linalg.eigh((ms + ms.conj().swapaxes(1, 2)) / 2.0)):
             spec = cls.__new__(cls)
-            spec._set(values, vectors)
+            spec._set(values, (values, vectors))
             out.append(spec)
         return out
 
     @classmethod
     def outer(cls, u) -> "Spectrum":
-        """Spectrum of ``u u*`` in closed form, with no ``eigh``.
+        """Spectrum of ``u u*`` in closed form, with no decomposition.
 
-        ``values`` are ``[0, ..., 0, |u|**2]``.  ``vectors`` complete
-        ``u / |u|``, their last column, to a unitary by one Householder
-        reflection; for ``u = 0`` they are the identity.
+        ``values`` are ``[0, ..., 0, |u|**2]``, and :meth:`factor` reads
+        ``u / |u|`` as the top vector (the others are zero: a factor scales
+        them by ``sqrt(0)``).
         """
         u = np.asarray(u, dtype=complex).ravel()
-        values, vectors = np.zeros(u.size), np.eye(u.size, dtype=complex)
+        values, vectors = np.zeros(u.size), np.zeros((u.size, u.size), dtype=complex)
         norm = float(np.linalg.norm(u))
         if norm > 0.0:
-            values[-1] = norm * norm
-            w = u / norm
-            # conj(phase) w ends in a nonnegative entry, so v = e_n + conj(phase) w
-            # has no cancellation; the reflection along v maps e_n to
-            # -conj(phase) w, and -phase times it maps e_n to w
-            phase = w[-1] / abs(w[-1]) if w[-1] != 0 else 1.0
-            v = np.conj(phase) * w
-            v[-1] += 1.0
-            vectors = phase * (np.outer(v, v.conj()) * (2.0 / np.vdot(v, v).real) - vectors)
+            values[-1], vectors[:, -1] = norm * norm, u / norm
         spec = cls.__new__(cls)
-        spec._set(values, vectors)
+        spec._set(values, (values, vectors))
         return spec
 
     def is_psd(self, tol: float) -> bool:
@@ -143,24 +137,28 @@ class Spectrum:
         return self.min >= -tol * max(1.0, self.top)
 
     def rank(self, tol: float) -> int:
-        """Number of eigenvalues above ``tol * top``.
+        """Number of eigenvalues above ``tol * max(1, top)``, the floor of :meth:`is_psd`.
 
-        Raises :class:`IndefiniteMatrixError` when ``min < -tol * top``
-        (``-tol * max(1, |top|)`` when ``top <= 0``).
+        Raises :class:`IndefiniteMatrixError` when ``min`` is below minus that floor.
         """
-        top = self.top
-        if self.min < -tol * (top if top > 0.0 else max(1.0, -top)):
+        floor = tol * max(1.0, self.top)
+        if self.min < -floor:
             raise IndefiniteMatrixError(
-                f"matrix is indefinite: eigenvalues span [{self.min:.3e}, {top:.3e}]"
+                f"matrix is indefinite: eigenvalues span [{self.min:.3e}, {self.top:.3e}]"
             )
-        if top <= 0.0:
-            return 0
-        return int(np.count_nonzero(self.values > tol * top))
+        return int(np.count_nonzero(self.values > floor))
 
     def factor(self, cutoff: float) -> np.ndarray:
-        """``(n, r)`` factor ``L``, ``L L*`` = the part above ``cutoff * top``."""
-        keep = self.values > cutoff * max(self.top, 1e-300)
-        return self.vectors[:, keep] * np.sqrt(np.maximum(self.values[keep], 0.0))
+        """``(n, r)`` factor ``L``, ``L L*`` = the part above ``cutoff * top``.
+
+        A spectrum built by the constructor runs its ``eigh`` on the first
+        call, so its factor equals that of :meth:`many` to the last bit.
+        """
+        if self._eigh is None:
+            self._eigh = np.linalg.eigh(self._matrix)
+        values, vectors = self._eigh
+        keep = values > cutoff * max(values.max(initial=0.0), 1e-300)
+        return vectors[:, keep] * np.sqrt(np.maximum(values[keep], 0.0))
 
 
 def extend_isometry(right: np.ndarray, left: np.ndarray) -> np.ndarray:

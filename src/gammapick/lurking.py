@@ -58,9 +58,11 @@ class RankOneFactor:
 
 
 def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
-    """Factor a PSD sampled kernel of rank at most one.
+    """Factor a PSD sampled kernel of rank at most one by its Gram column of
+    largest diagonal, ``K[:, j] / sqrt(K[j, j])`` (one pivoted Cholesky step).
 
-    Raises :class:`RankError` when the numerical rank exceeds one and
+    Raises :class:`RankError` when the numerical rank exceeds one or the
+    factor misses the kernel, and
     :class:`~gammapick.linalg.IndefiniteMatrixError` when the kernel fails to
     be PSD within ``tol``.
     """
@@ -73,14 +75,15 @@ def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
         )
     if rank == 0:
         return RankOneFactor(kernel.grid, np.zeros(len(kernel.grid), dtype=complex))
-    v = spec.factor(tol)[:, 0]
+    j = int(np.argmax(kernel.gram.diagonal().real))
+    v = kernel.gram[:, j] / np.sqrt(kernel.gram[j, j].real)
     # anchor the phase on the first entry that carries weight
     mags = np.abs(v)
     anchor = int(np.argmax(mags >= 1e-8 * mags.max()))
     phase = v[anchor] / abs(v[anchor])
     v = v * np.conj(phase)
     resid = float(np.abs(kernel.gram - np.outer(v, v.conj())).max())
-    if resid > max(10 * tol * spec.top, 1e-12):
+    if resid > 10 * tol * max(1.0, spec.top):
         raise RankError(f"rank-one reconstruction residual {resid:.3e} too large")
     return RankOneFactor(kernel.grid, v)
 
@@ -153,15 +156,15 @@ class UWVerification:
     tol: float
 
 
-def verify_uw(result: UWResult, tol: float = 1e-8) -> UWVerification:
+def verify_uw(result: UWResult, values, tol: float = 1e-8) -> UWVerification:
     """Check ``Xi(lam_t) (1, z1 f1, z2 f2)^T = (g, f1, f2)^T`` over the grid
-    of the factors."""
+    of the factors, from Xi's ``values`` at the grid's ``lam`` (the
+    ``f_values`` of ``upper_e(result.xi, grid)``)."""
     grid = result.f1.grid
     lam, z1, z2 = grid.lam, grid.z1, grid.z2
-    vals = result.xi.evaluate_many(lam)
     rhs = np.stack([np.ones_like(lam), z1 * result.f1.values, z2 * result.f2.values], axis=-1)
     lhs = np.stack([result.g.values, result.f1.values, result.f2.values], axis=-1)
-    resid = np.linalg.norm(np.einsum("tij,tj->ti", vals, rhs) - lhs, axis=-1)
+    resid = np.linalg.norm(np.einsum("tij,tj->ti", values, rhs) - lhs, axis=-1)
     i = int(np.argmax(resid))
     top = float(resid[i])
     return UWVerification(top, grid.points[i], bool(top <= tol), tol)
@@ -173,17 +176,15 @@ class TorusFit:
     max_residual: float
 
 
-def torus_fit(
-    reference: RealizedSchurFunction, candidate: RealizedSchurFunction, lam
-) -> TorusFit:
-    """Fit torus phases aligning ``candidate`` with ``reference`` on points ``lam``.
+def torus_fit(reference, candidate) -> TorusFit:
+    """Fit torus phases aligning a candidate function with a reference one,
+    given as their ``(n, 3, 3)`` values at the same points (``evaluate_many``
+    or the ``f_values`` of a triple).
 
     Phases are read off the first column, which the conjugation scales by
     ``eta_i`` alone; entries must not vanish identically there.
     """
-    lam = np.asarray(lam, dtype=complex).ravel()
-    fv = reference.evaluate_many(lam)
-    xv = candidate.evaluate_many(lam)
+    fv, xv = np.asarray(reference), np.asarray(candidate)
     etas = []
     for i in range(3):
         corr = np.vdot(fv[:, i, 0], xv[:, i, 0])

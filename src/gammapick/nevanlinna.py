@@ -389,9 +389,12 @@ class GammaNodes:
 
 
 def sample_curve(curve: GammaCurve, nodes: Sequence[complex]) -> GammaNodes:
-    """Evaluate a curve at finitely many nodes."""
+    """Evaluate a curve at finitely many nodes, each component at all nodes at
+    once (the values of ``point_at`` to the last bit)."""
     nodes = _disc_nodes(nodes)
-    return GammaNodes(curve.variant, nodes, tuple(curve.point_at(v) for v in nodes))
+    cols = [c(np.array(nodes, dtype=complex)) for c in curve.components]
+    points = tuple(GammaPoint(curve.variant, p) for p in zip(*cols))
+    return GammaNodes(curve.variant, nodes, points)
 
 
 def _scalar_ratio(den: np.ndarray, base: np.ndarray):

@@ -106,15 +106,15 @@ def test_criterion_3_uw_roundtrip():
         count += 1
         triple = upper_e(f, grid)
         result = uw_construct(triple)
-        worst_verify = max(worst_verify, verify_uw(result).max_residual)
         rebuilt = upper_e(result.xi, grid)
+        worst_verify = max(worst_verify, verify_uw(result, rebuilt.f_values).max_residual)
         worst_gram = max(
             worst_gram,
             float(np.abs(rebuilt.n1.gram - triple.n1.gram).max()),
             float(np.abs(rebuilt.n2.gram - triple.n2.gram).max()),
             float(np.abs(combine_k(rebuilt).gram - combine_k(triple).gram).max()),
         )
-        fit = torus_fit(f, result.xi, np.unique(grid.lam))
+        fit = torus_fit(fv, result.xi.evaluate_many(np.unique(grid.lam)))
         worst_torus = max(worst_torus, fit.max_residual)
     _report(
         "criterion-3 UW roundtrip",

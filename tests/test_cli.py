@@ -14,8 +14,9 @@ import gammapick
 from gammapick import cli, hardy
 from gammapick.cli import run
 from gammapick.domains import E311, mu, pi_coordinates
+from gammapick.kernels import tensor_grid, upper_e
 from gammapick.nevanlinna import DEFAULT_Z_GRID, gamma_curve_from_entries
-from gammapick.realization import random_schur, realization_to_rational
+from gammapick.realization import RealizedSchurFunction, random_schur, realization_to_rational
 from gammapick.serialize import (
     cmatrix_to_json,
     complex_to_json,
@@ -141,11 +142,54 @@ def test_uw_roundtrip_command(tmp_path, capsys):
     assert report["torus_fit_residual"] <= 1e-7
 
 
+def test_uw_command_evaluates_each_function_once(tmp_path, capsys, monkeypatch):
+    # F for its triple, Xi for its triple: verify_uw and torus_fit read those values
+    evaluated = []
+    original = RealizedSchurFunction.evaluate_many
+
+    def counted(self, lam):
+        evaluated.append(self)
+        return original(self, lam)
+
+    monkeypatch.setattr(RealizedSchurFunction, "evaluate_many", counted)
+    path = _write(tmp_path, "uw.json", _function_payload(seed=4, m=2, max_sigma=0.9))
+    code, report = _run(capsys, ["uw", "--in", path])
+    assert code == 0 and report["passed"] is True
+    assert len(evaluated) == 2 and evaluated[0] is not evaluated[1]
+
+
 def test_right_s_command(tmp_path, capsys):
     path = _write(tmp_path, "rs.json", _function_payload(seed=5, m=2))
     code, report = _run(capsys, ["right-s", "--in", path])
     assert code == 0
     assert report["modulus_match"] <= 1e-9
+
+
+def _zero_and_small_functions():
+    zero = RealizedSchurFunction(
+        3, 0, np.zeros((3, 3)), np.zeros((3, 0)), np.zeros((0, 3)), np.zeros((0, 0))
+    )
+    f = random_schur(3, 2, seed=1)
+    small = RealizedSchurFunction(3, 2, 1e-6 * f.p, 1e-3 * f.q, 1e-3 * f.r, f.s)
+    return {"zero": zero, "small": small}
+
+
+@pytest.mark.parametrize("name", ["zero", "small"])
+def test_a_vanishing_combined_kernel_is_a_member_of_rank_zero(tmp_path, capsys, name):
+    # rounding noise far below the floor tol * max(1, top) of is_psd is not
+    # indefiniteness, and counts no rank
+    f = _zero_and_small_functions()[name]
+    # K is rounding noise: for small, min -9.4e-16 and top 7.4e-12 (x86-64, OpenBLAS)
+    spec = upper_e(f, tensor_grid()).combined.spectrum
+    assert -1e-14 < spec.min <= spec.top < 1e-11
+    path = _write(tmp_path, "f.json", {"function": f.to_json()})
+    code, report = _run(capsys, ["upper-e", "--in", path])
+    assert code == 0 and report["member"] is True
+    assert report["psd"]["k"] is True and report["ranks"]["k"] == 0
+    code, report = _run(capsys, ["right-s", "--in", path])
+    assert code == 0
+    assert report["max_modulus"] == 0.0
+    assert all(v == [0.0, 0.0] for v in report["values"])
 
 
 def test_np_solvable_and_schwarz_violation(tmp_path, capsys):

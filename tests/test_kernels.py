@@ -36,6 +36,22 @@ def test_tensor_grid_determinism_and_bounds():
     assert tensor_grid(seed=4).points != g1.points
 
 
+def test_grid_coordinates_are_cached_read_only_arrays():
+    grid = tensor_grid(3, 3, seed=2)
+    for col, name in enumerate(("lam", "z1", "z2")):
+        a = getattr(grid, name)
+        assert a is getattr(grid, name)
+        assert a.tolist() == [p[col] for p in grid.points]
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_upper_e_keeps_the_function_values_it_sampled():
+    f = random_schur(3, 4, seed=3)
+    grid = tensor_grid(4, 4, seed=1)
+    assert upper_e(f, grid).f_values.tobytes() == f.evaluate_many(grid.lam).tobytes()
+
+
 def test_tensor_grid_diagonal_variant():
     g = tensor_grid(3, 3, diagonal=True, seed=0)
     assert g.diagonal

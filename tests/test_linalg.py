@@ -10,6 +10,7 @@ from gammapick import cli
 from gammapick.domains import GammaPoint, pi_coordinates
 from gammapick.kernels import SampleGrid, SampledKernel, kernel_rank, tensor_grid, upper_e
 from gammapick.linalg import (
+    STATE_CUTOFF,
     IndefiniteMatrixError,
     Spectrum,
     as_cmatrix,
@@ -104,19 +105,14 @@ _EDGE_VECTORS = {
 
 
 def _agrees_with_eigh(u: np.ndarray, tols=(1e-9, 1e-12)):
-    """``Spectrum.outer(u)`` against the ``eigh`` of ``u u*``: same decisions,
-    same top to 1e-13 relative, unitary vectors whose last column is ``u / |u|``."""
+    """``Spectrum.outer(u)`` against the spectrum of ``u u*``: same decisions,
+    same top to 1e-13 relative, and exact zeros below it."""
     spec, ref = Spectrum.outer(u), Spectrum(np.outer(u, u.conj()))
-    n = u.size
-    assert np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(n)).max() <= 1e-14
     for tol in tols:
         assert spec.rank(tol) == ref.rank(tol)
         assert spec.is_psd(tol) == ref.is_psd(tol)
     assert abs(spec.top - ref.top) <= 1e-13 * ref.top
-    assert spec.values[:-1].tolist() == [0.0] * (n - 1)
-    norm = np.linalg.norm(u)
-    if norm > 0:
-        assert np.abs(spec.vectors[:, -1] - u / norm).max() <= 1e-15
+    assert spec.values[:-1].tolist() == [0.0] * (u.size - 1)
     return spec
 
 
@@ -126,19 +122,21 @@ def test_outer_spectrum_edge_cases(name):
     spec = _agrees_with_eigh(u)
     f = spec.factor(1e-9)
     if name == "zero":
-        assert spec.rank(1e-9) == 0 and f.shape == (4, 0)
+        assert f.shape == (4, 0)
         assert Spectrum(np.zeros((4, 4))).factor(1e-9).shape == (4, 0)
         assert spec.values.tolist() == [0.0] * 4
-        assert np.array_equal(spec.vectors, np.eye(4))
     else:
         assert f.shape == (u.size, 1)
         np.testing.assert_allclose(f @ f.conj().T, np.outer(u, u.conj()), rtol=1e-14, atol=0)
-    # the rank-one factor of the kernel u u* is u up to phase, or zeros
+    # the rank-one factor of the kernel u u* is u up to phase, or zeros when
+    # |u|**2 is below the rank floor tol * max(1, |u|**2)
     points = tuple((0.1 * j, 0.2, 0.3) for j in range(u.size))
     values = rank1_factor(SampledKernel.outer(SampleGrid(points), u)).values
-    if name == "zero":
+    if np.vdot(u, u).real <= 1e-9:
+        assert spec.rank(1e-9) == 0
         assert np.array_equal(values, np.zeros(u.size))
     else:
+        assert spec.rank(1e-9) == 1
         np.testing.assert_allclose(np.abs(values), np.abs(u), rtol=1e-14, atol=0)
 
 
@@ -200,11 +198,11 @@ _CONTRACTS = {
     ),
     "kernel_rank": (
         lambda t, l: _accepts(IndefiniteMatrixError, lambda: kernel_rank(_kernel(t, l), TOL)),
-        lambda t: TOL * t,
+        lambda t: TOL * max(1.0, t),
     ),
     "rank1_factor": (
         lambda t, l: _accepts(IndefiniteMatrixError, lambda: rank1_factor(_kernel(t, l), TOL)),
-        lambda t: TOL * t,
+        lambda t: TOL * max(1.0, t),
     ),
 }
 
@@ -212,8 +210,8 @@ _CONTRACTS = {
 @pytest.mark.parametrize("top", [1e-3, 1e3])
 @pytest.mark.parametrize("name", sorted(_CONTRACTS))
 def test_psd_predicate_threshold_contracts(name, top):
-    # at top = 1e-3 the relative bound -tol*top parts from -tol; at top = 1e3
-    # -tol*max(1, top) parts from the absolute -tol
+    # every predicate has the floor tol * max(1, top): at top = 1e-3 it parts
+    # from the relative -tol*top, at top = 1e3 from the absolute -tol
     accepts, threshold = _CONTRACTS[name]
     bound = threshold(top)
     assert accepts(top, -0.9 * bound)
@@ -221,23 +219,23 @@ def test_psd_predicate_threshold_contracts(name, top):
 
 
 # ---------------------------------------------------------------------------
-# each hermitian matrix is decomposed once
+# each hermitian matrix is decomposed once, and eigenvectors are computed only
+# for a factor
 
 
-def _decompositions(fn) -> int:
-    count = 0
+def _decompositions(fn) -> dict:
+    counts = {"eigh": 0, "eigvalsh": 0}
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("eigh", "eigvalsh"):
+        for name in counts:
             original = getattr(np.linalg, name)
 
-            def counted(*args, _original=original, **kwargs):
-                nonlocal count
-                count += 1
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
                 return _original(*args, **kwargs)
 
             mp.setattr(np.linalg, name, counted)
         fn()
-    return count
+    return counts
 
 
 def _fresh_triple():
@@ -245,28 +243,50 @@ def _fresh_triple():
 
 
 # N1 and N2 are rank one by construction and carry a closed-form spectrum,
-# so only N3 and the combined kernel K are decomposed
+# so only N3 and the combined kernel K are decomposed; the rank-one factors
+# are Gram columns, and only N3's state factor reads eigenvectors
 
 
 def test_uw_construct_decomposes_each_kernel_once():
     triple = _fresh_triple()
     assert len(triple.grid) == 16
-    assert _decompositions(lambda: uw_construct(triple)) == 2
+    assert _decompositions(lambda: uw_construct(triple)) == {"eigh": 1, "eigvalsh": 2}
 
 
 def test_right_s_decomposes_each_kernel_once():
     triple = _fresh_triple()
-    assert _decompositions(lambda: right_s(triple)) == 2
+    assert _decompositions(lambda: right_s(triple)) == {"eigh": 0, "eigvalsh": 2}
 
 
 def test_upper_e_command_decomposes_each_kernel_once(tmp_path, capsys):
     path = tmp_path / "ue.json"
     path.write_text(json.dumps({"function": random_schur(3, 2, seed=2).to_json()}))
     codes = []
-    assert _decompositions(lambda: codes.append(cli.run(["upper-e", "--in", str(path)]))) == 2
+    counts = _decompositions(lambda: codes.append(cli.run(["upper-e", "--in", str(path)])))
+    assert counts == {"eigh": 0, "eigvalsh": 2}
     assert codes == [0]
     ranks = json.loads(capsys.readouterr().out)["ranks"]
     assert (ranks["n1"], ranks["n2"], ranks["k"]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "command, grid, want",
+    [
+        ("right-s", {"n_lambda": 8, "n_z": 8}, {"eigh": 0, "eigvalsh": 2}),
+        ("uw", {}, {"eigh": 1, "eigvalsh": 2}),
+    ],
+    ids=["right-s", "uw"],
+)
+def test_kernel_commands_compute_eigenvectors_only_for_the_state_factor(
+    tmp_path, capsys, command, grid, want
+):
+    path = tmp_path / "op.json"
+    payload = {"function": random_schur(3, 4, seed=3).to_json(), "grid": grid}
+    path.write_text(json.dumps(payload))
+    codes = []
+    assert _decompositions(lambda: codes.append(cli.run([command, "--in", str(path)]))) == want
+    assert codes == [0]
+    capsys.readouterr()
 
 
 def test_closed_form_2x2_norms_match_the_svd():
@@ -286,13 +306,28 @@ def test_stacked_spectra_equal_the_single_ones_to_the_last_bit():
     for n in (1, 6, 10):
         ms = rng.normal(size=(9, n, n)) + 1j * rng.normal(size=(9, n, n))
         ms = ms @ ms.conj().transpose(0, 2, 1) - 0.5 * n * np.eye(n)  # some indefinite
-        for one, many in zip(map(Spectrum, ms), Spectrum.many(list(ms))):
+        for m, many in zip(ms, Spectrum.many(list(ms))):
+            (one,) = Spectrum.many([m])
             assert one.values.tobytes() == many.values.tobytes()
-            assert one.vectors.tobytes() == many.vectors.tobytes()
             assert (one.min, one.top) == (many.min, many.top)
+            for cutoff in (-1.0, 1e-13, 0.5):
+                assert one.factor(cutoff).tobytes() == many.factor(cutoff).tobytes()
     assert Spectrum.many([]) == []
     with pytest.raises(ValueError, match="square"):
         Spectrum.many([np.zeros((2, 3))])
+
+
+def test_a_single_spectrum_factors_as_the_stacked_one_to_the_last_bit():
+    # eigvalsh and eigh may part in the last bit of the values, but the factor
+    # reads the eigh of the same matrix that Spectrum.many decomposes
+    rng = np.random.default_rng(6)
+    for n in (1, 6, 10, 64):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = m @ m.conj().T - 0.5 * n * np.eye(n)
+        one, (many,) = Spectrum(m), Spectrum.many([m])
+        np.testing.assert_allclose(one.values, many.values, rtol=0, atol=1e-12 * abs(many.top))
+        for cutoff in (-1.0, STATE_CUTOFF, 0.5):
+            assert one.factor(cutoff).tobytes() == many.factor(cutoff).tobytes()
 
 
 def test_certify_decomposes_each_pick_matrix_once():
@@ -301,7 +336,7 @@ def test_certify_decomposes_each_pick_matrix_once():
     points = tuple(GammaPoint("gamma7", pi_coordinates(l * a0, "gamma7").entries) for l in nodes)
     data = GammaNodes("gamma7", nodes, points)
     reports = []
-    count = _decompositions(lambda: reports.append(certify_gamma7_interpolation(data)))
-    assert count <= len(reports[0].rows)
+    counts = _decompositions(lambda: reports.append(certify_gamma7_interpolation(data)))
+    assert sum(counts.values()) <= len(reports[0].rows)
     # one stacked eigh for the grid's Pick matrices, none in np_solve
-    assert count == 1
+    assert counts == {"eigh": 1, "eigvalsh": 0}

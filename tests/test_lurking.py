@@ -52,10 +52,10 @@ def test_uw_roundtrip_reconstructs_kernels(m):
     grid = tensor_grid(4, 4, radius=0.9, seed=m)
     triple = upper_e(f, grid)
     result = uw_construct(triple)
-    check = verify_uw(result)
+    rebuilt = upper_e(result.xi, grid)
+    check = verify_uw(result, rebuilt.f_values)
     assert check.passed, check
     # the reconstructed function reproduces the kernel data exactly
-    rebuilt = upper_e(result.xi, grid)
     np.testing.assert_allclose(rebuilt.n1.gram, triple.n1.gram, atol=1e-8)
     np.testing.assert_allclose(rebuilt.n2.gram, triple.n2.gram, atol=1e-8)
     np.testing.assert_allclose(
@@ -68,7 +68,7 @@ def test_uw_reconstruction_is_torus_conjugate_of_source():
     grid = tensor_grid(4, 4, radius=0.9, seed=0)
     result = uw_construct(upper_e(f, grid))
     lam = np.unique(grid.lam)
-    fit = torus_fit(f, result.xi, lam)
+    fit = torus_fit(f.evaluate_many(lam), result.xi.evaluate_many(lam))
     assert fit.max_residual <= 1e-7
     assert all(abs(abs(e) - 1.0) <= 1e-9 for e in fit.eta)
 
@@ -78,8 +78,8 @@ def test_uw_passes_on_a_64_point_grid():
     # to norm 1.035; the unitary fit has no excess norm to refuse
     triple = upper_e(random_schur(3, 2, seed=0), tensor_grid(8, 8, radius=0.9, seed=0))
     result = uw_construct(triple)
-    assert verify_uw(result).passed
     back = upper_e(result.xi, triple.grid)
+    assert verify_uw(result, back.f_values).passed
     gram_match = max(
         float(np.abs(b.gram - a.gram).max())
         for a, b in ((triple.n1, back.n1), (triple.n2, back.n2), (triple.n3, back.n3))
@@ -135,7 +135,8 @@ def test_torus_conjugate_preserves_kernels_and_fit_recovers_phases():
     np.testing.assert_allclose(a.n1.gram, b.n1.gram, atol=1e-10)
     np.testing.assert_allclose(a.n2.gram, b.n2.gram, atol=1e-10)
     np.testing.assert_allclose(a.n3.gram, b.n3.gram, atol=1e-10)
-    fit = torus_fit(f, g, np.unique(grid.lam))
+    lam = np.unique(grid.lam)
+    fit = torus_fit(f.evaluate_many(lam), g.evaluate_many(lam))
     assert fit.max_residual <= 1e-10
     np.testing.assert_allclose(fit.eta, etas, atol=1e-9)
 
@@ -159,3 +160,26 @@ def test_right_s_on_diagonal_grid():
     grid = tensor_grid(4, 4, radius=0.9, seed=6, diagonal=True)
     factor = right_s(upper_e(f, grid))
     assert len(factor.values) == len(grid)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rank1_factor_is_a_pivot_column_near_the_rank_threshold(seed):
+    # g g* plus a perturbation E whose eigenvalues reach 0.99 tol * top on both
+    # sides: still PSD and of rank one at tol, but far from exactly rank one
+    tol, n = 1e-9, 64
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    top = np.vdot(g, g).real
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    e = 0.99 * tol * top * rng.uniform(-1.0, 1.0, size=n)
+    e[:2] = 0.99 * tol * top * np.array([1.0, -1.0])
+    gram = np.outer(g, g.conj()) + (q * e) @ q.conj().T
+    kernel = SampledKernel(tensor_grid(8, 8, radius=0.9, seed=0), gram)
+    assert kernel.spectrum.rank(tol) == 1
+    v = rank1_factor(kernel, tol).values
+    # well inside the factor's own residual bound 10 tol * top
+    assert np.abs(kernel.gram - np.outer(v, v.conj())).max() <= 1e-9 * top
+    # the eigenvector factor, up to phase
+    w = kernel.spectrum.factor(tol)[:, 0]
+    phase = np.vdot(w, v) / abs(np.vdot(w, v))
+    assert np.abs(v - phase * w).max() <= 2e-9 * np.sqrt(top)

@@ -153,6 +153,17 @@ def test_sample_curve_collects_points():
     )
 
 
+@pytest.mark.parametrize("variant", ["gamma7", "gamma5"])
+@pytest.mark.parametrize("seed", [1, 4, 6])
+def test_sample_curve_equals_point_at_to_the_last_bit(seed, variant):
+    _, curve = _curve(seed=seed, variant=variant, m=3)
+    rng = np.random.default_rng(seed)
+    nodes = tuple(0.95 * np.sqrt(rng.random(9)) * np.exp(2j * np.pi * rng.random(9)))
+    data = sample_curve(curve, nodes)
+    for node, point in zip(nodes, data.points):
+        assert point.entries == curve.point_at(node).entries
+
+
 def _mixed_entries(seed=8):
     """Entries of F = A diag(b1, b2, b3): ||A|| = 0.9 and Blaschke factors
     b_j with distinct poles p_j, so no two columns share a denominator."""
