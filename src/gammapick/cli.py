@@ -365,7 +365,10 @@ def _cmd_uw(args):
     back = upper_e(result.xi, triple.grid)
     ver = verify_uw(result, back.f_values, tol)
     gram_match = _gram_match(triple, back)
-    fit = torus_fit(triple.f_values, back.f_values)
+    try:
+        fit = torus_fit(triple.f_values, back.f_values)
+    except ValueError as exc:  # F's first column vanishes on the grid: no phase to fit
+        return 2, {"error": str(exc), "options": options}
     passed = ver.passed and gram_match <= tol
     report = {
         "state_dim": int(result.state_dim),

@@ -167,10 +167,11 @@ class SampledKernel:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Spectrum of ``gram``, computed once."""
+        """Spectrum of ``gram``, built once; ``gram`` is exactly hermitian, so
+        it is read as it is."""
         if self._factor is not None:
             return Spectrum.outer(self._factor)
-        return Spectrum(self.gram)
+        return Spectrum.of_hermitian(self.gram)
 
     def is_psd(self, tol: float = 1e-9) -> bool:
         """Whether ``min eigenvalue >= -tol * max(1, max eigenvalue)``."""
@@ -254,7 +255,12 @@ def membership(triple: KernelTriple, which: str, tol: float = 1e-9) -> bool:
     ``which`` is ``"R1"`` (all four kernels PSD, combined kernel of rank at
     most one), ``"R11"`` (additionally ``N1``, ``N2`` and the combined kernel
     of rank exactly one) or ``"S1"`` (the ``R1`` conditions on a diagonal
-    grid).
+    grid).  ``N1`` and ``N2`` read their closed-form spectra; ``N3`` is
+    certified PSD by a Cholesky and the combined kernel by the rank-one
+    bounds of its Gram column of largest diagonal (see
+    :class:`~gammapick.linalg.Spectrum`), so a member is decided with no
+    eigendecomposition unless ``tol`` is within rounding of a kernel's
+    floor.
     """
     if which not in ("R1", "R11", "S1"):
         raise ValueError(f"unknown membership class {which!r}")
@@ -262,10 +268,11 @@ def membership(triple: KernelTriple, which: str, tol: float = 1e-9) -> bool:
         raise ValueError("S1 membership is defined on diagonal grids only")
     k = combine_k(triple)
     try:
+        # a rank is counted only for a kernel that is PSD within tol
         ranks = [kernel_rank(part, tol) for part in (triple.n1, triple.n2, k)]
     except IndefiniteMatrixError:
         return False
-    if not all(part.is_psd(tol) for part in (triple.n1, triple.n2, triple.n3, k)):
+    if not triple.n3.is_psd(tol):
         return False
     if which == "R11":
         return ranks == [1, 1, 1]

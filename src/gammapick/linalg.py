@@ -9,6 +9,8 @@ through :func:`extend_isometry`.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -81,21 +83,55 @@ class Spectrum:
     """Eigenvalues of the hermitian part of a square matrix, read by every check.
 
     ``values`` ascend; ``min`` and ``top`` are the extreme eigenvalues (0 for
-    an empty matrix).  The PSD and rank decisions need no eigenvectors, so
-    ``values`` come from ``eigvalsh``; only :meth:`factor` runs ``eigh``.
+    an empty matrix).  ``values`` come from one ``eigvalsh`` on first use, and
+    only :meth:`factor` runs ``eigh``.  The decisions read ``values`` only when
+    a certificate does not decide them first:
+
+    - :meth:`is_psd`, from a Cholesky: if ``m + s I`` factors, with
+      ``s = (tol / 2) max(1, max diag)``, then ``min >= -s`` (Cholesky is
+      backward stable) and ``top >= max diag``;
+    - :meth:`rank` and :meth:`above_floor`, from the rank-one bounds: with
+      ``v = m[:, j] / sqrt(m[j, j])`` the Gram column of largest diagonal
+      and ``R = m - v v*``, Weyl's inequality puts the top eigenvalue within
+      ``|R|_F`` of ``|v|**2`` and every other one within ``|R|_F`` of 0.
+
+    Each bound is widened by the rounding of ``eigvalsh`` and of the
+    certificate, ``4 (n + 1) eps`` times ``|m|_F + sum |m_ii|``, so a
+    certificate decides only where ``values`` decide the same.  At a ``tol``
+    within that margin, ``tol = 0`` included, ``values`` decide.
     """
 
     def __init__(self, m):
         m = as_cmatrix(m)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        self._matrix = hermitian_part(m)
-        self._set(np.linalg.eigvalsh(self._matrix), None)
+        self._matrix, self._eigh = hermitian_part(m), None
 
-    def _set(self, values: np.ndarray, eigh: tuple | None):
-        self.values, self._eigh = values, eigh
-        self.min = float(values[0]) if values.size else 0.0
-        self.top = float(values[-1]) if values.size else 0.0
+    @classmethod
+    def of_hermitian(cls, m: np.ndarray) -> "Spectrum":
+        """Spectrum of a square matrix that is already exactly hermitian (a
+        sampled kernel's ``gram``), read as it is."""
+        spec = cls.__new__(cls)
+        spec._matrix, spec._eigh = m, None
+        return spec
+
+    @classmethod
+    def _of_eigh(cls, values: np.ndarray, vectors: np.ndarray) -> "Spectrum":
+        spec = cls.__new__(cls)
+        spec.values, spec._eigh = values, (values, vectors)
+        return spec
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self._matrix)
+
+    @property
+    def min(self) -> float:
+        return float(self.values[0]) if self.values.size else 0.0
+
+    @property
+    def top(self) -> float:
+        return float(self.values[-1]) if self.values.size else 0.0
 
     @classmethod
     def many(cls, matrices) -> list["Spectrum"]:
@@ -108,12 +144,8 @@ class Spectrum:
             raise ValueError(f"expected square matrices, got shape {ms.shape[1:]}")
         if not np.isfinite(ms).all():
             raise ValueError("matrix entries must be finite")
-        out = []
-        for values, vectors in zip(*np.linalg.eigh((ms + ms.conj().swapaxes(1, 2)) / 2.0)):
-            spec = cls.__new__(cls)
-            spec._set(values, (values, vectors))
-            out.append(spec)
-        return out
+        values, vectors = np.linalg.eigh((ms + ms.conj().swapaxes(1, 2)) / 2.0)
+        return [cls._of_eigh(*pair) for pair in zip(values, vectors)]
 
     @classmethod
     def outer(cls, u) -> "Spectrum":
@@ -128,25 +160,111 @@ class Spectrum:
         norm = float(np.linalg.norm(u))
         if norm > 0.0:
             values[-1], vectors[:, -1] = norm * norm, u / norm
-        spec = cls.__new__(cls)
-        spec._set(values, (values, vectors))
-        return spec
+        return cls._of_eigh(values, vectors)
+
+    @cached_property
+    def _unit(self) -> float:
+        """Rounding allowance per unit of scale, ``4 (n + 1) eps``."""
+        return 4.0 * (len(self._matrix) + 1) * np.finfo(float).eps
+
+    @cached_property
+    def _rounding(self) -> float:
+        """Allowance for the rounding of ``eigvalsh`` and of a certificate on
+        the matrix itself, ``_unit * (|m|_F + sum |m_ii|)``; inf on overflow."""
+        m = self._matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.sqrt(np.vdot(m, m).real) + np.abs(m.diagonal()).sum()
+        return self._unit * float(scale)
+
+    @cached_property
+    def _rank_one(self) -> tuple[float, float, float] | None:
+        """Bounds ``(r, top_lo, top_hi)`` on ``values`` from ``m = v v* + R``:
+        every value but the top one lies in ``[-r, r]``, the top one in
+        ``[top_lo, top_hi]``, and ``min >= -r``.  None when no diagonal entry
+        is positive or the bounds overflow."""
+        m = self._matrix
+        diag = m.diagonal().real
+        if diag.size == 0 or not diag.max() > 0.0:
+            return None
+        j = int(np.argmax(diag))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = m[:, j] / np.sqrt(diag[j])
+            rest = m - v[:, None] * v.conj()
+            r = float(np.sqrt(np.vdot(rest, rest).real))
+            vv = float(np.vdot(v, v).real)
+        r += self._rounding + self._unit * (vv + r)
+        if not np.isfinite(r):
+            return None
+        return r, vv - r, vv + r
+
+    def _cholesky_psd(self, tol: float) -> bool:
+        """Whether ``m + s I`` factors, ``s = (tol / 2) max(1, max diag)``,
+        with a margin that puts ``min`` at or above ``-tol * max(1, top)``."""
+        m = self._matrix
+        n = len(m)
+        d = float(m.diagonal().real.max())
+        s = 0.5 * tol * max(1.0, d)
+        err = self._rounding + self._unit * n * s
+        if not s + err <= tol * max(1.0, d - err):
+            return False
+        shifted = m.copy()
+        shifted.flat[:: n + 1] += s
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def _decided(self) -> bool:
+        return "values" in vars(self)
 
     def is_psd(self, tol: float) -> bool:
         """Whether ``min >= -tol * max(1, top)``."""
+        if not self._decided() and self._matrix.size and self._cholesky_psd(tol):
+            return True
         return self.min >= -tol * max(1.0, self.top)
+
+    def _floors(self, tol: float) -> tuple[float, float, float, float] | None:
+        """``(lo, hi, top_lo, top_hi)``: bounds on the floor ``tol * max(1, top)``
+        and on ``top`` from the rank-one bounds, when the floor clears every
+        value but the top one (so ``min`` is above minus the floor); else None."""
+        b = None if self._decided() else self._rank_one
+        if b is None:
+            return None
+        r, top_lo, top_hi = b
+        lo = tol * max(1.0, top_lo)
+        if not r <= lo:
+            return None
+        return lo, tol * max(1.0, top_hi), top_lo, top_hi
 
     def rank(self, tol: float) -> int:
         """Number of eigenvalues above ``tol * max(1, top)``, the floor of :meth:`is_psd`.
 
         Raises :class:`IndefiniteMatrixError` when ``min`` is below minus that floor.
         """
+        b = self._floors(tol)
+        if b is not None:
+            lo, hi, top_lo, top_hi = b
+            if top_lo > hi:
+                return 1
+            if top_hi <= lo:
+                return 0
         floor = tol * max(1.0, self.top)
         if self.min < -floor:
             raise IndefiniteMatrixError(
                 f"matrix is indefinite: eigenvalues span [{self.min:.3e}, {self.top:.3e}]"
             )
         return int(np.count_nonzero(self.values > floor))
+
+    def above_floor(self, x: float, tol: float) -> bool:
+        """Whether ``x > tol * max(1, top)``."""
+        b = self._floors(tol)
+        if b is not None:
+            if x <= b[0]:
+                return False
+            if x > b[1]:
+                return True
+        return x > tol * max(1.0, self.top)
 
     def factor(self, cutoff: float) -> np.ndarray:
         """``(n, r)`` factor ``L``, ``L L*`` = the part above ``cutoff * top``.

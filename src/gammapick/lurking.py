@@ -61,6 +61,10 @@ def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
     """Factor a PSD sampled kernel of rank at most one by its Gram column of
     largest diagonal, ``K[:, j] / sqrt(K[j, j])`` (one pivoted Cholesky step).
 
+    The rank and the residual test's floor ``tol * max(1, top)`` come from
+    the kernel's spectrum, which decides them from the rank-one bounds of
+    that same column when they clear the floor, with no ``eigvalsh``.
+
     Raises :class:`RankError` when the numerical rank exceeds one or the
     factor misses the kernel, and
     :class:`~gammapick.linalg.IndefiniteMatrixError` when the kernel fails to
@@ -83,7 +87,7 @@ def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
     phase = v[anchor] / abs(v[anchor])
     v = v * np.conj(phase)
     resid = float(np.abs(kernel.gram - np.outer(v, v.conj())).max())
-    if resid > 10 * tol * max(1.0, spec.top):
+    if spec.above_floor(resid, 10 * tol):
         raise RankError(f"rank-one reconstruction residual {resid:.3e} too large")
     return RankOneFactor(kernel.grid, v)
 

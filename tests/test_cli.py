@@ -158,6 +158,21 @@ def test_uw_command_evaluates_each_function_once(tmp_path, capsys, monkeypatch):
     assert len(evaluated) == 2 and evaluated[0] is not evaluated[1]
 
 
+def test_uw_declines_a_function_whose_first_column_vanishes(tmp_path, capsys):
+    # F's (1,1) entry is zero everywhere, so torus_fit has no phase to anchor,
+    # though the instance is well-formed and uw_construct succeeds on it
+    v = random_schur(3, 2, seed=5).colligation.copy()
+    v[0, 0], v[0, 3:] = 0.0, 0.0
+    f = RealizedSchurFunction.from_colligation(0.99 * v / np.linalg.norm(v, 2), 3, 2)
+    grid = {"n_lambda": 4, "n_z": 4, "radius": 0.9, "seed": 3}
+    path = _write(tmp_path, "uw.json", {"function": f.to_json(), "grid": grid})
+    code = run(["uw", "--in", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["error"] == "column-one entry (1,1) too small to anchor a phase"
+
+
 def test_right_s_command(tmp_path, capsys):
     path = _write(tmp_path, "rs.json", _function_payload(seed=5, m=2))
     code, report = _run(capsys, ["right-s", "--in", path])

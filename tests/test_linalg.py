@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gammapick import cli
+from gammapick import cli, linalg
 from gammapick.domains import GammaPoint, pi_coordinates
 from gammapick.kernels import SampleGrid, SampledKernel, kernel_rank, tensor_grid, upper_e
 from gammapick.linalg import (
@@ -242,20 +242,21 @@ def _fresh_triple():
     return upper_e(random_schur(3, 2, seed=2), tensor_grid(4, 4, radius=0.9, seed=2))
 
 
-# N1 and N2 are rank one by construction and carry a closed-form spectrum,
-# so only N3 and the combined kernel K are decomposed; the rank-one factors
-# are Gram columns, and only N3's state factor reads eigenvectors
+# N1 and N2 are rank one by construction and carry a closed-form spectrum;
+# N3 is certified PSD by a Cholesky, and the combined kernel K by its rank-one
+# bounds, so no eigenvalues are computed; the rank-one factors are Gram
+# columns, and only N3's state factor reads eigenvectors
 
 
 def test_uw_construct_decomposes_each_kernel_once():
     triple = _fresh_triple()
     assert len(triple.grid) == 16
-    assert _decompositions(lambda: uw_construct(triple)) == {"eigh": 1, "eigvalsh": 2}
+    assert _decompositions(lambda: uw_construct(triple)) == {"eigh": 1, "eigvalsh": 0}
 
 
 def test_right_s_decomposes_each_kernel_once():
     triple = _fresh_triple()
-    assert _decompositions(lambda: right_s(triple)) == {"eigh": 0, "eigvalsh": 2}
+    assert _decompositions(lambda: right_s(triple)) == {"eigh": 0, "eigvalsh": 0}
 
 
 def test_upper_e_command_decomposes_each_kernel_once(tmp_path, capsys):
@@ -263,7 +264,8 @@ def test_upper_e_command_decomposes_each_kernel_once(tmp_path, capsys):
     path.write_text(json.dumps({"function": random_schur(3, 2, seed=2).to_json()}))
     codes = []
     counts = _decompositions(lambda: codes.append(cli.run(["upper-e", "--in", str(path)])))
-    assert counts == {"eigh": 0, "eigvalsh": 2}
+    # N3's rank, which the report prints, is the one count that needs eigenvalues
+    assert counts == {"eigh": 0, "eigvalsh": 1}
     assert codes == [0]
     ranks = json.loads(capsys.readouterr().out)["ranks"]
     assert (ranks["n1"], ranks["n2"], ranks["k"]) == (1, 1, 1)
@@ -272,8 +274,8 @@ def test_upper_e_command_decomposes_each_kernel_once(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, grid, want",
     [
-        ("right-s", {"n_lambda": 8, "n_z": 8}, {"eigh": 0, "eigvalsh": 2}),
-        ("uw", {}, {"eigh": 1, "eigvalsh": 2}),
+        ("right-s", {"n_lambda": 8, "n_z": 8}, {"eigh": 0, "eigvalsh": 0}),
+        ("uw", {}, {"eigh": 1, "eigvalsh": 0}),
     ],
     ids=["right-s", "uw"],
 )
@@ -287,6 +289,125 @@ def test_kernel_commands_compute_eigenvectors_only_for_the_state_factor(
     assert _decompositions(lambda: codes.append(cli.run([command, "--in", str(path)]))) == want
     assert codes == [0]
     capsys.readouterr()
+
+
+def _kernels_instance(pool: int, slot: int) -> dict:
+    """Instance ``slot`` of the ``uw`` (``pool`` 0) or ``right_s`` (1) pool of
+    the ``kernels`` benchmark workload at seed 1, drawn as
+    ``perfbench/workloads.py`` draws it."""
+    rng = np.random.default_rng([1, 1, pool, slot, 0])
+    f = random_schur(3, (2, 4, 8)[slot % 3], seed=int(rng.integers(2**31)))
+    side = (4, 8)[pool]
+    grid = {"n_lambda": side, "n_z": side, "radius": 0.9, "seed": int(rng.integers(2**31))}
+    return {"function": f.to_json(), "grid": grid}
+
+
+@pytest.mark.parametrize(
+    "command, pool, want",
+    [("right-s", 1, {"eigh": 0, "eigvalsh": 0}), ("uw", 0, {"eigh": 1, "eigvalsh": 0})],
+    ids=["right-s", "uw"],
+)
+def test_benchmark_kernel_ops_decide_from_certificates(tmp_path, capsys, command, pool, want):
+    for slot in range(12):
+        path = tmp_path / f"{slot}.json"
+        path.write_text(json.dumps(_kernels_instance(pool, slot)))
+        codes = []
+        assert _decompositions(lambda: codes.append(cli.run([command, "--in", str(path)]))) == want
+        assert codes == [0]
+    capsys.readouterr()
+
+
+def test_a_sampled_kernel_reads_its_gram_as_it_is(monkeypatch):
+    # the gram is exactly hermitian already, so its spectrum takes no hermitian
+    # part, and its eigenvalues are those of the hermitian part to the last bit
+    triple = upper_e(random_schur(3, 4, seed=3), tensor_grid(8, 8, seed=1))
+    taken = []
+    monkeypatch.setattr(linalg, "hermitian_part", lambda m: taken.append(m) or hermitian_part(m))
+    for kernel in (triple.n3, triple.combined):
+        values = kernel.spectrum.values
+        assert taken == []
+        assert values.tobytes() == np.linalg.eigvalsh(hermitian_part(kernel.gram)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a certificate of Spectrum decides only as the eigenvalues decide
+
+_TOLS = (0.0, 1e-12, 1e-9, 1e-3)
+
+
+def _random_kernel(kind: str, n: int, seed: int, tol: float, c: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind in ("psd", "shifted"):
+        b = gaussian(n, int(rng.integers(1, n + 1)))
+        psd = 10.0 ** rng.uniform(-3, 3) * (b @ b.conj().T)
+        if kind == "psd":
+            return psd
+        # least eigenvalue near minus c times the floor of tol
+        floor = max(tol, 1e-12) * max(1.0, np.linalg.norm(psd, 2))
+        return psd - c * floor * np.eye(n)
+    h = hermitian_part(gaussian(n, n))
+    if kind == "indefinite":
+        return h
+    # rank one plus a hermitian perturbation of c times the floor of tol
+    # (of 1e-12 at tol 0), so the second and the least eigenvalue straddle it
+    u = 10.0 ** rng.uniform(-2, 2) * gaussian(n)
+    floor = max(tol, 1e-12) * max(1.0, float(np.vdot(u, u).real))
+    return np.outer(u, u.conj()) + c * floor / np.linalg.norm(h, 2) * h
+
+
+def _rank(spec, tol):
+    try:
+        return spec.rank(tol)
+    except IndefiniteMatrixError:
+        return "indefinite"
+
+
+def _agrees_with_the_eigenvalues(m, tol, x) -> int:
+    """Assert that each decision a certificate makes on ``m`` is the one the
+    eigenvalues make; return how many a certificate made."""
+    exact = Spectrum(m)
+    exact.values  # computed first, so each decision of ``exact`` reads them
+    decisions = [
+        lambda spec: spec.is_psd(tol),
+        lambda spec: _rank(spec, tol),
+        lambda spec: spec.above_floor(x, tol),
+    ]
+    certified = 0
+    for decide in decisions:
+        spec, got = Spectrum(m), []
+        if _decompositions(lambda: got.append(decide(spec))) == {"eigh": 0, "eigvalsh": 0}:
+            assert tol > 0, "tol = 0 is decided by the eigenvalues alone"
+            assert got[0] == decide(exact)
+            certified += 1
+    return certified
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["psd", "shifted", "rank_one", "indefinite"]),
+    n=st.sampled_from([1, 2, 3, 8, 24]),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from(_TOLS),
+    c=st.floats(0.1, 10.0),
+    a=st.floats(0.1, 10.0),
+)
+def test_a_certificate_decides_as_the_eigenvalues_do(kind, n, seed, tol, c, a):
+    m = _random_kernel(kind, n, seed, tol, c)
+    # a residual near the floor of above_floor
+    x = a * max(tol, 1e-12) * max(1.0, Spectrum(m).top)
+    _agrees_with_the_eigenvalues(m, tol, x)
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_certificates_on_a_one_point_grid(tol):
+    triple = upper_e(random_schur(3, 2, seed=2), tensor_grid(1, 1, radius=0.9, seed=2))
+    for kernel in (triple.n3, triple.combined):
+        certified = _agrees_with_the_eigenvalues(kernel.gram, tol, 0.5 * tol)
+        assert certified == (0 if tol == 0.0 else 3)
 
 
 def test_closed_form_2x2_norms_match_the_svd():
