@@ -466,14 +466,12 @@ def _cmd_reduce(args):
     return 0, report
 
 
-def _slice_checks(curve, z_grid, n_boundary, det_denominator):
+def _slice_checks(curve, z_grid, det_denominator):
     rows = []
     for z in z_grid:
         entry = {"z": complex_to_json(z)}
         try:
-            sliced = build_slice_schur(
-                curve, z, n_boundary=n_boundary, det_denominator=det_denominator
-            )
+            sliced = build_slice_schur(curve, z, det_denominator=det_denominator)
             entry["ok"] = True
             entry["triangular"] = bool(sliced.triangular)
         except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
@@ -495,22 +493,16 @@ def _cmd_certify(args):
     payload = _load_payload(args)
     data, curve = _gamma_instance(payload)
     z_grid, splits, tol = args.z2_grid, (args.split,), args.tol
-    if args.n_boundary < 64:
-        # the floor of inner_outer's boundary quadrature
-        raise InputError(f"--n-boundary must be at least 64, got {args.n_boundary}")
     options = {
         "split_rules": list(splits),
         "z2_grid": cvector_to_json(z_grid),
         "tol": tol,
-        "n_boundary": int(args.n_boundary),
     }
     if data.variant == "gamma7":
         rep = certify_gamma7_interpolation(data, z_grid=z_grid, split_rules=splits, tol=tol)
         report = {"variant": "gamma7", **_certify_table(rep), "options": options}
         if curve is not None:
-            report["slice_checks"] = _slice_checks(
-                curve, z_grid, args.n_boundary, "corrected"
-            )
+            report["slice_checks"] = _slice_checks(curve, z_grid, "corrected")
         return (0 if rep.certified else 2), report
     # the 5-coordinate slice has two determinant conventions; report both and
     # let the flag pick which one decides the exit code
@@ -529,9 +521,7 @@ def _cmd_certify(args):
         "options": options,
     }
     if curve is not None:
-        report["slice_checks"] = _slice_checks(
-            curve, z_grid, args.n_boundary, args.det_denominator
-        )
+        report["slice_checks"] = _slice_checks(curve, z_grid, args.det_denominator)
     return (0 if chosen["certified"] else 2), report
 
 
@@ -685,7 +675,6 @@ _OPTIONS = {
     "--z2-grid": {"type": _parse_z_grid, "metavar": "LIST",
                   "help": "comma-separated complex slice parameters, e.g. 0,0.3,-0.3j"},
     "--split": {"choices": ("balanced", "left-one")},
-    "--n-boundary": {"type": int},
     "--det-denominator": {"choices": ("corrected", "printed")},
 }
 _SLICE_OPTIONS = {"--z2-grid": DEFAULT_Z_GRID, "--split": "balanced",
@@ -702,7 +691,7 @@ _COMMANDS = {
     "right-s": (_cmd_right_s, True, {"--tol": 1e-9}),
     "np": (_cmd_np, True, {"--tol": 1e-9}),
     "reduce": (_cmd_reduce, True, _SLICE_OPTIONS),
-    "certify": (_cmd_certify, True, {**_SLICE_OPTIONS, "--tol": 1e-9, "--n-boundary": 2048}),
+    "certify": (_cmd_certify, True, {**_SLICE_OPTIONS, "--tol": 1e-9}),
     "verify-identities": (
         _cmd_verify_identities, False, {"--seed": 7, "--grid": 16, "--tol": 1e-8}
     ),

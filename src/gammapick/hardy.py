@@ -4,16 +4,16 @@ A :class:`RationalFunction` is a quotient of polynomials in ascending
 coefficient order whose denominator has no roots in the closed disc, so the
 function is analytic up to the boundary.  :func:`inner_outer` splits such a
 function into a Blaschke product times a unimodular constant and an outer
-factor represented by uniform boundary samples of ``log |f|``; evaluation of
-the outer factor and of its analytic square root goes through the Herglotz
-kernel average over those samples.
+factor held in exact factored form, a product of linear factors over the
+numerator roots on or outside the circle, the Blaschke zeros and the poles;
+the outer factor and its analytic square root are evaluated from those
+factors.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -24,24 +24,22 @@ __all__ = [
     "InnerOuterPair",
     "INTERIOR",
     "SAMPLES",
+    "BOUNDARY_NODES",
     "blaschke_eval",
-    "boundary_nodes",
-    "node_step",
-    "check_n_boundary",
     "inner_outer",
 ]
 
 _CIRCLE_SNAP = 1e-9
 # rounding noise of polynomial arithmetic, per unit of coefficient mass
 POLY_NOISE = 1e3 * np.finfo(float).eps
-# where the winding check reads a denominator: 4096 points of the circle,
-# whose every (4096 / n_boundary)-th point is a boundary node of inner_outer
+# where the winding check reads a denominator: 4096 points of the circle
 SAMPLES = np.exp(2j * np.pi * np.arange(4096) / 4096)
-# where inner_outer reads f inside the disc: the anchor probes, then the
-# reconstruction check grid
-_PROBES = np.array([0.0, 0.21 + 0.13j, -0.17 + 0.29j, 0.33 - 0.11j, -0.27 - 0.23j])
-_CHECK = (np.linspace(0.05, 0.7, 14)[:, None] * np.exp(2j * np.pi * np.arange(5) / 5.0)).ravel()
-INTERIOR = np.concatenate([_PROBES, _CHECK])
+# every second one of them, where inner_outer reads the scale of its check
+BOUNDARY_NODES = SAMPLES[::2]
+# where inner_outer checks its reconstruction against f inside the disc
+INTERIOR = (np.linspace(0.05, 0.7, 14)[:, None] * np.exp(2j * np.pi * np.arange(5) / 5.0)).ravel()
+# a Blaschke zero below this modulus is a bare factor lam
+_BARE_ZERO = 1e-14
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -213,108 +211,62 @@ def blaschke_eval(zeros, constant: complex, lam):
         r = abs(a)
         if r >= 1.0:
             raise ValueError(f"Blaschke zero with modulus {r:.12f} outside the open disc")
-        if r < 1e-14:
+        if r < _BARE_ZERO:
             out = out * lam
         else:
             out = out * (r / a) * (a - lam) / (1.0 - np.conj(a) * lam)
     return out
 
 
-def node_step(n_boundary: int) -> int:
-    """The step along :data:`SAMPLES` whose points are the ``n_boundary``
-    boundary nodes, to the last bit; 0 when ``n_boundary`` does not divide 4096."""
-    return SAMPLES.size // n_boundary if n_boundary > 0 and SAMPLES.size % n_boundary == 0 else 0
-
-
-def check_n_boundary(n_boundary: int):
-    """Refuse fewer than the 64 boundary nodes the outer-factor quadrature needs."""
-    if n_boundary < 64:
-        raise ValueError("n_boundary too small for the quadrature")
-
-
-def boundary_nodes(n_boundary: int) -> np.ndarray:
-    """The uniform boundary nodes ``exp(2 pi i j / n_boundary)``."""
-    step = node_step(n_boundary)
-    return SAMPLES[::step] if step else np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
-
-
 @dataclass(frozen=True, eq=False)
 class InnerOuterPair:
-    """Inner-outer data: unimodular constant, Blaschke zeros, boundary values.
+    """Inner-outer data: unimodular constant, Blaschke zeros, outer factor.
 
-    ``boundary_values[j]`` is ``f`` at the uniform boundary node
-    ``exp(2 pi i j / n)``; ``boundary_logmod``, ``log |f_outer|`` there, is
-    computed from them when first read.  Interior evaluation uses its Herglotz
-    kernel average, so ``outer(0) = exp(mean(boundary_logmod)) > 0``.
-
-    For rational input whose non-Blaschke roots stay safely away from the
-    circle, ``outer_roots``/``den_roots``/``outer_scale`` hold an exact
-    factored form ``outer = scale * prod(1 - lam/r_out) * prod(1 - conj(z) lam)
-    / prod(1 - lam/p)``; evaluation then bypasses the Herglotz quadrature,
-    whose kernel is under-resolved near the boundary, and reads no log-modulus.
+    The outer factor is held in exact factored form,
+    ``outer = scale * prod(1 - lam/r_out) * prod(1 - conj(z) lam) /
+    prod(1 - lam/p)``, over the ``outer_roots`` ``r_out`` (on or outside the
+    unit circle), the Blaschke zeros ``z`` and the ``den_roots`` ``p``
+    (outside the closed disc), so ``outer(0) = outer_scale > 0``.
     """
 
     unimodular_constant: complex
     blaschke_zeros: np.ndarray
-    boundary_values: np.ndarray = field(repr=False)
-    outer_roots: np.ndarray | None = field(default=None, repr=False)
-    den_roots: np.ndarray | None = field(default=None, repr=False)
+    outer_roots: np.ndarray = field(repr=False)
+    den_roots: np.ndarray = field(repr=False)
     outer_scale: float = 1.0
 
     def __post_init__(self):
-        zeros = np.asarray(self.blaschke_zeros, dtype=complex).ravel()
-        values = np.asarray(self.boundary_values, dtype=complex).ravel()
-        if values.size < 16:
-            raise ValueError("need at least 16 boundary samples")
+        zeros, out, den = (
+            np.asarray(a, dtype=complex).ravel()
+            for a in (self.blaschke_zeros, self.outer_roots, self.den_roots)
+        )
         if abs(abs(complex(self.unimodular_constant)) - 1.0) > 1e-9:
             raise ValueError("inner constant must be unimodular")
         if zeros.size and float(np.abs(zeros).max()) >= 1.0:
             raise ValueError("Blaschke zeros must lie in the open disc")
+        # a root projected onto the circle may round to a modulus of 1 - 1 ulp
+        if out.size and float(np.abs(out).min()) < 1.0 - 2.0 * np.finfo(float).eps:
+            raise ValueError("outer roots must lie on or outside the unit circle")
+        if den.size and float(np.abs(den).min()) <= 1.0:
+            raise ValueError("denominator roots must lie outside the closed disc")
+        if not self.outer_scale > 0.0:
+            raise ValueError("outer scale must be positive")
         object.__setattr__(self, "blaschke_zeros", zeros)
-        object.__setattr__(self, "boundary_values", values)
-        if (self.outer_roots is None) != (self.den_roots is None):
-            raise ValueError("exact outer data needs both root sets")
-        if self.outer_roots is not None:
-            out = np.asarray(self.outer_roots, dtype=complex).ravel()
-            den = np.asarray(self.den_roots, dtype=complex).ravel()
-            if out.size and float(np.abs(out).min()) <= 1.0:
-                raise ValueError("exact outer roots must lie outside the closed disc")
-            if den.size and float(np.abs(den).min()) <= 1.0:
-                raise ValueError("denominator roots must lie outside the closed disc")
-            if not self.outer_scale > 0.0:
-                raise ValueError("outer scale must be positive")
-            object.__setattr__(self, "outer_roots", out)
-            object.__setattr__(self, "den_roots", den)
-
-    @cached_property
-    def boundary_logmod(self) -> np.ndarray:
-        """``log |f| - log |B|`` at the nodes, ``B`` the Blaschke product."""
-        bvals = blaschke_eval(self.blaschke_zeros, 1.0, boundary_nodes(self.n_boundary))
-        return np.log(np.maximum(np.abs(self.boundary_values), 1e-300)) - np.log(np.abs(bvals))
-
-    @property
-    def n_boundary(self) -> int:
-        return int(self.boundary_values.size)
+        object.__setattr__(self, "outer_roots", out)
+        object.__setattr__(self, "den_roots", den)
 
     @property
     def has_exact_outer(self) -> bool:
-        return self.outer_roots is not None
-
-    def _herglotz(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=complex)
-        if lam.size and float(np.abs(lam).max()) >= 1.0:
-            raise ValueError("Herglotz evaluation needs interior points")
-        nodes = boundary_nodes(self.n_boundary)
-        flat = lam.ravel()[:, None]
-        vals = np.mean((nodes + flat) / (nodes - flat) * self.boundary_logmod, axis=1)
-        return vals.reshape(lam.shape)
+        """Always True, the factored form being the only one; kept because
+        ``perfbench/tracing.py`` tags every ``inner_outer`` call by it."""
+        return True
 
     def _factor_stack(self, lam) -> np.ndarray:
         """Per-point factors of the exact outer form, shape lam.shape + (k,).
 
-        Every factor maps the closed disc into the open right half-plane, so
-        principal square roots multiply into the analytic branch that is
-        positive at the origin.
+        Every factor maps the open disc into the open right half-plane, and
+        the closed disc into the closed one, so principal square roots
+        multiply into the analytic branch that is positive at the origin.
         """
         lam = np.asarray(lam, dtype=complex)
         flat = lam.ravel()[:, None]
@@ -331,19 +283,13 @@ class InnerOuterPair:
         return blaschke_eval(self.blaschke_zeros, self.unimodular_constant, lam)
 
     def outer_eval(self, lam):
-        if self.outer_roots is None:
-            return np.exp(self._herglotz(lam))
         lam = np.asarray(lam, dtype=complex)
         vals = self.outer_scale * np.prod(self._factor_stack(lam), axis=1)
         return vals.reshape(lam.shape)
 
     def outer_sqrt(self, lam):
-        if self.outer_roots is None:
-            return np.exp(self._herglotz(lam) / 2.0)
         lam = np.asarray(lam, dtype=complex)
-        vals = np.sqrt(self.outer_scale) * np.prod(
-            np.sqrt(self._factor_stack(lam)), axis=1
-        )
+        vals = np.sqrt(self.outer_scale) * np.prod(np.sqrt(self._factor_stack(lam)), axis=1)
         return vals.reshape(lam.shape)
 
     def eval(self, lam):
@@ -352,29 +298,29 @@ class InnerOuterPair:
 
 def inner_outer(
     f: RationalFunction,
-    n_boundary: int = 2048,
     tol: float = 1e-6,
     samples: np.ndarray | None = None,
 ) -> InnerOuterPair:
     """Inner-outer factorization of a rational function bounded on the disc.
 
-    Numerator roots strictly inside the disc turn into Blaschke zeros; roots
-    within ``1e-9`` of the circle are assigned to the outer factor with a
-    warning, since a genuine boundary zero spoils the quadrature.  The poles
-    are the roots of each of ``f.factors``, repeated by its multiplicity:
-    the expanded denominator's repeated roots would scatter.  ``inner *
-    outer`` is evaluated once, at :data:`INTERIOR`: its first probe where it
-    and ``f`` are safely nonzero anchors the unimodular constant, and the
-    rest checks the reconstruction against ``f`` to ``tol``.  ``samples``,
-    when given, are the values of ``f`` at the boundary nodes, when they are
-    points of :data:`SAMPLES` (``n_boundary`` divides 4096), then at
-    :data:`INTERIOR`, read instead of evaluating ``f``.
+    Numerator roots strictly inside the disc turn into Blaschke zeros and
+    the others into outer roots; roots within ``1e-9`` of the circle are
+    projected onto it, with a warning.  The poles are the roots of each of
+    ``f.factors``, repeated by its multiplicity: the expanded denominator's
+    repeated roots would scatter.  The unimodular constant is the phase of
+    ``lead / den[0] * prod(-r_out) * prod(-z / |z|)`` over the outer roots
+    and the Blaschke zeros away from the origin, ``lead`` the numerator's
+    leading coefficient: ``lam - r = -r (1 - lam/r)`` and ``lam - z =
+    -(z / |z|) b_z(lam) (1 - conj(z) lam)``.  ``inner * outer`` is checked
+    against ``f`` at :data:`INTERIOR`, to ``tol`` times the larger of 1 and
+    ``max |f|`` at :data:`BOUNDARY_NODES`.  ``samples``, when given, are the
+    values of ``f`` at :data:`BOUNDARY_NODES`, then at :data:`INTERIOR`, read
+    instead of evaluating ``f``.
     """
     if not isinstance(f, RationalFunction):
         raise TypeError("inner_outer expects a RationalFunction")
     if f.is_zero:
         raise ValueError("the zero function has no inner-outer factorization")
-    check_n_boundary(n_boundary)
     roots = f.numerator_roots()
     mods = np.abs(roots)
     inside = roots[mods < 1.0 - _CIRCLE_SNAP]
@@ -386,54 +332,27 @@ def inner_outer(
             "circle assigned to the outer factor",
             stacklevel=2,
         )
-    if samples is None:
-        fvals, interior = f(boundary_nodes(n_boundary)), f(INTERIOR)
-    else:
-        fvals = samples[:n_boundary] if node_step(n_boundary) else f(boundary_nodes(n_boundary))
-        interior = samples[-INTERIOR.size :]
-    scale = max(1.0, float(np.abs(fvals).max()))
-
-    # Attach the exact factored outer form when every non-Blaschke root and
-    # every pole keeps a safe margin from the circle; otherwise fall back to
-    # the quadrature representation alone.
-    exact_out = exact_den = None
-    exact_scale = 1.0
-    use_exact = snapped.size == 0
-    if outside.size and float(np.abs(outside).min()) <= 1.0 + 1e-6:
-        use_exact = False
+    outer = np.concatenate([outside, snapped / np.abs(snapped)])
     # the poles from each certified factor, never from their expanded
     # product, whose repeated roots would scatter
-    droots = np.concatenate(
+    poles = np.concatenate(
         [np.zeros(0, dtype=complex)]
         + [np.repeat(npoly.polyroots(c), m) for c, m in f.factors]
     )
-    if droots.size and float(np.abs(droots).min()) <= 1.0 + 1e-3:
-        use_exact = False
-    if use_exact:
-        lead = complex(f.numerator[-1])
-        exact_scale = (
-            abs(lead) * float(np.prod(np.abs(outside)))
-        ) / abs(complex(f.denominator[0]))
-        exact_out = outside
-        exact_den = droots
-    pair = InnerOuterPair(1.0 + 0j, inside, fvals, exact_out, exact_den, exact_scale)
+    lead, den0 = complex(f.numerator[-1]), complex(f.denominator[0])
+    turns = np.concatenate([[lead / den0], -outer, -inside[np.abs(inside) >= _BARE_ZERO]])
+    constant = complex(np.prod(turns / np.abs(turns)))
+    outer_scale = abs(lead) * float(np.prod(np.abs(outer))) / abs(den0)
+    pair = InnerOuterPair(constant / abs(constant), inside, outer, poles, outer_scale)
 
-    factored = pair.eval(INTERIOR)  # with the constant 1
-    constant = None
-    for numer, denom in zip(interior[: _PROBES.size], factored[: _PROBES.size]):
-        numer, denom = complex(numer), complex(denom)
-        if abs(denom) > 1e-10 and abs(numer) > 1e-12 * scale:
-            constant = numer / denom
-            break
-    if constant is None:
-        raise ValueError("could not anchor the unimodular constant at any probe point")
-    constant = constant / abs(constant)
-    object.__setattr__(pair, "unimodular_constant", constant)  # unimodular by construction
-
-    err = float(np.abs(constant * factored[_PROBES.size :] - interior[_PROBES.size :]).max())
+    if samples is None:
+        fvals, interior = f(BOUNDARY_NODES), f(INTERIOR)
+    else:
+        fvals, interior = samples[: BOUNDARY_NODES.size], samples[BOUNDARY_NODES.size :]
+    scale = max(1.0, float(np.abs(fvals).max()))
+    err = float(np.abs(pair.eval(INTERIOR) - interior).max())
     if err > tol * scale:
         raise ValueError(
-            f"inner-outer reconstruction error {err:.3e} exceeds tol * scale = "
-            f"{tol * scale:.3e}; boundary quadrature is likely under-resolved"
+            f"inner-outer reconstruction error {err:.3e} exceeds tol * scale = {tol * scale:.3e}"
         )
     return pair

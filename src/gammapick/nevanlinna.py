@@ -22,15 +22,13 @@ from numpy.polynomial import polynomial as npoly
 
 from .domains import GammaPoint
 from .hardy import (
+    BOUNDARY_NODES,
     INTERIOR,
     POLY_NOISE,
     SAMPLES,
     InnerOuterPair,
     RationalFunction,
-    boundary_nodes,
-    check_n_boundary,
     inner_outer,
-    node_step,
 )
 from .linalg import (
     STATE_CUTOFF,
@@ -357,9 +355,11 @@ class GammaCurve:
         return out
 
     @cached_property
-    def _read_rows(self) -> dict:
-        """``row_values`` where slices read them, by node step (see ``_read_values``)."""
-        return {}
+    def _read_rows(self) -> np.ndarray:
+        """``row_values`` where a slice reads its terms: at the boundary
+        nodes, every second point of SAMPLES, then at the points after SAMPLES."""
+        v = self.row_values
+        return np.concatenate((v[:, : SAMPLES.size : 2], v[:, SAMPLES.size :]), axis=1)
 
     def point_at(self, lam: complex) -> GammaPoint:
         return GammaPoint(self.variant, tuple(complex(c(lam)) for c in self.components))
@@ -558,15 +558,6 @@ def _curve_slice(x: GammaCurve, z: complex, det_denominator: str):
     return f11, f22, *RationalFunction.over(det_den, (n3,), det_den_v)
 
 
-def _read_values(x: GammaCurve, z: complex, n_boundary: int, det_denominator: str):
-    """A slice's terms at the boundary nodes in SAMPLES, then at the points after SAMPLES."""
-    step = node_step(n_boundary)
-    if step not in x._read_rows:  # once per curve and node step
-        nodes = (x.row_values[:, : SAMPLES.size : step],) if step else ()
-        x._read_rows[step] = np.concatenate((*nodes, x.row_values[:, SAMPLES.size :]), axis=1)
-    return _slice_terms(x._read_rows[step], z, det_denominator)
-
-
 def psi3_eval(x: GammaCurve, lam: complex, z1: complex, z2: complex) -> complex:
     """Two-variable fractional form of a 7-coordinate curve at ``(lam, z1, z2)``.
 
@@ -655,12 +646,11 @@ class SlicedSchur2x2:
         return complex(v[0, 0] + z1 * v[0, 1] * v[1, 0] / den)
 
     def boundary_moduli(self):
-        """(|f12|, |f21|) at the stored boundary nodes of the outer factor."""
+        """(|f12|, |f21|) at the 2048 :data:`BOUNDARY_NODES`."""
         if self.triangular:
             return np.zeros(0), np.zeros(0)
-        half = np.exp(self.pair.boundary_logmod / 2.0)
-        nodes = boundary_nodes(self.pair.n_boundary)
-        return np.abs(self.pair.inner_eval(nodes)) * half, half
+        half = np.abs(self.pair.outer_sqrt(BOUNDARY_NODES))
+        return np.abs(self.pair.inner_eval(BOUNDARY_NODES)) * half, half
 
 
 # contractivity grid of build_slice_schur: 12 radii by 8 angles
@@ -681,7 +671,6 @@ _SLICE_TOL = 1e-6
 def build_slice_schur(
     x: GammaCurve,
     z: complex,
-    n_boundary: int = 2048,
     det_denominator: str = "corrected",
 ) -> SlicedSchur2x2:
     """Construct the 2x2 Schur-class slice of a gamma curve at parameter ``z``.
@@ -705,9 +694,8 @@ def build_slice_schur(
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("slice parameter must lie in the open unit disc")
-    check_n_boundary(n_boundary)  # a triangular slice never reaches inner_outer
     f11, f22, det_slice = _curve_slice(x, z, det_denominator)
-    (v11, v22, v_det), v_den, v_det_den = _read_values(x, z, n_boundary, det_denominator)
+    (v11, v22, v_det), v_den, v_det_den = _slice_terms(x._read_rows, z, det_denominator)
     # f11 and f22 share one denominator; the printed determinant slice has
     # its own, the only place where two denominators meet.  f11 f22 - det
     # goes over a product of the certified slice denominators, checked by
@@ -739,7 +727,7 @@ def build_slice_schur(
     if d.is_zero:
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, None, True)
     else:
-        pair = inner_outer(d, n_boundary=n_boundary, tol=_SLICE_TOL, samples=d_v[:_GRID_AT])
+        pair = inner_outer(d, tol=_SLICE_TOL, samples=d_v[:_GRID_AT])
         sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, False)
 
     lam = _SLICE_GRID

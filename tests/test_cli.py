@@ -279,15 +279,14 @@ def test_certify_curve_instance_runs_slice_checks(tmp_path, capsys):
     "variant, options, triangular_at_zero",
     [
         ("gamma5", ["--det-denominator", "printed"], False),
-        ("gamma7", ["--n-boundary", "1000"], True),
+        ("gamma7", [], True),
     ],
 )
 def test_certify_slice_checks_off_the_default_path(
     tmp_path, capsys, variant, options, triangular_at_zero
 ):
-    # the first map of acceptance criterion 7: every slice passes, by the
-    # printed determinant slice and on 1000 boundary nodes, which are not
-    # points of the winding circle; gamma7's slice at z = 0 is diagonal
+    # the first map of acceptance criterion 7: every slice passes, gamma5's
+    # by the printed determinant slice; gamma7's slice at z = 0 is diagonal
     a = ((0.5, 0.2, 0.0), (0.0, 0.4, 0.1), (0.1, 0.0, 0.3))
     entries = [[hardy.RationalFunction([0.0, a[i][j]]) for j in range(3)] for i in range(3)]
     payload = {
@@ -905,7 +904,7 @@ _READS = {
     "right-s": ("--in", "--tol"),
     "np": ("--in", "--tol"),
     "reduce": ("--in", "--z2-grid", "--split", "--det-denominator"),
-    "certify": ("--in", "--z2-grid", "--split", "--det-denominator", "--tol", "--n-boundary"),
+    "certify": ("--in", "--z2-grid", "--split", "--det-denominator", "--tol"),
     "verify-identities": ("--seed", "--grid", "--tol"),
 }
 _VALUES = {
@@ -917,19 +916,18 @@ _VALUES = {
     "--seed": (["3"], 3),
     "--z2-grid": (["0.1,0.2j"], (0.1, 0.2j)),
     "--split": (["left-one"], "left-one"),
-    "--n-boundary": (["64"], 64),
     "--det-denominator": (["printed"], "printed"),
 }
 
 
-def test_parser_has_47_settable_values():
+def test_parser_has_46_settable_values():
     (sub,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {
         name: {f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")}
         for name, p in sub.choices.items()
     }
     assert flags == {name: {*reads, "--out", "--text"} for name, reads in _READS.items()}
-    assert sum(map(len, flags.values())) == 47
+    assert sum(map(len, flags.values())) == 46
 
 
 @pytest.mark.parametrize("command", list(_READS))

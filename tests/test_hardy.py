@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gammapick import hardy
@@ -98,8 +98,8 @@ def test_inner_outer_polynomial_with_interior_zero():
     np.testing.assert_allclose(np.abs(pair.blaschke_zeros), [0.0], atol=1e-9)
     assert pair.outer_eval(np.array([0.0]))[0].real > 0
     # boundary modulus of the outer factor equals |f| there
-    nodes = _circle(pair.n_boundary)
-    np.testing.assert_allclose(np.exp(pair.boundary_logmod), np.abs(f(nodes)), atol=1e-8)
+    nodes = hardy.BOUNDARY_NODES
+    np.testing.assert_allclose(np.abs(pair.outer_eval(nodes)), np.abs(f(nodes)), atol=1e-8)
 
 
 def test_inner_outer_blaschke_factor_has_trivial_outer():
@@ -146,35 +146,30 @@ def test_outer_sqrt_matches_principal_branch():
     np.testing.assert_allclose(pair.outer_sqrt(lam), np.sqrt(f(lam)), atol=1e-6)
 
 
-def test_herglotz_fallback_near_circle_pole():
-    # a denominator root just outside the margin forces the quadrature route,
-    # which needs enough nodes to resolve the boundary spike
-    f = RationalFunction([1.0, 0.5], [1.0, -1.0 / 1.0008])
-    pair = inner_outer(f, n_boundary=16384)
-    assert not pair.has_exact_outer
-    lam = _disc_grid(radius=0.7, n=40)
-    np.testing.assert_allclose(pair.eval(lam), f(lam), atol=1e-6)
-
-
-def test_inner_outer_refuses_under_resolved_boundary_zero():
-    # a numerator root touching the circle cannot be represented at default
-    # resolution; the factorization must fail loudly instead of degrading
+def test_inner_outer_factors_a_boundary_zero_exactly():
+    # a numerator root on the circle is an outer root like any other
     f = RationalFunction([1.0, -1.0], [1.0])
     with pytest.warns(UserWarning, match="unit circle"):
-        with pytest.raises(ValueError, match="under-resolved"):
-            inner_outer(f)
+        pair = inner_outer(f)
+    assert pair.has_exact_outer and pair.blaschke_zeros.size == 0
+    np.testing.assert_array_equal(pair.outer_roots, [1.0])
+    lam = 0.999 * _circle(512)
+    np.testing.assert_allclose(pair.eval(lam), f(lam), rtol=0, atol=1e-14)
 
 
 def test_exact_pair_root_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="on or outside the unit circle"):
         InnerOuterPair(
             1.0,
             np.zeros(0),
-            np.zeros(2048),
-            outer_roots=np.array([0.5 + 0.0j]),  # must lie outside the closed disc
+            outer_roots=np.array([0.5 + 0.0j]),
             den_roots=np.zeros(0, dtype=complex),
             outer_scale=1.0,
         )
+    # a root projected onto the circle may round to 1 - 1 ulp
+    below = np.nextafter(1.0, 0.0) * np.exp(0.3j)
+    pair = InnerOuterPair(1.0, np.zeros(0), np.array([below]), np.zeros(0), 1.0)
+    assert pair.outer_roots.size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +258,42 @@ def test_over_trims_as_the_constructor_trims():
 
 
 # ---------------------------------------------------------------------------
-# inner_outer on both sides of each circle margin
+# inner_outer next to the circle: every case takes the exact factored form
 
 
 def _root_at(modulus: float) -> RationalFunction:
-    # a phase away from every boundary node, so the quadrature is not hit head on
     return RationalFunction([1.0, -1.0 / (modulus * np.exp(0.7j))])
+
+
+def _pole_at(modulus: float) -> RationalFunction:
+    return RationalFunction([0.5, 0.2], [1.0, -1.0 / (modulus * np.exp(0.7j))])
+
+
+# radius 0.999, up to the phase of the root or pole: 1e-3 from the circle
+_NEAR_CIRCLE = 0.999 * np.append(_circle(1024), np.exp(0.7j))
+
+
+def _assert_exact_near_the_circle(f, pair):
+    want = f(_NEAR_CIRCLE)
+    assert float(np.abs(pair.eval(_NEAR_CIRCLE) - want).max()) <= 1e-9 * np.abs(want).max()
+    outer = pair.outer_eval(_NEAR_CIRCLE)
+    sqrt = pair.outer_sqrt(_NEAR_CIRCLE)
+    assert float(np.abs(sqrt**2 - outer).max()) <= 1e-13 * np.abs(outer).max()
 
 
 @pytest.mark.parametrize(
     "modulus, exact, snapped, tol",
     [
-        # the 1e-9 snap: inside it the root is a Blaschke zero
+        # the 1e-9 snap: inside it the root is a Blaschke zero; within it the
+        # root moves onto the circle, by at most 5e-10 here
         (1.0 - 2e-9, True, False, 1e-6),
-        (1.0 - 0.5e-9, False, True, 1e-4),
-        (1.0 + 0.5e-9, False, True, 1e-4),
-        # the 1e-6 margin for outer roots
-        (1.0 + 0.5e-6, False, False, 1e-4),
+        (1.0 - 0.5e-9, True, True, 1e-6),
+        (1.0 + 0.5e-9, True, True, 1e-6),
+        (1.0 + 0.5e-6, True, False, 1e-6),
         (1.0 + 2e-6, True, False, 1e-6),
     ],
 )
 def test_inner_outer_numerator_root_margins(modulus, exact, snapped, tol):
-    # off the exact path the quadrature resolves a root this close to the
-    # circle only to ~1e-5 with 2048 nodes, so those cases ask for tol 1e-4
     f = _root_at(modulus)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -295,23 +303,31 @@ def test_inner_outer_numerator_root_margins(modulus, exact, snapped, tol):
     assert pair.blaschke_zeros.size == (1 if modulus < 1.0 - 1e-9 else 0)
     scale = max(1.0, float(np.abs(f(_circle(2048))).max()))
     assert _reconstruction_error(f, pair, radius=0.7) <= tol * scale
+    _assert_exact_near_the_circle(f, pair)
 
 
-@pytest.mark.parametrize("modulus, exact", [(1.0 + 0.5e-3, False), (1.0 + 2e-3, True)])
+@pytest.mark.parametrize(
+    "modulus, exact", [(1.0 + 0.5e-3, True), (1.0 + 0.8e-3, True), (1.0 + 2e-3, True)]
+)
 def test_inner_outer_pole_margin(modulus, exact):
-    tol = 1e-5
-    f = RationalFunction([0.5, 0.2], [1.0, -1.0 / (modulus * np.exp(0.7j))])
+    tol = 1e-6
+    f = _pole_at(modulus)
     pair = inner_outer(f, tol=tol)
     assert pair.has_exact_outer == exact
     scale = max(1.0, float(np.abs(f(_circle(2048))).max()))
     assert _reconstruction_error(f, pair, radius=0.7) <= tol * scale
+    _assert_exact_near_the_circle(f, pair)
 
 
-# inner_outer on random rational functions with every root and pole away from the circle
-def _roots(moduli):
+# inner_outer on random rational functions: roots and poles away from the
+# circle, numerator roots in the 1e-9 snap band and a pole just outside it.
+# That pole stays 1e-4 away: closer, it turns the denominator by nearly half
+# a turn between two points of the 4096-point winding check, which the other
+# factors can tip over
+def _roots(moduli, max_size=4):
     return st.lists(
         st.tuples(moduli, st.floats(0.0, 2 * np.pi)).map(lambda rt: rt[0] * np.exp(1j * rt[1])),
-        max_size=4,
+        max_size=max_size,
     )
 
 
@@ -322,20 +338,36 @@ _OFF_CIRCLE = st.floats(0.0, 0.9) | st.floats(1.1, 3.0)
 @given(
     zeros=_roots(_OFF_CIRCLE),
     poles=_roots(st.floats(1.1, 3.0)),
+    snapped=_roots(st.floats(1.0 - 1e-9, 1.0 + 1e-9), max_size=2),
+    near_poles=_roots(st.floats(1.0 + 1e-4, 1.01), max_size=1),
     scale=st.floats(0.1, 10.0),
     phase=st.floats(0.0, 2 * np.pi),
     tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
 )
-def test_inner_outer_property_on_random_rational_functions(zeros, poles, scale, phase, tol):
+def test_inner_outer_property_on_random_rational_functions(
+    zeros, poles, snapped, near_poles, scale, phase, tol
+):
+    # a root projected onto the circle moves by at most 1e-9, which changes
+    # f by at most 1e-9 / (1 - |lam|) of |f(lam)|: at the check's radius 0.7
+    # more than tol 1e-10 allows
+    assume(tol >= 1e-8 or not snapped)
     # polyfromroots([]) is the constant 1
     f = RationalFunction(
-        scale * np.exp(1j * phase) * npoly.polyfromroots(zeros), npoly.polyfromroots(poles)
+        scale * np.exp(1j * phase) * npoly.polyfromroots(zeros + snapped),
+        npoly.polyfromroots(poles + near_poles),
     )
-    pair = inner_outer(f, tol=tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pair = inner_outer(f, tol=tol)
     assert float(np.abs(np.abs(pair.inner_eval(_circle(512))) - 1.0).max()) <= 1e-12
-    assert pair.blaschke_zeros.size == sum(abs(z) < 1.0 for z in zeros)
+    inside = sum(abs(z) < 1.0 for z in zeros)
+    assert inside <= pair.blaschke_zeros.size <= inside + len(snapped)
     fscale = max(1.0, float(np.abs(f(_circle(2048))).max()))
-    assert _reconstruction_error(f, pair, radius=0.95, n=200) <= tol * fscale
+    near = np.exp(1j * np.angle(np.array(snapped + near_poles, dtype=complex)))
+    for lam in (_disc_grid(radius=0.95, n=200), 0.999 * np.append(_circle(512), near)):
+        want = f(lam)
+        moved = len(snapped) * 1e-9 / (1.0 - np.abs(lam)) * np.abs(want)
+        assert (np.abs(pair.eval(lam) - want) <= tol * fscale + moved).all()
 
 
 # ---------------------------------------------------------------------------

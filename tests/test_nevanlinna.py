@@ -281,8 +281,8 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
 @pytest.mark.parametrize("det_denominator", ["corrected", "printed"])
 def test_cached_slice_values_match_the_slice_coefficients(variant, det_denominator):
     # the denominators at the winding circle, and every term at the points
-    # build_slice_schur reads: the boundary nodes when they are circle points
-    # (1000 does not divide 4096, so its nodes are not), then the tail
+    # build_slice_schur reads: the boundary nodes, every second circle point,
+    # then the tail
     circle, tail = hardy.SAMPLES, nevanlinna._CURVE_POINTS[hardy.SAMPLES.size :]
     shared = _curve(seed=5, variant=variant, m=2)[1]
     for curve in (shared, gamma_curve_from_entries(_mixed_entries(), variant)):
@@ -295,13 +295,12 @@ def test_cached_slice_values_match_the_slice_coefficients(variant, det_denominat
             for c, v in zip(dens, on_circle):
                 want = npoly.polyval(circle, c)
                 assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
-            for n_boundary, nodes in ((2048, circle[::2]), (1000, [])):
-                points = np.concatenate([nodes, tail])
-                nums, *read = nevanlinna._read_values(curve, z, n_boundary, det_denominator)
-                coeffs = (f11.numerator, f22.numerator, det.numerator, *dens)
-                for c, v in zip(coeffs, (*nums, *read)):
-                    want = npoly.polyval(points, c)
-                    assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
+            points = np.concatenate([circle[::2], tail])
+            nums, *read = nevanlinna._slice_terms(curve._read_rows, z, det_denominator)
+            coeffs = (f11.numerator, f22.numerator, det.numerator, *dens)
+            for c, v in zip(coeffs, (*nums, *read)):
+                want = npoly.polyval(points, c)
+                assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _numbers_out(message: str) -> str:
@@ -360,15 +359,17 @@ def test_cached_winding_decisions_match_the_evaluated_ones(root, outcome, square
     assert _slice_outcome(den2, circle * circle) == _slice_outcome(den2) == squared
     # build_slice_schur checks den only: den**2 is certified by its factor.
     # Where den passes but den**2 trips the noise floor, the slice is still
-    # refused, by inner_outer, whose quadrature cannot resolve a pole that
-    # close to the circle
+    # refused, by its contractivity check: next to a pole this close to the
+    # circle a diagonal entry alone exceeds 1, whatever the off-diagonal part
     if outcome != "pass":
         with pytest.raises(ValueError) as info:
             build_slice_schur(curve, z)
         assert _numbers_out(str(info.value)) == outcome
     elif squared != "pass":
-        with pytest.raises(ValueError, match="could not anchor the unimodular constant"):
+        with pytest.raises(ValueError, match=r"is not contractive: norm .* at lam=0\.9990"):
             build_slice_schur(curve, z)
+        f11, f22, _ = slice_coordinates(curve, z)
+        assert max(abs(f11(0.999)), abs(f22(0.999))) > 1.0
 
 
 def test_slice_checks_run_on_cached_values():
@@ -514,17 +515,6 @@ def test_build_slice_schur_triangular_for_diagonal_curve():
     assert v[0, 1] == 0 and v[1, 0] == 0
 
 
-@pytest.mark.parametrize("n_boundary", [0, 16, -5])
-def test_triangular_slice_refuses_too_few_boundary_nodes(n_boundary):
-    # f11 f22 - det vanishes, so the slice never reaches inner_outer's check
-    coeffs = ([0.0, 0.5], [0.2, 0.3], [0.1])
-    entries = [[RationalFunction(coeffs[i] if i == j else [0.0]) for j in range(3)] for i in range(3)]
-    curve = gamma_curve_from_entries(entries, "gamma7")
-    assert build_slice_schur(curve, 0.2, n_boundary=64).triangular
-    with pytest.raises(ValueError, match="^n_boundary too small for the quadrature$"):
-        build_slice_schur(curve, 0.2, n_boundary=n_boundary)
-
-
 def test_reduce_gamma7_split_rules():
     data = _scaled_nodes()
     z2 = 0.3
@@ -627,7 +617,7 @@ def test_build_slice_schur_evaluates_the_slice_once():
     assert calls == 1
 
 
-def _handed_to_inner_outer(curve, z, **kwargs):
+def _handed_to_inner_outer(curve, z):
     """The slice and the function ``f11 f22 - det`` that
     :func:`build_slice_schur` hands to ``inner_outer``."""
     handed = []
@@ -639,44 +629,45 @@ def _handed_to_inner_outer(curve, z, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nevanlinna, "inner_outer", recorded)
-        s = build_slice_schur(curve, z, **kwargs)
+        s = build_slice_schur(curve, z)
     (d,) = handed
     return s, d
 
 
-@pytest.mark.parametrize("n_boundary", [64, 1000, 2048, 4096])
-def test_slice_pair_matches_a_direct_factorization(n_boundary):
-    # the slice reads f11 f22 - det from the curve's rows: at every step-th
-    # circle point for a divisor of 4096, not at all for 1000, whose nodes
-    # are no circle points.  The pair is the one inner_outer builds from
-    # values it evaluates itself
-    lam = 0.95 * np.exp(2j * np.pi * np.arange(7) / 7)
+@pytest.mark.parametrize("n_points", [64, 1000, 2048, 4096])
+def test_slice_pair_matches_a_direct_factorization(n_points):
+    # the slice reads f11 f22 - det from the curve's rows, at every second
+    # circle point.  The pair is the one inner_outer builds from values it
+    # evaluates itself; the two agree at n_points inside the disk and on the
+    # circle, where the pair is f11 f22 - det itself
+    circle = np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    lam = 0.95 * circle
     for variant in ("gamma7", "gamma5"):
         _, curve = _curve(seed=4, variant=variant, m=2)
         for z in (0.3, -0.6j):
-            s, d = _handed_to_inner_outer(curve, z, n_boundary=n_boundary)
-            direct = hardy.inner_outer(d, n_boundary=n_boundary, tol=1e-6)
-            assert s.pair.n_boundary == n_boundary
+            s, d = _handed_to_inner_outer(curve, z)
+            direct = hardy.inner_outer(d, tol=1e-6)
             assert s.pair.has_exact_outer and direct.has_exact_outer
             for got, want in (
                 (s.pair.eval(lam), direct.eval(lam)),
                 (s.pair.outer_sqrt(lam), direct.outer_sqrt(lam)),
-                (s.pair.boundary_values, d(hardy.boundary_nodes(n_boundary))),
+                (s.pair.eval(circle), d(circle)),
             ):
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
             assert abs(s.pair.unimodular_constant - direct.unimodular_constant) <= 1e-10
 
 
-def test_slice_pair_computes_its_log_modulus_only_when_read():
+def test_slice_boundary_moduli_are_the_root_of_the_factored_function():
+    # |f12| = |f21| = |f11 f22 - det|^(1/2) at the 2048 boundary nodes, read
+    # off the factored form and compared with the function evaluated there
     _, curve = _curve(seed=0, variant="gamma7", m=1)
     s, d = _handed_to_inner_outer(curve, 0.3)
-    assert s.pair.has_exact_outer and s.pair.blaschke_zeros.size == 2
-    assert "boundary_logmod" not in vars(s.pair)
-    nodes = hardy.boundary_nodes(2048)
-    blaschke = hardy.blaschke_eval(s.pair.blaschke_zeros, 1.0, nodes)
-    want = np.log(np.abs(d(nodes))) - np.log(np.abs(blaschke))
-    np.testing.assert_allclose(s.pair.boundary_logmod, want, rtol=0, atol=1e-12)
-    assert s.pair.boundary_logmod is s.pair.boundary_logmod
+    assert s.pair.blaschke_zeros.size == 2
+    m12, m21 = s.boundary_moduli()
+    want = np.sqrt(np.abs(d(hardy.BOUNDARY_NODES)))
+    assert m12.size == m21.size == 2048
+    for got in (m12, m21):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_slice_checks_report_a_vanishing_denominator():
@@ -688,7 +679,7 @@ def test_slice_checks_report_a_vanishing_denominator():
     comps = [RationalFunction(0.1 * rng.normal(size=2), big) for _ in range(7)]
     comps[1] = RationalFunction(2.0 * big, big)
     curve = GammaCurve("gamma7", tuple(comps))
-    assert cli._slice_checks(curve, (0.5, 0.3), 2048, "corrected") == [
+    assert cli._slice_checks(curve, (0.5, 0.3), "corrected") == [
         {"z": [0.5, 0.0], "ok": False, "error": "denominator is identically zero"},
         {
             "z": [0.3, 0.0],
@@ -703,10 +694,10 @@ def test_slice_checks_report_a_printed_determinant_mismatch():
     # one of the printed gamma5 misses of the mixed-denominator curves: the
     # slice is contractive, and its determinant misses the printed slice
     curve = gamma_curve_from_entries(_mixed_entries(8), "gamma5")
-    assert cli._slice_checks(curve, (0.3,), 2048, "printed") == [
+    assert cli._slice_checks(curve, (0.3,), "printed") == [
         {"z": [0.3, 0.0], "ok": False, "error": "slice determinant mismatch 3.523e-05"}
     ]
-    assert cli._slice_checks(curve, (0.3,), 2048, "corrected") == [
+    assert cli._slice_checks(curve, (0.3,), "corrected") == [
         {"z": [0.3, 0.0], "ok": True, "triangular": False}
     ]
 
