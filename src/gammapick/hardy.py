@@ -2,18 +2,20 @@
 
 A :class:`RationalFunction` is a quotient of polynomials in ascending
 coefficient order whose denominator has no roots in the closed disc, so the
-function is analytic up to the boundary.  :func:`inner_outer` splits such a
-function into a Blaschke product times a unimodular constant and an outer
-factor held in exact factored form, a product of linear factors over the
-numerator roots on or outside the circle, the Blaschke zeros and the poles;
-the outer factor and its analytic square root are evaluated from those
-factors.
+function is analytic up to the boundary.  Each denominator factor is
+certified from its own computed roots by Rouché's theorem, and keeps them.
+:func:`inner_outer` splits such a function into a Blaschke product times a
+unimodular constant and an outer factor held in exact factored form, a
+product of linear factors over the numerator roots on or outside the circle,
+the Blaschke zeros and the poles; the outer factor and its analytic square
+root are evaluated from those factors.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -23,19 +25,21 @@ __all__ = [
     "RationalFunction",
     "InnerOuterPair",
     "INTERIOR",
-    "SAMPLES",
     "BOUNDARY_NODES",
     "blaschke_eval",
     "inner_outer",
 ]
 
-_CIRCLE_SNAP = 1e-9
+# a root within this distance of the unit circle counts as on it: a numerator
+# root there is projected onto the circle, and a denominator root there is
+# refused.  Next to a pole at distance d the denominator of unit scale
+# 1 - lam/r is evaluated on the circle with a relative error of about 2u/d,
+# u the unit roundoff: 2.2e-7 at d = 1e-9, below the 1e-6 of the slice checks
+_CIRCLE_BAND = 1e-9
 # rounding noise of polynomial arithmetic, per unit of coefficient mass
 POLY_NOISE = 1e3 * np.finfo(float).eps
-# where the winding check reads a denominator: 4096 points of the circle
-SAMPLES = np.exp(2j * np.pi * np.arange(4096) / 4096)
-# every second one of them, where inner_outer reads the scale of its check
-BOUNDARY_NODES = SAMPLES[::2]
+# where inner_outer reads the scale of its check: 2048 points of the circle
+BOUNDARY_NODES = np.exp(2j * np.pi * np.arange(0, 4096, 2) / 4096)
 # where inner_outer checks its reconstruction against f inside the disc
 INTERIOR = (np.linspace(0.05, 0.7, 14)[:, None] * np.exp(2j * np.pi * np.arange(5) / 5.0)).ravel()
 # a Blaschke zero below this modulus is a bare factor lam
@@ -43,15 +47,15 @@ _BARE_ZERO = 1e-14
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex).ravel()
+    c = np.array(coeffs, dtype=complex).ravel()
     mods = np.abs(c)
-    top = float(mods.max()) if c.size else 0.0
-    if top == 0.0:
+    small = mods <= 1e-13 * mods.max(initial=0.0)
+    if small.all():
         return np.zeros(1, dtype=complex)
-    small = mods <= 1e-13 * top
-    c = np.where(small, 0.0, c)
-    last = int(np.flatnonzero(~small).max())
-    return c[: last + 1]
+    if small.any():
+        c[small] = 0.0
+        c = c[: np.flatnonzero(~small)[-1] + 1]
+    return c
 
 
 def _finite(coeffs) -> np.ndarray:
@@ -62,56 +66,69 @@ def _finite(coeffs) -> np.ndarray:
     return c
 
 
-def _certified(den, samples: np.ndarray | None = None) -> np.ndarray:
-    """``den`` trimmed, checked to have no zeros in the closed unit disc.
+@cache
+def _circle(size: int) -> np.ndarray:
+    """``size + 1`` points around the unit circle, the last back at 1."""
+    return np.exp(2j * np.pi * np.arange(size + 1) / size)
 
-    Uses the argument principle on the unit circle instead of numerical
-    roots: repeated factors make computed roots scatter, while the winding
-    number of the boundary values stays exact as long as the polynomial is
-    bounded away from zero there.  ``samples``, when given, are the values
-    of ``den`` at :data:`SAMPLES`.  A constant is not checked.  A product of
-    certified factors needs no check of its own (see
-    :meth:`RationalFunction.over_product`).
+
+def _least_modulus(roots: np.ndarray, rho: float, size: int) -> float:
+    """A lower bound of ``prod |lam - r_i|`` on ``|lam| = rho``: the product of
+    the roots' distances to it or, arc by arc between ``size`` of its points
+    ``lam_j``, of ``max(| |r_i| - rho |, (|lam_j - r_i| + |lam_(j+1) - r_i|) / 2
+    - pi rho / size)``, each less ``16 eps (rho + |r_i|)`` for rounding."""
+    mods = np.abs(roots)
+    far = np.abs(mods - rho)
+    if size:
+        ends = np.abs(rho * _circle(size)[:, None] - roots)
+        far = np.maximum(far, (ends[1:] + ends[:-1]) / 2 - np.pi * rho / size)
+    far = np.maximum(far - 16 * np.finfo(float).eps * (rho + mods), 0.0)
+    return float(np.prod(far, axis=-1).min())
+
+
+def _certified(den) -> tuple[np.ndarray, tuple]:
+    """``den`` trimmed, with its factors: none for a constant, which is not
+    checked, else ``(den, roots, 1)``, its roots certified to lie outside the
+    closed disc of radius ``1 + _CIRCLE_BAND``.
+
+    Rouché's theorem against ``q = lead * prod(lam - r_i)``, ``r_i`` the
+    computed roots: where ``|den - q|``, bounded from its values at 8n points,
+    is below :func:`_least_modulus` of the roots (from their distances, else
+    from 4096 points) on ``|lam| = rho``, ``den`` has ``#{|r_i| < rho}`` zeros
+    inside and none on that circle, however a repeated factor scatters the
+    roots.  ``rho = 1 + _CIRCLE_BAND`` certifies, ``rho = 1`` counts the roots
+    inside the disc.  Products of certified factors need no check.
     """
     den = _trim(den)
     if float(np.abs(den).max()) == 0.0:
         raise ZeroDivisionError("denominator is identically zero")
-    if den.size > 1:
-        _boundary_winding(den, samples)
-    return den
+    if den.size == 1:
+        return den, ()
+    roots = npoly.polyroots(den)
+    n = roots.size
+    lam = _circle(8 * n)[:-1]
+    q = den[-1] * np.prod(lam[:, None] - roots, axis=1)
+    # g = den - q has degree below n; each |g(lam_j)| is off by at most 4 (n +
+    # 2) u (||den||_1 + |q|): Horner 4n u, q (4n + 4) u, difference 2u.  As
+    # |g'| <= (n - 1) max |g| (Bernstein), max |g| on the circle is at most the
+    # largest over 1 - pi/8 - 22 n eps (lam_j 11 eps off; 1.7 leaves 3%), and
+    # on |lam| = rho > 1 rho**(n - 1) times that (maximum principle)
+    err = 2 * (n + 2) * np.finfo(float).eps * (float(np.abs(den).sum()) + np.abs(q))
+    miss = 1.7 * float((np.abs(npoly.polyval(lam, den) - q) + err).max()) / abs(den[-1])
 
+    def count(rho):
+        for size in (0, 4096):
+            if rho ** (n - 1) * miss < _least_modulus(roots, rho, size):
+                return int(np.count_nonzero(np.abs(roots) < rho))
 
-def _factors(den: np.ndarray) -> tuple:
-    """The factors of a certified denominator standing alone: itself, once,
-    unless it is a constant."""
-    return ((den, 1),) if den.size > 1 else ()
-
-
-def _boundary_winding(den: np.ndarray, values: np.ndarray | None = None):
-    """The 4096-point winding check behind :func:`_certified`, on ``den``'s
-    values at :data:`SAMPLES` (evaluated here when not given)."""
-    vals = npoly.polyval(SAMPLES, den) if values is None else values
-    mods = np.abs(vals)
-    top, low = float(mods.max()), float(mods.min())
-    # the floor is the evaluation noise, not a fraction of the peak: high
-    # multiplicity factors legitimately dip many orders below their maximum
-    mass = float(np.abs(den).sum())
-    noise = max(POLY_NOISE * mass, 1e-12 * top)
-    if low <= noise:
-        raise ValueError(
-            f"denominator nearly vanishes on the unit circle (min |den| = {low:.3e})"
-        )
-    # the turn from each value to the next, the last back to the first
-    turns = np.angle(np.concatenate((vals[1:], vals[:1])) * vals.conj())
-    raw = float(turns.sum() / (2.0 * np.pi))
-    winding = int(np.rint(raw))
-    if abs(raw - winding) > 0.25:
-        # a root sitting on the circle contributes a half turn
-        raise ValueError(
-            f"denominator winding number {raw:.3f} is ambiguous on the unit circle"
-        )
-    if winding != 0:
-        raise ValueError(f"denominator has {winding} root(s) inside the unit disc")
+    if count(1.0 + _CIRCLE_BAND) == 0:
+        return den, ((den, roots, 1),)
+    inside = count(1.0)
+    if inside is None:
+        raise ValueError("denominator nearly vanishes on the unit circle: roots not certified")
+    if inside:
+        raise ValueError(f"denominator has {inside} root(s) inside the unit disc")
+    raise ValueError(f"denominator root not certified {_CIRCLE_BAND:g} outside the unit circle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +136,14 @@ class RationalFunction:
     """Quotient of polynomials, analytic on the closed unit disc.
 
     Coefficients are ascending.  The denominator must have all of its roots
-    strictly outside the closed unit disc; trailing coefficients below
-    ``1e-13`` of the leading scale are trimmed.  ``factors`` holds the
-    denominator's non-constant factors with their multiplicities, pairs
-    ``(coefficients, multiplicity)`` whose product is the denominator up to
-    a constant.  Each factor is certified by the boundary winding number
-    where it first enters a denominator, and a product of certified factors
-    is certified with no check of its own: the winding number of a product
-    is the sum over its factors.
+    strictly outside the closed unit disc, more than ``1e-9`` outside the
+    circle; trailing coefficients below ``1e-13`` of the leading scale are
+    trimmed.  ``factors`` holds the denominator's non-constant factors,
+    triples ``(coefficients, roots, multiplicity)`` whose product is the
+    denominator up to a constant.  Each factor is certified from its roots
+    by ``_certified`` where it first enters a denominator, and a product
+    of certified factors is certified with no check of its own: its zeros
+    are those of its factors.
     """
 
     numerator: np.ndarray
@@ -135,8 +152,9 @@ class RationalFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "numerator", _trim(_finite(self.numerator)))
-        object.__setattr__(self, "denominator", _certified(_finite(self.denominator)))
-        object.__setattr__(self, "factors", _factors(self.denominator))
+        den, factors = _certified(_finite(self.denominator))
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def _built(cls, numerator: np.ndarray, denominator: np.ndarray, factors: tuple):
@@ -149,14 +167,12 @@ class RationalFunction:
         return f
 
     @classmethod
-    def over(cls, denominator, numerators, samples: np.ndarray | None = None):
+    def over(cls, denominator, numerators):
         """One function per numerator, all over ``denominator``, which is
-        trimmed and certified once: on ``samples``, its values at
-        :data:`SAMPLES`, when given, else on values evaluated here.  The
-        denominator is the functions' one factor."""
+        trimmed and certified once.  The denominator is the functions' one
+        factor."""
         nums = [_trim(_finite(num)) for num in numerators]
-        den = _certified(_finite(denominator), samples)
-        factors = _factors(den)
+        den, factors = _certified(_finite(denominator))
         return [cls._built(num, den, factors) for num in nums]
 
     @classmethod
@@ -165,22 +181,19 @@ class RationalFunction:
         denominators of ``powers``, pairs ``(function, power)``.
 
         The product is expanded in the order given, trimmed after each
-        multiplication, and runs no winding check: its factors are those of
+        multiplication, and is not certified again: its factors are those of
         the functions, with multiplicities scaled by the powers and added
         where two functions share a factor.
         """
-        den, factors = None, []
+        den, factors = None, {}
         for f, power in powers:
             for _ in range(power):
                 den = f.denominator if den is None else _trim(npoly.polymul(den, f.denominator))
-            for factor, mult in f.factors:
-                for i, (seen, count) in enumerate(factors):
-                    if np.array_equal(seen, factor):
-                        factors[i] = (seen, count + power * mult)
-                        break
-                else:
-                    factors.append((factor, power * mult))
-        factors = tuple(factors)
+            for factor, roots, mult in f.factors:
+                key = factor.tobytes()
+                count = factors[key][2] if key in factors else 0
+                factors[key] = (factor, roots, count + power * mult)
+        factors = tuple(factors.values())
         return [cls._built(_trim(num), den, factors) for num in numerators]
 
     @property
@@ -227,6 +240,9 @@ class InnerOuterPair:
     prod(1 - lam/p)``, over the ``outer_roots`` ``r_out`` (on or outside the
     unit circle), the Blaschke zeros ``z`` and the ``den_roots`` ``p``
     (outside the closed disc), so ``outer(0) = outer_scale > 0``.
+    ``_at_points`` is an output for ``nevanlinna.build_slice_schur`` alone:
+    ``(inner, sqrt(outer))`` at the ``_points`` it gave :func:`inner_outer`,
+    from the pass that checked the pair, else None.
     """
 
     unimodular_constant: complex
@@ -234,6 +250,7 @@ class InnerOuterPair:
     outer_roots: np.ndarray = field(repr=False)
     den_roots: np.ndarray = field(repr=False)
     outer_scale: float = 1.0
+    _at_points: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         zeros, out, den = (
@@ -268,54 +285,52 @@ class InnerOuterPair:
         the closed disc into the closed one, so principal square roots
         multiply into the analytic branch that is positive at the origin.
         """
-        lam = np.asarray(lam, dtype=complex)
-        flat = lam.ravel()[:, None]
-        parts = [np.ones((flat.shape[0], 1), dtype=complex)]
-        if self.outer_roots.size:
-            parts.append(1.0 - flat / self.outer_roots[None, :])
-        if self.blaschke_zeros.size:
-            parts.append(1.0 - np.conj(self.blaschke_zeros)[None, :] * flat)
-        if self.den_roots.size:
-            parts.append(1.0 / (1.0 - flat / self.den_roots[None, :]))
+        flat = np.asarray(lam, dtype=complex).ravel()[:, None]
+        ones = np.ones((flat.shape[0], 1), dtype=complex)
+        zeros, den = np.conj(self.blaschke_zeros), self.den_roots
+        parts = [ones, 1.0 - flat / self.outer_roots, 1.0 - zeros * flat, 1.0 / (1.0 - flat / den)]
         return np.concatenate(parts, axis=1)
 
     def inner_eval(self, lam):
         return blaschke_eval(self.blaschke_zeros, self.unimodular_constant, lam)
 
+    def _outer(self, stack: np.ndarray, root: bool = False) -> np.ndarray:
+        """The outer factor, or its square root, from a factor stack."""
+        if root:
+            return np.sqrt(self.outer_scale) * np.prod(np.sqrt(stack), axis=1)
+        return self.outer_scale * np.prod(stack, axis=1)
+
     def outer_eval(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        vals = self.outer_scale * np.prod(self._factor_stack(lam), axis=1)
-        return vals.reshape(lam.shape)
+        return self._outer(self._factor_stack(lam)).reshape(lam.shape)
 
     def outer_sqrt(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        vals = np.sqrt(self.outer_scale) * np.prod(np.sqrt(self._factor_stack(lam)), axis=1)
-        return vals.reshape(lam.shape)
+        return self._outer(self._factor_stack(lam), root=True).reshape(lam.shape)
 
     def eval(self, lam):
         return self.inner_eval(lam) * self.outer_eval(lam)
 
 
-def inner_outer(
-    f: RationalFunction,
-    tol: float = 1e-6,
-    samples: np.ndarray | None = None,
-) -> InnerOuterPair:
+def inner_outer(f: RationalFunction, tol: float = 1e-6, samples=None, _points=None) -> InnerOuterPair:
     """Inner-outer factorization of a rational function bounded on the disc.
 
     Numerator roots strictly inside the disc turn into Blaschke zeros and
     the others into outer roots; roots within ``1e-9`` of the circle are
-    projected onto it, with a warning.  The poles are the roots of each of
-    ``f.factors``, repeated by its multiplicity: the expanded denominator's
-    repeated roots would scatter.  The unimodular constant is the phase of
-    ``lead / den[0] * prod(-r_out) * prod(-z / |z|)`` over the outer roots
-    and the Blaschke zeros away from the origin, ``lead`` the numerator's
-    leading coefficient: ``lam - r = -r (1 - lam/r)`` and ``lam - z =
-    -(z / |z|) b_z(lam) (1 - conj(z) lam)``.  ``inner * outer`` is checked
+    projected onto it, with a warning.  The poles are the certified roots of
+    each of ``f.factors``, repeated by its multiplicity: the expanded
+    denominator's repeated roots would scatter.  The unimodular constant is
+    the phase of ``lead / den[0] * prod(-r_out) * prod(-z / |z|)`` over the
+    outer roots and the Blaschke zeros away from the origin, ``lead`` the
+    numerator's leading coefficient: ``lam - r = -r (1 - lam/r)`` and ``lam -
+    z = -(z / |z|) b_z(lam) (1 - conj(z) lam)``.  ``inner * outer`` is checked
     against ``f`` at :data:`INTERIOR`, to ``tol`` times the larger of 1 and
     ``max |f|`` at :data:`BOUNDARY_NODES`.  ``samples``, when given, are the
     values of ``f`` at :data:`BOUNDARY_NODES`, then at :data:`INTERIOR`, read
-    instead of evaluating ``f``.
+    instead of evaluating ``f``.  ``_points``, when given, are further points
+    of the closed disc where the pair is evaluated in the same pass as the
+    check, one factor stack and one Blaschke product for all of them; their
+    values are the pair's ``_at_points``.
     """
     if not isinstance(f, RationalFunction):
         raise TypeError("inner_outer expects a RationalFunction")
@@ -323,12 +338,12 @@ def inner_outer(
         raise ValueError("the zero function has no inner-outer factorization")
     roots = f.numerator_roots()
     mods = np.abs(roots)
-    inside = roots[mods < 1.0 - _CIRCLE_SNAP]
-    outside = roots[mods > 1.0 + _CIRCLE_SNAP]
-    snapped = roots[(mods >= 1.0 - _CIRCLE_SNAP) & (mods <= 1.0 + _CIRCLE_SNAP)]
+    inside = roots[mods < 1.0 - _CIRCLE_BAND]
+    outside = roots[mods > 1.0 + _CIRCLE_BAND]
+    snapped = roots[(mods >= 1.0 - _CIRCLE_BAND) & (mods <= 1.0 + _CIRCLE_BAND)]
     if snapped.size:
         warnings.warn(
-            f"{snapped.size} numerator root(s) within {_CIRCLE_SNAP} of the unit "
+            f"{snapped.size} numerator root(s) within {_CIRCLE_BAND} of the unit "
             "circle assigned to the outer factor",
             stacklevel=2,
         )
@@ -336,8 +351,7 @@ def inner_outer(
     # the poles from each certified factor, never from their expanded
     # product, whose repeated roots would scatter
     poles = np.concatenate(
-        [np.zeros(0, dtype=complex)]
-        + [np.repeat(npoly.polyroots(c), m) for c, m in f.factors]
+        [np.zeros(0, dtype=complex)] + [np.repeat(r, m) for _, r, m in f.factors]
     )
     lead, den0 = complex(f.numerator[-1]), complex(f.denominator[0])
     turns = np.concatenate([[lead / den0], -outer, -inside[np.abs(inside) >= _BARE_ZERO]])
@@ -346,13 +360,17 @@ def inner_outer(
     pair = InnerOuterPair(constant / abs(constant), inside, outer, poles, outer_scale)
 
     if samples is None:
-        fvals, interior = f(BOUNDARY_NODES), f(INTERIOR)
-    else:
-        fvals, interior = samples[: BOUNDARY_NODES.size], samples[BOUNDARY_NODES.size :]
+        samples = f(np.concatenate([BOUNDARY_NODES, INTERIOR]))
+    fvals, interior = samples[: BOUNDARY_NODES.size], samples[BOUNDARY_NODES.size :]
+    head = INTERIOR.size
+    lam = INTERIOR if _points is None else np.concatenate([INTERIOR, np.ravel(_points)])
+    inner, stack = pair.inner_eval(lam), pair._factor_stack(lam)
     scale = max(1.0, float(np.abs(fvals).max()))
-    err = float(np.abs(pair.eval(INTERIOR) - interior).max())
+    err = float(np.abs(inner[:head] * pair._outer(stack[:head]) - interior).max())
     if err > tol * scale:
         raise ValueError(
             f"inner-outer reconstruction error {err:.3e} exceeds tol * scale = {tol * scale:.3e}"
         )
+    if _points is not None:
+        object.__setattr__(pair, "_at_points", (inner[head:], pair._outer(stack[head:], root=True)))
     return pair

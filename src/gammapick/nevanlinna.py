@@ -25,7 +25,6 @@ from .hardy import (
     BOUNDARY_NODES,
     INTERIOR,
     POLY_NOISE,
-    SAMPLES,
     InnerOuterPair,
     RationalFunction,
     inner_outer,
@@ -354,13 +353,6 @@ class GammaCurve:
             out += col[:, None]
         return out
 
-    @cached_property
-    def _read_rows(self) -> np.ndarray:
-        """``row_values`` where a slice reads its terms: at the boundary
-        nodes, every second point of SAMPLES, then at the points after SAMPLES."""
-        v = self.row_values
-        return np.concatenate((v[:, : SAMPLES.size : 2], v[:, SAMPLES.size :]), axis=1)
-
     def point_at(self, lam: complex) -> GammaPoint:
         return GammaPoint(self.variant, tuple(complex(c(lam)) for c in self.components))
 
@@ -491,16 +483,6 @@ def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
 _SLICE_DENOMINATOR = {"gamma7": "1 - z*x2", "gamma5": "2 - z*x4"}
 
 
-def _slice_denominators(h, z: complex, det_denominator: str):
-    """The two denominators of :func:`_slice_terms`, one object when equal."""
-    if len(h) == 8:
-        return (h[0] - z * h[2],) * 2
-    if det_denominator not in ("corrected", "printed"):
-        raise ValueError(f"unknown det_denominator {det_denominator!r}")
-    den = 2.0 * h[0] - z * h[4]
-    return den, den if det_denominator == "corrected" else h[0] - z * h[4]
-
-
 def _slice_terms(h, z: complex, det_denominator: str):
     """The slice formulas, once for points and curves.
 
@@ -508,12 +490,16 @@ def _slice_terms(h, z: complex, det_denominator: str):
     point passes numbers with ``h0 = 1``, a curve coefficient arrays of one
     length with ``h0`` its denominator.  Returns the numerators of
     ``(f11, f22, det)``, the denominator of ``f11`` and ``f22``, and that
-    of ``det``.
+    of ``det``, one object when they are equal.
     """
-    dens = _slice_denominators(h, z, det_denominator)
     if len(h) == 8:
-        return (h[1] - z * h[3], h[4] - z * h[6], h[5] - z * h[7]), *dens
-    return (2.0 * h[1] - z * h[2], h[4] - 2.0 * z * h[5], h[2] - 2.0 * z * h[3]), *dens
+        den = h[0] - z * h[2]
+        return (h[1] - z * h[3], h[4] - z * h[6], h[5] - z * h[7]), den, den
+    if det_denominator not in ("corrected", "printed"):
+        raise ValueError(f"unknown det_denominator {det_denominator!r}")
+    den = 2.0 * h[0] - z * h[4]
+    det_den = den if det_denominator == "corrected" else h[0] - z * h[4]
+    return (2.0 * h[1] - z * h[2], h[4] - 2.0 * z * h[5], h[2] - 2.0 * z * h[3]), den, det_den
 
 
 def _slice_point(x: GammaPoint, z: complex, det_denominator: str):
@@ -549,13 +535,12 @@ def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
 
 def _curve_slice(x: GammaCurve, z: complex, det_denominator: str):
     """The slice functions ``(f11, f22, det)`` of a curve, each denominator
-    certified once, on its values at :data:`SAMPLES` read from ``row_values``."""
+    certified once."""
     (n1, n2, n3), den, det_den = _slice_terms(x.rows, z, det_denominator)
-    den_v, det_den_v = _slice_denominators(x.row_values[:, : SAMPLES.size], z, det_denominator)
     if det_den is den:
-        return tuple(RationalFunction.over(den, (n1, n2, n3), den_v))
-    f11, f22 = RationalFunction.over(den, (n1, n2), den_v)
-    return f11, f22, *RationalFunction.over(det_den, (n3,), det_den_v)
+        return tuple(RationalFunction.over(den, (n1, n2, n3)))
+    f11, f22 = RationalFunction.over(den, (n1, n2))
+    return f11, f22, *RationalFunction.over(det_den, (n3,))
 
 
 def psi3_eval(x: GammaCurve, lam: complex, z1: complex, z2: complex) -> complex:
@@ -621,18 +606,11 @@ class SlicedSchur2x2:
     pair: InnerOuterPair | None
     triangular: bool
 
-    def evaluate_many(self, lam, diagonal=None) -> np.ndarray:
-        """Values at ``lam``, shape ``(n, 2, 2)``; ``diagonal``, when given,
-        holds the values of ``(f11, f22)`` at ``lam``, read instead of
-        evaluating them."""
+    def evaluate_many(self, lam) -> np.ndarray:
+        """Values at ``lam``, shape ``(n, 2, 2)``."""
         lam = np.asarray(lam, dtype=complex).ravel()
-        out = np.zeros((lam.size, 2, 2), dtype=complex)
-        out[:, 0, 0], out[:, 1, 1] = (self.f11(lam), self.f22(lam)) if diagonal is None else diagonal
-        if not self.triangular:
-            sqrt_outer = self.pair.outer_sqrt(lam)
-            out[:, 0, 1] = self.pair.inner_eval(lam) * sqrt_outer
-            out[:, 1, 0] = sqrt_outer
-        return out
+        off = None if self.triangular else (self.pair.inner_eval(lam), self.pair.outer_sqrt(lam))
+        return _slice_values(self.f11(lam), self.f22(lam), off)
 
     def evaluate(self, lam: complex) -> np.ndarray:
         return self.evaluate_many([lam])[0]
@@ -653,26 +631,31 @@ class SlicedSchur2x2:
         return np.abs(self.pair.inner_eval(BOUNDARY_NODES)) * half, half
 
 
+def _slice_values(d11, d22, off) -> np.ndarray:
+    """Slice values, shape ``(n, 2, 2)``, from the diagonal and, unless the
+    slice is triangular, ``off = (inner, sqrt(outer))``."""
+    out = np.zeros((len(d11), 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = d11, d22
+    if off is not None:
+        out[:, 0, 1], out[:, 1, 0] = off[0] * off[1], off[1]
+    return out
+
+
 # contractivity grid of build_slice_schur: 12 radii by 8 angles
 _SLICE_GRID = (
     np.linspace(0.05, 1.0 - 1e-3, 12)[:, None]
     * np.exp(2j * np.pi * np.arange(8) / 8.0)[None, :]
 ).ravel()
-# where a curve is evaluated once (GammaCurve.row_values): the points of the
-# winding check, then inner_outer's interior points, the contractivity grid
-# and the origin.  A slice reads only its denominators at all of SAMPLES
-_CURVE_POINTS = np.concatenate([SAMPLES, INTERIOR, _SLICE_GRID, [0.0]])
+# where a curve is evaluated once (GammaCurve.row_values): inner_outer's
+# boundary nodes and interior points, the contractivity grid and the origin
+_CURVE_POINTS = np.concatenate([BOUNDARY_NODES, INTERIOR, _SLICE_GRID, [0.0]])
 _GRID_AT = -(_SLICE_GRID.size + 1)
 # inner_outer's reconstruction tolerance on a slice, and the largest miss of
 # the slice determinant
 _SLICE_TOL = 1e-6
 
 
-def build_slice_schur(
-    x: GammaCurve,
-    z: complex,
-    det_denominator: str = "corrected",
-) -> SlicedSchur2x2:
+def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "corrected") -> SlicedSchur2x2:
     """Construct the 2x2 Schur-class slice of a gamma curve at parameter ``z``.
 
     The construction verifies contractivity on an interior grid (slack 1e-6),
@@ -680,14 +663,13 @@ def build_slice_schur(
     that the lower-left entry is positive at the origin, all from one
     evaluation of the slice.  Failures raise ``ValueError`` with the worst
     offending point.  Every value of the slice's terms comes from the
-    curve's ``row_values``, computed only where a check reads it: the
-    denominators on the 4096 points of their winding checks, the rest at the
+    curve's ``row_values``, computed only where a check reads it: at the
     boundary nodes and interior points of ``inner_outer``, the contractivity
-    grid and the origin.  A winding check runs on each slice denominator, once:
-    ``f11 f22 - det`` goes over the square of the slice denominator (times
-    the printed determinant denominator, when that differs), certified by
-    those factors with no check of its own, and ``inner_outer`` takes its
-    poles from them.
+    grid and the origin.  Each slice denominator is certified once, from its
+    roots: ``f11 f22 - det`` goes over the square of the slice denominator
+    (times the printed determinant denominator, when that differs), with no
+    check of its own, and ``inner_outer`` takes its poles from those roots
+    and evaluates the pair in one pass for all its checks and the others.
     """
     if not isinstance(x, GammaCurve):
         raise TypeError("build_slice_schur expects a GammaCurve")
@@ -695,7 +677,7 @@ def build_slice_schur(
     if abs(z) >= 1.0:
         raise ValueError("slice parameter must lie in the open unit disc")
     f11, f22, det_slice = _curve_slice(x, z, det_denominator)
-    (v11, v22, v_det), v_den, v_det_den = _slice_terms(x._read_rows, z, det_denominator)
+    (v11, v22, v_det), v_den, v_det_den = _slice_terms(x.row_values, z, det_denominator)
     # f11 and f22 share one denominator; the printed determinant slice has
     # its own, the only place where two denominators meet.  f11 f22 - det
     # goes over a product of the certified slice denominators, checked by
@@ -724,15 +706,15 @@ def build_slice_schur(
         )
         (d,) = RationalFunction.over_product(((f11, 2), (det_slice, 1)), (num,))
         d_v = v11 * v22 / v_den2 - v_det / v_det_den
-    if d.is_zero:
-        sliced = SlicedSchur2x2(z, f11, f22, det_slice, None, True)
-    else:
-        pair = inner_outer(d, tol=_SLICE_TOL, samples=d_v[:_GRID_AT])
-        sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, False)
+    at = slice(_GRID_AT, None)  # the contractivity grid, then the origin
+    pair = None
+    if not d.is_zero:
+        pair = inner_outer(d, tol=_SLICE_TOL, samples=d_v[:_GRID_AT], _points=_CURVE_POINTS[at])
+    sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, pair is None)
 
     lam = _SLICE_GRID
-    at = slice(_GRID_AT, None)  # the contractivity grid, then the origin
-    vals = sliced.evaluate_many(_CURVE_POINTS[at], (v11[at] / v_den[at], v22[at] / v_den[at]))
+    off = None if pair is None else pair._at_points
+    vals = _slice_values(v11[at] / v_den[at], v22[at] / v_den[at], off)
     vals, origin = vals[:-1], vals[-1]
     norms = operator_norms(vals)
     worst = int(np.argmax(norms))

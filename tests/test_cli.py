@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gammapick
-from gammapick import cli, hardy
+from gammapick import cli, hardy, nevanlinna
 from gammapick.cli import run
 from gammapick.domains import E311, mu, pi_coordinates
 from gammapick.kernels import tensor_grid, upper_e
@@ -25,6 +25,7 @@ from gammapick.serialize import (
 )
 from gammapick.nevanlinna import GammaNodes
 from gammapick.domains import GammaPoint
+from test_hardy import root_certificates
 
 
 def _write(tmp_path, name, payload):
@@ -949,23 +950,9 @@ def test_subcommand_parses_exactly_the_options_it_reads(tmp_path, capsys, comman
             assert captured.err.count("\n") == 1
 
 
-def _winding_checks(argv, on_given_values=None) -> int:
-    """Number of 4096-point winding checks one ``run(argv)`` computes, on
-    circle values it evaluates or is given; with ``on_given_values`` True or
-    False, only those on given or on evaluated values."""
-    count = 0
-    original = hardy._boundary_winding
-
-    def counted(den, values=None):
-        nonlocal count
-        if on_given_values is None or on_given_values == (values is not None):
-            count += 1
-        return original(den, values)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hardy, "_boundary_winding", counted)
-        run(argv)
-    return count
+def _root_certificates(argv) -> int:
+    """Number of root certificates one ``run(argv)`` computes."""
+    return root_certificates(lambda: run(argv))
 
 
 def _rational_curve_file(tmp_path, seed, variant="gamma7"):
@@ -987,25 +974,43 @@ def test_certify_checks_each_denominator_once(tmp_path, capsys):
     argv = ["certify", "--in", path]
     # one for the curve's shared denominator and, per slice parameter, one for
     # the slice denominator, wherever z = 0 sits; its square is certified by
-    # its factor, with no check of its own
-    assert _winding_checks(argv) == 1 + len(DEFAULT_Z_GRID)
+    # its factor, with no certificate of its own
+    assert _root_certificates(argv) == 1 + len(DEFAULT_Z_GRID)
     report = json.loads(capsys.readouterr().out)
     assert all(row["ok"] for row in report["slice_checks"])
-    assert _winding_checks([*argv, "--z2-grid", _ZERO_LAST]) == 1 + len(DEFAULT_Z_GRID)
+    assert _root_certificates([*argv, "--z2-grid", _ZERO_LAST]) == 1 + len(DEFAULT_Z_GRID)
     report = json.loads(capsys.readouterr().out)
     assert report["slice_checks"][-1]["z"] == [0.0, 0.0]
     assert all(row["ok"] for row in report["slice_checks"])
-    # only the curve's own check evaluates its denominator; the slices' run on
-    # values read from the curve's coordinate rows
-    assert _winding_checks(argv, on_given_values=False) == 1
+    # every polyroots call is a certificate's or, inside inner_outer, one for
+    # the numerator of f11 f22 - det: the poles are the certified roots
+    calls = {"polyroots": 0, "inner_outer": 0}
+    polyroots, inner_outer = hardy.npoly.polyroots, hardy.inner_outer
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardy.npoly, "polyroots", counted("polyroots", polyroots))
+        mp.setattr(nevanlinna, "inner_outer", counted("inner_outer", inner_outer))
+        run(argv)
+    assert calls == {"polyroots": 1 + 2 * len(DEFAULT_Z_GRID), "inner_outer": len(DEFAULT_Z_GRID)}
     capsys.readouterr()
 
 
 def test_printed_certify_evaluates_one_winding_check(tmp_path, capsys):
+    # the name is older than the root certificates, which replaced the
+    # winding checks: one for the curve and, per slice parameter, one for the
+    # slice denominator and one for the printed determinant denominator, a
+    # different polynomial even at z = 0; f11 f22 - det goes over den**2 *
+    # det_den at once, certified by those factors
     path = _rational_curve_file(tmp_path, 4, "gamma5")
     argv = ["certify", "--in", path, "--det-denominator", "printed"]
-    # f11 f22 - det goes over den**2 * det_den at once, checked on values
-    assert _winding_checks(argv, on_given_values=False) == 1
+    assert _root_certificates(argv) == 1 + 2 * len(DEFAULT_Z_GRID)
     rows = json.loads(capsys.readouterr().out)["slice_checks"]
     # the printed convention breaks contractivity at the outer real and
     # imaginary parameters
@@ -1016,10 +1021,28 @@ def test_printed_certify_evaluates_one_winding_check(tmp_path, capsys):
 
 def test_certify_repeats_its_winding_work(tmp_path, capsys):
     a, b = _rational_curve_file(tmp_path, 4), _rational_curve_file(tmp_path, 5)
-    counts = [_winding_checks(["certify", "--in", p]) for p in (a, b, a)]
+    counts = [_root_certificates(["certify", "--in", p]) for p in (a, b, a)]
     capsys.readouterr()
     # nothing certified for curve a carries over to its second op
     assert counts[0] == counts[2] > 0
+
+
+def test_certify_refuses_a_curve_with_a_pole_just_inside_the_disc(tmp_path, capsys):
+    # every component over 1 - lam/r, |r| = 1 - 1e-9: the curve is bad data,
+    # and no slice is ever built from it
+    r = (1.0 - 1e-9) * np.exp(0.3j)
+    den = [[1.0, 0.0], [(-1.0 / r).real, (-1.0 / r).imag]]
+    comps = [{"numerator": [[0.05 * (i + 1), 0.0]], "denominator": den} for i in range(7)]
+    payload = {
+        "curve": {"variant": "gamma7", "components": comps},
+        "nodes": [complex_to_json(v) for v in (0.2, -0.3j, 0.4)],
+    }
+    assert run(["certify", "--in", _write(tmp_path, "inside.json", payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bad gamma curve data: denominator has 1 root(s) inside the unit disc\n"
+    )
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():

@@ -1,4 +1,6 @@
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -35,7 +37,8 @@ def test_rational_rejects_pole_on_circle():
 
 
 def test_rational_accepts_high_multiplicity_outside_pole():
-    # repeated factors scatter computed roots; the winding count must not
+    # repeated factors scatter computed roots by about 2e-3; the root
+    # certificate still decides
     base = np.array([1.0, -1.0 / 1.111])
     den = np.array([1.0])
     for _ in range(9):
@@ -46,6 +49,121 @@ def test_rational_accepts_high_multiplicity_outside_pole():
         np.polynomial.polynomial.polyval(lam, den)
     )
     np.testing.assert_allclose(f(lam), direct, atol=1e-10)
+
+
+def _refusal(den):
+    """The message refusing ``RationalFunction([1.0], den)``, or "accepted"."""
+    try:
+        RationalFunction([1.0], den)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("d", [1e-7, 1e-8, 1e-9, 1e-10])
+def test_rational_refuses_a_pole_just_inside_the_disc(d):
+    # the 4096-point winding check accepted 736 of these 800 poles
+    phases = np.exp(2j * np.pi * np.arange(200) / 200 + 0.1j)
+    for root in (1.0 - d) * phases:
+        assert _refusal(npoly.polyfromroots([root])) == "denominator has 1 root(s) inside the unit disc"
+
+
+def test_rational_accepts_close_pole_pairs_just_outside_the_circle():
+    # two poles 1e-5 to 1e-3 outside the circle, within 2e-3 of each other in
+    # phase: the winding check refused about half of these
+    rng = np.random.default_rng(20)
+    for _ in range(1500):
+        moduli = 1.0 + 10.0 ** rng.uniform(-5.0, -3.0, size=2)
+        theta = rng.uniform(0.0, 2 * np.pi)
+        phases = theta + np.array([0.0, rng.uniform(-2e-3, 2e-3)])
+        roots = moduli * np.exp(1j * phases)
+        f = RationalFunction([1.0], npoly.polyfromroots(roots))
+        ((_, got, _),) = f.factors
+        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(roots), rtol=1e-8)
+
+
+_BAND = "denominator root not certified 1e-09 outside the unit circle"
+_ON_CIRCLE = "denominator nearly vanishes on the unit circle: roots not certified"
+
+
+@pytest.mark.parametrize(
+    "modulus, outcome",
+    [
+        # the 1e-9 band on either side of 1 + 1e-9, then roots on and next to
+        # the circle
+        (1.0 + 2e-9, "accepted"),
+        (1.0 + 0.5e-9, _BAND),
+        (1.0 + 2e-12, _BAND),
+        (1.0, _ON_CIRCLE),
+        (1.0 - 2e-12, "denominator has 1 root(s) inside the unit disc"),
+    ],
+)
+def test_rational_refuses_a_pole_in_the_circle_band(modulus, outcome):
+    for phase in (0.0, 0.3, np.pi):
+        assert _refusal([1.0, -1.0 / (modulus * np.exp(1j * phase))]) == outcome
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        pytest.param(1.05 * np.exp(0.7j * np.arange(9)), id="9-at-1.05"),
+        pytest.param(1.002 * np.exp(1j * np.arange(5)), id="5-at-1.002"),
+        pytest.param(1.001 * np.exp(2j * np.pi * np.arange(27) / 27 + 0.1j), id="27-at-1.001"),
+        pytest.param([1.001] * 4 + [-1.001] * 4, id="two-4-fold-at-1.001"),
+    ],
+)
+def test_rational_accepts_poles_spread_around_the_circle(roots):
+    # the product of the roots' distances to the circle is far below the
+    # rounding here (0.05**9 = 2e-12); |lead prod(lam - r_i)| on the circle
+    # is not, and its bound arc by arc decides
+    f = RationalFunction([1.0], npoly.polyfromroots(roots))
+    ((_, got, _),) = f.factors
+    np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(roots), atol=5e-3)
+
+
+def test_rational_refuses_what_its_roots_cannot_certify():
+    # a 9-fold root on the circle: the computed roots scatter across it
+    den = npoly.polyfromroots([np.exp(0.2j)] * 9)
+    assert _refusal(den) == _ON_CIRCLE
+
+
+def _cluster(modulus, mult):
+    return st.tuples(st.floats(0.0, 2 * np.pi), st.integers(1, mult)).map(
+        lambda pm: [modulus * np.exp(1j * pm[0])] * pm[1]
+    )
+
+
+# clusters of up to 4 equal roots, inside the disc by 1e-6 or more, or
+# outside it by 1e-3 or more
+_INSIDE_ROOTS = st.floats(1e-6, 0.9).flatmap(lambda d: _cluster(1.0 - d, 4))
+_OUTSIDE_ROOTS = st.floats(1e-3, 3.0).flatmap(lambda d: _cluster(1.0 + d, 4))
+
+
+@settings(max_examples=150, deadline=2000)
+@given(
+    inside=st.lists(_INSIDE_ROOTS, max_size=2),
+    outside=st.lists(_OUTSIDE_ROOTS, max_size=2),
+    scale=st.floats(1e-2, 1e2),
+    phase=st.floats(0.0, 2 * np.pi),
+)
+def test_root_certificate_property(inside, outside, scale, phase):
+    roots = [r for cluster in inside + outside for r in cluster]
+    assume(roots)
+    den = scale * np.exp(1j * phase) * npoly.polyfromroots(roots)
+    count = sum(map(len, inside))
+    got = _refusal(den)
+    # never accepted with a root inside, and a named count is the true one
+    assert (got == "accepted") <= (count == 0)
+    named = re.fullmatch(r"denominator has (\d+) root\(s\) inside the unit disc", got)
+    assert named is None or int(named[1]) == count
+    # an outside draw is accepted wherever |den| on the circle clears
+    # POLY_NOISE per unit of coefficient mass, the floor of the winding check
+    # this certificate replaced.  Not every outside draw can be: two 4-fold
+    # clusters at 1.001 of one phase dip to 1e-24 of the leading coefficient,
+    # below the rounding of any evaluation of den
+    low = abs(den[-1]) * np.abs(_circle(1 << 14)[:, None] - roots).prod(axis=1).min()
+    if not inside and low >= hardy.POLY_NOISE * np.abs(den).sum():
+        assert got == "accepted"
 
 
 _NON_FINITE = [
@@ -176,21 +294,19 @@ def test_exact_pair_root_validation():
 # RationalFunction.over certifies a shared denominator once
 
 
-def winding_checks(fn, on_given_values=None) -> int:
-    """Number of 4096-point winding checks ``fn()`` computes, on circle
-    values evaluated or given; with ``on_given_values`` True or False, only
-    those on given or on evaluated values."""
+def root_certificates(fn) -> int:
+    """Number of root certificates ``fn()`` computes: calls of
+    ``hardy._certified`` on a denominator that is not a constant."""
     count = 0
-    original = hardy._boundary_winding
+    original = hardy._certified
 
-    def counted(den, values=None):
+    def counted(den):
         nonlocal count
-        if on_given_values is None or on_given_values == (values is not None):
-            count += 1
-        return original(den, values)
+        count += hardy._trim(den).size > 1
+        return original(den)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hardy, "_boundary_winding", counted)
+        mp.setattr(hardy, "_certified", counted)
         fn()
     return count
 
@@ -201,29 +317,37 @@ _DEN_A = [1.0, 0.1, 0.04]
 def test_over_checks_k_numerators_once():
     nums = [[1.0, c] for c in range(5)]
     built = []
-    assert winding_checks(lambda: built.extend(RationalFunction.over(_DEN_A, nums))) == 1
-    # the same functions as the constructor builds, one check each
-    assert winding_checks(lambda: [RationalFunction(n, _DEN_A) for n in nums]) == 5
+    assert root_certificates(lambda: built.extend(RationalFunction.over(_DEN_A, nums))) == 1
+    # the same functions as the constructor builds, one certificate each
+    assert root_certificates(lambda: [RationalFunction(n, _DEN_A) for n in nums]) == 5
     lam = _disc_grid()
     for f, num in zip(built, nums):
         assert type(f) is RationalFunction
         np.testing.assert_array_equal(f(lam), RationalFunction(num, _DEN_A)(lam))
 
 
-def test_over_reads_given_samples_and_evaluates_nothing():
-    samples = npoly.polyval(hardy.SAMPLES, _DEN_A)
+def test_over_certifies_from_roots_and_circle_values():
+    calls = []
 
-    def built():
-        RationalFunction.over(_DEN_A, [[1.0], [2.0]], samples)
+    def polyroots(c):
+        calls.append(("roots", c))
+        return npoly.polyroots(c)
+
+    def polyval(x, c):
+        calls.append(("values", x))
+        return npoly.polyval(x, c)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hardy, "npoly", None)  # nothing is evaluated
-        assert winding_checks(built, on_given_values=True) == 1
-        assert winding_checks(built, on_given_values=False) == 0
-    # the check runs on the samples given: those of a polynomial with a root
-    # inside the disc fail it, whatever the denominator
-    with pytest.raises(ValueError, match="root"):
-        RationalFunction.over(_DEN_A, [[1.0]], npoly.polyval(hardy.SAMPLES, [1.0, -2.0]))
+        # the certificate reads one polyroots call and the denominator's
+        # values at 8n points of the unit circle, n its degree
+        mp.setattr(hardy, "npoly", SimpleNamespace(polyroots=polyroots, polyval=polyval))
+        built = RationalFunction.over(_DEN_A, [[1.0], [2.0]])
+    assert [kind for kind, _ in calls] == ["roots", "values"]
+    np.testing.assert_allclose(calls[1][1], np.exp(2j * np.pi * np.arange(16) / 16), atol=1e-15)
+    # the factor carries the roots of its one polyroots call
+    ((den, roots, mult),) = built[0].factors
+    assert mult == 1 and built[1].factors is built[0].factors
+    assert roots.tobytes() == npoly.polyroots(den).tobytes()
 
 
 def test_over_raises_on_every_call_for_a_rejected_denominator():
@@ -232,7 +356,7 @@ def test_over_raises_on_every_call_for_a_rejected_denominator():
             with pytest.raises(ValueError, match="root"):
                 RationalFunction.over([1.0, -2.0], [[1.0], [2.0]])  # pole at 0.5
 
-    assert winding_checks(rejected) == 3
+    assert root_certificates(rejected) == 3
     with pytest.raises(ZeroDivisionError):
         RationalFunction.over([0.0, 0.0], [[1.0]])
 
@@ -243,8 +367,9 @@ def test_over_does_not_check_a_constant_denominator():
     def constant():
         built.extend(RationalFunction.over([2.0, 0.0], [[1.0, 3.0]]))
 
-    assert winding_checks(constant) == 0
+    assert root_certificates(constant) == 0
     np.testing.assert_array_equal(built[0].denominator, [2.0])
+    assert built[0].factors == ()
 
 
 def test_over_trims_as_the_constructor_trims():
@@ -320,10 +445,8 @@ def test_inner_outer_pole_margin(modulus, exact):
 
 
 # inner_outer on random rational functions: roots and poles away from the
-# circle, numerator roots in the 1e-9 snap band and a pole just outside it.
-# That pole stays 1e-4 away: closer, it turns the denominator by nearly half
-# a turn between two points of the 4096-point winding check, which the other
-# factors can tip over
+# circle, numerator roots in the 1e-9 snap band and a pole 1e-4 to 1e-2
+# outside the circle
 def _roots(moduli, max_size=4):
     return st.lists(
         st.tuples(moduli, st.floats(0.0, 2 * np.pi)).map(lambda rt: rt[0] * np.exp(1j * rt[1])),
@@ -385,15 +508,17 @@ def test_over_product_checks_nothing_and_expands_as_the_arithmetic_does():
     def product():
         built.extend(RationalFunction.over_product(((f, 2), (g, 1)), [[1.0], [0.0, 3.0]]))
 
-    assert winding_checks(product) == 0
+    assert root_certificates(product) == 0
     expected = npoly.polymul(npoly.polymul(f.denominator, f.denominator), g.denominator)
     for h in built:
         assert h.denominator.tobytes() == expected.tobytes()
-    # f's factor merges into one of multiplicity 2, g's stays once
-    (a, ma), (b, mb) = built[0].factors
+    # f's factor merges into one of multiplicity 2, g's stays once, each
+    # with the roots it was certified by
+    (a, ra, ma), (b, rb, mb) = built[0].factors
     assert (ma, mb) == (2, 1)
     np.testing.assert_array_equal(a, f.denominator)
     np.testing.assert_array_equal(b, g.denominator)
+    assert ra is f.factors[0][1] and rb is g.factors[0][1]
 
 
 def test_inner_outer_takes_poles_from_each_factor():

@@ -41,6 +41,7 @@ from gammapick.realization import (
     verify_schur,
 )
 from gammapick.serialize import pick_data_to_json
+from test_hardy import root_certificates
 
 
 def _curve(seed=0, variant="gamma7", m=1):
@@ -235,8 +236,8 @@ def test_printed_slice_on_both_sides_of_the_denominator_test():
 @pytest.mark.parametrize("z", [0.3, 0.2 - 0.1j, -0.6j])
 def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
     # f11 f22 - det goes over den**2 * det_den at once, with the coefficients
-    # of f11 * f22 - det_slice, certified by those two factors; every winding
-    # check of the slice runs on values read from the curve's rows
+    # of f11 * f22 - det_slice, certified by those two factors; every value
+    # the slice checks read comes from the curve's rows
     _, curve = _curve(seed=m + 4, variant="gamma5", m=m)
     f11, f22, det = slice_coordinates(curve, z, "printed")
     # the difference of quotients f11 * f22 - det, expanded as written
@@ -248,29 +249,31 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
         npoly.polymul(det.numerator, prod.denominator),
     )
     (expected,) = RationalFunction.over_product(((prod, 1), (det, 1)), (num,))
-    handed, sources = [], []
-    original_io, original_winding = nevanlinna.inner_outer, hardy._boundary_winding
+    handed = []
+    original_io = nevanlinna.inner_outer
 
     def recorded_io(d, **kwargs):
-        handed.append(d)
-        return original_io(d, **kwargs)
+        handed.append((d, original_io(d, **kwargs)))
+        return handed[-1][1]
 
-    def recorded_winding(den, values=None):
-        sources.append(values is not None)
-        return original_winding(den, values)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nevanlinna, "inner_outer", recorded_io)
-        mp.setattr(hardy, "_boundary_winding", recorded_winding)
+    def built():
         try:
             build_slice_schur(curve, z, det_denominator="printed")
         except ValueError as exc:
             assert "not contractive" in str(exc)
-    (d,) = handed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nevanlinna, "inner_outer", recorded_io)
+        mp.setattr(RationalFunction, "__call__", None)  # no slice is evaluated
+        certificates = root_certificates(built)
+    ((d, pair),) = handed
     assert d.numerator.tobytes() == expected.numerator.tobytes()
     assert d.denominator.tobytes() == expected.denominator.tobytes()
     # den and det_den; the products den**2 and den**2 * det_den are not checked
-    assert sources == [True] * 2
+    assert certificates == 2
+    # the poles are the certified roots of den, twice, then those of det_den
+    want = np.concatenate([np.repeat(f11.factors[0][1], 2), det.factors[0][1]])
+    assert pair.den_roots.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +283,16 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
 @pytest.mark.parametrize("variant", ["gamma7", "gamma5"])
 @pytest.mark.parametrize("det_denominator", ["corrected", "printed"])
 def test_cached_slice_values_match_the_slice_coefficients(variant, det_denominator):
-    # the denominators at the winding circle, and every term at the points
-    # build_slice_schur reads: the boundary nodes, every second circle point,
-    # then the tail
-    circle, tail = hardy.SAMPLES, nevanlinna._CURVE_POINTS[hardy.SAMPLES.size :]
+    # every term at the points build_slice_schur reads: the boundary nodes,
+    # the interior points, the contractivity grid and the origin
+    points = nevanlinna._CURVE_POINTS
+    assert points[: hardy.BOUNDARY_NODES.size].tobytes() == hardy.BOUNDARY_NODES.tobytes()
     shared = _curve(seed=5, variant=variant, m=2)[1]
     for curve in (shared, gamma_curve_from_entries(_mixed_entries(), variant)):
         for z in (*DEFAULT_Z_GRID, 0.95 - 0.1j):
             f11, f22, det = nevanlinna._curve_slice(curve, z, det_denominator)
-            dens = (f11.denominator, det.denominator)
-            on_circle = nevanlinna._slice_denominators(
-                curve.row_values[:, : circle.size], z, det_denominator
-            )
-            for c, v in zip(dens, on_circle):
-                want = npoly.polyval(circle, c)
-                assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
-            points = np.concatenate([circle[::2], tail])
-            nums, *read = nevanlinna._slice_terms(curve._read_rows, z, det_denominator)
-            coeffs = (f11.numerator, f22.numerator, det.numerator, *dens)
+            nums, *read = nevanlinna._slice_terms(curve.row_values, z, det_denominator)
+            coeffs = (f11.numerator, f22.numerator, det.numerator, f11.denominator, det.denominator)
             for c, v in zip(coeffs, (*nums, *read)):
                 want = npoly.polyval(points, c)
                 assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
@@ -307,11 +302,11 @@ def _numbers_out(message: str) -> str:
     return re.sub(r"-?[\d.]+(e[-+]\d+)?", "#", message)
 
 
-def _slice_outcome(den, values=None) -> str:
-    """What the winding check decides on ``den``: "pass", or its message
+def _certificate_outcome(den) -> str:
+    """What the root certificate decides on ``den``: "pass", or its message
     with the numbers taken out."""
     try:
-        hardy._boundary_winding(den, values)
+        hardy._certified(den)
     except ValueError as exc:
         return _numbers_out(str(exc))
     return "pass"
@@ -330,64 +325,62 @@ def _curve_with_slice_root(root: complex, z: complex = 0.5) -> GammaCurve:
 
 
 _INSIDE = "denominator has # root(s) inside the unit disc"
-_VANISHES = "denominator nearly vanishes on the unit circle (min |den| = #)"
+_BAND = "denominator root not certified # outside the unit circle"
+_UNCERTIFIED = "denominator nearly vanishes on the unit circle: roots not certified"
+# what the 4096-point winding check, which the root certificate replaced,
+# decided on the same denominators: the test ids keep it
+_WINDING_VANISHES = "denominator nearly vanishes on the unit circle (min |den| = #)"
 
 
-# the noise floor of this slice denominator is 1e-12 of its peak 2.6, and
-# |den| bottoms out near 0.7 * (|root| - 1) at lam = 1
+def _decisions(root, outcome, squared, winding, winding_squared):
+    return pytest.param(root, outcome, squared, id=f"{root}-{winding}-{winding_squared}")
+
+
+# |den| bottoms out near 0.7 * (|root| - 1) at lam = 1; the certificate
+# refuses a root within 1e-9 of the circle, and the square of a root that
+# close scatters its computed roots too far for the certificate to decide
 @pytest.mark.parametrize(
     "root, outcome, squared",
     [
-        (1.0 - 1e-3, _INSIDE, _INSIDE),
-        (1.0 + 1e-3, "pass", "pass"),
-        (-1.0 - 1e-3, "pass", "pass"),
-        ((1.0 - 1e-3) * 1j, _INSIDE, _INSIDE),
-        (1.0 + 8e-12, "pass", _VANISHES),
-        (1.0 + 2e-12, _VANISHES, _VANISHES),
-        (1.0 - 2e-12, _VANISHES, _VANISHES),
+        _decisions(1.0 - 1e-3, _INSIDE, _INSIDE, _INSIDE, _INSIDE),
+        _decisions(1.0 + 1e-3, "pass", "pass", "pass", "pass"),
+        _decisions(-1.0 - 1e-3, "pass", "pass", "pass", "pass"),
+        _decisions((1.0 - 1e-3) * 1j, _INSIDE, _INSIDE, _INSIDE, _INSIDE),
+        _decisions(1.0 + 8e-12, _BAND, _UNCERTIFIED, "pass", _WINDING_VANISHES),
+        _decisions(1.0 + 2e-12, _BAND, _UNCERTIFIED, _WINDING_VANISHES, _WINDING_VANISHES),
+        _decisions(1.0 - 2e-12, _INSIDE, _UNCERTIFIED, _WINDING_VANISHES, _WINDING_VANISHES),
     ],
 )
 def test_cached_winding_decisions_match_the_evaluated_ones(root, outcome, squared):
+    # the slice denominator, as the curve's slice certifies it from the
+    # curve's rows, decides as its coefficients standing alone do
     z = 0.5
     curve = _curve_with_slice_root(root, z)
     _, den, _ = nevanlinna._slice_terms(curve.rows, z, "corrected")
-    _, values, _ = nevanlinna._slice_terms(curve.row_values, z, "corrected")
-    den = hardy._trim(den)
-    circle = values[:4096]
-    assert _slice_outcome(den, circle) == _slice_outcome(den) == outcome
-    den2 = hardy._trim(npoly.polymul(den, den))
-    assert _slice_outcome(den2, circle * circle) == _slice_outcome(den2) == squared
-    # build_slice_schur checks den only: den**2 is certified by its factor.
-    # Where den passes but den**2 trips the noise floor, the slice is still
-    # refused, by its contractivity check: next to a pole this close to the
-    # circle a diagonal entry alone exceeds 1, whatever the off-diagonal part
+    assert _certificate_outcome(den) == outcome
+    assert _certificate_outcome(npoly.polymul(den, den)) == squared
+    # build_slice_schur certifies den only: den**2 is certified by its factor.
+    # Where den passes, the slice is refused by its contractivity check: next
+    # to a pole this close to the circle a diagonal entry alone exceeds 1
     if outcome != "pass":
-        with pytest.raises(ValueError) as info:
-            build_slice_schur(curve, z)
-        assert _numbers_out(str(info.value)) == outcome
-    elif squared != "pass":
-        with pytest.raises(ValueError, match=r"is not contractive: norm .* at lam=0\.9990"):
+        for build in (slice_coordinates, build_slice_schur):
+            with pytest.raises(ValueError) as info:
+                build(curve, z)
+            assert _numbers_out(str(info.value)) == outcome
+    else:
+        with pytest.raises(ValueError, match=r"is not contractive: norm .* at lam=-?0\.9990"):
             build_slice_schur(curve, z)
         f11, f22, _ = slice_coordinates(curve, z)
-        assert max(abs(f11(0.999)), abs(f22(0.999))) > 1.0
+        edge = 0.999 * np.sign(root.real)
+        assert max(abs(f11(edge)), abs(f22(edge))) > 1.0
 
 
 def test_slice_checks_run_on_cached_values():
     _, curve = _curve(seed=3, m=2)
-    sources = []
-    original = hardy._boundary_winding
-
-    def recorded(den, values=None):
-        sources.append(values is not None)
-        return original(den, values)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hardy, "_boundary_winding", recorded)
         mp.setattr(hardy.RationalFunction, "__call__", None)  # no slice is evaluated
-        build_slice_schur(curve, 0.3)
-    # the slice denominator, on values read from the rows; its square is
-    # certified by its factor
-    assert sources == [True]
+        # the slice denominator, once; its square is certified by its factor
+        assert root_certificates(lambda: build_slice_schur(curve, 0.3)) == 1
 
 
 def _same_multiset(got, want, rtol) -> bool:
@@ -418,8 +411,9 @@ def test_slice_poles_come_from_the_slice_denominator(variant, m):
 
 
 def test_printed_mixed_slices_are_not_refused_by_a_product_check():
-    # den**2 * det_den of a mixed-denominator curve has degree up to 27 and
-    # would trip the winding check's noise floor; its factors do not
+    # den**2 * det_den of a mixed-denominator curve has degree up to 27, and
+    # certified as one polynomial it could fail the root certificate; its
+    # factors, each certified alone, pass
     refused = []
     for seed in range(12):
         entries = _mixed_entries(seed)
@@ -612,9 +606,24 @@ def test_curve_keeps_its_shared_form():
 
 
 def test_build_slice_schur_evaluates_the_slice_once():
+    # one factor stack and one Blaschke product for the pair, at the interior
+    # points of its reconstruction check, the contractivity grid and the
+    # origin; the diagonal comes from the curve's rows
     _, curve = _curve(seed=9)
-    calls = _calls(SlicedSchur2x2, "evaluate_many", lambda: build_slice_schur(curve, 0.35))
-    assert calls == 1
+    for owner, name, count in (
+        (SlicedSchur2x2, "evaluate_many", 0),
+        (RationalFunction, "__call__", 0),
+        (hardy.InnerOuterPair, "_factor_stack", 1),
+        (hardy, "blaschke_eval", 1),
+    ):
+        assert _calls(owner, name, lambda: build_slice_schur(curve, 0.35)) == count
+    # the values of that pass at the grid and the origin are the pair's own
+    # there, to the last bit
+    s = build_slice_schur(curve, 0.35)
+    points = nevanlinna._CURVE_POINTS[nevanlinna._GRID_AT :]
+    inner, sqrt_outer = s.pair._at_points
+    assert inner.tobytes() == s.pair.inner_eval(points).tobytes()
+    assert sqrt_outer.tobytes() == s.pair.outer_sqrt(points).tobytes()
 
 
 def _handed_to_inner_outer(curve, z):

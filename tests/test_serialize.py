@@ -137,15 +137,16 @@ def test_curve_from_json_checks_each_distinct_denominator_once():
     ]
     payload = _json_clean({"variant": "gamma7", "components": comps})
     checked = []
-    original = hardy._boundary_winding
+    original = hardy._certified
 
-    def counted(den, values=None):
-        checked.append(den.size)
-        return original(den, values)
+    def counted(den):
+        checked.append(hardy._trim(den).size)
+        return original(den)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hardy, "_boundary_winding", counted)
+        mp.setattr(hardy, "_certified", counted)
         curve = curve_from_json(payload)
+    # one root certificate per distinct denominator
     assert sorted(checked) == [2, 3]
     for comp, data in zip(curve.components, comps):
         back = rational_from_json(data)
