@@ -40,8 +40,8 @@ from .lurking import (
 from .nevanlinna import (
     DEFAULT_Z_GRID,
     UnsolvablePickError,
+    _certify,
     build_slice_schur,
-    certify_gamma5_interpolation,
     certify_gamma7_interpolation,
     np_solve,
     reduce_gamma5,
@@ -504,15 +504,14 @@ def _cmd_certify(args):
         if curve is not None:
             report["slice_checks"] = _slice_checks(curve, z_grid, "corrected")
         return (0 if rep.certified else 2), report
-    # the 5-coordinate slice has two determinant conventions; report both and
-    # let the flag pick which one decides the exit code
+    # the 5-coordinate slice has two determinant conventions; report both,
+    # their Pick problems solved together, and let the flag pick which one
+    # decides the exit code
     options["det_denominator"] = args.det_denominator
-    tables = {}
-    for name in ("corrected", "printed"):
-        rep = certify_gamma5_interpolation(
-            data, z_grid=z_grid, split_rules=splits, tol=tol, det_denominator=name
-        )
-        tables[name] = _certify_table(rep)
+    names = ("corrected", "printed")
+    reducers = [functools.partial(reduce_gamma5, det_denominator=name) for name in names]
+    reps = _certify(data, z_grid, splits, tol, reducers)
+    tables = {name: _certify_table(rep) for name, rep in zip(names, reps)}
     chosen = tables[args.det_denominator]
     report = {
         "variant": "gamma5",

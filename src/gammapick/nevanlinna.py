@@ -14,7 +14,7 @@ order ``(a11, m12 + m13, det, a22 + a33, m23)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -96,7 +96,8 @@ def _disc_nodes(values) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class PickData:
-    """Nodes in the open disc with square matrix targets of a common size."""
+    """Nodes in the open disc with square matrix targets of a common size: a
+    tuple of matrices, or the one ``(n, k, k)`` array that a reduction builds."""
 
     nodes: tuple[complex, ...]
     targets: tuple[np.ndarray, ...]
@@ -341,17 +342,16 @@ class GammaCurve:
 
     @cached_property
     def row_values(self) -> np.ndarray:
-        """``rows`` at ``_CURVE_POINTS``, evaluated once: each slice reads its
-        values from these (see ``_curve_slice``)."""
-        h = self.rows
-        out = np.empty((h.shape[0], _CURVE_POINTS.size), dtype=complex)
-        out[:] = h[:, -1:]
-        # Horner's rule in place, as npoly.polyval computes it but with no
-        # (rows, points) temporary per step
-        for col in h.T[-2::-1]:
-            out *= _CURVE_POINTS
-            out += col[:, None]
-        return out
+        """``rows`` at the 167 ``_CURVE_POINTS``, evaluated once: each slice
+        reads its values from these (see ``build_slice_schur``)."""
+        return _horner(self.rows, _CURVE_POINTS)
+
+    @cached_property
+    def circle_values(self) -> np.ndarray:
+        """``rows`` at the 2048 :data:`BOUNDARY_NODES`, evaluated on first use:
+        only a slice whose reconstruction misses by more than its tolerance
+        reads them."""
+        return _horner(self.rows, BOUNDARY_NODES)
 
     def point_at(self, lam: complex) -> GammaPoint:
         return GammaPoint(self.variant, tuple(complex(c(lam)) for c in self.components))
@@ -378,6 +378,16 @@ class GammaNodes:
             raise ValueError("coordinate points must match the data variant")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "points", pts)
+
+
+def _horner(h: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Each row of ``h`` at ``points``, by Horner's rule in place: npoly.polyval's
+    arithmetic with no (rows, points) temporary per step."""
+    out = np.repeat(h[:, -1:], points.size, axis=1)
+    for col in h.T[-2::-1]:
+        out *= points
+        out += col[:, None]
+    return out
 
 
 def sample_curve(curve: GammaCurve, nodes: Sequence[complex]) -> GammaNodes:
@@ -647,8 +657,8 @@ _SLICE_GRID = (
     * np.exp(2j * np.pi * np.arange(8) / 8.0)[None, :]
 ).ravel()
 # where a curve is evaluated once (GammaCurve.row_values): inner_outer's
-# boundary nodes and interior points, the contractivity grid and the origin
-_CURVE_POINTS = np.concatenate([BOUNDARY_NODES, INTERIOR, _SLICE_GRID, [0.0]])
+# interior points, the contractivity grid and the origin
+_CURVE_POINTS = np.concatenate([INTERIOR, _SLICE_GRID, [0.0]])
 _GRID_AT = -(_SLICE_GRID.size + 1)
 # inner_outer's reconstruction tolerance on a slice, and the largest miss of
 # the slice determinant
@@ -664,12 +674,14 @@ def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "correct
     evaluation of the slice.  Failures raise ``ValueError`` with the worst
     offending point.  Every value of the slice's terms comes from the
     curve's ``row_values``, computed only where a check reads it: at the
-    boundary nodes and interior points of ``inner_outer``, the contractivity
-    grid and the origin.  Each slice denominator is certified once, from its
-    roots: ``f11 f22 - det`` goes over the square of the slice denominator
-    (times the printed determinant denominator, when that differs), with no
-    check of its own, and ``inner_outer`` takes its poles from those roots
-    and evaluates the pair in one pass for all its checks and the others.
+    interior points of ``inner_outer``, the contractivity grid and the
+    origin; the scale of ``inner_outer``'s check comes from the curve's
+    ``circle_values``, read only on a miss above its tolerance.  Each slice
+    denominator is certified once, from its roots: ``f11 f22 - det`` goes
+    over the square of the slice denominator (times the printed determinant
+    denominator, when that differs), with no check of its own, and
+    ``inner_outer`` takes its poles from those roots and evaluates the pair
+    in one pass for all its checks and the others.
     """
     if not isinstance(x, GammaCurve):
         raise TypeError("build_slice_schur expects a GammaCurve")
@@ -677,17 +689,22 @@ def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "correct
     if abs(z) >= 1.0:
         raise ValueError("slice parameter must lie in the open unit disc")
     f11, f22, det_slice = _curve_slice(x, z, det_denominator)
-    (v11, v22, v_det), v_den, v_det_den = _slice_terms(x.row_values, z, det_denominator)
+    terms = _slice_terms(x.row_values, z, det_denominator)
+    (v11, v22, v_det), v_den, v_det_den = terms
     # f11 and f22 share one denominator; the printed determinant slice has
     # its own, the only place where two denominators meet.  f11 f22 - det
     # goes over a product of the certified slice denominators, checked by
     # its factors
     den = f11.denominator
     ratio = _scalar_ratio(det_slice.denominator, den)
-    v_den2 = v_den * v_den
+
+    def d_of(n, v_den, v_det_den):  # f11 f22 - det from the values of the slice terms
+        if ratio is None:
+            return n[0] * n[1] / (v_den * v_den) - n[2] / v_det_den
+        return (n[0] * n[1] - n[2] / ratio * v_den) / (v_den * v_den)
+
     diag = npoly.polymul(f11.numerator, f22.numerator)
     if ratio is not None:
-        d_v = (v11 * v22 - v_det / ratio * v_den) / v_den2
         corr = npoly.polymul(det_slice.numerator / ratio, den)
         num = npoly.polysub(diag, corr)
         # f11 f22 - det vanishes identically when what is left of it is the
@@ -705,11 +722,12 @@ def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "correct
             npoly.polymul(det_slice.numerator, prod.denominator),
         )
         (d,) = RationalFunction.over_product(((f11, 2), (det_slice, 1)), (num,))
-        d_v = v11 * v22 / v_den2 - v_det / v_det_den
     at = slice(_GRID_AT, None)  # the contractivity grid, then the origin
     pair = None
     if not d.is_zero:
-        pair = inner_outer(d, tol=_SLICE_TOL, samples=d_v[:_GRID_AT], _points=_CURVE_POINTS[at])
+        circle = lambda: d_of(*_slice_terms(x.circle_values, z, det_denominator))
+        samples = (d_of(*terms)[:_GRID_AT], circle)
+        pair = inner_outer(d, tol=_SLICE_TOL, samples=samples, _points=_CURVE_POINTS[at])
     sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, pair is None)
 
     lam = _SLICE_GRID
@@ -762,10 +780,14 @@ def _reduce(data: GammaNodes, z: complex, split_rule, det_denominator="corrected
         slices = [(t2, t1, t3) for t1, t2, t3 in slices]
     products = [a * b - c for a, b, c in slices]
     pairs = _split_pairs(products, split_rule)
-    targets = []
-    for (a, b_diag, _), (b, c) in zip(slices, pairs):
-        targets.append(np.array([[a, b], [c, b_diag]], dtype=complex))
-    return PickData(data.nodes, tuple(targets))
+    rows = [[[a, b], [c, b_diag]] for (a, b_diag, _), (b, c) in zip(slices, pairs)]
+    targets = np.array(rows, dtype=complex)
+    if not np.isfinite(targets).all():
+        raise ValueError("matrix entries must be finite")
+    # built with no __post_init__: GammaNodes checked the nodes, the targets are 2x2
+    pick = object.__new__(PickData)
+    vars(pick).update(nodes=data.nodes, targets=targets)
+    return pick
 
 
 def reduce_gamma7(data: GammaNodes, z2: complex, split_rule="balanced") -> PickData:
@@ -825,38 +847,38 @@ class CertificationReport:
         return len(self.solvable_splits()) > 0
 
 
-def _certify(data: GammaNodes, z_grid, split_rules, tol, reducer) -> CertificationReport:
-    """Reduce ``data`` at every split and slice parameter, then solve all the
-    Pick problems of the table together (:func:`_solve_many`), each exactly
-    as :func:`np_solve` would."""
+def _certify(data: GammaNodes, z_grid, split_rules, tol, reducers) -> list[CertificationReport]:
+    """Reduce ``data`` by each of ``reducers`` at every split and slice
+    parameter, then solve all the Pick problems of the tables together
+    (:func:`_solve_many`), each exactly as :func:`np_solve` would: one report
+    per reducer."""
     if z_grid is None:
         z_grid = DEFAULT_Z_GRID
     if isinstance(split_rules, str):
         split_rules = (split_rules,)
     cells = []
-    for split in split_rules:
-        for z in z_grid:
-            z = complex(z)
-            try:
-                cells.append((z, split, reducer(data, z, split)))
-            except (ZeroDivisionError, ValueError) as exc:
-                cells.append((z, split, str(exc)))
-    outcomes = iter(_solve_many([pick for *_, pick in cells if isinstance(pick, PickData)], tol))
-    rows = []
-    for z, split, pick in cells:
+    for table, reducer in enumerate(reducers):
+        for split in split_rules:
+            for z in map(complex, z_grid):
+                try:
+                    cells.append((table, z, split, reducer(data, z, split)))
+                except (ZeroDivisionError, ValueError) as exc:
+                    cells.append((table, z, split, str(exc)))
+    outcomes = iter(_solve_many([c[-1] for c in cells if isinstance(c[-1], PickData)], tol))
+    rows = [[] for _ in reducers]
+    for table, z, split, pick in cells:
         if not isinstance(pick, PickData):
-            rows.append(CertificationRow(z, split, False, float("nan"), None, pick))
-            continue
-        outcome = next(outcomes)
-        if isinstance(outcome, PickInterpolant):
-            rows.append(CertificationRow(z, split, True, pick.spectrum.min, outcome.target_residual))
+            row = CertificationRow(z, split, False, float("nan"), None, pick)
+        elif isinstance(outcome := next(outcomes), PickInterpolant):
+            row = CertificationRow(z, split, True, pick.spectrum.min, outcome.target_residual)
         elif isinstance(outcome, (UnsolvablePickError, GramInconsistencyError, ArithmeticError)):
             # an overflowing Pick matrix has no spectrum
             min_eig = float("nan") if isinstance(outcome, OverflowError) else pick.spectrum.min
-            rows.append(CertificationRow(z, split, False, min_eig, None, str(outcome)))
+            row = CertificationRow(z, split, False, min_eig, None, str(outcome))
         else:
             raise outcome
-    return CertificationReport(data.variant, tuple(rows), tuple(split_rules))
+        rows[table].append(row)
+    return [CertificationReport(data.variant, tuple(r), tuple(split_rules)) for r in rows]
 
 
 def certify_gamma7_interpolation(
@@ -872,9 +894,8 @@ def certify_gamma7_interpolation(
     converse direction is not decided here: failure of the configured splits
     leaves the answer open).
     """
-    return _certify(
-        data, z_grid, split_rules, tol, lambda d, z, s: reduce_gamma7(d, z, s)
-    )
+    (report,) = _certify(data, z_grid, split_rules, tol, [reduce_gamma7])
+    return report
 
 
 def certify_gamma5_interpolation(
@@ -885,10 +906,6 @@ def certify_gamma5_interpolation(
     det_denominator: str = "corrected",
 ) -> CertificationReport:
     """5-coordinate counterpart of :func:`certify_gamma7_interpolation`."""
-    return _certify(
-        data,
-        z_grid,
-        split_rules,
-        tol,
-        lambda d, z, s: reduce_gamma5(d, z, s, det_denominator=det_denominator),
-    )
+    reducer = partial(reduce_gamma5, det_denominator=det_denominator)
+    (report,) = _certify(data, z_grid, split_rules, tol, [reducer])
+    return report

@@ -444,6 +444,82 @@ def test_inner_outer_pole_margin(modulus, exact):
     _assert_exact_near_the_circle(f, pair)
 
 
+# the scale of inner_outer's check, max(1, max |f|) on the boundary nodes, is
+# read only for an interior miss above tol
+
+
+def _eager_message(f, pair, interior, tol):
+    """What the check err > tol * scale, with the scale read first, raises on
+    ``interior``, else None."""
+    err = float(np.abs(pair.eval(hardy.INTERIOR) - interior).max())
+    scale = max(1.0, float(np.abs(f(hardy.BOUNDARY_NODES)).max()))
+    if err > tol * scale:
+        return f"inner-outer reconstruction error {err:.3e} exceeds tol * scale = {tol * scale:.3e}"
+    return None
+
+
+@pytest.mark.parametrize("miss, reads", [(0.5, 0), (2.0, 1), (4.0, 1)])
+def test_inner_outer_reads_the_circle_only_for_a_miss_above_tol(miss, reads):
+    # f = 2 + lam has max |f| = 3 on the circle.  The interior samples miss f
+    # by miss * tol: at most tol passes unread, up to tol * 3 passes read
+    # once, and beyond it raises what the eager check raises
+    tol = 1e-6
+    f = RationalFunction([2.0, 1.0])
+    pair = inner_outer(f, tol=tol)
+    interior = f(hardy.INTERIOR) + miss * tol
+    calls = []
+
+    def circle():
+        calls.append(None)
+        return f(hardy.BOUNDARY_NODES)
+
+    want = _eager_message(f, pair, interior, tol)
+    assert (want is not None) == (miss > 3.0)
+    if want is None:
+        assert inner_outer(f, tol=tol, samples=(interior, circle)).outer_scale == pair.outer_scale
+    else:
+        with pytest.raises(ValueError, match=re.escape(want)):
+            inner_outer(f, tol=tol, samples=(interior, circle))
+    assert len(calls) == reads
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("offset", [0.0, 2e-6, float("nan")])
+def test_inner_outer_lazy_scale_decides_as_the_eager_check(tol, offset):
+    # any tol, a NaN miss among the interior samples included
+    f = RationalFunction([2.0, 1.0])
+    pair = inner_outer(f)
+    interior = f(hardy.INTERIOR) + offset
+    want = _eager_message(f, pair, interior, tol)
+    if want is None:
+        inner_outer(f, tol=tol, samples=(interior, lambda: f(hardy.BOUNDARY_NODES)))
+    else:
+        with pytest.raises(ValueError, match=re.escape(want)):
+            inner_outer(f, tol=tol, samples=(interior, lambda: f(hardy.BOUNDARY_NODES)))
+
+
+def test_inner_outer_evaluates_f_at_the_circle_only_when_needed():
+    # without samples: f at the interior points, and at the boundary nodes
+    # only for a miss above tol.  f = 1.5 - 0.7 lam reconstructs to a few
+    # ulps, so at half its miss as tol the scale 2.2 is read and passes it
+    f = RationalFunction([1.5, -0.7])
+    err = float(np.abs(inner_outer(f).eval(hardy.INTERIOR) - f(hardy.INTERIOR)).max())
+    assert 0.0 < err < 1e-14
+    sizes = []
+    original = RationalFunction.__call__
+
+    def recorded(self, lam):
+        sizes.append(np.asarray(lam).size)
+        return original(self, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RationalFunction, "__call__", recorded)
+        inner_outer(f)
+        assert sizes == [hardy.INTERIOR.size]
+        inner_outer(f, tol=err / 2)
+    assert sizes[1:] == [hardy.INTERIOR.size, hardy.BOUNDARY_NODES.size]
+
+
 # inner_outer on random rational functions: roots and poles away from the
 # circle, numerator roots in the 1e-9 snap band and a pole 1e-4 to 1e-2
 # outside the circle

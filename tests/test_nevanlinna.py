@@ -1,5 +1,6 @@
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -283,19 +284,22 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
 @pytest.mark.parametrize("variant", ["gamma7", "gamma5"])
 @pytest.mark.parametrize("det_denominator", ["corrected", "printed"])
 def test_cached_slice_values_match_the_slice_coefficients(variant, det_denominator):
-    # every term at the points build_slice_schur reads: the boundary nodes,
-    # the interior points, the contractivity grid and the origin
-    points = nevanlinna._CURVE_POINTS
-    assert points[: hardy.BOUNDARY_NODES.size].tobytes() == hardy.BOUNDARY_NODES.tobytes()
+    # every term at the points build_slice_schur reads: from row_values at
+    # the interior points, the contractivity grid and the origin, and from
+    # circle_values at the boundary nodes
     shared = _curve(seed=5, variant=variant, m=2)[1]
     for curve in (shared, gamma_curve_from_entries(_mixed_entries(), variant)):
         for z in (*DEFAULT_Z_GRID, 0.95 - 0.1j):
             f11, f22, det = nevanlinna._curve_slice(curve, z, det_denominator)
-            nums, *read = nevanlinna._slice_terms(curve.row_values, z, det_denominator)
             coeffs = (f11.numerator, f22.numerator, det.numerator, f11.denominator, det.denominator)
-            for c, v in zip(coeffs, (*nums, *read)):
-                want = npoly.polyval(points, c)
-                assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
+            for points, values in (
+                (nevanlinna._CURVE_POINTS, curve.row_values),
+                (hardy.BOUNDARY_NODES, curve.circle_values),
+            ):
+                nums, *read = nevanlinna._slice_terms(values, z, det_denominator)
+                for c, v in zip(coeffs, (*nums, *read)):
+                    want = npoly.polyval(points, c)
+                    assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _numbers_out(message: str) -> str:
@@ -431,8 +435,40 @@ def test_printed_mixed_slices_are_not_refused_by_a_product_check():
 
 def test_slice_cache_is_small():
     _, curve = _curve(seed=3, m=3)
-    assert curve.row_values.shape == (8, nevanlinna._CURVE_POINTS.size)
-    assert curve.row_values.nbytes < 0.6e6
+    assert curve.row_values.shape == (8, nevanlinna._CURVE_POINTS.size) == (8, 167)
+    assert curve.row_values.nbytes < 0.025e6
+
+
+@pytest.mark.parametrize("variant", ["gamma7", "gamma5"])
+def test_passing_slices_leave_the_circle_values_uncomputed(variant):
+    # every slice reconstructs within its tolerance, so none reads the
+    # scale of inner_outer's check at the boundary nodes
+    _, curve = _curve(seed=9, variant=variant)
+    for z in DEFAULT_Z_GRID:
+        assert not build_slice_schur(curve, z).triangular
+    assert "circle_values" not in vars(curve)
+
+
+def test_a_slice_reads_its_scale_from_the_circle_values():
+    # the values build_slice_schur hands inner_outer for its scale are
+    # f11 f22 - det at the boundary nodes; reading them fills circle_values
+    _, curve = _curve(seed=9, m=2)
+    handed = []
+    original = nevanlinna.inner_outer
+
+    def recorded(d, **options):
+        handed.append((d, options["samples"]))
+        return original(d, **options)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nevanlinna, "inner_outer", recorded)
+        build_slice_schur(curve, 0.3 - 0.2j)
+    ((d, (interior, circle)),) = handed
+    assert "circle_values" not in vars(curve)
+    for points, got in ((hardy.INTERIOR, interior), (hardy.BOUNDARY_NODES, circle())):
+        want = d(points)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert vars(curve)["circle_values"].shape == (8, hardy.BOUNDARY_NODES.size)
 
 
 def test_slice_coordinates_gamma5_variants_differ():
@@ -569,6 +605,50 @@ def test_certify_gamma5_both_denominators():
     assert not any(row.solvable for row in scaled.rows)
 
 
+def test_gamma5_tables_are_solved_together():
+    # the certify command's two gamma5 tables: one _solve_many call, and
+    # each report as certify_gamma5_interpolation gives it alone
+    data = _scaled_nodes(variant="gamma5")
+    names = ("corrected", "printed")
+    reducers = [partial(reduce_gamma5, det_denominator=name) for name in names]
+    solved = []
+    original = nevanlinna._solve_many
+
+    def recorded(problems, tol):
+        solved.append(len(problems))
+        return original(problems, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nevanlinna, "_solve_many", recorded)
+        both = nevanlinna._certify(data, None, ("balanced", "left-one"), 1e-9, reducers)
+    assert solved == [2 * 2 * len(DEFAULT_Z_GRID)]
+    for name, report in zip(names, both):
+        alone = certify_gamma5_interpolation(
+            data, split_rules=("balanced", "left-one"), det_denominator=name
+        )
+        assert repr(report) == repr(alone)
+
+
+def test_reduced_pick_data_match_the_checked_constructor():
+    # _reduce builds its PickData with no __post_init__; the checked
+    # constructor takes the same nodes and targets unchanged
+    data = _scaled_nodes()
+    pick = reduce_gamma7(data, 0.3j)
+    checked = PickData(data.nodes, tuple(pick.targets))
+    assert pick.nodes == checked.nodes and pick.k == checked.k == 2
+    for got, want in zip(pick.targets, checked.targets):
+        assert got.tobytes() == want.tobytes()
+    assert pick.spectrum.min == checked.spectrum.min
+
+
+def test_reduction_refuses_non_finite_targets():
+    # f11 f22 = 1e400 overflows the off-diagonal targets of the balanced split
+    point = GammaPoint("gamma7", (1e200, 0.0, 0.0, 1e200, 0.0, 0.0, 0.0))
+    data = GammaNodes("gamma7", (0.1,), (point,))
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        reduce_gamma7(data, 0.0)
+
+
 def test_gamma_nodes_validation():
     with pytest.raises(ValueError):
         GammaNodes("gamma7", (0.1, 0.2), (pi_coordinates(np.eye(3) * 0.1, "gamma7"),))
@@ -645,8 +725,8 @@ def _handed_to_inner_outer(curve, z):
 
 @pytest.mark.parametrize("n_points", [64, 1000, 2048, 4096])
 def test_slice_pair_matches_a_direct_factorization(n_points):
-    # the slice reads f11 f22 - det from the curve's rows, at every second
-    # circle point.  The pair is the one inner_outer builds from values it
+    # the slice reads f11 f22 - det from the curve's rows, at the interior
+    # points.  The pair is the one inner_outer builds from values it
     # evaluates itself; the two agree at n_points inside the disk and on the
     # circle, where the pair is f11 f22 - det itself
     circle = np.exp(2j * np.pi * np.arange(n_points) / n_points)
