@@ -528,8 +528,10 @@ def _cmd_verify_identities(args):
     seed, grid_n, tol = args.seed, args.grid, args.tol
     if seed < 0:
         raise InputError(f"--seed must be non-negative, got {seed}")
+    if grid_n < 4:
+        raise InputError(f"--grid must be at least 4 for the sample grid, got {grid_n}")
     f = random_schur(3, 4, seed=seed)
-    grid = tensor_grid(4, max(1, grid_n // 4), radius=0.9, seed=seed)
+    grid = tensor_grid(4, grid_n // 4, radius=0.9, seed=seed)
     triple = upper_e(f, grid)
 
     kernel_identity = _kernel_identity(triple)

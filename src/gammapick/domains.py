@@ -397,6 +397,11 @@ def mu_bound(a, structure: BlockStructure, phase_grid: int = 720) -> MuBound:
     peak = float(np.abs(a).max())
     if peak == 0.0:
         return MuBound(0.0, 0.0)
+    lift = 1.0
+    if peak < np.finfo(float).tiny:
+        # a / peak overflows at a subnormal peak: lift a by an exact power of two
+        lift = 2.0**600
+        a, peak = a * lift, peak * lift
     a = a / peak
     plan = _plan(structure)
     # mu = 0 exactly when det(I - a Delta) = 1 for every Delta in the structure
@@ -407,7 +412,7 @@ def mu_bound(a, structure: BlockStructure, phase_grid: int = 720) -> MuBound:
     norm, grad, u, v = _scaled_sigma(a, x, plan)
     a = a / norm
     upper, grad = 1.0, grad / norm
-    scale = peak * norm
+    scale = peak * norm / lift
     phases = _aligned_phases(u, v, plan)
     low = _rho_exact(a, phases, plan)
     hess_inv = np.eye(x.size)

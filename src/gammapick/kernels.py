@@ -138,39 +138,26 @@ class SampledKernel:
     """A kernel sampled on a grid: hermitian Gram matrix plus its grid.
 
     ``gram`` is read-only, so its spectrum, computed on first use, never goes
-    stale.  A kernel built by :meth:`outer` keeps its factor and reads its
-    spectrum off it.
+    stale.
     """
 
     grid: SampleGrid
     gram: np.ndarray
-    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=complex)
         t = len(self.grid)
         if g.shape != (t, t):
             raise ValueError(f"gram must be {t}x{t}")
-        # an outer product is hermitian up to rounding, which hermitian_part removes
-        if self._factor is None:
-            scale = max(1.0, float(np.abs(g).max()))
-            if float(np.abs(g - g.conj().T).max()) > 1e-9 * scale:
-                raise ValueError("gram matrix must be hermitian")
+        scale = max(1.0, float(np.abs(g).max()))
+        if float(np.abs(g - g.conj().T).max()) > 1e-9 * scale:
+            raise ValueError("gram matrix must be hermitian")
         object.__setattr__(self, "gram", _read_only(hermitian_part(g)))
-
-    @classmethod
-    def outer(cls, grid: SampleGrid, u) -> "SampledKernel":
-        """The rank-one kernel ``u u*``; its spectrum comes in closed form
-        (:meth:`~gammapick.linalg.Spectrum.outer`), with no decomposition."""
-        u = _read_only(np.array(u, dtype=complex).ravel())
-        return cls(grid, np.outer(u, u.conj()), u)
 
     @cached_property
     def spectrum(self) -> Spectrum:
         """Spectrum of ``gram``, built once; ``gram`` is exactly hermitian, so
         it is read as it is."""
-        if self._factor is not None:
-            return Spectrum.outer(self._factor)
         return Spectrum.of_hermitian(self.gram)
 
     def is_psd(self, tol: float = 1e-9) -> bool:
@@ -221,12 +208,12 @@ def upper_e(f: RealizedSchurFunction, grid: SampleGrid) -> KernelTriple:
     feta = np.einsum("tij,tj->ti", fv, eta)
     num = eta @ eta.conj().T - feta @ feta.conj().T
     den = 1.0 - lam[:, None] * lam.conj()[None, :]
-    n3 = num / den
+    n1, n2 = (np.outer(u, u.conj()) for u in gamma.T)
     return KernelTriple(
         grid,
-        SampledKernel.outer(grid, gamma[:, 0]),
-        SampledKernel.outer(grid, gamma[:, 1]),
-        SampledKernel(grid, n3),
+        SampledKernel(grid, n1),
+        SampledKernel(grid, n2),
+        SampledKernel(grid, num / den),
         g,
         fv,
     )
@@ -255,12 +242,11 @@ def membership(triple: KernelTriple, which: str, tol: float = 1e-9) -> bool:
     ``which`` is ``"R1"`` (all four kernels PSD, combined kernel of rank at
     most one), ``"R11"`` (additionally ``N1``, ``N2`` and the combined kernel
     of rank exactly one) or ``"S1"`` (the ``R1`` conditions on a diagonal
-    grid).  ``N1`` and ``N2`` read their closed-form spectra; ``N3`` is
-    certified PSD by a Cholesky and the combined kernel by the rank-one
-    bounds of its Gram column of largest diagonal (see
-    :class:`~gammapick.linalg.Spectrum`), so a member is decided with no
-    eigendecomposition unless ``tol`` is within rounding of a kernel's
-    floor.
+    grid).  ``N3`` is certified PSD by a Cholesky, and ``N1``, ``N2`` and
+    the combined kernel of rank one by the rank-one bounds of their Gram
+    columns of largest diagonal (see :class:`~gammapick.linalg.Spectrum`),
+    so a member is decided with no eigendecomposition unless ``tol`` is
+    within rounding of a kernel's floor.
     """
     if which not in ("R1", "R11", "S1"):
         raise ValueError(f"unknown membership class {which!r}")

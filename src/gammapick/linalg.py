@@ -90,10 +90,11 @@ class Spectrum:
     - :meth:`is_psd`, from a Cholesky: if ``m + s I`` factors, with
       ``s = (tol / 2) max(1, max diag)``, then ``min >= -s`` (Cholesky is
       backward stable) and ``top >= max diag``;
-    - :meth:`rank` and :meth:`above_floor`, from the rank-one bounds: with
-      ``v = m[:, j] / sqrt(m[j, j])`` the Gram column of largest diagonal
-      and ``R = m - v v*``, Weyl's inequality puts the top eigenvalue within
-      ``|R|_F`` of ``|v|**2`` and every other one within ``|R|_F`` of 0.
+    - :meth:`rank` and :meth:`above_floor`, from the rank-one bounds of the
+      :attr:`pivot`: with ``v = m[:, j] / sqrt(m[j, j])`` the Gram column
+      of largest diagonal and ``R = m - v v*``, Weyl's inequality puts the
+      top eigenvalue within ``|R|_F`` of ``|v|**2`` and every other one
+      within ``|R|_F`` of 0.
 
     Each bound is widened by the rounding of ``eigvalsh`` and of the
     certificate, ``4 (n + 1) eps`` times ``|m|_F + sum |m_ii|``, so a
@@ -113,12 +114,6 @@ class Spectrum:
         sampled kernel's ``gram``), read as it is."""
         spec = cls.__new__(cls)
         spec._matrix, spec._eigh = m, None
-        return spec
-
-    @classmethod
-    def _of_eigh(cls, values: np.ndarray, vectors: np.ndarray) -> "Spectrum":
-        spec = cls.__new__(cls)
-        spec.values, spec._eigh = values, (values, vectors)
         return spec
 
     @cached_property
@@ -145,22 +140,12 @@ class Spectrum:
         if not np.isfinite(ms).all():
             raise ValueError("matrix entries must be finite")
         values, vectors = np.linalg.eigh((ms + ms.conj().swapaxes(1, 2)) / 2.0)
-        return [cls._of_eigh(*pair) for pair in zip(values, vectors)]
-
-    @classmethod
-    def outer(cls, u) -> "Spectrum":
-        """Spectrum of ``u u*`` in closed form, with no decomposition.
-
-        ``values`` are ``[0, ..., 0, |u|**2]``, and :meth:`factor` reads
-        ``u / |u|`` as the top vector (the others are zero: a factor scales
-        them by ``sqrt(0)``).
-        """
-        u = np.asarray(u, dtype=complex).ravel()
-        values, vectors = np.zeros(u.size), np.zeros((u.size, u.size), dtype=complex)
-        norm = float(np.linalg.norm(u))
-        if norm > 0.0:
-            values[-1], vectors[:, -1] = norm * norm, u / norm
-        return cls._of_eigh(values, vectors)
+        spectra = []
+        for pair in zip(values, vectors):
+            spec = cls.__new__(cls)
+            spec.values, spec._eigh = pair[0], pair
+            spectra.append(spec)
+        return spectra
 
     @cached_property
     def _unit(self) -> float:
@@ -177,11 +162,10 @@ class Spectrum:
         return self._unit * float(scale)
 
     @cached_property
-    def _rank_one(self) -> tuple[float, float, float] | None:
-        """Bounds ``(r, top_lo, top_hi)`` on ``values`` from ``m = v v* + R``:
-        every value but the top one lies in ``[-r, r]``, the top one in
-        ``[top_lo, top_hi]``, and ``min >= -r``.  None when no diagonal entry
-        is positive or the bounds overflow."""
+    def pivot(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(v, R)``: the Gram column of largest diagonal, ``v = m[:, j] /
+        sqrt(m[j, j])`` (one pivoted Cholesky step), and the residual
+        ``R = m - v v*``; None when no diagonal entry is positive."""
         m = self._matrix
         diag = m.diagonal().real
         if diag.size == 0 or not diag.max() > 0.0:
@@ -189,7 +173,18 @@ class Spectrum:
         j = int(np.argmax(diag))
         with np.errstate(over="ignore", invalid="ignore"):
             v = m[:, j] / np.sqrt(diag[j])
-            rest = m - v[:, None] * v.conj()
+            return v, m - v[:, None] * v.conj()
+
+    @cached_property
+    def _rank_one(self) -> tuple[float, float, float] | None:
+        """Bounds ``(r, top_lo, top_hi)`` on ``values`` from ``m = v v* + R``
+        (the :attr:`pivot`): every value but the top one lies in ``[-r, r]``,
+        the top one in ``[top_lo, top_hi]``, and ``min >= -r``.  None when
+        there is no pivot or the bounds overflow."""
+        if self.pivot is None:
+            return None
+        v, rest = self.pivot
+        with np.errstate(over="ignore", invalid="ignore"):
             r = float(np.sqrt(np.vdot(rest, rest).real))
             vv = float(np.vdot(v, v).real)
         r += self._rounding + self._unit * (vv + r)
@@ -266,8 +261,8 @@ class Spectrum:
                 return True
         return x > tol * max(1.0, self.top)
 
-    def factor(self, cutoff: float) -> np.ndarray:
-        """``(n, r)`` factor ``L``, ``L L*`` = the part above ``cutoff * top``.
+    def factor(self) -> np.ndarray:
+        """``(n, r)`` factor ``L``, ``L L*`` = the part above ``STATE_CUTOFF * top``.
 
         A spectrum built by the constructor runs its ``eigh`` on the first
         call, so its factor equals that of :meth:`many` to the last bit.
@@ -275,7 +270,7 @@ class Spectrum:
         if self._eigh is None:
             self._eigh = np.linalg.eigh(self._matrix)
         values, vectors = self._eigh
-        keep = values > cutoff * max(values.max(initial=0.0), 1e-300)
+        keep = values > STATE_CUTOFF * max(values.max(initial=0.0), 1e-300)
         return vectors[:, keep] * np.sqrt(np.maximum(values[keep], 0.0))
 
 

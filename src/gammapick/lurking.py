@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelTriple, SampleGrid, SampledKernel, combine_k, membership
-from .linalg import STATE_CUTOFF, GramInconsistencyError, extend_isometry
+from .linalg import GramInconsistencyError, extend_isometry
 from .realization import RealizedSchurFunction
 
 __all__ = [
@@ -61,14 +61,15 @@ def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
     """Factor a PSD sampled kernel of rank at most one by its Gram column of
     largest diagonal, ``K[:, j] / sqrt(K[j, j])`` (one pivoted Cholesky step).
 
-    The rank and the residual test's floor ``tol * max(1, top)`` come from
-    the kernel's spectrum, which decides them from the rank-one bounds of
-    that same column when they clear the floor, with no ``eigvalsh``.
+    The column and the residual ``K - v v*`` are the
+    :attr:`~gammapick.linalg.Spectrum.pivot` of the kernel's spectrum, whose
+    rank-one bounds decide the rank and the residual test's floor
+    ``tol * max(1, top)`` when they clear the floor, with no ``eigvalsh``.
 
-    Raises :class:`RankError` when the numerical rank exceeds one or the
-    factor misses the kernel, and
-    :class:`~gammapick.linalg.IndefiniteMatrixError` when the kernel fails to
-    be PSD within ``tol``.
+    Raises :class:`RankError` when the numerical rank exceeds one, when no
+    diagonal entry is positive to pivot on, or when the factor misses the
+    kernel, and :class:`~gammapick.linalg.IndefiniteMatrixError` when the
+    kernel fails to be PSD within ``tol``.
     """
     spec = kernel.spectrum
     rank = spec.rank(tol)
@@ -79,17 +80,17 @@ def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
         )
     if rank == 0:
         return RankOneFactor(kernel.grid, np.zeros(len(kernel.grid), dtype=complex))
-    j = int(np.argmax(kernel.gram.diagonal().real))
-    v = kernel.gram[:, j] / np.sqrt(kernel.gram[j, j].real)
+    if spec.pivot is None:
+        raise RankError("rank-one kernel has no positive diagonal entry to pivot on")
+    v, rest = spec.pivot
     # anchor the phase on the first entry that carries weight
     mags = np.abs(v)
     anchor = int(np.argmax(mags >= 1e-8 * mags.max()))
     phase = v[anchor] / abs(v[anchor])
-    v = v * np.conj(phase)
-    resid = float(np.abs(kernel.gram - np.outer(v, v.conj())).max())
+    resid = float(np.abs(rest).max())
     if spec.above_floor(resid, 10 * tol):
         raise RankError(f"rank-one reconstruction residual {resid:.3e} too large")
-    return RankOneFactor(kernel.grid, v)
+    return RankOneFactor(kernel.grid, v * np.conj(phase))
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
     f1 = rank1_factor(triple.n1)
     f2 = rank1_factor(triple.n2)
     g = rank1_factor(combine_k(triple))
-    l = triple.n3.spectrum.factor(STATE_CUTOFF)
+    l = triple.n3.spectrum.factor()
     m = l.shape[1]
 
     right = np.vstack([np.ones_like(lam), z1 * f1.values, z2 * f2.values, (lam[:, None] * l).T])

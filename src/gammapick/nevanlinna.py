@@ -30,7 +30,6 @@ from .hardy import (
     inner_outer,
 )
 from .linalg import (
-    STATE_CUTOFF,
     GramInconsistencyError,
     Spectrum,
     as_cmatrix,
@@ -230,7 +229,7 @@ def _solve_many(problems: Sequence[PickData], tol: float) -> list:
         if out[i] is None:
             spec = data.spectrum
             if spec.is_psd(tol):
-                factors[i] = spec.factor(STATE_CUTOFF)
+                factors[i] = spec.factor()
             else:
                 out[i] = UnsolvablePickError(
                     f"Pick matrix is indefinite: min eigenvalue {spec.min:.6e}", spec.min

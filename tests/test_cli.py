@@ -106,6 +106,20 @@ def test_gamma_check_member_and_nonmember(tmp_path, capsys):
     assert code == 2 and report["member"] is False
 
 
+def test_mu_of_a_subnormal_matrix(tmp_path, capsys):
+    path = _write(tmp_path, "sub.json", {
+        "matrix": cmatrix_to_json(np.full((3, 3), 1e-320)), "structure": "E(3;3;1,1,1)"
+    })
+    for command in ("mu", "gamma-check"):
+        code = run([command, "--in", path])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["mu"] == pytest.approx(3e-320, rel=1e-3)
+        if command == "gamma-check":
+            assert report["member"] is True
+
+
 def test_gamma_check_tetrablock_point(tmp_path, capsys):
     path = _write(tmp_path, "t.json", {"point": [[0.3, 0.0], [0.2, 0.0], [0.05, 0.0]]})
     code, report = _run(capsys, ["gamma-check", "--in", path])
@@ -446,6 +460,10 @@ _NODES = _nodes_payload()
         pytest.param("certify", _CURVE, ["--tol", "inf"], id="certify-tol-inf"),
         pytest.param("verify-identities", None, ["--tol=-inf"], id="verify-identities-tol-inf"),
         pytest.param("verify-identities", None, ["--seed", "-1"], id="verify-identities-seed"),
+        *(
+            pytest.param("verify-identities", None, ["--grid", g], id=f"verify-identities-grid-{g}")
+            for g in ("3", "0", "-5")
+        ),
         pytest.param("certify", _CURVE, ["--n-boundary", "0"], id="certify-n-boundary-0"),
         pytest.param(
             "se",

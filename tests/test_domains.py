@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,23 @@ def test_mu_scaling_equivariance():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     base = mu(a, E311)
     assert mu(2.5 * a, E311) == pytest.approx(2.5 * base, rel=1e-6)
+
+
+@pytest.mark.parametrize("structure", [E311, E312], ids=["E311", "E312"])
+def test_mu_of_a_matrix_with_a_subnormal_peak(structure):
+    # dividing by a subnormal largest entry would overflow: the matrix is
+    # lifted by a power of two first, so mu scales down with it
+    ones = np.full((3, 3), 1e-320)
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = mu(ones, structure)
+        assert in_gamma(ones, structure)
+        scaled = mu(2.0**-1040 * a, structure)
+    assert value == pytest.approx(3e-320, rel=1e-3) and value.bracket.closed
+    # entries of 2**-1040 a keep about 34 bits
+    assert scaled == pytest.approx(2.0**-1040 * mu(a, structure), rel=1e-8)
 
 
 def test_mu_dominates_spectral_radius_and_structure_order():

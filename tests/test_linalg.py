@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from gammapick import cli, linalg
 from gammapick.domains import GammaPoint, pi_coordinates
 from gammapick.kernels import SampleGrid, SampledKernel, kernel_rank, tensor_grid, upper_e
 from gammapick.linalg import (
-    STATE_CUTOFF,
     IndefiniteMatrixError,
     Spectrum,
     as_cmatrix,
@@ -19,7 +19,7 @@ from gammapick.linalg import (
     operator_norm,
     operator_norms,
 )
-from gammapick.lurking import rank1_factor, right_s, uw_construct
+from gammapick.lurking import RankError, rank1_factor, right_s, uw_construct
 from gammapick.nevanlinna import (
     GammaNodes,
     PickData,
@@ -76,7 +76,7 @@ def test_spectrum_factor_reconstructs_and_reports_rank():
     v = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
     g = v @ v.conj().T
     spec = Spectrum(g)
-    f = spec.factor(1e-9)
+    f = spec.factor()
     assert spec.rank(1e-9) == f.shape[1] == 2
     np.testing.assert_allclose(f @ f.conj().T, g, atol=1e-10)
 
@@ -105,38 +105,33 @@ _EDGE_VECTORS = {
 
 
 def _agrees_with_eigh(u: np.ndarray, tols=(1e-9, 1e-12)):
-    """``Spectrum.outer(u)`` against the spectrum of ``u u*``: same decisions,
-    same top to 1e-13 relative, and exact zeros below it."""
-    spec, ref = Spectrum.outer(u), Spectrum(np.outer(u, u.conj()))
+    """The sampled kernel ``u u*`` against ``eigvalsh`` of ``u u*``: each of
+    its rank and PSD decisions, made on a fresh kernel, is the one the
+    eigenvalues make; returns the kernel."""
+    grid = SampleGrid(tuple((0.9 * j / u.size, 0.2, 0.3) for j in range(u.size)))
+    kernel = lambda: SampledKernel(grid, np.outer(u, u.conj()))
+    ref = Spectrum(np.outer(u, u.conj()))
+    ref.values  # computed first, so each decision of ``ref`` reads them
     for tol in tols:
-        assert spec.rank(tol) == ref.rank(tol)
-        assert spec.is_psd(tol) == ref.is_psd(tol)
-    assert abs(spec.top - ref.top) <= 1e-13 * ref.top
-    assert spec.values[:-1].tolist() == [0.0] * (u.size - 1)
-    return spec
+        assert kernel_rank(kernel(), tol) == ref.rank(tol)
+        assert kernel().is_psd(tol) == ref.is_psd(tol)
+    return kernel()
 
 
 @pytest.mark.parametrize("name", list(_EDGE_VECTORS))
 def test_outer_spectrum_edge_cases(name):
     u = _EDGE_VECTORS[name]
-    spec = _agrees_with_eigh(u)
-    f = spec.factor(1e-9)
-    if name == "zero":
-        assert f.shape == (4, 0)
-        assert Spectrum(np.zeros((4, 4))).factor(1e-9).shape == (4, 0)
-        assert spec.values.tolist() == [0.0] * 4
-    else:
-        assert f.shape == (u.size, 1)
-        np.testing.assert_allclose(f @ f.conj().T, np.outer(u, u.conj()), rtol=1e-14, atol=0)
+    kernel = _agrees_with_eigh(u)
     # the rank-one factor of the kernel u u* is u up to phase, or zeros when
     # |u|**2 is below the rank floor tol * max(1, |u|**2)
-    points = tuple((0.1 * j, 0.2, 0.3) for j in range(u.size))
-    values = rank1_factor(SampledKernel.outer(SampleGrid(points), u)).values
+    values = rank1_factor(kernel).values
+    if name == "zero":
+        assert kernel.spectrum.factor().shape == (4, 0)
     if np.vdot(u, u).real <= 1e-9:
-        assert spec.rank(1e-9) == 0
+        assert kernel_rank(kernel, 1e-9) == 0
         assert np.array_equal(values, np.zeros(u.size))
     else:
-        assert spec.rank(1e-9) == 1
+        assert kernel_rank(kernel, 1e-9) == 1
         np.testing.assert_allclose(np.abs(values), np.abs(u), rtol=1e-14, atol=0)
 
 
@@ -152,6 +147,18 @@ def test_outer_spectrum_agrees_with_eigh(parts, exponent):
     # keep |u|**2 a normal float, where eigh itself is accurate
     assume(np.linalg.norm(parts) >= 1e-3 or not np.any(parts))
     _agrees_with_eigh(u)
+
+
+def test_a_rank_one_kernel_with_no_positive_diagonal_has_no_factor():
+    # eigenvalues -9e-10, -9e-10 and 1.8e-9: PSD within tol = 1e-9 and of
+    # rank one, but no diagonal entry to pivot on
+    grid = SampleGrid(((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.1, 0.2)))
+    kernel = SampledKernel(grid, 0.9e-9 * (np.ones((3, 3)) - np.eye(3)))
+    assert kernel_rank(kernel, 1e-9) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankError, match="no positive diagonal entry"):
+            rank1_factor(kernel, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +249,10 @@ def _fresh_triple():
     return upper_e(random_schur(3, 2, seed=2), tensor_grid(4, 4, radius=0.9, seed=2))
 
 
-# N1 and N2 are rank one by construction and carry a closed-form spectrum;
-# N3 is certified PSD by a Cholesky, and the combined kernel K by its rank-one
-# bounds, so no eigenvalues are computed; the rank-one factors are Gram
-# columns, and only N3's state factor reads eigenvectors
+# N3 is certified PSD by a Cholesky, and N1, N2 and the combined kernel K by
+# their rank-one bounds, so no eigenvalues are computed; the rank-one factors
+# are the Gram columns of those bounds, and only N3's state factor reads
+# eigenvectors
 
 
 def test_uw_construct_decomposes_each_kernel_once():
@@ -431,8 +438,7 @@ def test_stacked_spectra_equal_the_single_ones_to_the_last_bit():
             (one,) = Spectrum.many([m])
             assert one.values.tobytes() == many.values.tobytes()
             assert (one.min, one.top) == (many.min, many.top)
-            for cutoff in (-1.0, 1e-13, 0.5):
-                assert one.factor(cutoff).tobytes() == many.factor(cutoff).tobytes()
+            assert one.factor().tobytes() == many.factor().tobytes()
     assert Spectrum.many([]) == []
     with pytest.raises(ValueError, match="square"):
         Spectrum.many([np.zeros((2, 3))])
@@ -447,8 +453,7 @@ def test_a_single_spectrum_factors_as_the_stacked_one_to_the_last_bit():
         m = m @ m.conj().T - 0.5 * n * np.eye(n)
         one, (many,) = Spectrum(m), Spectrum.many([m])
         np.testing.assert_allclose(one.values, many.values, rtol=0, atol=1e-12 * abs(many.top))
-        for cutoff in (-1.0, STATE_CUTOFF, 0.5):
-            assert one.factor(cutoff).tobytes() == many.factor(cutoff).tobytes()
+        assert one.factor().tobytes() == many.factor().tobytes()
 
 
 def test_certify_decomposes_each_pick_matrix_once():
