@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from .domains import BlockStructure, GammaPoint, mu, tetrablock_member
+from .domains import PHASE_GRID, BlockStructure, GammaPoint, mu, tetrablock_member
 from .fractional import SingularFractionError, se_values
 from .kernels import SampleGrid, combine_k, kernel_rank, membership, tensor_grid, upper_e
 from .linalg import IndefiniteMatrixError
@@ -60,6 +60,15 @@ from .serialize import (
     grid_from_json,
     pick_data_from_json,
     pick_data_to_json,
+)
+from .tolerances import (
+    KERNEL_TOL,
+    MEMBER_TOL,
+    PHASE_FLOOR,
+    PICK_TOL,
+    SE_SUP_TOL,
+    TORUS_FIT_TOL,
+    UW_TOL,
 )
 
 __all__ = ["run", "main"]
@@ -302,9 +311,10 @@ def _gram_match(triple, back) -> float:
 
 
 def _right_s_match(values, g) -> tuple[float, float]:
-    """Modulus gap, and spread of the phases ``values / g`` where ``|g| > 1e-8``."""
+    """Modulus gap, and spread of the phases ``values / g`` where
+    ``|g| > PHASE_FLOOR``."""
     modulus = float(np.abs(np.abs(values) - np.abs(g)).max())
-    keep = np.abs(g) > 1e-8
+    keep = np.abs(g) > PHASE_FLOOR
     ratios = values[keep] / g[keep]
     phase = float(np.abs(ratios - ratios.mean()).max()) if ratios.size else 0.0
     return modulus, phase
@@ -559,8 +569,8 @@ def _cmd_verify_identities(args):
         {"check": "uw_gram_match", "residual": gram_match, "threshold": tol},
         {"check": "right_s_modulus", "residual": modulus, "threshold": tol},
         {"check": "right_s_phase", "residual": phase, "threshold": tol},
-        {"check": "torus_fit", "residual": float(fit.max_residual), "threshold": 1e-7},
-        {"check": "se_sup_excess", "residual": se_excess, "threshold": 1e-9},
+        {"check": "torus_fit", "residual": float(fit.max_residual), "threshold": TORUS_FIT_TOL},
+        {"check": "se_sup_excess", "residual": se_excess, "threshold": SE_SUP_TOL},
     ]
     passed = all(r["residual"] <= r["threshold"] for r in rows)
     report = {
@@ -684,17 +694,17 @@ _SLICE_OPTIONS = {"--z2-grid": DEFAULT_Z_GRID, "--split": "balanced",
 # each subcommand: its handler, whether it reads --in, and the options it reads
 # with their defaults; every subcommand also takes --out and --text
 _COMMANDS = {
-    "mu": (_cmd_mu, True, {"--grid": 720}),
-    "gamma-check": (_cmd_gamma_check, True, {"--tol": 1e-9, "--grid": 720}),
+    "mu": (_cmd_mu, True, {"--grid": PHASE_GRID}),
+    "gamma-check": (_cmd_gamma_check, True, {"--tol": MEMBER_TOL, "--grid": PHASE_GRID}),
     "se": (_cmd_se, True, {}),
-    "upper-e": (_cmd_upper_e, True, {"--tol": 1e-9}),
-    "uw": (_cmd_uw, True, {"--tol": 1e-8}),
-    "right-s": (_cmd_right_s, True, {"--tol": 1e-9}),
-    "np": (_cmd_np, True, {"--tol": 1e-9}),
+    "upper-e": (_cmd_upper_e, True, {"--tol": KERNEL_TOL}),
+    "uw": (_cmd_uw, True, {"--tol": UW_TOL}),
+    "right-s": (_cmd_right_s, True, {"--tol": KERNEL_TOL}),
+    "np": (_cmd_np, True, {"--tol": PICK_TOL}),
     "reduce": (_cmd_reduce, True, _SLICE_OPTIONS),
-    "certify": (_cmd_certify, True, {**_SLICE_OPTIONS, "--tol": 1e-9}),
+    "certify": (_cmd_certify, True, {**_SLICE_OPTIONS, "--tol": PICK_TOL}),
     "verify-identities": (
-        _cmd_verify_identities, False, {"--seed": 7, "--grid": 16, "--tol": 1e-8}
+        _cmd_verify_identities, False, {"--seed": 7, "--grid": 16, "--tol": UW_TOL}
     ),
 }
 

@@ -51,6 +51,7 @@ from typing import Literal
 import numpy as np
 
 from .linalg import as_cmatrix
+from .tolerances import BRACKET_RTOL, MEMBER_TOL
 
 __all__ = [
     "BRACKET_RTOL",
@@ -67,9 +68,9 @@ __all__ = [
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# A mu bracket counts as closed once its gap is at most this fraction of its
-# upper end.
-BRACKET_RTOL = 1e-9
+# Phase grid of mu and mu_bound, and the CLI's --grid: the polish of an open
+# bracket searches within +-2 pi / PHASE_GRID of the best phases.
+PHASE_GRID = 720
 # Descent steps after which the D-scaling search counts as stalled.
 _MAX_STEPS = 200
 # Armijo sufficient-decrease constant, and the step below which backtracking
@@ -361,7 +362,7 @@ def _polish(a: np.ndarray, phases: np.ndarray, plan: _Plan, width: float) -> flo
     return val
 
 
-def mu_bound(a, structure: BlockStructure, phase_grid: int = 720) -> MuBound:
+def mu_bound(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuBound:
     """Certified bracket ``lower <= mu(a) <= upper``.
 
     The upper bound is ``sigma_max(D a D^-1)`` after a BFGS descent with
@@ -381,6 +382,9 @@ def mu_bound(a, structure: BlockStructure, phase_grid: int = 720) -> MuBound:
     above the infimum of the D-scaling bound, with the bracket left open:
     ``upper`` is still an upper bound on mu, but not the infimum (by 5e-5
     relative at worst over 600 real Gaussian 3x3 matrices on E(3;2;1,2)).
+
+    Raises ``ValueError`` when mu is above the largest float, so that the
+    bracket would not be finite.
     """
     a = as_cmatrix(a)
     if a.shape != (structure.n, structure.n):
@@ -389,7 +393,7 @@ def mu_bound(a, structure: BlockStructure, phase_grid: int = 720) -> MuBound:
         )
     if structure.s == 1:
         rho = float(np.abs(np.linalg.eigvals(a)).max())
-        return MuBound(rho, rho)
+        return _finite_bound(rho, rho)
     if phase_grid < 4:
         raise ValueError("phase_grid must be at least 4")
     # divide by the largest entry first, so that no minor or norm of a tiny
@@ -451,10 +455,17 @@ def mu_bound(a, structure: BlockStructure, phase_grid: int = 720) -> MuBound:
         low = max(low, _polish(a, phases, plan, 2.0 * np.pi / phase_grid))
     # rho(a Q) <= sigma_max(D a D^-1) holds exactly; drop the roundoff excess
     low = min(low, upper)
-    return MuBound(low * scale, upper * scale)
+    return _finite_bound(low * scale, upper * scale)
 
 
-def mu(a, structure: BlockStructure, phase_grid: int = 720) -> MuValue:
+def _finite_bound(lower: float, upper: float) -> MuBound:
+    """The bracket ``[lower, upper]``, refused when it is not finite."""
+    if not np.isfinite(upper):
+        raise ValueError(f"mu overflows: its bracket [{lower!r}, {upper!r}] is not finite")
+    return MuBound(lower, upper)
+
+
+def mu(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuValue:
     """Structured singular value of ``a`` with respect to ``structure``.
 
     Parameters
@@ -484,7 +495,7 @@ def mu(a, structure: BlockStructure, phase_grid: int = 720) -> MuValue:
     ------
     ValueError
         For a structure with ``2S + F > 3`` whose bracket did not close; the
-        message gives the gap.
+        message gives the gap.  For a bracket that is not finite.
     """
     bracket = mu_bound(a, structure, phase_grid)
     if not (structure.d_scaling_exact or bracket.closed):
@@ -524,7 +535,7 @@ def pi_coordinates(a, variant: str) -> GammaPoint:
     raise ValueError(f"unknown gamma variant {variant!r}")
 
 
-def in_gamma(a, structure: BlockStructure, tol: float = 1e-9) -> bool:
+def in_gamma(a, structure: BlockStructure, tol: float = MEMBER_TOL) -> bool:
     """Whether ``a`` lies in the closed mu-unit ball for ``structure``.
 
     Membership is ``mu(a) <= 1 + tol``; points within ``tol`` of the boundary
@@ -534,7 +545,7 @@ def in_gamma(a, structure: BlockStructure, tol: float = 1e-9) -> bool:
     return mu(a, structure) <= 1.0 + tol
 
 
-def tetrablock_member(x, tol: float = 1e-9) -> bool:
+def tetrablock_member(x, tol: float = MEMBER_TOL) -> bool:
     """Closed-form membership test for the closed tetrablock.
 
     ``x`` is a gamma3 point ``(x1, x2, x3)``.  The test is

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .realization import RealizedSchurFunction
+from .tolerances import DENOMINATOR_FLOOR
 
 __all__ = [
     "SingularFractionError",
@@ -24,8 +25,6 @@ __all__ = [
     "se_eval",
     "se_values",
 ]
-
-_DET_FLOOR = 1e-12
 
 
 class SingularFractionError(ArithmeticError):
@@ -75,11 +74,11 @@ def se_values(f: RealizedSchurFunction, lam, z1, z2):
     # I - B Z = [[c11, -F23 z2], [-F32 z1, c22]]
     c11, c22 = 1.0 - fv[:, 1, 1] * z1, 1.0 - fv[:, 2, 2] * z2
     det_c = c11 * c22 - fv[:, 1, 2] * fv[:, 2, 1] * z1 * z2
-    bad = np.abs(det_c) < _DET_FLOOR
+    bad = np.abs(det_c) < DENOMINATOR_FLOOR
     if bad.any():
         i = int(np.argmax(bad))
         raise SingularFractionError(
-            f"resolvent determinant {det_c[i]:.3e} below {_DET_FLOOR} at lam={lam[i]}, "
+            f"resolvent determinant {det_c[i]:.3e} below {DENOMINATOR_FLOOR} at lam={lam[i]}, "
             f"z1={z1[i]}, z2={z2[i]}"
         )
     # gamma = (I - B Z)^{-1} (F21, F31)^T by the 2x2 inverse over det_c

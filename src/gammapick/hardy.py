@@ -20,6 +20,16 @@ from functools import cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .tolerances import (
+    BARE_ZERO,
+    CIRCLE_BAND,
+    DISC_SLACK,
+    POLY_NOISE,
+    SLICE_TOL,
+    TRIM_RTOL,
+    UNIMODULAR_TOL,
+)
+
 __all__ = [
     "POLY_NOISE",
     "RationalFunction",
@@ -30,26 +40,16 @@ __all__ = [
     "inner_outer",
 ]
 
-# a root within this distance of the unit circle counts as on it: a numerator
-# root there is projected onto the circle, and a denominator root there is
-# refused.  Next to a pole at distance d the denominator of unit scale
-# 1 - lam/r is evaluated on the circle with a relative error of about 2u/d,
-# u the unit roundoff: 2.2e-7 at d = 1e-9, below the 1e-6 of the slice checks
-_CIRCLE_BAND = 1e-9
-# rounding noise of polynomial arithmetic, per unit of coefficient mass
-POLY_NOISE = 1e3 * np.finfo(float).eps
 # where inner_outer reads the scale of its check: 2048 points of the circle
 BOUNDARY_NODES = np.exp(2j * np.pi * np.arange(0, 4096, 2) / 4096)
 # where inner_outer checks its reconstruction against f inside the disc
 INTERIOR = (np.linspace(0.05, 0.7, 14)[:, None] * np.exp(2j * np.pi * np.arange(5) / 5.0)).ravel()
-# a Blaschke zero below this modulus is a bare factor lam
-_BARE_ZERO = 1e-14
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     c = np.array(coeffs, dtype=complex).ravel()
     mods = np.abs(c)
-    small = mods <= 1e-13 * mods.max(initial=0.0)
+    small = mods <= TRIM_RTOL * mods.max(initial=0.0)
     if small.all():
         return np.zeros(1, dtype=complex)
     if small.any():
@@ -86,17 +86,30 @@ def _least_modulus(roots: np.ndarray, rho: float, size: int) -> float:
     return float(np.prod(far, axis=-1).min())
 
 
+def _lifted(den: np.ndarray, nums: list) -> tuple[np.ndarray, list]:
+    """``den`` and ``nums`` times ``2**600`` when the largest coefficient of
+    ``den`` is subnormal, as a division by it overflows; else as they are."""
+    peak = float(np.abs(den).max(initial=0.0))
+    if not 0.0 < peak < np.finfo(float).tiny:
+        return den, nums
+    with np.errstate(over="ignore"):
+        den, nums = den * 2.0**600, [num * 2.0**600 for num in nums]
+    if not all(np.isfinite(num).all() for num in nums):
+        raise ValueError("numerator overflows over a subnormal denominator")
+    return den, nums
+
+
 def _certified(den) -> tuple[np.ndarray, tuple]:
     """``den`` trimmed, with its factors: none for a constant, which is not
     checked, else ``(den, roots, 1)``, its roots certified to lie outside the
-    closed disc of radius ``1 + _CIRCLE_BAND``.
+    closed disc of radius ``1 + CIRCLE_BAND``.
 
     Rouché's theorem against ``q = lead * prod(lam - r_i)``, ``r_i`` the
     computed roots: where ``|den - q|``, bounded from its values at 8n points,
     is below :func:`_least_modulus` of the roots (from their distances, else
     from 4096 points) on ``|lam| = rho``, ``den`` has ``#{|r_i| < rho}`` zeros
     inside and none on that circle, however a repeated factor scatters the
-    roots.  ``rho = 1 + _CIRCLE_BAND`` certifies, ``rho = 1`` counts the roots
+    roots.  ``rho = 1 + CIRCLE_BAND`` certifies, ``rho = 1`` counts the roots
     inside the disc.  Products of certified factors need no check.
     """
     den = _trim(den)
@@ -121,14 +134,14 @@ def _certified(den) -> tuple[np.ndarray, tuple]:
             if rho ** (n - 1) * miss < _least_modulus(roots, rho, size):
                 return int(np.count_nonzero(np.abs(roots) < rho))
 
-    if count(1.0 + _CIRCLE_BAND) == 0:
+    if count(1.0 + CIRCLE_BAND) == 0:
         return den, ((den, roots, 1),)
     inside = count(1.0)
     if inside is None:
         raise ValueError("denominator nearly vanishes on the unit circle: roots not certified")
     if inside:
         raise ValueError(f"denominator has {inside} root(s) inside the unit disc")
-    raise ValueError(f"denominator root not certified {_CIRCLE_BAND:g} outside the unit circle")
+    raise ValueError(f"denominator root not certified {CIRCLE_BAND:g} outside the unit circle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +149,16 @@ class RationalFunction:
     """Quotient of polynomials, analytic on the closed unit disc.
 
     Coefficients are ascending.  The denominator must have all of its roots
-    strictly outside the closed unit disc, more than ``1e-9`` outside the
-    circle; trailing coefficients below ``1e-13`` of the leading scale are
-    trimmed.  ``factors`` holds the denominator's non-constant factors,
-    triples ``(coefficients, roots, multiplicity)`` whose product is the
-    denominator up to a constant.  Each factor is certified from its roots
-    by ``_certified`` where it first enters a denominator, and a product
-    of certified factors is certified with no check of its own: its zeros
-    are those of its factors.
+    strictly outside the closed unit disc, more than ``CIRCLE_BAND`` outside
+    the circle; trailing coefficients of at most ``TRIM_RTOL`` of the
+    largest are trimmed, and a denominator whose largest coefficient is
+    subnormal is kept, with the numerator, times ``2**600``.  ``factors``
+    holds the denominator's non-constant factors, triples ``(coefficients,
+    roots, multiplicity)`` whose product is the denominator up to a
+    constant.  Each factor is certified from its roots by ``_certified``
+    where it first enters a denominator, and a product of certified factors
+    is certified with no check of its own: its zeros are those of its
+    factors.
     """
 
     numerator: np.ndarray
@@ -151,8 +166,10 @@ class RationalFunction:
     factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", _trim(_finite(self.numerator)))
-        den, factors = _certified(_finite(self.denominator))
+        num = _finite(self.numerator)
+        den, (num,) = _lifted(_finite(self.denominator), [num])
+        object.__setattr__(self, "numerator", _trim(num))
+        den, factors = _certified(den)
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "factors", factors)
 
@@ -171,9 +188,9 @@ class RationalFunction:
         """One function per numerator, all over ``denominator``, which is
         trimmed and certified once.  The denominator is the functions' one
         factor."""
-        nums = [_trim(_finite(num)) for num in numerators]
-        den, factors = _certified(_finite(denominator))
-        return [cls._built(num, den, factors) for num in nums]
+        den, nums = _lifted(_finite(denominator), [_finite(num) for num in numerators])
+        den, factors = _certified(den)
+        return [cls._built(_trim(num), den, factors) for num in nums]
 
     @classmethod
     def over_product(cls, powers, numerators):
@@ -217,14 +234,14 @@ def blaschke_eval(zeros, constant: complex, lam):
     A zero at the origin contributes a bare factor ``lam``.
     """
     lam = np.asarray(lam, dtype=complex)
-    if lam.size and float(np.abs(lam).max()) > 1.0 + 1e-12:
+    if lam.size and float(np.abs(lam).max()) > 1.0 + DISC_SLACK:
         raise ValueError("evaluation points must lie in the closed unit disc")
     out = np.full(lam.shape, complex(constant), dtype=complex)
     for a in np.asarray(zeros, dtype=complex).ravel():
         r = abs(a)
         if r >= 1.0:
             raise ValueError(f"Blaschke zero with modulus {r:.12f} outside the open disc")
-        if r < _BARE_ZERO:
+        if r < BARE_ZERO:
             out = out * lam
         else:
             out = out * (r / a) * (a - lam) / (1.0 - np.conj(a) * lam)
@@ -257,7 +274,7 @@ class InnerOuterPair:
             np.asarray(a, dtype=complex).ravel()
             for a in (self.blaschke_zeros, self.outer_roots, self.den_roots)
         )
-        if abs(abs(complex(self.unimodular_constant)) - 1.0) > 1e-9:
+        if abs(abs(complex(self.unimodular_constant)) - 1.0) > UNIMODULAR_TOL:
             raise ValueError("inner constant must be unimodular")
         if zeros.size and float(np.abs(zeros).max()) >= 1.0:
             raise ValueError("Blaschke zeros must lie in the open disc")
@@ -312,11 +329,13 @@ class InnerOuterPair:
         return self.inner_eval(lam) * self.outer_eval(lam)
 
 
-def inner_outer(f: RationalFunction, tol: float = 1e-6, samples=None, _points=None) -> InnerOuterPair:
+def inner_outer(
+    f: RationalFunction, tol: float = SLICE_TOL, samples=None, _points=None
+) -> InnerOuterPair:
     """Inner-outer factorization of a rational function bounded on the disc.
 
     Numerator roots strictly inside the disc turn into Blaschke zeros and
-    the others into outer roots; roots within ``1e-9`` of the circle are
+    the others into outer roots; roots within ``CIRCLE_BAND`` of the circle are
     projected onto it, with a warning.  The poles are the certified roots of
     each of ``f.factors``, repeated by its multiplicity: the expanded
     denominator's repeated roots would scatter.  The unimodular constant is
@@ -339,12 +358,12 @@ def inner_outer(f: RationalFunction, tol: float = 1e-6, samples=None, _points=No
         raise ValueError("the zero function has no inner-outer factorization")
     roots = f.numerator_roots()
     mods = np.abs(roots)
-    inside = roots[mods < 1.0 - _CIRCLE_BAND]
-    outside = roots[mods > 1.0 + _CIRCLE_BAND]
-    snapped = roots[(mods >= 1.0 - _CIRCLE_BAND) & (mods <= 1.0 + _CIRCLE_BAND)]
+    inside = roots[mods < 1.0 - CIRCLE_BAND]
+    outside = roots[mods > 1.0 + CIRCLE_BAND]
+    snapped = roots[(mods >= 1.0 - CIRCLE_BAND) & (mods <= 1.0 + CIRCLE_BAND)]
     if snapped.size:
         warnings.warn(
-            f"{snapped.size} numerator root(s) within {_CIRCLE_BAND} of the unit "
+            f"{snapped.size} numerator root(s) within {CIRCLE_BAND} of the unit "
             "circle assigned to the outer factor",
             stacklevel=2,
         )
@@ -355,7 +374,7 @@ def inner_outer(f: RationalFunction, tol: float = 1e-6, samples=None, _points=No
         [np.zeros(0, dtype=complex)] + [np.repeat(r, m) for _, r, m in f.factors]
     )
     lead, den0 = complex(f.numerator[-1]), complex(f.denominator[0])
-    turns = np.concatenate([[lead / den0], -outer, -inside[np.abs(inside) >= _BARE_ZERO]])
+    turns = np.concatenate([[lead / den0], -outer, -inside[np.abs(inside) >= BARE_ZERO]])
     constant = complex(np.prod(turns / np.abs(turns)))
     outer_scale = abs(lead) * float(np.prod(np.abs(outer))) / abs(den0)
     pair = InnerOuterPair(constant / abs(constant), inside, outer, poles, outer_scale)

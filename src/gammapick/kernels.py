@@ -27,6 +27,7 @@ import numpy as np
 from .fractional import se_values
 from .linalg import IndefiniteMatrixError, Spectrum, hermitian_part
 from .realization import RealizedSchurFunction
+from .tolerances import HERMITIAN_TOL, KERNEL_TOL
 
 __all__ = [
     "SampleGrid",
@@ -150,7 +151,7 @@ class SampledKernel:
         if g.shape != (t, t):
             raise ValueError(f"gram must be {t}x{t}")
         scale = max(1.0, float(np.abs(g).max()))
-        if float(np.abs(g - g.conj().T).max()) > 1e-9 * scale:
+        if float(np.abs(g - g.conj().T).max()) > HERMITIAN_TOL * scale:
             raise ValueError("gram matrix must be hermitian")
         object.__setattr__(self, "gram", _read_only(hermitian_part(g)))
 
@@ -160,7 +161,7 @@ class SampledKernel:
         it is read as it is."""
         return Spectrum.of_hermitian(self.gram)
 
-    def is_psd(self, tol: float = 1e-9) -> bool:
+    def is_psd(self, tol: float = KERNEL_TOL) -> bool:
         """Whether ``min eigenvalue >= -tol * max(1, max eigenvalue)``."""
         return self.spectrum.is_psd(tol)
 
@@ -227,7 +228,7 @@ def combine_k(triple: KernelTriple) -> SampledKernel:
     return triple.combined
 
 
-def kernel_rank(kernel: SampledKernel, tol: float = 1e-9) -> int:
+def kernel_rank(kernel: SampledKernel, tol: float = KERNEL_TOL) -> int:
     """Numerical rank of a PSD sampled kernel.
 
     Eigenvalues above ``tol * max(1, max_eig)`` count; one below minus that
@@ -236,7 +237,7 @@ def kernel_rank(kernel: SampledKernel, tol: float = 1e-9) -> int:
     return kernel.spectrum.rank(tol)
 
 
-def membership(triple: KernelTriple, which: str, tol: float = 1e-9) -> bool:
+def membership(triple: KernelTriple, which: str, tol: float = KERNEL_TOL) -> bool:
     """Test a sampled triple against one of the admissible-kernel classes.
 
     ``which`` is ``"R1"`` (all four kernels PSD, combined kernel of rank at

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .tolerances import STATE_CUTOFF, STATE_FLOOR
+
 __all__ = [
     "IndefiniteMatrixError",
     "GramInconsistencyError",
@@ -24,11 +26,6 @@ __all__ = [
     "hermitian_part",
     "extend_isometry",
 ]
-
-# Eigenvalue cutoff, relative to the top eigenvalue, for the machine-rank
-# factors that span a state space.  Anything coarser leaks truncation error
-# into the Gram-equality defect and from there into the isometry fit.
-STATE_CUTOFF = 1e-13
 
 
 class IndefiniteMatrixError(ValueError):
@@ -270,7 +267,7 @@ class Spectrum:
         if self._eigh is None:
             self._eigh = np.linalg.eigh(self._matrix)
         values, vectors = self._eigh
-        keep = values > STATE_CUTOFF * max(values.max(initial=0.0), 1e-300)
+        keep = values > STATE_CUTOFF * max(values.max(initial=0.0), STATE_FLOOR)
         return vectors[:, keep] * np.sqrt(np.maximum(values[keep], 0.0))
 
 

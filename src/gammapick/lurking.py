@@ -18,6 +18,7 @@ import numpy as np
 from .kernels import KernelTriple, SampleGrid, SampledKernel, combine_k, membership
 from .linalg import GramInconsistencyError, extend_isometry
 from .realization import RealizedSchurFunction
+from .tolerances import GRAM_FLOOR, KERNEL_TOL, PHASE_ANCHOR, TORUS_ANCHOR, UW_TOL
 
 __all__ = [
     "RankError",
@@ -57,7 +58,7 @@ class RankOneFactor:
         object.__setattr__(self, "values", v)
 
 
-def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
+def rank1_factor(kernel: SampledKernel, tol: float = KERNEL_TOL) -> RankOneFactor:
     """Factor a PSD sampled kernel of rank at most one by its Gram column of
     largest diagonal, ``K[:, j] / sqrt(K[j, j])`` (one pivoted Cholesky step).
 
@@ -85,7 +86,7 @@ def rank1_factor(kernel: SampledKernel, tol: float = 1e-9) -> RankOneFactor:
     v, rest = spec.pivot
     # anchor the phase on the first entry that carries weight
     mags = np.abs(v)
-    anchor = int(np.argmax(mags >= 1e-8 * mags.max()))
+    anchor = int(np.argmax(mags >= PHASE_ANCHOR * mags.max()))
     phase = v[anchor] / abs(v[anchor])
     resid = float(np.abs(rest).max())
     if spec.above_floor(resid, 10 * tol):
@@ -104,7 +105,7 @@ class UWResult:
     state_dim: int
 
 
-def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
+def uw_construct(triple: KernelTriple, tol: float = UW_TOL) -> UWResult:
     """Build a 3x3 Schur function whose kernel triple matches ``triple``.
 
     Parameters
@@ -112,7 +113,9 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
     triple : KernelTriple
         Sampled triple satisfying the rank-1/1/1 membership conditions.
     tol : float
-        Bound for the Gram-equality defect and the isometry residual.
+        Bound for the Gram-equality defect and the isometry residual, the
+        latter at least ``GRAM_FLOOR``.  The rank conditions and the
+        rank-one factors are decided at ``KERNEL_TOL`` whatever ``tol`` is.
 
     Raises
     ------
@@ -123,13 +126,13 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
         :func:`~gammapick.linalg.extend_isometry` fit misses the left family
         by more than ``tol`` relative to its largest entry.
     """
-    if not membership(triple, "R11"):
+    if not membership(triple, "R11", KERNEL_TOL):
         raise RankError("triple fails the rank-1/1/1 membership conditions")
     grid = triple.grid
     lam, z1, z2 = grid.lam, grid.z1, grid.z2
-    f1 = rank1_factor(triple.n1)
-    f2 = rank1_factor(triple.n2)
-    g = rank1_factor(combine_k(triple))
+    f1 = rank1_factor(triple.n1, KERNEL_TOL)
+    f2 = rank1_factor(triple.n2, KERNEL_TOL)
+    g = rank1_factor(combine_k(triple), KERNEL_TOL)
     l = triple.n3.spectrum.factor()
     m = l.shape[1]
 
@@ -147,7 +150,7 @@ def uw_construct(triple: KernelTriple, tol: float = 1e-8) -> UWResult:
 
     v = extend_isometry(right, left)
     fit = float(np.abs(v @ right - left).max())
-    if fit > max(tol, 1e-9) * max(1.0, float(np.abs(left).max())):
+    if fit > max(tol, GRAM_FLOOR) * max(1.0, float(np.abs(left).max())):
         raise GramInconsistencyError(f"isometry fit residual {fit:.3e} too large")
 
     return UWResult(RealizedSchurFunction.from_colligation(v, 3, m), f1, f2, g, m)
@@ -161,7 +164,7 @@ class UWVerification:
     tol: float
 
 
-def verify_uw(result: UWResult, values, tol: float = 1e-8) -> UWVerification:
+def verify_uw(result: UWResult, values, tol: float = UW_TOL) -> UWVerification:
     """Check ``Xi(lam_t) (1, z1 f1, z2 f2)^T = (g, f1, f2)^T`` over the grid
     of the factors, from Xi's ``values`` at the grid's ``lam`` (the
     ``f_values`` of ``upper_e(result.xi, grid)``)."""
@@ -193,7 +196,7 @@ def torus_fit(reference, candidate) -> TorusFit:
     etas = []
     for i in range(3):
         corr = np.vdot(fv[:, i, 0], xv[:, i, 0])
-        if abs(corr) < 1e-12 * max(1.0, float(np.abs(fv[:, i, 0]).max()) ** 2):
+        if abs(corr) < TORUS_ANCHOR * max(1.0, float(np.abs(fv[:, i, 0]).max()) ** 2):
             raise ValueError(f"column-one entry ({i + 1},1) too small to anchor a phase")
         etas.append(complex(corr / abs(corr)))
     d1 = np.diag(etas)
@@ -202,7 +205,7 @@ def torus_fit(reference, candidate) -> TorusFit:
     return TorusFit((etas[0], etas[1], etas[2]), resid)
 
 
-def right_s(triple: KernelTriple, tol: float = 1e-9) -> RankOneFactor:
+def right_s(triple: KernelTriple, tol: float = KERNEL_TOL) -> RankOneFactor:
     """Rank-one factor of the combined kernel, the sampled interpolating datum.
 
     Requires the PSD / rank-at-most-one membership conditions; the factor's

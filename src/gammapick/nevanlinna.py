@@ -21,14 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .domains import GammaPoint
-from .hardy import (
-    BOUNDARY_NODES,
-    INTERIOR,
-    POLY_NOISE,
-    InnerOuterPair,
-    RationalFunction,
-    inner_outer,
-)
+from .hardy import BOUNDARY_NODES, INTERIOR, InnerOuterPair, RationalFunction, inner_outer
 from .linalg import (
     GramInconsistencyError,
     Spectrum,
@@ -37,6 +30,19 @@ from .linalg import (
     operator_norms,
 )
 from .realization import RealizedSchurFunction
+from .tolerances import (
+    CONTRACTIVE_SLACK,
+    CORNER_TOL,
+    DENOMINATOR_FLOOR,
+    GRAM_FLOOR,
+    PICK_TOL,
+    POLY_NOISE,
+    RATIO_ATOL,
+    RATIO_RTOL,
+    SLICE_TOL,
+    SPLIT_RTOL,
+    TARGET_TOL,
+)
 
 __all__ = [
     "UnsolvablePickError",
@@ -162,7 +168,7 @@ class PickInterpolant(RealizedSchurFunction):
     target_residual: float = float("nan")
 
 
-def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
+def np_solve(data: PickData, tol: float = PICK_TOL) -> PickInterpolant:
     """Solve a solvable matricial Nevanlinna-Pick problem by isometry extension.
 
     This is :func:`_solve_many` on the one problem ``[data]``.
@@ -177,7 +183,7 @@ def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
     Returns
     -------
     PickInterpolant
-        A Schur function with ``F(lam_j) = W_j`` to 1e-8, carrying that
+        A Schur function with ``F(lam_j) = W_j`` to ``TARGET_TOL``, carrying that
         residual; its state dimension is at most ``k * len(nodes)``.  Its
         colligation is unitary by construction and certified by its Gram
         defect, with no SVD.
@@ -191,9 +197,9 @@ def np_solve(data: PickData, tol: float = 1e-9) -> PickInterpolant:
         When the Pick matrix is indefinite beyond ``tol``.
     GramInconsistencyError
         When the two families of the lurking isometry do not share their Gram
-        matrix to within ``10 max(tol, 1e-9) max(1, top eigenvalue)``.
+        matrix to within ``10 max(tol, GRAM_FLOOR) max(1, top eigenvalue)``.
     ArithmeticError
-        When the interpolant misses a target by more than 1e-8.
+        When the interpolant misses a target by more than ``TARGET_TOL``.
     """
     (outcome,) = _solve_many([data], tol)
     if isinstance(outcome, Exception):
@@ -275,7 +281,7 @@ def _solve_shape(problems: Sequence[PickData], factors: np.ndarray, tol: float) 
         right.conj().swapaxes(1, 2) @ right - left.conj().swapaxes(1, 2) @ left
     ).max(axis=(1, 2))
     tops = np.array([data.spectrum.top for data in problems])
-    consistent = ~(defects > max(tol, 1e-9) * np.maximum(1.0, tops) * 10)
+    consistent = ~(defects > max(tol, GRAM_FLOOR) * np.maximum(1.0, tops) * 10)
     for b in np.flatnonzero(~consistent):
         out[b] = GramInconsistencyError(
             f"interpolation Gram defect {defects[b]:.3e}; data are numerically inconsistent"
@@ -293,7 +299,7 @@ def _solve_shape(problems: Sequence[PickData], factors: np.ndarray, tol: float) 
     # the SVD norm, so the residual is the largest miss to the last bit
     worst = np.linalg.norm(vals - targets[live], 2, axis=(2, 3)).max(axis=1)
     for b, miss in zip(live, worst):
-        if miss > 1e-8:
+        if miss > TARGET_TOL:
             out[b] = ArithmeticError(f"constructed interpolant misses a target by {miss:.3e}")
         else:
             # recorded on the frozen result before it leaves the solver
@@ -405,10 +411,11 @@ def _scalar_ratio(den: np.ndarray, base: np.ndarray):
     anchor = int(np.argmax(np.abs(base)))
     ratio = den[anchor] / base[anchor]
     scale = float(np.abs(den).max())
-    # the test of np.allclose(den, ratio * base, rtol=1e-11, atol=1e-13 *
-    # scale) written out, without its overhead; the same on finite input
+    # the test of np.allclose(den, ratio * base, rtol=RATIO_RTOL,
+    # atol=RATIO_ATOL * scale) written out, without its overhead; the same on
+    # finite input
     scaled = ratio * base
-    if not (np.abs(den - scaled) <= 1e-13 * scale + 1e-11 * np.abs(scaled)).all():
+    if not (np.abs(den - scaled) <= RATIO_ATOL * scale + RATIO_RTOL * np.abs(scaled)).all():
         return None
     return ratio
 
@@ -515,11 +522,11 @@ def _slice_point(x: GammaPoint, z: complex, det_denominator: str):
     if x.variant not in _SLICE_DENOMINATOR:
         raise ValueError("slice_coordinates needs gamma7 or gamma5 data")
     (n1, n2, n3), den, det_den = _slice_terms((1.0, *x.entries), z, det_denominator)
-    if abs(den) < 1e-12:
+    if abs(den) < DENOMINATOR_FLOOR:
         raise ZeroDivisionError(
             f"slice denominator {_SLICE_DENOMINATOR[x.variant]} vanishes at z={z}"
         )
-    if abs(det_den) < 1e-12:
+    if abs(det_den) < DENOMINATOR_FLOOR:
         raise ZeroDivisionError(f"printed slice denominator 1 - z*x4 vanishes at z={z}")
     return (n1 / den, n2 / den, n3 / det_den)
 
@@ -562,7 +569,7 @@ def psi3_eval(x: GammaCurve, lam: complex, z1: complex, z2: complex) -> complex:
     x1, x2, x3, x4, x5, x6, x7 = (complex(c(lam)) for c in x.components)
     num = x1 - x3 * z2 - x5 * z1 + x7 * z1 * z2
     den = 1.0 - x2 * z2 - x4 * z1 + x6 * z1 * z2
-    if abs(den) < 1e-12:
+    if abs(den) < DENOMINATOR_FLOOR:
         raise ZeroDivisionError("fractional denominator vanishes")
     return complex(num / den)
 
@@ -589,7 +596,7 @@ def psi_lower3_eval(x, lam_or_z, z: complex | None = None) -> complex:
         raise TypeError("psi_lower3_eval expects a GammaPoint or GammaCurve")
     num = s[0] - s[1] * zz + s[2] * zz * zz
     den = 1.0 - s[3] * zz + s[4] * zz * zz
-    if abs(den) < 1e-12:
+    if abs(den) < DENOMINATOR_FLOOR:
         raise ZeroDivisionError("fractional denominator vanishes")
     return complex(num / den)
 
@@ -628,7 +635,7 @@ class SlicedSchur2x2:
         """One-variable fractional form ``f11 + z1 f12 f21 / (1 - f22 z1)``."""
         v = self.evaluate(lam)
         den = 1.0 - v[1, 1] * z1
-        if abs(den) < 1e-12:
+        if abs(den) < DENOMINATOR_FLOOR:
             raise ZeroDivisionError("transfer denominator vanishes")
         return complex(v[0, 0] + z1 * v[0, 1] * v[1, 0] / den)
 
@@ -659,20 +666,18 @@ _SLICE_GRID = (
 # interior points, the contractivity grid and the origin
 _CURVE_POINTS = np.concatenate([INTERIOR, _SLICE_GRID, [0.0]])
 _GRID_AT = -(_SLICE_GRID.size + 1)
-# inner_outer's reconstruction tolerance on a slice, and the largest miss of
-# the slice determinant
-_SLICE_TOL = 1e-6
 
 
 def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "corrected") -> SlicedSchur2x2:
     """Construct the 2x2 Schur-class slice of a gamma curve at parameter ``z``.
 
-    The construction verifies contractivity on an interior grid (slack 1e-6),
-    that the determinant of the result matches the determinant slice, and
-    that the lower-left entry is positive at the origin, all from one
-    evaluation of the slice.  Failures raise ``ValueError`` with the worst
-    offending point.  Every value of the slice's terms comes from the
-    curve's ``row_values``, computed only where a check reads it: at the
+    The construction verifies contractivity on an interior grid (slack
+    ``CONTRACTIVE_SLACK``), that the determinant of the result matches the
+    determinant slice (to ``SLICE_TOL``), and that the lower-left entry is
+    positive at the origin (to ``CORNER_TOL``), all from one evaluation of
+    the slice.  Failures raise ``ValueError`` with the worst offending
+    point.  Every value of the slice's terms comes from the curve's
+    ``row_values``, computed only where a check reads it: at the
     interior points of ``inner_outer``, the contractivity grid and the
     origin; the scale of ``inner_outer``'s check comes from the curve's
     ``circle_values``, read only on a miss above its tolerance.  Each slice
@@ -726,7 +731,7 @@ def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "correct
     if not d.is_zero:
         circle = lambda: d_of(*_slice_terms(x.circle_values, z, det_denominator))
         samples = (d_of(*terms)[:_GRID_AT], circle)
-        pair = inner_outer(d, tol=_SLICE_TOL, samples=samples, _points=_CURVE_POINTS[at])
+        pair = inner_outer(d, tol=SLICE_TOL, samples=samples, _points=_CURVE_POINTS[at])
     sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, pair is None)
 
     lam = _SLICE_GRID
@@ -735,17 +740,17 @@ def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "correct
     vals, origin = vals[:-1], vals[-1]
     norms = operator_norms(vals)
     worst = int(np.argmax(norms))
-    if float(norms[worst]) > 1.0 + 1e-6:
+    if float(norms[worst]) > 1.0 + CONTRACTIVE_SLACK:
         raise ValueError(
             f"slice at z={z} is not contractive: norm {norms[worst]:.9f} at "
             f"lam={lam[worst]:.4f}"
         )
     dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
     det_err = float(np.abs(dets - (v_det[at] / v_det_den[at])[:-1]).max())
-    if det_err > _SLICE_TOL:
+    if det_err > SLICE_TOL:
         raise ValueError(f"slice determinant mismatch {det_err:.3e}")
     corner = complex(origin[1, 0])
-    if corner.real < -1e-10 or abs(corner.imag) > 1e-10:
+    if corner.real < -CORNER_TOL or abs(corner.imag) > CORNER_TOL:
         raise ValueError(f"lower-left entry at the origin is not positive: {corner}")
     return sliced
 
@@ -767,7 +772,7 @@ def _split_pairs(products: Sequence[complex], split_rule) -> list[tuple[complex,
     if len(pairs) != len(products):
         raise ValueError("need one explicit (b, c) pair per node")
     for (b, c), p in zip(pairs, products):
-        if abs(b * c - p) > 1e-9 * max(1.0, abs(p)):
+        if abs(b * c - p) > SPLIT_RTOL * max(1.0, abs(p)):
             raise ValueError(f"pair product {b * c} does not match {p}")
     return pairs
 
@@ -884,7 +889,7 @@ def certify_gamma7_interpolation(
     data: GammaNodes,
     z_grid=None,
     split_rules=("balanced",),
-    tol: float = 1e-9,
+    tol: float = PICK_TOL,
 ) -> CertificationReport:
     """Slice a 7-coordinate problem over a grid of parameters and try to solve
     every resulting Pick problem.
@@ -901,7 +906,7 @@ def certify_gamma5_interpolation(
     data: GammaNodes,
     z_grid=None,
     split_rules=("balanced",),
-    tol: float = 1e-9,
+    tol: float = PICK_TOL,
     det_denominator: str = "corrected",
 ) -> CertificationReport:
     """5-coordinate counterpart of :func:`certify_gamma7_interpolation`."""

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_cmatrix, operator_norm
+from .tolerances import GRAM_SLACK, MODAL_KAPPA, NORM_SLACK, SCHUR_TOL, SIGMA_GAP
 
 __all__ = [
     "RealizedSchurFunction",
@@ -20,23 +21,16 @@ __all__ = [
     "realization_to_rational",
 ]
 
-_NORM_SLACK = 1e-10
-# ||V* V - I||_F <= 2e-10 bounds ||V||**2 by 1 + 2e-10, so ||V|| by 1 + 1e-10
-_GRAM_SLACK = 2.0 * _NORM_SLACK
 # values_of evaluates from the modal form only at this many points or more.
 # Below it, the eig, cond and solve that the modal form needs once (50-300 us
 # for m <= 12 states) win back little or nothing: uw ops (16 points) and
 # right-s ops (64 points) time the same on either path, and the stacked
 # certify Pick checks, at no more points than states, are faster on LU
 _MODAL_POINTS = 128
-# Evaluating from the eigenpairs of S computes the transfer function of
-# S + dS with ||dS|| about kappa(V) eps ||S||, where the LU path's backward
-# error is about eps ||S||.  Both meet the same sensitivity of F to S,
-# ||lam Q (I - lam S)^-1|| ||(I - lam S)^-1 R||, so the modal values carry at
-# most about kappa(V) times the LU path's error: two more lost digits at this
-# bound.  A defective or nearly defective S has kappa(V) near 1/eps or
-# infinite and stays on the LU path.
-_MODAL_KAPPA = 100.0
+# random_schur's default largest singular value
+_MAX_SIGMA = 1.0 - 1e-6
+# verify_schur samples F on radii up to this
+_VERIFY_RADIUS = 1.0 - 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,8 +38,8 @@ class RealizedSchurFunction:
     """Colligation blocks of a matrix Schur function.
 
     ``p`` is ``k x k``, ``q`` is ``k x m``, ``r`` is ``m x k`` and ``s`` is
-    ``m x m``; the stacked block matrix must be a contraction within 1e-10.
-    ``m = 0`` encodes a constant function.
+    ``m x m``; the stacked block matrix must be a contraction within
+    ``NORM_SLACK``.  ``m = 0`` encodes a constant function.
     """
 
     k: int
@@ -79,7 +73,8 @@ class RealizedSchurFunction:
     @staticmethod
     def check_colligations(vs: np.ndarray) -> list[ValueError | None]:
         """For each colligation of a ``(b, d, d)`` stack, None when it is a
-        contraction within 1e-10, else the ``ValueError`` that says it is not.
+        contraction within ``NORM_SLACK``, else the ``ValueError`` that says
+        it is not.
 
         One stacked Gram defect certifies the unitary colligations with no
         SVD; only a colligation that fails that test goes on to the norm
@@ -88,12 +83,12 @@ class RealizedSchurFunction:
         gram = vs.conj().swapaxes(1, 2) @ vs
         gram[:, np.arange(vs.shape[1]), np.arange(vs.shape[1])] -= 1.0
         # ||V* V - I||_F of each colligation
-        certified = np.linalg.norm(gram, axis=(1, 2)) <= _GRAM_SLACK
+        certified = np.linalg.norm(gram, axis=(1, 2)) <= GRAM_SLACK
         errors: list = [None] * len(vs)
         for b in np.flatnonzero(~certified):
             norm = operator_norm(vs[b])
-            if norm > 1.0 + _NORM_SLACK:
-                errors[b] = ValueError(f"colligation norm {norm:.12f} exceeds 1 + {_NORM_SLACK}")
+            if norm > 1.0 + NORM_SLACK:
+                errors[b] = ValueError(f"colligation norm {norm:.12f} exceeds 1 + {NORM_SLACK}")
         return errors
 
     @classmethod
@@ -146,7 +141,7 @@ class RealizedSchurFunction:
 
         The path is chosen here and nowhere else.  With ``n >= _MODAL_POINTS``
         and ``n > m``, each member whose eigenbasis has ``kappa(V) <=
-        _MODAL_KAPPA`` is evaluated from its modal form (:func:`_modal_forms`).
+        MODAL_KAPPA`` is evaluated from its modal form (:func:`_modal_forms`).
         Every other member, and every smaller call, gets one LU solve of
         ``I - lam s`` per point: that path is as fast or faster for few
         points, and the only accurate one for an ill-conditioned or defective
@@ -203,13 +198,13 @@ def _modal_forms(q, r, s):
 
     ``F(lam) = P + sum_j lam / (1 - lam mu_j) (QV)_{:,j} (V^{-1} R)_{j,:}``
     with ``S = V diag(mu) V^{-1}``.  Returns ``(modal, mu, residues)``: the
-    mask of the members whose eigenbasis has ``kappa(V) <= _MODAL_KAPPA``,
+    mask of the members whose eigenbasis has ``kappa(V) <= MODAL_KAPPA``,
     and for those members only, the poles ``mu`` of shape ``(., m)`` and the
     residues flattened to ``(., m, k * k)``.
     """
     k, m = q.shape[1:]
     mu, v = np.linalg.eig(s)
-    modal = np.linalg.cond(v) <= _MODAL_KAPPA  # False where kappa is inf or nan
+    modal = np.linalg.cond(v) <= MODAL_KAPPA  # False where kappa is inf or nan
     qv, vr = q[modal] @ v[modal], np.linalg.solve(v[modal], r[modal])
     residues = qv.swapaxes(1, 2)[..., None] * vr[:, :, None, :]
     return modal, mu[modal], residues.reshape(-1, m, k * k)
@@ -236,7 +231,7 @@ def _modal_values(p, mu, residues, lam) -> np.ndarray:
     return p[:, None, :, :] + terms.reshape(b, n, k, k)
 
 
-def random_schur(k: int, m: int, seed: int, max_sigma: float = 1.0 - 1e-6) -> RealizedSchurFunction:
+def random_schur(k: int, m: int, seed: int, max_sigma: float = _MAX_SIGMA) -> RealizedSchurFunction:
     """Random Schur function from a singular-value-clipped complex Gaussian.
 
     Deterministic in ``seed``.  Singular values of the raw ``(k+m)`` square
@@ -245,7 +240,7 @@ def random_schur(k: int, m: int, seed: int, max_sigma: float = 1.0 - 1e-6) -> Re
     """
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
-    if not 0.0 < max_sigma <= 1.0 - 1e-12:
+    if not 0.0 < max_sigma <= 1.0 - SIGMA_GAP:
         raise ValueError("max_sigma must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((k + m, k + m)) + 1j * rng.standard_normal((k + m, k + m))
@@ -262,11 +257,13 @@ class SchurNormReport:
     tol: float
 
 
-def verify_schur(f: RealizedSchurFunction, grid_size: int = 24, tol: float = 1e-9) -> SchurNormReport:
-    """Check contractivity of ``F`` on a radial-angular grid of radius 1 - 1e-3."""
+def verify_schur(
+    f: RealizedSchurFunction, grid_size: int = 24, tol: float = SCHUR_TOL
+) -> SchurNormReport:
+    """Check contractivity of ``F`` on a radial-angular grid of radius 0.999."""
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
-    radii = (1.0 - 1e-3) * np.arange(1, grid_size + 1) / grid_size
+    radii = _VERIFY_RADIUS * np.arange(1, grid_size + 1) / grid_size
     angles = 2.0 * np.pi * np.arange(max(grid_size, 8)) / max(grid_size, 8)
     lam = np.concatenate([[0.0 + 0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()])
     vals = f.evaluate_many(lam)

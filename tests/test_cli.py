@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gammapick
-from gammapick import cli, hardy, nevanlinna
+from gammapick import cli, hardy, lurking, nevanlinna, tolerances
 from gammapick.cli import run
 from gammapick.domains import E311, mu, pi_coordinates
 from gammapick.kernels import tensor_grid, upper_e
@@ -120,6 +120,23 @@ def test_mu_of_a_subnormal_matrix(tmp_path, capsys):
             assert report["member"] is True
 
 
+@pytest.mark.parametrize("command", ["mu", "gamma-check"])
+def test_mu_above_the_largest_float_is_one_line_error(tmp_path, capsys, command):
+    # every entry 1e308 has mu 3e308, above the largest float; 1e307 still answers
+    for entry, mu_value in ((1e308, None), (1e307, 3e307)):
+        path = _write(tmp_path, "big.json", {
+            "matrix": cmatrix_to_json(np.full((3, 3), entry)), "structure": "E(3;3;1,1,1)"
+        })
+        code = run([command, "--in", path])
+        captured = capsys.readouterr()
+        if mu_value is None:
+            assert code == 1 and captured.out == ""
+            assert captured.err == "error: mu overflows: its bracket [inf, inf] is not finite\n"
+        else:
+            assert code == (0 if command == "mu" else 2) and captured.err == ""
+            assert json.loads(captured.out)["mu"] == pytest.approx(mu_value, rel=1e-12)
+
+
 def test_gamma_check_tetrablock_point(tmp_path, capsys):
     path = _write(tmp_path, "t.json", {"point": [[0.3, 0.0], [0.2, 0.0], [0.05, 0.0]]})
     code, report = _run(capsys, ["gamma-check", "--in", path])
@@ -171,6 +188,25 @@ def test_uw_command_evaluates_each_function_once(tmp_path, capsys, monkeypatch):
     code, report = _run(capsys, ["uw", "--in", path])
     assert code == 0 and report["passed"] is True
     assert len(evaluated) == 2 and evaluated[0] is not evaluated[1]
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "1e-12"])
+def test_uw_tol_does_not_move_the_rank_decisions(tmp_path, capsys, monkeypatch, tol):
+    # uw_construct decides the rank conditions and the rank-one factors at
+    # KERNEL_TOL: --tol moves only its Gram and fit tests and uw's own checks
+    seen = []
+    for name in ("membership", "rank1_factor"):
+        original = getattr(lurking, name)
+
+        def spied(*args, _original=original):
+            seen.append(args[-1])
+            return _original(*args)
+
+        monkeypatch.setattr(lurking, name, spied)
+    path = _write(tmp_path, "uw.json", _function_payload(seed=4, m=2, max_sigma=0.9))
+    code, report = _run(capsys, ["uw", "--in", path, "--tol", tol])
+    assert code == 0 and report["options"]["tol"] == float(tol)
+    assert seen == [tolerances.KERNEL_TOL] * 4
 
 
 def test_uw_declines_a_function_whose_first_column_vanishes(tmp_path, capsys):
@@ -1061,6 +1097,30 @@ def test_certify_refuses_a_curve_with_a_pole_just_inside_the_disc(tmp_path, caps
     assert captured.err == (
         "error: bad gamma curve data: denominator has 1 root(s) inside the unit disc\n"
     )
+
+
+@pytest.mark.parametrize("den, code", [((1e-310, 1e-311), 0), ((1e-310, 1e-310), 1)])
+def test_reduce_a_curve_over_subnormal_coefficients(tmp_path, capsys, den, code):
+    # 1e-310 + 1e-311 lam has its root at -10, and 1e-310 + 1e-310 lam at -1
+    comps = [
+        {"numerator": [[1e-311 * 0.1 * i, 0.0]], "denominator": [[d, 0.0] for d in den]}
+        for i in range(7)
+    ]
+    payload = {
+        "curve": {"variant": "gamma7", "components": comps},
+        "nodes": [complex_to_json(v) for v in (0.1, 0.2 + 0.1j)],
+    }
+    assert run(["reduce", "--in", _write(tmp_path, "sub.json", payload)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        assert all("pick" in entry for entry in json.loads(captured.out)["problems"])
+    else:
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bad gamma curve data: denominator nearly vanishes on the unit circle: "
+            "roots not certified\n"
+        )
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():

@@ -77,6 +77,14 @@ def test_mu_of_a_matrix_with_a_subnormal_peak(structure):
     assert scaled == pytest.approx(2.0**-1040 * mu(a, structure), rel=1e-8)
 
 
+@pytest.mark.parametrize("structure", [E311, E312], ids=["E311", "E312"])
+def test_mu_bound_refuses_a_bracket_above_the_largest_float(structure):
+    # every entry 1e308 has mu 3e308; 1e307 still has a finite bracket
+    with pytest.raises(ValueError, match=r"^mu overflows: its bracket \[inf, inf\] is not finite$"):
+        mu_bound(np.full((3, 3), 1e308), structure)
+    assert mu(np.full((3, 3), 1e307), structure) == pytest.approx(3e307, rel=1e-12)
+
+
 def test_mu_dominates_spectral_radius_and_structure_order():
     # scalar multiples of the identity are admissible in every structure, so
     # mu bounds the spectral radius from above; the two-block structure is a

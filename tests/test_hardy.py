@@ -60,6 +60,25 @@ def _refusal(den):
     return "accepted"
 
 
+def test_rational_over_subnormal_denominator_coefficients():
+    # 0.1 / (1 + 0.1 lam) over coefficients of 1e-310: a division by them
+    # overflows, so they are lifted with the numerator by 2**600
+    lam = np.array([0.0, 0.5, -0.9, 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = RationalFunction([1e-311], [1e-310, 1e-311])
+        (g,) = RationalFunction.over([1e-310, 1e-311], [[1e-311]])
+        values = f(lam)
+        # the root of 1e-310 + 1e-310 lam is -1, on the circle
+        assert _refusal([1e-310, 1e-310]) == _ON_CIRCLE
+    np.testing.assert_allclose(values, 0.1 / (1.0 + 0.1 * lam), rtol=1e-11)
+    assert g(lam).tobytes() == values.tobytes()
+    ((_, roots, _),) = f.factors
+    assert roots == pytest.approx([-10.0])
+    with pytest.raises(ValueError, match="^numerator overflows over a subnormal denominator$"):
+        RationalFunction([1e200], [1e-310, 1e-311])
+
+
 @pytest.mark.parametrize("d", [1e-7, 1e-8, 1e-9, 1e-10])
 def test_rational_refuses_a_pole_just_inside_the_disc(d):
     # the 4096-point winding check accepted 736 of these 800 poles
