@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from .domains import PHASE_GRID, BlockStructure, GammaPoint, mu, tetrablock_member
+from .domains import BlockStructure, GammaPoint, mu, tetrablock_member
 from .fractional import SingularFractionError, se_values
 from .kernels import SampleGrid, combine_k, kernel_rank, membership, tensor_grid, upper_e
 from .linalg import IndefiniteMatrixError
@@ -177,14 +177,12 @@ def _grid_from(payload: dict) -> tuple[SampleGrid, dict]:
     }
 
 
-def _mu_report(payload: dict, args) -> dict:
-    """mu of the instance's matrix, its certified bracket, its structure, and
-    the phase grid (--grid) in the report's options."""
+def _mu_report(payload: dict) -> dict:
+    """mu of the instance's matrix, its certified bracket and its structure;
+    the report's options are empty."""
     matrix, structure = _matrix_and_structure(payload)
-    if args.grid < 4:
-        raise InputError(f"--grid must be at least 4 for the mu phase grid, got {args.grid}")
     try:
-        value = mu(matrix, structure, phase_grid=args.grid)
+        value = mu(matrix, structure)
     except ValueError as exc:
         # non-finite entries, or an open bracket on a structure where the
         # D-scaling bound may exceed mu
@@ -193,7 +191,7 @@ def _mu_report(payload: dict, args) -> dict:
         "mu": float(value),
         "mu_bracket": [value.bracket.lower, value.bracket.upper],
         "structure": structure.label(),
-        "options": {"phase_grid": args.grid},
+        "options": {},
     }
 
 
@@ -251,7 +249,7 @@ def _row_json(row) -> dict:
 
 
 def _cmd_mu(args):
-    return 0, _mu_report(_load_payload(args), args)
+    return 0, _mu_report(_load_payload(args))
 
 
 def _cmd_gamma_check(args):
@@ -274,7 +272,7 @@ def _cmd_gamma_check(args):
             "options": {"tol": tol},
         }
         return (0 if member else 2), report
-    report = _mu_report(payload, args)
+    report = _mu_report(payload)
     member = report["mu"] <= 1.0 + tol
     report["member"] = bool(member)
     report["options"]["tol"] = tol
@@ -694,8 +692,8 @@ _SLICE_OPTIONS = {"--z2-grid": DEFAULT_Z_GRID, "--split": "balanced",
 # each subcommand: its handler, whether it reads --in, and the options it reads
 # with their defaults; every subcommand also takes --out and --text
 _COMMANDS = {
-    "mu": (_cmd_mu, True, {"--grid": PHASE_GRID}),
-    "gamma-check": (_cmd_gamma_check, True, {"--tol": MEMBER_TOL, "--grid": PHASE_GRID}),
+    "mu": (_cmd_mu, True, {}),
+    "gamma-check": (_cmd_gamma_check, True, {"--tol": MEMBER_TOL}),
     "se": (_cmd_se, True, {}),
     "upper-e": (_cmd_upper_e, True, {"--tol": KERNEL_TOL}),
     "uw": (_cmd_uw, True, {"--tol": UW_TOL}),

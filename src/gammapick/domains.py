@@ -23,22 +23,22 @@ blocks of size 1 and ``S`` repeated scalar blocks of size 2 or more.
 - Lower bound: ``rho(A Q) <= mu`` for every unitary ``Q`` of the structure.
   Each iterate's top singular pair ``(u, v)`` proposes the block phases
   ``arg<u_B, v_B>``; at a smooth minimizer this ``Q`` attains the upper bound.
+  Where the descent ends with the bracket open, a nested sweep of the block
+  phases raises the lower end: a torus grid, then grids that halve around
+  the best point so far, each one stacked ``eigvals``.
 - For ``2S + F <= 3`` the D-scaling bound is exact: ``mu = inf_D
   sigma_max(D A D^-1)`` (Doyle 1982; Packard and Doyle, "The complex
   structured singular value", Automatica 29, 1993).  Both 3x3 structures
   qualify, so there ``mu`` is the upper end of the bracket even when the
   lower end stays open, as it can where ``sigma_max`` is a double singular
-  value at the minimizer (often the case for real matrices).  There the
-  descent can also stall above the infimum, so the upper end is then a
-  valid bound that overstates mu (on E(3;2;1,2), by 5e-5 relative for
-  ``default_rng(443).standard_normal((3, 3))``).  For other structures
-  ``mu`` returns a value only once the bracket has closed.
+  value at the minimizer (common for real matrices) and the sweep stops
+  short of the upper end.  There the descent can also stall above the
+  infimum, so the upper end is then a valid bound that overstates mu (on
+  E(3;2;1,2), by 5e-5 relative for ``default_rng(443).standard_normal((3,
+  3))``).  For other structures ``mu`` returns a value only once the
+  bracket has closed.
 - ``mu = 0`` exactly when every coefficient of ``det(I - A Delta)`` as a
   polynomial in the block scalars vanishes; that is tested first.
-
-``phase_grid`` (the CLI's ``--grid`` for ``mu`` and ``gamma-check``) sets the
-window ``+-2 pi / phase_grid`` of the golden-section phase polish that runs
-when the descent ends with the bracket still open.
 """
 
 from __future__ import annotations
@@ -66,26 +66,22 @@ __all__ = [
     "tetrablock_member",
 ]
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-# Phase grid of mu and mu_bound, and the CLI's --grid: the polish of an open
-# bracket searches within +-2 pi / PHASE_GRID of the best phases.
-PHASE_GRID = 720
 # Descent steps after which the D-scaling search counts as stalled.
 _MAX_STEPS = 200
 # Armijo sufficient-decrease constant, and the step below which backtracking
 # gives up.
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-12
+# Matrices in the first stacked eigvals of the phase sweep of an open
+# bracket, and the phase cell below which the sweep stops.
+_SWEEP_POINTS = 576
+_SWEEP_FLOOR = 1e-10
 # Box on the scaling parameters.  Where the optimal D lies at infinity
 # (reducible matrices) the descent stops at the box edge, where D A D^-1 is
 # still finite and the entries that vanish in the limit are down by about
 # exp(-40): negligible unless the entries of A span tens of orders of
 # magnitude.
 _SCALING_BOX = 40.0
-# Golden-section iterations per phase when the lower bound of an open
-# bracket is polished.
-_REFINE_ITERS = 48
 
 
 @dataclass(frozen=True)
@@ -324,45 +320,35 @@ def _rho_exact(a: np.ndarray, phases: np.ndarray, plan: _Plan) -> float:
     return float(np.abs(np.linalg.eigvals(a * np.exp(1j * phases)[plan.block])).max())
 
 
-def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximization of a unimodal-ish 1-d slice, in
-    ``_REFINE_ITERS`` iterations."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(_REFINE_ITERS):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _sweep(a: np.ndarray, phases: np.ndarray, low: float, upper: float, plan: _Plan) -> float:
+    """Largest ``rho(a Q)`` found by a nested sweep of the free phases (all
+    but the first block's), from ``phases``, where ``rho(a Q) = low``.
+
+    The first level is a torus grid from ``phases`` with up to 24 points per
+    free phase and at most ``_SWEEP_POINTS`` in all.  Each later level is a
+    grid over ``+-2`` cells around the best point so far, with up to 7 points
+    per phase and at most a quarter of ``_SWEEP_POINTS`` in all, and the cell
+    halves.  Each level is one stacked ``eigvals``.  The sweep stops once the
+    bracket closes or the cell is below ``_SWEEP_FLOOR``.
+    """
+    free = phases.size - 1
+    side = max(m for m in range(1, 25) if m**free <= _SWEEP_POINTS)
+    step = max(m for m in range(1, 8) if m**free <= _SWEEP_POINTS // 4)
+    cell = 2.0 * np.pi / side
+    offsets = cell * np.arange(side)
+    while upper - low > BRACKET_RTOL * upper and cell > _SWEEP_FLOOR:
+        grid = np.stack(np.meshgrid(*[offsets] * free, indexing="ij"), axis=-1)
+        points = phases + np.pad(grid.reshape(-1, free), ((0, 0), (1, 0)))
+        rho = np.abs(np.linalg.eigvals(a * np.exp(1j * points)[:, None, plan.block])).max(axis=1)
+        best = int(np.argmax(rho))
+        if rho[best] > low:
+            low, phases = float(rho[best]), points[best]
+        offsets = np.linspace(-2.0 * cell, 2.0 * cell, step)
+        cell /= 2.0
+    return low
 
 
-def _polish(a: np.ndarray, phases: np.ndarray, plan: _Plan, width: float) -> float:
-    """Largest ``rho(a Q)`` found by two golden-section sweeps over each free
-    phase (all but the first block's), each within ``+-width`` of the current
-    point."""
-    current = phases.copy()
-    val = _rho_exact(a, current, plan)
-    for _ in range(2):
-        for i in range(1, current.size):
-            def slice_f(t, i=i):
-                point = current.copy()
-                point[i] = t
-                return _rho_exact(a, point, plan)
-
-            t_star, v = _golden_max(slice_f, current[i] - width, current[i] + width)
-            if v > val:
-                current[i] = t_star
-                val = v
-    return val
-
-
-def mu_bound(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuBound:
+def mu_bound(a, structure: BlockStructure) -> MuBound:
     """Certified bracket ``lower <= mu(a) <= upper``.
 
     The upper bound is ``sigma_max(D a D^-1)`` after a BFGS descent with
@@ -372,8 +358,8 @@ def mu_bound(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuBo
     singular pair of each iterate aligns (:func:`_aligned_phases`).  The
     descent stops once the gap is below ``BRACKET_RTOL`` times the upper
     bound, or when no step decreases ``sigma_max``.  If the gap is still open,
-    the phases of the best ``Q`` are polished by 48 golden-section iterations
-    per phase within ``+-2 pi / phase_grid``.
+    a nested sweep from the phases of the best ``Q`` raises the lower bound
+    (:func:`_sweep`).
 
     ``a`` is divided by its operator norm first, so the bracket of ``c a``
     is ``|c|`` times that of ``a`` up to roundoff.
@@ -394,8 +380,6 @@ def mu_bound(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuBo
     if structure.s == 1:
         rho = float(np.abs(np.linalg.eigvals(a)).max())
         return _finite_bound(rho, rho)
-    if phase_grid < 4:
-        raise ValueError("phase_grid must be at least 4")
     # divide by the largest entry first, so that no minor or norm of a tiny
     # matrix underflows
     peak = float(np.abs(a).max())
@@ -452,7 +436,7 @@ def mu_bound(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuBo
         if val > low:
             low, phases = val, candidate
     if upper - low > BRACKET_RTOL * upper:
-        low = max(low, _polish(a, phases, plan, 2.0 * np.pi / phase_grid))
+        low = _sweep(a, phases, low, upper, plan)
     # rho(a Q) <= sigma_max(D a D^-1) holds exactly; drop the roundoff excess
     low = min(low, upper)
     return _finite_bound(low * scale, upper * scale)
@@ -465,7 +449,7 @@ def _finite_bound(lower: float, upper: float) -> MuBound:
     return MuBound(lower, upper)
 
 
-def mu(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuValue:
+def mu(a, structure: BlockStructure) -> MuValue:
     """Structured singular value of ``a`` with respect to ``structure``.
 
     Parameters
@@ -474,9 +458,6 @@ def mu(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuValue:
         Square complex matrix of the structure's ambient dimension.
     structure : BlockStructure
         Block-scalar scaling structure.
-    phase_grid : int
-        The phase polish of the lower bound searches within
-        ``+-2 pi / phase_grid``; at least 4.
 
     Returns
     -------
@@ -497,7 +478,7 @@ def mu(a, structure: BlockStructure, phase_grid: int = PHASE_GRID) -> MuValue:
         For a structure with ``2S + F > 3`` whose bracket did not close; the
         message gives the gap.  For a bracket that is not finite.
     """
-    bracket = mu_bound(a, structure, phase_grid)
+    bracket = mu_bound(a, structure)
     if not (structure.d_scaling_exact or bracket.closed):
         raise ValueError(
             f"mu bracket [{bracket.lower!r}, {bracket.upper!r}] did not close "

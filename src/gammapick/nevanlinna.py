@@ -32,7 +32,6 @@ from .linalg import (
 from .realization import RealizedSchurFunction
 from .tolerances import (
     CONTRACTIVE_SLACK,
-    CORNER_TOL,
     DENOMINATOR_FLOOR,
     GRAM_FLOOR,
     PICK_TOL,
@@ -347,7 +346,7 @@ class GammaCurve:
 
     @cached_property
     def row_values(self) -> np.ndarray:
-        """``rows`` at the 167 ``_CURVE_POINTS``, evaluated once: each slice
+        """``rows`` at the 166 ``_CURVE_POINTS``, evaluated once: each slice
         reads its values from these (see ``build_slice_schur``)."""
         return _horner(self.rows, _CURVE_POINTS)
 
@@ -663,23 +662,23 @@ _SLICE_GRID = (
     * np.exp(2j * np.pi * np.arange(8) / 8.0)[None, :]
 ).ravel()
 # where a curve is evaluated once (GammaCurve.row_values): inner_outer's
-# interior points, the contractivity grid and the origin
-_CURVE_POINTS = np.concatenate([INTERIOR, _SLICE_GRID, [0.0]])
-_GRID_AT = -(_SLICE_GRID.size + 1)
+# interior points, then the contractivity grid
+_CURVE_POINTS = np.concatenate([INTERIOR, _SLICE_GRID])
+_GRID_AT = -_SLICE_GRID.size
 
 
 def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "corrected") -> SlicedSchur2x2:
     """Construct the 2x2 Schur-class slice of a gamma curve at parameter ``z``.
 
     The construction verifies contractivity on an interior grid (slack
-    ``CONTRACTIVE_SLACK``), that the determinant of the result matches the
-    determinant slice (to ``SLICE_TOL``), and that the lower-left entry is
-    positive at the origin (to ``CORNER_TOL``), all from one evaluation of
-    the slice.  Failures raise ``ValueError`` with the worst offending
-    point.  Every value of the slice's terms comes from the curve's
-    ``row_values``, computed only where a check reads it: at the
-    interior points of ``inner_outer``, the contractivity grid and the
-    origin; the scale of ``inner_outer``'s check comes from the curve's
+    ``CONTRACTIVE_SLACK``) and that the determinant of the result matches the
+    determinant slice (to ``SLICE_TOL``), both from one evaluation of the
+    slice.  Failures raise ``ValueError`` with the worst offending point.
+    The lower-left entry ``sqrt(outer)`` is positive at the origin by
+    construction (see ``InnerOuterPair``).  Every value of the slice's terms
+    comes from the curve's ``row_values``, computed only where a check reads
+    it: at the interior points of ``inner_outer`` and the contractivity
+    grid; the scale of ``inner_outer``'s check comes from the curve's
     ``circle_values``, read only on a miss above its tolerance.  Each slice
     denominator is certified once, from its roots: ``f11 f22 - det`` goes
     over the square of the slice denominator (times the printed determinant
@@ -726,18 +725,17 @@ def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "correct
             npoly.polymul(det_slice.numerator, prod.denominator),
         )
         (d,) = RationalFunction.over_product(((f11, 2), (det_slice, 1)), (num,))
-    at = slice(_GRID_AT, None)  # the contractivity grid, then the origin
+    at = slice(_GRID_AT, None)  # the contractivity grid
     pair = None
     if not d.is_zero:
         circle = lambda: d_of(*_slice_terms(x.circle_values, z, det_denominator))
         samples = (d_of(*terms)[:_GRID_AT], circle)
-        pair = inner_outer(d, tol=SLICE_TOL, samples=samples, _points=_CURVE_POINTS[at])
+        pair = inner_outer(d, tol=SLICE_TOL, samples=samples, _points=_SLICE_GRID)
     sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, pair is None)
 
     lam = _SLICE_GRID
     off = None if pair is None else pair._at_points
     vals = _slice_values(v11[at] / v_den[at], v22[at] / v_den[at], off)
-    vals, origin = vals[:-1], vals[-1]
     norms = operator_norms(vals)
     worst = int(np.argmax(norms))
     if float(norms[worst]) > 1.0 + CONTRACTIVE_SLACK:
@@ -746,12 +744,9 @@ def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "correct
             f"lam={lam[worst]:.4f}"
         )
     dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
-    det_err = float(np.abs(dets - (v_det[at] / v_det_den[at])[:-1]).max())
+    det_err = float(np.abs(dets - v_det[at] / v_det_den[at]).max())
     if det_err > SLICE_TOL:
         raise ValueError(f"slice determinant mismatch {det_err:.3e}")
-    corner = complex(origin[1, 0])
-    if corner.real < -CORNER_TOL or abs(corner.imag) > CORNER_TOL:
-        raise ValueError(f"lower-left entry at the origin is not positive: {corner}")
     return sliced
 
 

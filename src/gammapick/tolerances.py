@@ -39,7 +39,6 @@ __all__ = [
     "UNIMODULAR_TOL",
     "SLICE_TOL",
     "CONTRACTIVE_SLACK",
-    "CORNER_TOL",
     "NORM_SLACK",
     "GRAM_SLACK",
     "MODAL_KAPPA",
@@ -159,10 +158,6 @@ SLICE_TOL = 1e-6
 # its off-diagonal values come from an inner-outer pair accurate to
 # SLICE_TOL.
 CONTRACTIVE_SLACK = 1e-6
-# The slice's lower-left entry at the origin may sit this far from the
-# positive reals.  It is sqrt(outer)(0) = sqrt(outer_scale) > 0 by
-# construction, so only a broken construction fails the test.
-CORNER_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # realizations

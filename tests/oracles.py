@@ -6,14 +6,16 @@ pattern of the block structure.  The determinant is multi-affine in the
 scalar parameters, so fixing all but one coordinate leaves an affine (or
 quadratic) equation whose exact solution closes the constraint; a dense
 polar grid over the remaining coordinates plus a Nelder-Mead polish then
-minimizes the max-modulus.  Nothing here calls the library's phase-sweep
+minimizes the max-modulus.  For the structure with a repeated scalar a
+bisection on the radius then finishes the search, where Nelder-Mead can stop
+on the ridge ``|x1| = |x2|``.  Nothing here calls the library's phase-sweep
 path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 __all__ = [
     "mu_oracle",
@@ -214,6 +216,58 @@ def mu_oracle_311(a, n_r: int = 20, n_t: int = 24, polish: bool = True) -> float
     return 1.0 / best
 
 
+def _bisect_radius(alpha, beta, hi: float, n_t: int = 720) -> float:
+    """Smallest radius ``r <= hi`` at which ``alpha(x2) + x1 beta(x2)``
+    vanishes at some ``|x1|, |x2| <= r``, by bisection.
+
+    ``alpha`` and ``beta`` are coefficients in ``x2``, lowest degree first,
+    with ``alpha(0) = 1``; ``hi`` is a radius where the constraint holds.  It
+    holds in the bidisc of radius ``r`` exactly when ``alpha`` has a root in
+    the disc (then ``x1 = 0``) or ``|x1| = |alpha / beta| <= r`` somewhere on
+    the circle ``|x2| = r`` (minimum modulus principle).  Every radius that
+    passes is witnessed by such a point, so ``1 / r`` stays a lower bound on
+    mu.
+    """
+    roots = np.polynomial.polynomial.polyroots(np.asarray(alpha, dtype=complex))
+    r_zero = float(np.abs(roots).min(initial=np.inf))
+    theta = 2.0 * np.pi * np.arange(n_t) / n_t
+
+    def modulus(r, t):
+        x2 = r * np.exp(1j * np.asarray(t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x1 = np.polynomial.polynomial.polyval(x2, alpha) / np.polynomial.polynomial.polyval(
+                x2, beta
+            )
+        return np.nan_to_num(np.abs(x1), nan=_HUGE, posinf=_HUGE)
+
+    def passes(r):
+        if r >= r_zero:
+            return True
+        m = modulus(r, theta)
+        i = int(np.argmin(m))
+        if m[i] <= r:
+            return True
+        step = 2.0 * np.pi / n_t
+        res = minimize_scalar(
+            lambda t: float(modulus(r, t)),
+            bounds=(theta[i] - step, theta[i] + step),
+            method="bounded",
+            options={"xatol": 1e-13},
+        )
+        return res.fun <= r
+
+    lo = 0.0
+    for _ in range(200):
+        if hi - lo <= 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def mu_oracle_312(a, n_r: int = 400, n_t: int = 360, polish: bool = True) -> float:
     """Direct-definition mu for the structure with a repeated lower scalar.
 
@@ -301,6 +355,7 @@ def mu_oracle_312(a, n_r: int = 400, n_t: int = 360, polish: bool = True) -> flo
         )
         if res.fun < best:
             best = float(res.fun)
+        best = _bisect_radius([1.0, -y1, y2], [-s1, s2, -s3], best)
     return 1.0 / best
 
 

@@ -456,8 +456,6 @@ _NODES = _nodes_payload()
 @pytest.mark.parametrize(
     "command, payload, extra",
     [
-        pytest.param("mu", _E311_DIAG, ["--grid", "2"], id="mu-grid-2"),
-        pytest.param("gamma-check", _E311_DIAG, ["--grid", "3"], id="gamma-check-grid-3"),
         pytest.param("upper-e", _with_grid({"n_lambda": 2.5}), [], id="n_lambda-float"),
         pytest.param("upper-e", _with_grid({"n_lambda": "four"}), [], id="n_lambda-string"),
         pytest.param("uw", _with_grid({"n_z": 0}), [], id="n_z-zero"),
@@ -574,8 +572,10 @@ _NODES = _nodes_payload()
             )
             for size in ("k", "m")
         ),
-        # command lines argparse rejects
+        # command lines argparse rejects; mu and gamma-check take no --grid
         pytest.param("gamma-check", _E311_DIAG, ["--tol", "abc"], id="gamma-check-tol-abc"),
+        pytest.param("mu", _E311_DIAG, ["--grid", "2"], id="mu-grid-2"),
+        pytest.param("gamma-check", _E311_DIAG, ["--grid", "3"], id="gamma-check-grid-3"),
         pytest.param("gamma-check", _E311_DIAG, ["--grid", "4.5"], id="gamma-check-grid-float"),
         pytest.param("gamma-check", _E311_DIAG, ["--split", "nope"], id="gamma-check-split-nope"),
         pytest.param("reduce", _NODES, ["--split", "nope"], id="reduce-split-nope"),
@@ -951,8 +951,8 @@ def test_help_exits_zero(capsys):
 # the options each subcommand reads besides --out and --text, and for each
 # option a command-line value and what it parses to
 _READS = {
-    "mu": ("--in", "--grid"),
-    "gamma-check": ("--in", "--tol", "--grid"),
+    "mu": ("--in",),
+    "gamma-check": ("--in", "--tol"),
     "se": ("--in",),
     "upper-e": ("--in", "--tol"),
     "uw": ("--in", "--tol"),
@@ -975,14 +975,14 @@ _VALUES = {
 }
 
 
-def test_parser_has_46_settable_values():
+def test_parser_has_44_settable_values():
     (sub,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {
         name: {f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")}
         for name, p in sub.choices.items()
     }
     assert flags == {name: {*reads, "--out", "--text"} for name, reads in _READS.items()}
-    assert sum(map(len, flags.values())) == 46
+    assert sum(map(len, flags.values())) == 44
 
 
 @pytest.mark.parametrize("command", list(_READS))

@@ -285,7 +285,7 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
 @pytest.mark.parametrize("det_denominator", ["corrected", "printed"])
 def test_cached_slice_values_match_the_slice_coefficients(variant, det_denominator):
     # every term at the points build_slice_schur reads: from row_values at
-    # the interior points, the contractivity grid and the origin, and from
+    # the interior points and the contractivity grid, and from
     # circle_values at the boundary nodes
     shared = _curve(seed=5, variant=variant, m=2)[1]
     for curve in (shared, gamma_curve_from_entries(_mixed_entries(), variant)):
@@ -435,7 +435,7 @@ def test_printed_mixed_slices_are_not_refused_by_a_product_check():
 
 def test_slice_cache_is_small():
     _, curve = _curve(seed=3, m=3)
-    assert curve.row_values.shape == (8, nevanlinna._CURVE_POINTS.size) == (8, 167)
+    assert curve.row_values.shape == (8, nevanlinna._CURVE_POINTS.size) == (8, 166)
     assert curve.row_values.nbytes < 0.025e6
 
 
@@ -697,8 +697,8 @@ def test_build_slice_schur_evaluates_the_slice_once():
         (hardy, "blaschke_eval", 1),
     ):
         assert _calls(owner, name, lambda: build_slice_schur(curve, 0.35)) == count
-    # the values of that pass at the grid and the origin are the pair's own
-    # there, to the last bit
+    # the values of that pass at the grid are the pair's own there, to the
+    # last bit
     s = build_slice_schur(curve, 0.35)
     points = nevanlinna._CURVE_POINTS[nevanlinna._GRID_AT :]
     inner, sqrt_outer = s.pair._at_points

@@ -121,8 +121,6 @@ def test_cli_defaults_are_table_entries():
     got = {name: p.get_default("tol") for name, p in sub.choices.items() if p.get_default("tol")}
     assert got.keys() == want.keys()
     assert all(got[name] is want[name] for name in want)
-    for name in ("mu", "gamma-check"):
-        assert sub.choices[name].get_default("grid") is domains.PHASE_GRID
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +338,6 @@ def _contractive_slack():
     return _both(lambda k: not _raises(ValueError, lambda: build_slice_schur(curve(k), 0.0)))
 
 
-def _corner_tol():
-    # the lower-left entry at the origin, moved by -c, the origin being the
-    # last point of the slice's one evaluation
-    original = nevanlinna._slice_values
-    curve = _constant_gamma7([0.5, 0, 0, 0.5, 0.25, 0, 0])
-
-    def accepted(k):
-        def moved(*args):
-            out = original(*args)
-            out[-1, 1, 0] -= k * tt.CORNER_TOL
-            return out
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nevanlinna, "_slice_values", moved)
-            return not _raises(ValueError, lambda: build_slice_schur(curve, 0.0))
-
-    return _both(accepted)
-
 
 def _colligation(p) -> bool:
     """Whether ``p`` is accepted as a constant function's colligation."""
@@ -464,7 +444,6 @@ PROBES = {
     "UNIMODULAR_TOL": _unimodular_tol,
     "SLICE_TOL": _slice_tol,
     "CONTRACTIVE_SLACK": _contractive_slack,
-    "CORNER_TOL": _corner_tol,
     "NORM_SLACK": _norm_slack,
     "GRAM_SLACK": _gram_slack,
     "MODAL_KAPPA": _modal_kappa,
