@@ -41,7 +41,7 @@ from .nevanlinna import (
     DEFAULT_Z_GRID,
     UnsolvablePickError,
     _certify,
-    build_slice_schur,
+    _slice_grid,
     certify_gamma7_interpolation,
     np_solve,
     reduce_gamma5,
@@ -476,15 +476,14 @@ def _cmd_reduce(args):
 
 def _slice_checks(curve, z_grid, det_denominator):
     rows = []
-    for z in z_grid:
+    for z, sliced in zip(z_grid, _slice_grid(curve, z_grid, det_denominator)):
         entry = {"z": complex_to_json(z)}
-        try:
-            sliced = build_slice_schur(curve, z, det_denominator=det_denominator)
+        if isinstance(sliced, Exception):
+            entry["ok"] = False
+            entry["error"] = str(sliced)
+        else:
             entry["ok"] = True
             entry["triangular"] = bool(sliced.triangular)
-        except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-            entry["ok"] = False
-            entry["error"] = str(exc)
         rows.append(entry)
     return rows
 

@@ -18,10 +18,18 @@ from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
+from . import _poly
 from .domains import GammaPoint
-from .hardy import BOUNDARY_NODES, INTERIOR, InnerOuterPair, RationalFunction, inner_outer
+from .hardy import (
+    BOUNDARY_NODES,
+    INTERIOR,
+    InnerOuterPair,
+    RationalFunction,
+    _groups,
+    _inner_outer_many,
+    _only,
+)
 from .linalg import (
     GramInconsistencyError,
     Spectrum,
@@ -247,14 +255,6 @@ def _solve_many(problems: Sequence[PickData], tol: float) -> list:
     return out
 
 
-def _groups(indices, key) -> list[list[int]]:
-    """``indices`` grouped by ``key``, in order within each group."""
-    groups: dict = {}
-    for i in indices:
-        groups.setdefault(key(i), []).append(i)
-    return list(groups.values())
-
-
 def _solve_shape(problems: Sequence[PickData], factors: np.ndarray, tol: float) -> list:
     """The outcomes of positive problems of one shape ``(n, k, r)`` with Pick
     factors ``factors``, shape ``(b, n k, r)``.
@@ -348,14 +348,14 @@ class GammaCurve:
     def row_values(self) -> np.ndarray:
         """``rows`` at the 166 ``_CURVE_POINTS``, evaluated once: each slice
         reads its values from these (see ``build_slice_schur``)."""
-        return _horner(self.rows, _CURVE_POINTS)
+        return _poly.horner(self.rows, _CURVE_POINTS)
 
     @cached_property
     def circle_values(self) -> np.ndarray:
         """``rows`` at the 2048 :data:`BOUNDARY_NODES`, evaluated on first use:
         only a slice whose reconstruction misses by more than its tolerance
         reads them."""
-        return _horner(self.rows, BOUNDARY_NODES)
+        return _poly.horner(self.rows, BOUNDARY_NODES)
 
     def point_at(self, lam: complex) -> GammaPoint:
         return GammaPoint(self.variant, tuple(complex(c(lam)) for c in self.components))
@@ -382,16 +382,6 @@ class GammaNodes:
             raise ValueError("coordinate points must match the data variant")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "points", pts)
-
-
-def _horner(h: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Each row of ``h`` at ``points``, by Horner's rule in place: npoly.polyval's
-    arithmetic with no (rows, points) temporary per step."""
-    out = np.repeat(h[:, -1:], points.size, axis=1)
-    for col in h.T[-2::-1]:
-        out *= points
-        out += col[:, None]
-    return out
 
 
 def sample_curve(curve: GammaCurve, nodes: Sequence[complex]) -> GammaNodes:
@@ -443,11 +433,11 @@ def _shared_numerators(fs: Sequence[RationalFunction]):
     for k, num in parts:
         for j, base in enumerate(bases):
             if j != k:
-                num = npoly.polymul(num, base)
+                num = _poly.mul(num, base)
         nums.append(num)
     common = bases[0]
     for base in bases[1:]:
-        common = npoly.polymul(common, base)
+        common = _poly.mul(common, base)
     return nums, common
 
 
@@ -461,16 +451,16 @@ def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
     """
     nums, delta = _shared_numerators([entry for row in entries for entry in row])
     p = [nums[3 * i : 3 * i + 3] for i in range(3)]
-    m12n = npoly.polysub(npoly.polymul(p[0][0], p[1][1]), npoly.polymul(p[0][1], p[1][0]))
-    m13n = npoly.polysub(npoly.polymul(p[0][0], p[2][2]), npoly.polymul(p[0][2], p[2][0]))
-    m23n = npoly.polysub(npoly.polymul(p[1][1], p[2][2]), npoly.polymul(p[1][2], p[2][1]))
-    c12n = npoly.polysub(npoly.polymul(p[1][0], p[2][2]), npoly.polymul(p[1][2], p[2][0]))
-    c13n = npoly.polysub(npoly.polymul(p[1][0], p[2][1]), npoly.polymul(p[1][1], p[2][0]))
-    detn = npoly.polyadd(
-        npoly.polysub(npoly.polymul(p[0][0], m23n), npoly.polymul(p[0][1], c12n)),
-        npoly.polymul(p[0][2], c13n),
+    m12n = _poly.sub(_poly.mul(p[0][0], p[1][1]), _poly.mul(p[0][1], p[1][0]))
+    m13n = _poly.sub(_poly.mul(p[0][0], p[2][2]), _poly.mul(p[0][2], p[2][0]))
+    m23n = _poly.sub(_poly.mul(p[1][1], p[2][2]), _poly.mul(p[1][2], p[2][1]))
+    c12n = _poly.sub(_poly.mul(p[1][0], p[2][2]), _poly.mul(p[1][2], p[2][0]))
+    c13n = _poly.sub(_poly.mul(p[1][0], p[2][1]), _poly.mul(p[1][1], p[2][0]))
+    detn = _poly.add(
+        _poly.sub(_poly.mul(p[0][0], m23n), _poly.mul(p[0][1], c12n)),
+        _poly.mul(p[0][2], c13n),
     )
-    delta2 = npoly.polymul(delta, delta)
+    delta2 = _poly.mul(delta, delta)
     # numerator / delta**power rewritten over the common denominator delta**3
     lift = {1: delta2, 2: delta, 3: np.ones(1, dtype=complex)}
     if variant == "gamma7":
@@ -480,15 +470,15 @@ def gamma_curve_from_entries(entries, variant: str) -> GammaCurve:
     elif variant == "gamma5":
         terms = (
             (p[0][0], 1),
-            (npoly.polyadd(m12n, m13n), 2),
+            (_poly.add(m12n, m13n), 2),
             (detn, 3),
-            (npoly.polyadd(p[1][1], p[2][2]), 1),
+            (_poly.add(p[1][1], p[2][2]), 1),
             (m23n, 2),
         )
     else:
         raise ValueError(f"unsupported variant {variant!r}")
-    nums = [npoly.polymul(num, lift[power]) for num, power in terms]
-    return GammaCurve(variant, RationalFunction.over(npoly.polymul(delta2, delta), nums))
+    nums = [_poly.mul(num, lift[power]) for num, power in terms]
+    return GammaCurve(variant, RationalFunction.over(_poly.mul(delta2, delta), nums))
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +539,28 @@ def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
 
 
 def _curve_slice(x: GammaCurve, z: complex, det_denominator: str):
-    """The slice functions ``(f11, f22, det)`` of a curve, each denominator
-    certified once."""
-    (n1, n2, n3), den, det_den = _slice_terms(x.rows, z, det_denominator)
+    """The slice functions ``(f11, f22, det)`` of a curve at ``z``, each
+    denominator certified once: :func:`_slice_functions` at the one ``z``."""
+    return _only(_slice_functions(x, [z], det_denominator))
+
+
+def _slice_functions(x: GammaCurve, zs, det_denominator: str) -> list:
+    """The slice functions ``(f11, f22, det)`` of a curve at each of ``zs``,
+    or the exception that refuses them.  The slice terms of all ``zs`` come
+    from one expression with ``z`` as a column, and the slice denominators of
+    one trimmed length are certified together (``RationalFunction.over`` on
+    each, see ``hardy._factored``)."""
+    column = np.array(zs, dtype=complex)[:, None]
+    (n1, n2, n3), den, det_den = _slice_terms(x.rows, column, det_denominator)
     if det_den is den:
-        return tuple(RationalFunction.over(den, (n1, n2, n3)))
-    f11, f22 = RationalFunction.over(den, (n1, n2))
-    return f11, f22, *RationalFunction.over(det_den, (n3,))
+        built = RationalFunction._over_many(list(zip(den, zip(n1, n2, n3))))
+        return [f if isinstance(f, Exception) else tuple(f) for f in built]
+    built = RationalFunction._over_many([*zip(den, zip(n1, n2)), *zip(det_den, zip(n3))])
+    out = []
+    for diagonal, det in zip(built[: len(zs)], built[len(zs) :]):
+        failed = [f for f in (diagonal, det) if isinstance(f, Exception)]
+        out.append(failed[0] if failed else (*diagonal, *det))
+    return out
 
 
 def psi3_eval(x: GammaCurve, lam: complex, z1: complex, z2: complex) -> complex:
@@ -647,12 +652,12 @@ class SlicedSchur2x2:
 
 
 def _slice_values(d11, d22, off) -> np.ndarray:
-    """Slice values, shape ``(n, 2, 2)``, from the diagonal and, unless the
-    slice is triangular, ``off = (inner, sqrt(outer))``."""
-    out = np.zeros((len(d11), 2, 2), dtype=complex)
-    out[:, 0, 0], out[:, 1, 1] = d11, d22
+    """Slice values, shape ``d11.shape + (2, 2)``, from the diagonal and,
+    unless the slice is triangular, ``off = (inner, sqrt(outer))``."""
+    out = np.zeros(d11.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = d11, d22
     if off is not None:
-        out[:, 0, 1], out[:, 1, 0] = off[0] * off[1], off[1]
+        out[..., 0, 1], out[..., 1, 0] = off[0] * off[1], off[1]
     return out
 
 
@@ -675,79 +680,148 @@ def build_slice_schur(x: GammaCurve, z: complex, det_denominator: str = "correct
     determinant slice (to ``SLICE_TOL``), both from one evaluation of the
     slice.  Failures raise ``ValueError`` with the worst offending point.
     The lower-left entry ``sqrt(outer)`` is positive at the origin by
-    construction (see ``InnerOuterPair``).  Every value of the slice's terms
-    comes from the curve's ``row_values``, computed only where a check reads
-    it: at the interior points of ``inner_outer`` and the contractivity
-    grid; the scale of ``inner_outer``'s check comes from the curve's
-    ``circle_values``, read only on a miss above its tolerance.  Each slice
-    denominator is certified once, from its roots: ``f11 f22 - det`` goes
-    over the square of the slice denominator (times the printed determinant
-    denominator, when that differs), with no check of its own, and
-    ``inner_outer`` takes its poles from those roots and evaluates the pair
-    in one pass for all its checks and the others.
+    construction (see ``InnerOuterPair``).  This is :func:`_slice_grid` at
+    the one parameter ``z``: a grid of slices is built in one stacked pass,
+    and each slice is the one it builds alone.
     """
-    if not isinstance(x, GammaCurve):
-        raise TypeError("build_slice_schur expects a GammaCurve")
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("slice parameter must lie in the open unit disc")
-    f11, f22, det_slice = _curve_slice(x, z, det_denominator)
-    terms = _slice_terms(x.row_values, z, det_denominator)
-    (v11, v22, v_det), v_den, v_det_den = terms
-    # f11 and f22 share one denominator; the printed determinant slice has
-    # its own, the only place where two denominators meet.  f11 f22 - det
-    # goes over a product of the certified slice denominators, checked by
-    # its factors
+    return _only(_slice_grid(x, [z], det_denominator))
+
+
+def _d_values(nums, den, det_den, ratio):
+    """``f11 f22 - det`` from the values of the slice terms: over ``den**2``
+    when ``ratio``, the determinant denominator over ``den``, is given (a
+    scalar, or a column for rows of values), else as a difference of
+    quotients."""
+    if ratio is None:
+        return nums[0] * nums[1] / (den * den) - nums[2] / det_den
+    return (nums[0] * nums[1] - nums[2] / ratio * den) / (den * den)
+
+
+def _circle_d(x: GammaCurve, z: complex, det_denominator: str, ratio):
+    """``f11 f22 - det`` at the 2048 :data:`BOUNDARY_NODES`, from the curve's
+    ``circle_values``."""
+    nums, den, det_den = _slice_terms(x.circle_values, z, det_denominator)
+    return _d_values(nums, den, det_den, ratio)
+
+
+def _product(f11: RationalFunction, f22: RationalFunction, det_slice: RationalFunction):
+    """``f11 f22 - det`` as a function over a product of the certified slice
+    denominators, checked by its factors, and the ratio of the determinant
+    denominator to that of ``f11`` and ``f22`` (None when it is not a scalar
+    multiple of it, which only the printed determinant slice gives)."""
     den = f11.denominator
     ratio = _scalar_ratio(det_slice.denominator, den)
-
-    def d_of(n, v_den, v_det_den):  # f11 f22 - det from the values of the slice terms
-        if ratio is None:
-            return n[0] * n[1] / (v_den * v_den) - n[2] / v_det_den
-        return (n[0] * n[1] - n[2] / ratio * v_den) / (v_den * v_den)
-
-    diag = npoly.polymul(f11.numerator, f22.numerator)
+    diag = _poly.mul(f11.numerator, f22.numerator)
     if ratio is not None:
-        corr = npoly.polymul(det_slice.numerator / ratio, den)
-        num = npoly.polysub(diag, corr)
+        corr = _poly.mul(det_slice.numerator / ratio, den)
+        num = _poly.sub(diag, corr)
         # f11 f22 - det vanishes identically when what is left of it is the
         # rounding noise of the two products
         noise = POLY_NOISE * float(np.abs(diag).sum() + np.abs(corr).sum())
         if float(np.abs(num).max()) <= noise:
             num = np.zeros(1, dtype=complex)
         (d,) = RationalFunction.over_product(((f11, 2),), (num,))
-    else:
-        # f11 f22 - det over den**2 * det_den, with the coefficients of
-        # f11 * f22 - det_slice taken as a difference of quotients
-        (prod,) = RationalFunction.over_product(((f11, 2),), (diag,))
-        num = npoly.polysub(
-            npoly.polymul(prod.numerator, det_slice.denominator),
-            npoly.polymul(det_slice.numerator, prod.denominator),
-        )
-        (d,) = RationalFunction.over_product(((f11, 2), (det_slice, 1)), (num,))
-    at = slice(_GRID_AT, None)  # the contractivity grid
-    pair = None
-    if not d.is_zero:
-        circle = lambda: d_of(*_slice_terms(x.circle_values, z, det_denominator))
-        samples = (d_of(*terms)[:_GRID_AT], circle)
-        pair = inner_outer(d, tol=SLICE_TOL, samples=samples, _points=_SLICE_GRID)
-    sliced = SlicedSchur2x2(z, f11, f22, det_slice, pair, pair is None)
+        return d, ratio
+    # f11 f22 - det over den**2 * det_den, with the coefficients of
+    # f11 * f22 - det_slice taken as a difference of quotients
+    (prod,) = RationalFunction.over_product(((f11, 2),), (diag,))
+    num = _poly.sub(
+        _poly.mul(prod.numerator, det_slice.denominator),
+        _poly.mul(det_slice.numerator, prod.denominator),
+    )
+    (d,) = RationalFunction.over_product(((f11, 2), (det_slice, 1)), (num,))
+    return d, ratio
 
-    lam = _SLICE_GRID
-    off = None if pair is None else pair._at_points
-    vals = _slice_values(v11[at] / v_den[at], v22[at] / v_den[at], off)
-    norms = operator_norms(vals)
-    worst = int(np.argmax(norms))
-    if float(norms[worst]) > 1.0 + CONTRACTIVE_SLACK:
-        raise ValueError(
-            f"slice at z={z} is not contractive: norm {norms[worst]:.9f} at "
-            f"lam={lam[worst]:.4f}"
+
+def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> list:
+    """For each parameter of ``z_grid``, the slice that
+    :func:`build_slice_schur` builds at it, or the exception that it raises.
+
+    One pass builds every slice, and each slice gets the bits it gets alone.
+    Every value of the slices' terms comes from the curve's ``row_values``,
+    with ``z`` as a column, at the interior points of ``inner_outer`` and the
+    contractivity grid; the scale of ``inner_outer``'s check comes from the
+    curve's ``circle_values``, read only on a miss above its tolerance.  The
+    slice denominators of one trimmed length are certified together, from
+    their roots (:func:`_slice_functions`).  ``f11 f22 - det`` goes over the
+    square of the slice denominator (times the printed determinant
+    denominator, when that differs), with no check of its own.  The pairs
+    come from ``hardy._inner_outer_many``: one root solve per numerator
+    length, the poles from the certified roots, and one evaluation per
+    factor signature for the reconstruction check and the other checks.
+    The contractivity and determinant checks run on the stacked slice
+    values.
+    """
+    if not isinstance(x, GammaCurve):
+        raise TypeError("build_slice_schur expects a GammaCurve")
+    zs = [complex(z) for z in z_grid]
+    out: list = [
+        ValueError("slice parameter must lie in the open unit disc") if abs(z) >= 1.0 else None
+        for z in zs
+    ]
+    live = [i for i, item in enumerate(out) if item is None]
+    try:
+        built = _slice_functions(x, [zs[i] for i in live], det_denominator)
+        terms = _slice_terms(x.row_values, np.array(zs)[:, None], det_denominator)
+    except ValueError as exc:  # an unknown det_denominator
+        return [exc if item is None else item for item in out]
+    (v11, v22, v_det), v_den, v_det_den = terms
+    products = {}
+    for i, functions in zip(live, built):
+        out[i] = functions
+        if not isinstance(functions, Exception):
+            products[i] = _product(*functions)
+
+    # f11 f22 - det at the interior points of inner_outer, the slices with a
+    # ratio stacked apart from those without
+    head = slice(None, _GRID_AT)
+    interior = {}
+    for has_ratio in (True, False):
+        idx = [i for i, (_, ratio) in products.items() if (ratio is not None) == has_ratio]
+        ratio = np.array([products[i][1] for i in idx])[:, None] if has_ratio else None
+        values = _d_values(
+            (v11[idx, head], v22[idx, head], v_det[idx, head]),
+            v_den[idx, head],
+            v_det_den[idx, head],
+            ratio,
         )
-    dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
-    det_err = float(np.abs(dets - v_det[at] / v_det_den[at]).max())
-    if det_err > SLICE_TOL:
-        raise ValueError(f"slice determinant mismatch {det_err:.3e}")
-    return sliced
+        interior.update(zip(idx, values))
+    factored = [i for i, (d, _) in products.items() if not d.is_zero]
+    samples = [
+        (interior[i], partial(_circle_d, x, zs[i], det_denominator, products[i][1]))
+        for i in factored
+    ]
+    fs = [products[i][0] for i in factored]
+    pairs = dict(zip(factored, _inner_outer_many(fs, SLICE_TOL, samples, _SLICE_GRID)))
+    for i in products:
+        pair = pairs.get(i)
+        if isinstance(pair, Exception):
+            out[i] = pair
+        else:
+            out[i] = SlicedSchur2x2(zs[i], *out[i], pair, pair is None)
+
+    # contractivity and the determinant, on the slices at the grid
+    idx = [i for i in products if isinstance(out[i], SlicedSchur2x2)]
+    at = slice(_GRID_AT, None)
+    off = np.zeros((2, len(idx), -_GRID_AT), dtype=complex)  # 0 on a triangular slice
+    for s, i in enumerate(idx):
+        if not out[i].triangular:
+            off[:, s] = out[i].pair._at_points
+    vals = _slice_values(v11[idx, at] / v_den[idx, at], v22[idx, at] / v_den[idx, at], off)
+    norms = operator_norms(vals.reshape(-1, 2, 2)).reshape(vals.shape[:2])
+    dets = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
+    det_errs = np.abs(dets - v_det[idx, at] / v_det_den[idx, at]).max(axis=-1)
+    lam = _SLICE_GRID
+    for i, row, det_err in zip(idx, norms, map(float, det_errs)):
+        worst = int(np.argmax(row))
+        if float(row[worst]) > 1.0 + CONTRACTIVE_SLACK:
+            out[i] = ValueError(
+                f"slice at z={zs[i]} is not contractive: norm {row[worst]:.9f} at "
+                f"lam={lam[worst]:.4f}"
+            )
+        elif det_err > SLICE_TOL:
+            out[i] = ValueError(f"slice determinant mismatch {det_err:.3e}")
+    return out
 
 
 # ---------------------------------------------------------------------------

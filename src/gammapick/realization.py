@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from . import _poly
 from .linalg import as_cmatrix, operator_norm
 from .tolerances import GRAM_SLACK, MODAL_KAPPA, NORM_SLACK, SCHUR_TOL, SIGMA_GAP
 
@@ -282,18 +283,17 @@ def realization_to_rational(f: RealizedSchurFunction):
     """
     from .hardy import RationalFunction
 
-    poly = np.polynomial.polynomial
     if f.m == 0:
         den, coeffs = np.ones(1), [[v] for v in f.p.ravel()]
     else:
         eigs = np.linalg.eigvals(f.s)
         den = np.array([1.0 + 0j])
         for e in eigs:
-            den = poly.polymul(den, np.array([1.0, -e], dtype=complex))
+            den = _poly.mul(den, np.array([1.0, -e], dtype=complex))
         # F_ij * den is a polynomial of degree <= m: interpolate on m+1 nodes
         nodes = 0.5 * np.exp(2j * np.pi * np.arange(f.m + 1) / (f.m + 1))
         vals = f.evaluate_many(nodes)
-        denvals = poly.polyval(nodes, den)
+        denvals = _poly.val(nodes, den)
         vander = np.vander(nodes, f.m + 1, increasing=True)
         coeffs = [
             np.linalg.solve(vander, vals[:, i, j] * denvals)

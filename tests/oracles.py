@@ -359,13 +359,23 @@ def mu_oracle_312(a, n_r: int = 400, n_t: int = 360, polish: bool = True) -> flo
     return 1.0 / best
 
 
-def mu_oracle_211(a, n_r: int = 400, n_t: int = 720, polish: bool = True) -> float:
-    """Direct-definition mu for the two-scalar diagonal structure on 2x2."""
+def mu_oracle_211(
+    a, n_r: int = 400, n_t: int = 720, polish: bool = True, bisect: bool = True
+) -> float:
+    """Direct-definition mu for the two-scalar diagonal structure on 2x2.
+
+    After the polish, ``bisect`` ends with the radius bisection of
+    ``mu_oracle_312``, which can only raise the value."""
     a = np.asarray(a, dtype=complex)
     d1, d2 = a[0, 0], a[1, 1]
     det2 = complex(np.linalg.det(a))
     if max(abs(d1), abs(d2), abs(det2)) < 1e-14:
         return 0.0
+    if a[0, 1] * a[1, 0] == 0:
+        # triangular: det(I - A X) = (1 - d1 x1)(1 - d2 x2) vanishes where x1 =
+        # 1 / d1 or x2 = 1 / d2, the other coordinate free (0).  The closure
+        # below, x1 as a function of x2, misses the second branch
+        return float(max(abs(d1), abs(d2)))
     corners = [1.0 / abs(v) for v in (d1, d2) if abs(v) > 1e-14]
     radius = min(corners) if corners else 1.0
 
@@ -404,6 +414,8 @@ def mu_oracle_211(a, n_r: int = 400, n_t: int = 720, polish: bool = True) -> flo
         )
         if res.fun < best:
             best = float(res.fun)
+        if bisect:
+            best = _bisect_radius([1.0, -d2], [-d1, det2], best)
     return 1.0 / best
 
 
@@ -438,5 +450,5 @@ def tetrablock_completion_mu(x, n_scale: int = 240) -> float:
         return mu_oracle_211(a)
     for t in np.geomspace(1e-4, 1e4, n_scale):
         a = np.array([[x1, t], [off / t, x2]], dtype=complex)
-        best = min(best, mu_oracle_211(a, n_r=120, n_t=180, polish=True))
+        best = min(best, mu_oracle_211(a, n_r=120, n_t=180, polish=True, bisect=False))
     return float(best)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gammapick
-from gammapick import cli, hardy, lurking, nevanlinna, tolerances
+from gammapick import _poly, cli, hardy, lurking, nevanlinna, tolerances
 from gammapick.cli import run
 from gammapick.domains import E311, mu, pi_coordinates
 from gammapick.kernels import tensor_grid, upper_e
@@ -1036,23 +1036,35 @@ def test_certify_checks_each_denominator_once(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["slice_checks"][-1]["z"] == [0.0, 0.0]
     assert all(row["ok"] for row in report["slice_checks"])
-    # every polyroots call is a certificate's or, inside inner_outer, one for
-    # the numerator of f11 f22 - det: the poles are the certified roots
-    calls = {"polyroots": 0, "inner_outer": 0}
-    polyroots, inner_outer = hardy.npoly.polyroots, hardy.inner_outer
+    # every companion matrix solved is a certificate's or, for the pairs, one
+    # for the numerator of f11 f22 - det: the poles are the certified roots.
+    # They go in three stacked eigvals calls, one per stack of one length:
+    # the curve's denominator, the nine slice denominators and the nine
+    # numerators; the nine pairs come from one pass
+    stacks, eigvals_calls, pair_passes = [], [], []
+    roots, eigvals, many = _poly.roots, np.linalg.eigvals, nevanlinna._inner_outer_many
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_roots(stack):
+        stacks.append(len(stack))
+        return roots(stack)
 
-        return wrapper
+    def counted_eigvals(a):
+        eigvals_calls.append(a.shape)
+        return eigvals(a)
+
+    def counted_many(fs, *args):
+        pair_passes.append(len(fs))
+        return many(fs, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hardy.npoly, "polyroots", counted("polyroots", polyroots))
-        mp.setattr(nevanlinna, "inner_outer", counted("inner_outer", inner_outer))
+        mp.setattr(_poly, "roots", counted_roots)
+        mp.setattr(np.linalg, "eigvals", counted_eigvals)
+        mp.setattr(nevanlinna, "_inner_outer_many", counted_many)
         run(argv)
-    assert calls == {"polyroots": 1 + 2 * len(DEFAULT_Z_GRID), "inner_outer": len(DEFAULT_Z_GRID)}
+    assert sum(stacks) == 1 + 2 * len(DEFAULT_Z_GRID)
+    assert stacks == [1, len(DEFAULT_Z_GRID), len(DEFAULT_Z_GRID)]
+    assert [shape[0] for shape in eigvals_calls] == stacks
+    assert pair_passes == [len(DEFAULT_Z_GRID)]
     capsys.readouterr()
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -283,11 +283,24 @@ def test_mu_property_lies_in_its_bracket(structure, real, data):
     assert value == bracket.upper
 
 
+# A real E(3;2;1,2) matrix on which this property failed in full tier-1 runs
+# and passed in lone runs: the derandomized draws move with the constants of
+# the modules loaded.  Pinned, it runs every time; its bracket is
+# [0.6318409399080843, 0.6318409399125691] and the oracle 0.6318409399080839.
+_PINNED_312 = ("E(3;2;1,2)", True, np.array([[-0.01, 0, -0.03], [0, 0, 0], [-0.66, 0, -0.6]]))
+
+
 @pytest.mark.parametrize("structure, real", _CASES)
 @settings(max_examples=10, deadline=None, derandomize=True)
+@example(data=_PINNED_312)
 @given(data=st.data())
 def test_mu_property_bracket_contains_oracle(structure, real, data):
-    a = data.draw(_matrices(structure.n, real))
+    if isinstance(data, tuple):  # the pinned example, for its own case only
+        label, pinned_real, a = data
+        if (label, pinned_real) != (structure.label(), real):
+            return
+    else:
+        a = data.draw(_matrices(structure.n, real))
     bracket = mu_bound(a, structure)
     ora = mu_oracle(a, structure.label())
     # the oracle is 1 / |X| for a structured X with det(I - a X) = 0, so it

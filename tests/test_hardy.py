@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gammapick import hardy
+from gammapick import _poly, hardy
 from gammapick.hardy import (
     InnerOuterPair,
     RationalFunction,
@@ -314,15 +314,15 @@ def test_exact_pair_root_validation():
 
 
 def root_certificates(fn) -> int:
-    """Number of root certificates ``fn()`` computes: calls of
-    ``hardy._certified`` on a denominator that is not a constant."""
+    """Number of root certificates ``fn()`` computes: rows of the stacks of
+    denominators, none of them constant, that ``hardy._certified`` is given."""
     count = 0
     original = hardy._certified
 
-    def counted(den):
+    def counted(dens):
         nonlocal count
-        count += hardy._trim(den).size > 1
-        return original(den)
+        count += len(dens)
+        return original(dens)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hardy, "_certified", counted)
@@ -348,22 +348,23 @@ def test_over_checks_k_numerators_once():
 def test_over_certifies_from_roots_and_circle_values():
     calls = []
 
-    def polyroots(c):
-        calls.append(("roots", c))
-        return npoly.polyroots(c)
+    def roots(stack):
+        calls.append(("roots", stack))
+        return _poly.roots(stack)
 
-    def polyval(x, c):
+    def horner(h, x):
         calls.append(("values", x))
-        return npoly.polyval(x, c)
+        return _poly.horner(h, x)
 
     with pytest.MonkeyPatch.context() as mp:
-        # the certificate reads one polyroots call and the denominator's
-        # values at 8n points of the unit circle, n its degree
-        mp.setattr(hardy, "npoly", SimpleNamespace(polyroots=polyroots, polyval=polyval))
+        # the certificate reads one root solve and the denominator's values
+        # at 8n points of the unit circle, n its degree
+        mp.setattr(hardy, "_poly", SimpleNamespace(roots=roots, horner=horner))
         built = RationalFunction.over(_DEN_A, [[1.0], [2.0]])
     assert [kind for kind, _ in calls] == ["roots", "values"]
+    assert calls[0][1].shape == (1, 3)
     np.testing.assert_allclose(calls[1][1], np.exp(2j * np.pi * np.arange(16) / 16), atol=1e-15)
-    # the factor carries the roots of its one polyroots call
+    # the factor carries the roots of its one root solve, the bits of polyroots
     ((den, roots, mult),) = built[0].factors
     assert mult == 1 and built[1].factors is built[0].factors
     assert roots.tobytes() == npoly.polyroots(den).tobytes()

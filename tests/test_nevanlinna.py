@@ -251,11 +251,12 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
     )
     (expected,) = RationalFunction.over_product(((prod, 1), (det, 1)), (num,))
     handed = []
-    original_io = nevanlinna.inner_outer
+    original_io = nevanlinna._inner_outer_many
 
-    def recorded_io(d, **kwargs):
-        handed.append((d, original_io(d, **kwargs)))
-        return handed[-1][1]
+    def recorded_io(fs, *args):
+        pairs = original_io(fs, *args)
+        handed.extend(zip(fs, pairs))
+        return pairs
 
     def built():
         try:
@@ -264,7 +265,7 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
             assert "not contractive" in str(exc)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nevanlinna, "inner_outer", recorded_io)
+        mp.setattr(nevanlinna, "_inner_outer_many", recorded_io)
         mp.setattr(RationalFunction, "__call__", None)  # no slice is evaluated
         certificates = root_certificates(built)
     ((d, pair),) = handed
@@ -309,11 +310,8 @@ def _numbers_out(message: str) -> str:
 def _certificate_outcome(den) -> str:
     """What the root certificate decides on ``den``: "pass", or its message
     with the numbers taken out."""
-    try:
-        hardy._certified(den)
-    except ValueError as exc:
-        return _numbers_out(str(exc))
-    return "pass"
+    (outcome,) = hardy._factored([np.asarray(den, dtype=complex)])
+    return _numbers_out(str(outcome)) if isinstance(outcome, ValueError) else "pass"
 
 
 def _curve_with_slice_root(root: complex, z: complex = 0.5) -> GammaCurve:
@@ -454,14 +452,14 @@ def test_a_slice_reads_its_scale_from_the_circle_values():
     # f11 f22 - det at the boundary nodes; reading them fills circle_values
     _, curve = _curve(seed=9, m=2)
     handed = []
-    original = nevanlinna.inner_outer
+    original = nevanlinna._inner_outer_many
 
-    def recorded(d, **options):
-        handed.append((d, options["samples"]))
-        return original(d, **options)
+    def recorded(fs, tol, samples, points):
+        handed.extend(zip(fs, samples))
+        return original(fs, tol, samples, points)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nevanlinna, "inner_outer", recorded)
+        mp.setattr(nevanlinna, "_inner_outer_many", recorded)
         build_slice_schur(curve, 0.3 - 0.2j)
     ((d, (interior, circle)),) = handed
     assert "circle_values" not in vars(curve)
@@ -686,15 +684,18 @@ def test_curve_keeps_its_shared_form():
 
 
 def test_build_slice_schur_evaluates_the_slice_once():
-    # one factor stack and one Blaschke product for the pair, at the interior
-    # points of its reconstruction check, the contractivity grid and the
-    # origin; the diagonal comes from the curve's rows
+    # one Blaschke product for the pair, at the interior points of its
+    # reconstruction check and the contractivity grid, and one factor stack
+    # for each of the two point sets; none through the pair's own methods.
+    # The diagonal comes from the curve's rows
     _, curve = _curve(seed=9)
     for owner, name, count in (
         (SlicedSchur2x2, "evaluate_many", 0),
         (RationalFunction, "__call__", 0),
-        (hardy.InnerOuterPair, "_factor_stack", 1),
-        (hardy, "blaschke_eval", 1),
+        (hardy.InnerOuterPair, "_factor_stack", 0),
+        (hardy, "blaschke_eval", 0),
+        (hardy, "_factor_rows", 2),
+        (hardy, "_blaschke_rows", 1),
     ):
         assert _calls(owner, name, lambda: build_slice_schur(curve, 0.35)) == count
     # the values of that pass at the grid are the pair's own there, to the
@@ -708,16 +709,16 @@ def test_build_slice_schur_evaluates_the_slice_once():
 
 def _handed_to_inner_outer(curve, z):
     """The slice and the function ``f11 f22 - det`` that
-    :func:`build_slice_schur` hands to ``inner_outer``."""
+    :func:`build_slice_schur` hands to ``hardy._inner_outer_many``."""
     handed = []
-    original = nevanlinna.inner_outer
+    original = nevanlinna._inner_outer_many
 
-    def recorded(d, **options):
-        handed.append(d)
-        return original(d, **options)
+    def recorded(fs, *args):
+        handed.extend(fs)
+        return original(fs, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nevanlinna, "inner_outer", recorded)
+        mp.setattr(nevanlinna, "_inner_outer_many", recorded)
         s = build_slice_schur(curve, z)
     (d,) = handed
     return s, d
@@ -976,3 +977,63 @@ def test_empty_targets_and_node_sets_are_rejected():
         PickData((0.1,), (np.zeros((0, 0)),))
     with pytest.raises(ValueError, match="at least one node"):
         GammaNodes("gamma7", (), ())
+
+
+# ---------------------------------------------------------------------------
+# the stacked slice pass: a slice does not depend on its neighbours
+
+
+def _slice_bits(sliced):
+    """Everything a slice's checks read and its values come from, as bytes,
+    or the message of the exception that refused it."""
+    if isinstance(sliced, Exception):
+        return str(sliced)
+    functions = (sliced.f11, sliced.f22, sliced.det_slice)
+    bits = [c.tobytes() for f in functions for c in (f.numerator, f.denominator)]
+    pair = sliced.pair
+    if pair is None:
+        return sliced.triangular, *bits
+    return (
+        sliced.triangular,
+        *bits,
+        repr(pair.unimodular_constant),
+        pair.blaschke_zeros.tobytes(),
+        pair.outer_roots.tobytes(),
+        pair.den_roots.tobytes(),
+        repr(pair.outer_scale),
+        *(np.ascontiguousarray(values).tobytes() for values in pair._at_points),
+    )
+
+
+def _criterion7_curve():
+    a = ((0.5, 0.2, 0.0), (0.0, 0.4, 0.1), (0.1, 0.0, 0.3))
+    entries = [[RationalFunction([0.0, a[i][j]]) for j in range(3)] for i in range(3)]
+    return gamma_curve_from_entries(entries, "gamma7")
+
+
+@pytest.mark.parametrize(
+    "build, det_denominator, failed, triangular",
+    [
+        pytest.param(lambda: _curve(seed=4, m=2)[1], "corrected", [], [], id="rational-gamma7"),
+        pytest.param(
+            lambda: _curve(seed=4, variant="gamma5", m=2)[1],
+            "printed",
+            [0.6, -0.6, 0.6j],
+            [],
+            id="rational-gamma5-printed",
+        ),
+        pytest.param(_criterion7_curve, "corrected", [], [0.0], id="criterion7-gamma7"),
+    ],
+)
+def test_a_slice_does_not_depend_on_its_neighbours(build, det_denominator, failed, triangular):
+    # each z of the default grid alone, in the grid and in the reversed grid:
+    # the same pair data and slice values to the last bit, or the same message
+    curve, grid = build(), list(DEFAULT_Z_GRID)
+    alone = [_slice_bits(nevanlinna._slice_grid(curve, [z], det_denominator)[0]) for z in grid]
+    together = [_slice_bits(s) for s in nevanlinna._slice_grid(curve, grid, det_denominator)]
+    backwards = nevanlinna._slice_grid(curve, grid[::-1], det_denominator)[::-1]
+    assert together == alone
+    assert [_slice_bits(s) for s in backwards] == alone
+    assert [z for z, bits in zip(grid, alone) if isinstance(bits, str)] == failed
+    assert all("not contractive" in alone[grid.index(z)] for z in failed)
+    assert [z for z, bits in zip(grid, alone) if not isinstance(bits, str) and bits[0]] == triangular
