@@ -54,7 +54,6 @@ from .linalg import as_cmatrix
 from .tolerances import BRACKET_RTOL, MEMBER_TOL
 
 __all__ = [
-    "BRACKET_RTOL",
     "BlockStructure",
     "GammaPoint",
     "MuBound",

@@ -25,13 +25,11 @@ from .tolerances import (
     BARE_ZERO,
     CIRCLE_BAND,
     DISC_SLACK,
-    POLY_NOISE,
     SLICE_TOL,
     UNIMODULAR_TOL,
 )
 
 __all__ = [
-    "POLY_NOISE",
     "RationalFunction",
     "InnerOuterPair",
     "INTERIOR",
@@ -215,12 +213,9 @@ class RationalFunction:
     factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        num = _finite(self.numerator)
-        den, (num,) = _lifted(_finite(self.denominator), [num])
-        object.__setattr__(self, "numerator", trim(num))
-        den, factors = _only(_factored([den]))
-        object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "factors", factors)
+        (f,) = self.over(self.denominator, [self.numerator])
+        for name in ("numerator", "denominator", "factors"):
+            object.__setattr__(self, name, getattr(f, name))
 
     @classmethod
     def _built(cls, numerator: np.ndarray, denominator: np.ndarray, factors: tuple):
@@ -288,11 +283,6 @@ class RationalFunction:
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
         return _poly.val(lam, self.numerator) / _poly.val(lam, self.denominator)
-
-    def numerator_roots(self) -> np.ndarray:
-        if self.is_zero or self.numerator.size == 1:
-            return np.zeros(0, dtype=complex)
-        return _poly.roots(self.numerator[None])[0]
 
 
 def blaschke_eval(zeros, constant: complex, lam):
@@ -366,9 +356,6 @@ class InnerOuterPair:
     prod(1 - lam/p)``, over the ``outer_roots`` ``r_out`` (on or outside the
     unit circle), the Blaschke zeros ``z`` and the ``den_roots`` ``p``
     (outside the closed disc), so ``outer(0) = outer_scale > 0``.
-    ``_at_points`` is an output for the slice pass of ``nevanlinna`` alone:
-    ``(inner, sqrt(outer))`` at the points it gave :func:`_inner_outer_many`,
-    from the pass that checked the pair, else None.
     """
 
     unimodular_constant: complex
@@ -376,7 +363,6 @@ class InnerOuterPair:
     outer_roots: np.ndarray = field(repr=False)
     den_roots: np.ndarray = field(repr=False)
     outer_scale: float = 1.0
-    _at_points: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         zeros, out, den = (
@@ -404,35 +390,24 @@ class InnerOuterPair:
         ``perfbench/tracing.py`` tags every ``inner_outer`` call by it."""
         return True
 
-    def _factor_stack(self, lam) -> np.ndarray:
-        """Per-point factors of the exact outer form, shape ``(lam.size, k)``
-        (see :func:`_factor_rows`)."""
-        return _factor_rows([self], np.asarray(lam, dtype=complex).ravel())[0]
-
     def inner_eval(self, lam):
         return blaschke_eval(self.blaschke_zeros, self.unimodular_constant, lam)
 
-    def _outer(self, stack: np.ndarray, root: bool = False) -> np.ndarray:
-        """The outer factor, or its square root, from a factor stack."""
-        if root:
-            return np.sqrt(self.outer_scale) * np.prod(np.sqrt(stack), axis=-1)
-        return self.outer_scale * np.prod(stack, axis=-1)
-
     def outer_eval(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        return self._outer(self._factor_stack(lam)).reshape(lam.shape)
+        stack = _factor_rows([self], lam.ravel())[0]
+        return (self.outer_scale * np.prod(stack, axis=-1)).reshape(lam.shape)
 
     def outer_sqrt(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        return self._outer(self._factor_stack(lam), root=True).reshape(lam.shape)
+        stack = _factor_rows([self], lam.ravel())[0]
+        return (np.sqrt(self.outer_scale) * np.prod(np.sqrt(stack), axis=-1)).reshape(lam.shape)
 
     def eval(self, lam):
         return self.inner_eval(lam) * self.outer_eval(lam)
 
 
-def inner_outer(
-    f: RationalFunction, tol: float = SLICE_TOL, samples=None, _points=None
-) -> InnerOuterPair:
+def inner_outer(f: RationalFunction, tol: float = SLICE_TOL) -> InnerOuterPair:
     """Inner-outer factorization of a rational function bounded on the disc.
 
     Numerator roots strictly inside the disc turn into Blaschke zeros and
@@ -446,17 +421,12 @@ def inner_outer(
     z = -(z / |z|) b_z(lam) (1 - conj(z) lam)``.  ``inner * outer`` is checked
     against ``f`` at :data:`INTERIOR`, to ``tol`` times the larger of 1 and
     ``max |f|`` at :data:`BOUNDARY_NODES`, read only for a miss above ``tol``.
-    ``samples``, when given, are the values of ``f`` at :data:`INTERIOR` and a
-    function of no arguments that gives them at :data:`BOUNDARY_NODES`, read
-    instead of evaluating ``f``.  ``_points``, when given, are further points
-    of the closed disc where the pair is evaluated in the same pass as the
-    check, one Blaschke product for all points and one factor stack per point
-    set; their values are the pair's ``_at_points``.  This is :func:`_inner_outer_many`
-    on the one function ``f``.
+    This is :func:`_inner_outer_many` on the one function ``f``.
     """
     if not isinstance(f, RationalFunction):
         raise TypeError("inner_outer expects a RationalFunction")
-    return _only(_inner_outer_many([f], tol, None if samples is None else [samples], _points))
+    pair, _ = _only(_inner_outer_many([f], tol))
+    return pair
 
 
 def _pair_from_roots(f: RationalFunction, roots: np.ndarray) -> InnerOuterPair:
@@ -487,17 +457,20 @@ def _pair_from_roots(f: RationalFunction, roots: np.ndarray) -> InnerOuterPair:
     return InnerOuterPair(constant / abs(constant), inside, outer, poles, outer_scale)
 
 
-def _inner_outer_many(fs, tol: float, samples=None, points=None) -> list:
-    """:func:`inner_outer` on each of ``fs``, with its entry of ``samples``
-    when given and the shared ``points``: its pair, or the exception it
-    raises, as one list entry.
+def _inner_outer_many(fs, tol: float, samples=None, points=()) -> list:
+    """:func:`inner_outer` on each of ``fs``: its pair and the pair's values
+    ``(inner, sqrt(outer))`` at ``points``, or the exception it raises, as
+    one list entry.
 
-    The numerator roots of one length come from one stacked solve
-    (:func:`_poly.roots`).  The pairs with the same numbers of Blaschke
-    zeros, outer roots and poles are evaluated together: one Blaschke product
-    for all points and one factor stack per point set, :data:`INTERIOR` for
-    the check and then ``points``, each filled in place.  Every pair gets the
-    bits that it gets alone.
+    ``samples``, when given, holds for each of ``fs`` its values at
+    :data:`INTERIOR` and a function of no arguments that gives its values at
+    :data:`BOUNDARY_NODES`, read instead of evaluating it.  The numerator
+    roots of one length come from one stacked solve (:func:`_poly.roots`).
+    The pairs with the same numbers of Blaschke zeros, outer roots and poles
+    are evaluated together: one Blaschke product for all points and one
+    factor stack per point set, :data:`INTERIOR` for the check and then
+    ``points``, each filled in place.  Every pair gets the bits that it gets
+    alone.
     """
     out: list = [None] * len(fs)
     found = [np.zeros(0, dtype=complex)] * len(fs)
@@ -512,7 +485,7 @@ def _inner_outer_many(fs, tol: float, samples=None, points=None) -> list:
             out[i] = exc
 
     head = INTERIOR.size
-    lam = INTERIOR if points is None else np.concatenate([INTERIOR, np.ravel(points)])
+    lam = np.concatenate([INTERIOR, np.ravel(points)])
     live = [i for i, pair in enumerate(out) if isinstance(pair, InnerOuterPair)]
     shape = lambda i: (out[i].blaschke_zeros.size, out[i].outer_roots.size, out[i].den_roots.size)
     batches = []
@@ -543,10 +516,9 @@ def _inner_outer_many(fs, tol: float, samples=None, points=None) -> list:
                     f"inner-outer reconstruction error {err:.3e} exceeds tol * scale = "
                     f"{tol * scale:.3e}"
                 )
-        if points is not None:
-            stack = _factor_rows(pairs, lam[head:])
-            roots = np.sqrt(scales) * np.prod(np.sqrt(stack, out=stack), axis=-1)
-            for s, (i, pair) in enumerate(zip(idx, pairs)):
-                if out[i] is pair:
-                    object.__setattr__(pair, "_at_points", (inner[s, head:], roots[s]))
+        stack = _factor_rows(pairs, lam[head:])
+        roots = np.sqrt(scales) * np.prod(np.sqrt(stack, out=stack), axis=-1)
+        for s, (i, pair) in enumerate(zip(idx, pairs)):
+            if out[i] is pair:
+                out[i] = (pair, (inner[s, head:], roots[s]))
     return out

@@ -18,7 +18,6 @@ from .tolerances import STATE_CUTOFF, STATE_FLOOR
 __all__ = [
     "IndefiniteMatrixError",
     "GramInconsistencyError",
-    "STATE_CUTOFF",
     "Spectrum",
     "as_cmatrix",
     "operator_norm",

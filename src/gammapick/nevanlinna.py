@@ -208,10 +208,7 @@ def np_solve(data: PickData, tol: float = PICK_TOL) -> PickInterpolant:
     ArithmeticError
         When the interpolant misses a target by more than ``TARGET_TOL``.
     """
-    (outcome,) = _solve_many([data], tol)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _only(_solve_many([data], tol))
 
 
 def _solve_many(problems: Sequence[PickData], tol: float) -> list:
@@ -534,14 +531,8 @@ def slice_coordinates(x, z: complex, det_denominator: str = "corrected"):
     if isinstance(x, GammaPoint):
         return _slice_point(x, z, det_denominator)
     if isinstance(x, GammaCurve):
-        return _curve_slice(x, z, det_denominator)
+        return _only(_slice_functions(x, [z], det_denominator))
     raise TypeError("slice_coordinates expects a GammaPoint or GammaCurve")
-
-
-def _curve_slice(x: GammaCurve, z: complex, det_denominator: str):
-    """The slice functions ``(f11, f22, det)`` of a curve at ``z``, each
-    denominator certified once: :func:`_slice_functions` at the one ``z``."""
-    return _only(_slice_functions(x, [z], det_denominator))
 
 
 def _slice_functions(x: GammaCurve, zs, det_denominator: str) -> list:
@@ -745,12 +736,12 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
     slice denominators of one trimmed length are certified together, from
     their roots (:func:`_slice_functions`).  ``f11 f22 - det`` goes over the
     square of the slice denominator (times the printed determinant
-    denominator, when that differs), with no check of its own.  The pairs
-    come from ``hardy._inner_outer_many``: one root solve per numerator
-    length, the poles from the certified roots, and one evaluation per
-    factor signature for the reconstruction check and the other checks.
-    The contractivity and determinant checks run on the stacked slice
-    values.
+    denominator, when that differs), with no check of its own.  The pairs,
+    and their values at the contractivity grid, come from
+    ``hardy._inner_outer_many``: one root solve per numerator length, the
+    poles from the certified roots, and one evaluation per factor signature
+    for the reconstruction check and the grid.  The contractivity and
+    determinant checks run on the stacked slice values.
     """
     if not isinstance(x, GammaCurve):
         raise TypeError("build_slice_schur expects a GammaCurve")
@@ -792,12 +783,13 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
         for i in factored
     ]
     fs = [products[i][0] for i in factored]
-    pairs = dict(zip(factored, _inner_outer_many(fs, SLICE_TOL, samples, _SLICE_GRID)))
+    passed = dict(zip(factored, _inner_outer_many(fs, SLICE_TOL, samples, _SLICE_GRID)))
     for i in products:
-        pair = pairs.get(i)
-        if isinstance(pair, Exception):
-            out[i] = pair
+        outcome = passed.get(i, (None, None))  # no pair when f11 f22 - det is zero
+        if isinstance(outcome, Exception):
+            out[i] = outcome
         else:
+            pair, _ = outcome
             out[i] = SlicedSchur2x2(zs[i], *out[i], pair, pair is None)
 
     # contractivity and the determinant, on the slices at the grid
@@ -806,7 +798,7 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
     off = np.zeros((2, len(idx), -_GRID_AT), dtype=complex)  # 0 on a triangular slice
     for s, i in enumerate(idx):
         if not out[i].triangular:
-            off[:, s] = out[i].pair._at_points
+            off[:, s] = passed[i][1]
     vals = _slice_values(v11[idx, at] / v_den[idx, at], v22[idx, at] / v_den[idx, at], off)
     norms = operator_norms(vals.reshape(-1, 2, 2)).reshape(vals.shape[:2])
     dets = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]

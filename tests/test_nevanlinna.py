@@ -254,9 +254,9 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
     original_io = nevanlinna._inner_outer_many
 
     def recorded_io(fs, *args):
-        pairs = original_io(fs, *args)
-        handed.extend(zip(fs, pairs))
-        return pairs
+        outcomes = original_io(fs, *args)
+        handed.extend(zip(fs, outcomes))
+        return outcomes
 
     def built():
         try:
@@ -268,7 +268,7 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
         mp.setattr(nevanlinna, "_inner_outer_many", recorded_io)
         mp.setattr(RationalFunction, "__call__", None)  # no slice is evaluated
         certificates = root_certificates(built)
-    ((d, pair),) = handed
+    ((d, (pair, _)),) = handed
     assert d.numerator.tobytes() == expected.numerator.tobytes()
     assert d.denominator.tobytes() == expected.denominator.tobytes()
     # den and det_den; the products den**2 and den**2 * det_den are not checked
@@ -291,7 +291,7 @@ def test_cached_slice_values_match_the_slice_coefficients(variant, det_denominat
     shared = _curve(seed=5, variant=variant, m=2)[1]
     for curve in (shared, gamma_curve_from_entries(_mixed_entries(), variant)):
         for z in (*DEFAULT_Z_GRID, 0.95 - 0.1j):
-            f11, f22, det = nevanlinna._curve_slice(curve, z, det_denominator)
+            f11, f22, det = slice_coordinates(curve, z, det_denominator)
             coeffs = (f11.numerator, f22.numerator, det.numerator, f11.denominator, det.denominator)
             for points, values in (
                 (nevanlinna._CURVE_POINTS, curve.row_values),
@@ -692,36 +692,38 @@ def test_build_slice_schur_evaluates_the_slice_once():
     for owner, name, count in (
         (SlicedSchur2x2, "evaluate_many", 0),
         (RationalFunction, "__call__", 0),
-        (hardy.InnerOuterPair, "_factor_stack", 0),
+        (hardy.InnerOuterPair, "outer_sqrt", 0),
         (hardy, "blaschke_eval", 0),
         (hardy, "_factor_rows", 2),
         (hardy, "_blaschke_rows", 1),
     ):
         assert _calls(owner, name, lambda: build_slice_schur(curve, 0.35)) == count
-    # the values of that pass at the grid are the pair's own there, to the
-    # last bit
-    s = build_slice_schur(curve, 0.35)
+    # the values that pass hands back at the grid are the pair's own there,
+    # to the last bit
+    s, _, (inner, sqrt_outer) = _handed_to_inner_outer(curve, 0.35)
     points = nevanlinna._CURVE_POINTS[nevanlinna._GRID_AT :]
-    inner, sqrt_outer = s.pair._at_points
     assert inner.tobytes() == s.pair.inner_eval(points).tobytes()
     assert sqrt_outer.tobytes() == s.pair.outer_sqrt(points).tobytes()
 
 
 def _handed_to_inner_outer(curve, z):
-    """The slice and the function ``f11 f22 - det`` that
-    :func:`build_slice_schur` hands to ``hardy._inner_outer_many``."""
+    """The slice, the function ``f11 f22 - det`` that
+    :func:`build_slice_schur` hands to ``hardy._inner_outer_many``, and the
+    values ``(inner, sqrt(outer))`` at the contractivity grid that it hands
+    back."""
     handed = []
     original = nevanlinna._inner_outer_many
 
     def recorded(fs, *args):
-        handed.extend(fs)
-        return original(fs, *args)
+        outcomes = original(fs, *args)
+        handed.extend(zip(fs, outcomes))
+        return outcomes
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nevanlinna, "_inner_outer_many", recorded)
         s = build_slice_schur(curve, z)
-    (d,) = handed
-    return s, d
+    ((d, (_, values)),) = handed
+    return s, d, values
 
 
 @pytest.mark.parametrize("n_points", [64, 1000, 2048, 4096])
@@ -735,7 +737,7 @@ def test_slice_pair_matches_a_direct_factorization(n_points):
     for variant in ("gamma7", "gamma5"):
         _, curve = _curve(seed=4, variant=variant, m=2)
         for z in (0.3, -0.6j):
-            s, d = _handed_to_inner_outer(curve, z)
+            s, d, _ = _handed_to_inner_outer(curve, z)
             direct = hardy.inner_outer(d, tol=1e-6)
             assert s.pair.has_exact_outer and direct.has_exact_outer
             for got, want in (
@@ -751,7 +753,7 @@ def test_slice_boundary_moduli_are_the_root_of_the_factored_function():
     # |f12| = |f21| = |f11 f22 - det|^(1/2) at the 2048 boundary nodes, read
     # off the factored form and compared with the function evaluated there
     _, curve = _curve(seed=0, variant="gamma7", m=1)
-    s, d = _handed_to_inner_outer(curve, 0.3)
+    s, d, _ = _handed_to_inner_outer(curve, 0.3)
     assert s.pair.blaschke_zeros.size == 2
     m12, m21 = s.boundary_moduli()
     want = np.sqrt(np.abs(d(hardy.BOUNDARY_NODES)))
@@ -983,9 +985,10 @@ def test_empty_targets_and_node_sets_are_rejected():
 # the stacked slice pass: a slice does not depend on its neighbours
 
 
-def _slice_bits(sliced):
+def _slice_bits(sliced, values):
     """Everything a slice's checks read and its values come from, as bytes,
-    or the message of the exception that refused it."""
+    with ``values``, its pair's ``(inner, sqrt(outer))`` at the
+    contractivity grid; or the message of the exception that refused it."""
     if isinstance(sliced, Exception):
         return str(sliced)
     functions = (sliced.f11, sliced.f22, sliced.det_slice)
@@ -1001,8 +1004,26 @@ def _slice_bits(sliced):
         pair.outer_roots.tobytes(),
         pair.den_roots.tobytes(),
         repr(pair.outer_scale),
-        *(np.ascontiguousarray(values).tobytes() for values in pair._at_points),
+        *(np.ascontiguousarray(v).tobytes() for v in values),
     )
+
+
+def _grid_bits(curve, zs, det_denominator):
+    """The :func:`_slice_bits` of each slice that ``_slice_grid`` builds at
+    ``zs``, with the values that ``hardy._inner_outer_many`` hands back for
+    its pair."""
+    values = {}
+    original = nevanlinna._inner_outer_many
+
+    def recorded(*args):
+        outcomes = original(*args)
+        values.update(o for o in outcomes if not isinstance(o, Exception))
+        return outcomes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nevanlinna, "_inner_outer_many", recorded)
+        slices = nevanlinna._slice_grid(curve, zs, det_denominator)
+    return [_slice_bits(s, values.get(getattr(s, "pair", None))) for s in slices]
 
 
 def _criterion7_curve():
@@ -1029,11 +1050,9 @@ def test_a_slice_does_not_depend_on_its_neighbours(build, det_denominator, faile
     # each z of the default grid alone, in the grid and in the reversed grid:
     # the same pair data and slice values to the last bit, or the same message
     curve, grid = build(), list(DEFAULT_Z_GRID)
-    alone = [_slice_bits(nevanlinna._slice_grid(curve, [z], det_denominator)[0]) for z in grid]
-    together = [_slice_bits(s) for s in nevanlinna._slice_grid(curve, grid, det_denominator)]
-    backwards = nevanlinna._slice_grid(curve, grid[::-1], det_denominator)[::-1]
-    assert together == alone
-    assert [_slice_bits(s) for s in backwards] == alone
+    alone = [_grid_bits(curve, [z], det_denominator)[0] for z in grid]
+    assert _grid_bits(curve, grid, det_denominator) == alone
+    assert _grid_bits(curve, grid[::-1], det_denominator)[::-1] == alone
     assert [z for z, bits in zip(grid, alone) if isinstance(bits, str)] == failed
     assert all("not contractive" in alone[grid.index(z)] for z in failed)
     assert [z for z, bits in zip(grid, alone) if not isinstance(bits, str) and bits[0]] == triangular
