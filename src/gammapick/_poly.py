@@ -14,7 +14,7 @@ import numpy as np
 
 from .tolerances import TRIM_RTOL
 
-__all__ = ["trim", "add", "sub", "mul", "val", "horner", "roots"]
+__all__ = ["trim", "trims", "padded", "add", "sub", "mul", "val", "horner", "roots"]
 
 
 def _exact(c: np.ndarray) -> np.ndarray:
@@ -28,16 +28,29 @@ def _exact(c: np.ndarray) -> np.ndarray:
 def trim(coeffs) -> np.ndarray:
     """``coeffs`` as a complex copy, entries of at most ``TRIM_RTOL`` of the
     largest set to zero and the trailing ones dropped; ``[0]`` if all are."""
-    c = np.array(coeffs, dtype=complex).ravel()
-    mods = np.abs(c)
-    small = mods <= TRIM_RTOL * np.maximum.reduce(mods, initial=0.0)
-    kept = (~small).nonzero()[0]
-    if not kept.size:
-        return np.zeros(1, dtype=complex)
-    if kept.size < c.size:
-        c[small] = 0.0
-        c = c[: kept[-1] + 1]
-    return c
+    return trims([coeffs])[0]
+
+
+def padded(rows) -> np.ndarray:
+    """``rows``, coefficient arrays, as complex rows zero-padded into one
+    ``(len(rows), max(1, longest))`` stack."""
+    rows = [np.asarray(row, dtype=complex).ravel() for row in rows]
+    stack = np.zeros((len(rows), max([1, *(row.size for row in rows)])), dtype=complex)
+    for out, row in zip(stack, rows):
+        out[: row.size] = row
+    return stack
+
+
+def trims(rows) -> list:
+    """Each of ``rows``, a stack ``(S, L)`` with ``L >= 1`` or else a list of
+    coefficient arrays (:func:`padded`: trailing zeros change no trim), as
+    :func:`trim` gives it alone: one comparison and one zeroed copy for the
+    stack, then a view of that copy per row."""
+    stack = rows if isinstance(rows, np.ndarray) and rows.shape[-1] else padded(rows)
+    mods = np.abs(stack)
+    small = mods <= TRIM_RTOL * mods.max(axis=1, keepdims=True)
+    kept = np.where(small.all(axis=1), 1, stack.shape[1] - np.argmin(small[:, ::-1], axis=1))
+    return [row[:n] for row, n in zip(np.where(small, 0.0, stack), kept.tolist())]
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import _poly
-from ._poly import trim
+from ._poly import padded, trims
 from .tolerances import (
     BARE_ZERO,
     CIRCLE_BAND,
@@ -49,14 +49,6 @@ INTERIOR = (np.linspace(0.05, 0.7, 14)[:, None] * np.exp(2j * np.pi * np.arange(
 _STACK_BYTES = 1 << 17
 
 
-def _finite(coeffs) -> np.ndarray:
-    """``coeffs`` as a complex array, refused if an entry is not finite."""
-    c = np.asarray(coeffs, dtype=complex)
-    if not np.isfinite(c).all():
-        raise ValueError("coefficients must be finite")
-    return c
-
-
 @cache
 def _circle(size: int) -> np.ndarray:
     """``size + 1`` points around the unit circle, the last back at 1."""
@@ -80,17 +72,21 @@ def _least_modulus(roots: np.ndarray, rho: float, size: int):
     return low.min(axis=-1) if size else low
 
 
-def _lifted(den: np.ndarray, nums: list) -> tuple[np.ndarray, list]:
-    """``den`` and ``nums`` times ``2**600`` when the largest coefficient of
-    ``den`` is subnormal, as a division by it overflows; else as they are."""
-    peak = float(np.abs(den).max(initial=0.0))
-    if not 0.0 < peak < np.finfo(float).tiny:
-        return den, nums
-    with np.errstate(over="ignore"):
-        den, nums = den * 2.0**600, [num * 2.0**600 for num in nums]
-    if not all(np.isfinite(num).all() for num in nums):
-        raise ValueError("numerator overflows over a subnormal denominator")
-    return den, nums
+def _lifted(dens: np.ndarray, nums: np.ndarray, rows: np.ndarray):
+    """``dens`` and ``nums`` with each row of ``dens`` whose largest
+    coefficient is subnormal, as a division by it overflows, and its
+    numerators (``rows[j]`` that of ``nums[j]``) times ``2**600``; and, per
+    row, whether that lift overflows one of its numerators."""
+    peaks = np.abs(dens).max(axis=1, initial=0.0)
+    low = (0.0 < peaks) & (peaks < np.finfo(float).tiny)
+    if not low.any():
+        return dens, nums, low
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = np.where(low[:, None], dens * 2.0**600, dens)
+        nums = np.where(low[rows][:, None], nums * 2.0**600, nums)
+    overflows = np.zeros_like(low)
+    overflows[rows[~np.isfinite(nums).all(axis=1)]] = True
+    return dens, nums, low & overflows
 
 
 def _inside(roots: np.ndarray, miss: float, rho: float, low=None) -> int | None:
@@ -176,12 +172,12 @@ def _only(outcomes):
 
 
 def _factored(dens) -> list:
-    """Each of ``dens``, finite and lifted, trimmed with its factors as
+    """Each row of ``dens``, finite and lifted, trimmed with its factors as
     ``(den, factors)``, or the exception that refuses it: no factor for a
     constant, else those :func:`_certified` gives it, for the denominators of
-    one trimmed length together."""
+    one trimmed length together.  The rows are trimmed as one stack."""
     out = []
-    for den in map(trim, dens):
+    for den in trims(np.asarray(dens, dtype=complex)):
         zero = den.size == 1 and den[0] == 0  # trimmed: all zero only as [0]
         out.append(ZeroDivisionError("denominator is identically zero") if zero else (den, ()))
     solved = [i for i, item in enumerate(out) if type(item) is tuple and item[0].size > 1]
@@ -231,27 +227,41 @@ class RationalFunction:
     def over(cls, denominator, numerators):
         """One function per numerator, all over ``denominator``, which is
         trimmed and certified once.  The denominator is the functions' one
-        factor."""
-        return _only(cls._over_many([(denominator, numerators)]))
+        factor.  This is :meth:`_over_many` on one row, the numerators
+        zero-padded to one length, which changes no check and no trim."""
+        den = padded([denominator])
+        nums = padded(numerators)
+        return _only(cls._over_many(den, nums, np.zeros(len(nums), dtype=int)))
 
     @classmethod
-    def _over_many(cls, pairs) -> list:
-        """:meth:`over` on each ``(denominator, numerators)`` pair: its
-        functions, or the exception it raises.  The denominators of one
-        trimmed length are certified together (:func:`_factored`)."""
-        out = []
-        for denominator, numerators in pairs:
-            try:
-                out.append(_lifted(_finite(denominator), [_finite(num) for num in numerators]))
-            except ValueError as exc:
-                out.append(exc)
-        live = [i for i, item in enumerate(out) if type(item) is tuple]
-        for i, factored in zip(live, _factored([out[i][0] for i in live])):
-            if isinstance(factored, Exception):
-                out[i] = factored
-            else:
-                den, factors = factored
-                out[i] = [cls._built(trim(num), den, factors) for num in out[i][1]]
+    def _over_many(cls, dens, nums, rows) -> list:
+        """:meth:`over` on each row of ``dens``, ``(S, L)``, with the
+        numerators ``nums[j]``, ``(N, M)``, that ``rows[j]`` gives it: its
+        functions, in the order of ``nums``, or the exception it raises.
+
+        The finiteness check, the subnormal lift (:func:`_lifted`) and the
+        trims (:func:`_poly.trims`) each run once on the stack, the
+        denominators of one trimmed length are certified together
+        (:func:`_factored`), and each function is built unchecked
+        (:meth:`_built`) from rows that passed."""
+        rows = np.asarray(rows, dtype=int)
+        finite = np.isfinite(dens).all(axis=1)
+        finite[rows[~np.isfinite(nums).all(axis=1)]] = False
+        dens, nums, overflows = _lifted(dens, nums, rows)
+        out: list = [[] for _ in dens]
+        for i in np.flatnonzero(~finite | overflows):
+            out[i] = ValueError(
+                "numerator overflows over a subnormal denominator"
+                if finite[i] else "coefficients must be finite"
+            )
+        live = np.flatnonzero(finite & ~overflows)
+        factored = dict(zip(live.tolist(), _factored(dens[live])))
+        for i, item in factored.items():
+            if isinstance(item, Exception):
+                out[i] = item
+        keep = np.flatnonzero([type(out[i]) is list for i in rows.tolist()])
+        for j, num in zip(keep.tolist(), trims(nums[keep])):
+            out[rows[j]].append(cls._built(num, *factored[rows[j]]))
         return out
 
     @classmethod
@@ -262,18 +272,31 @@ class RationalFunction:
         The product is expanded in the order given, trimmed after each
         multiplication, and is not certified again: its factors are those of
         the functions, with multiplicities scaled by the powers and added
-        where two functions share a factor.
+        where two functions share a factor.  This is :meth:`_over_products`
+        on one row.
         """
-        den, factors = None, {}
-        for f, power in powers:
+        fs, exponents = zip(*powers)
+        return cls._over_products([fs], exponents, [numerators])[0]
+
+    @classmethod
+    def _over_products(cls, rows, powers, numerators) -> list:
+        """:meth:`over_product` on each tuple of functions of ``rows``, all to
+        the ``powers``, with its list of ``numerators``: the functions of each
+        row.  The products are expanded by ``np.convolve`` row by row, and each
+        multiplication's trims, and those of the numerators, run once on the
+        zero-padded stack."""
+        if not rows:
+            return []
+        dens = None
+        for k, power in enumerate(powers):
             for _ in range(power):
-                den = f.denominator if den is None else trim(_poly.mul(den, f.denominator))
-            for factor, roots, mult in f.factors:
-                key = factor.tobytes()
-                count = factors[key][2] if key in factors else 0
-                factors[key] = (factor, roots, count + power * mult)
-        factors = tuple(factors.values())
-        return [cls._built(trim(num), den, factors) for num in numerators]
+                step = [fs[k].denominator for fs in rows]
+                dens = step if dens is None else trims(list(map(_poly.mul, dens, step)))
+        nums = iter(trims([num for row in numerators for num in row]))
+        return [
+            [cls._built(next(nums), den, _merged(fs, powers)) for _ in row]
+            for fs, den, row in zip(rows, dens, numerators)
+        ]
 
     @property
     def is_zero(self) -> bool:
@@ -283,6 +306,19 @@ class RationalFunction:
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
         return _poly.val(lam, self.numerator) / _poly.val(lam, self.denominator)
+
+
+def _merged(fs, powers) -> tuple:
+    """The factors of the product of ``fs`` to ``powers``: those of each
+    function, with multiplicities scaled by its power and added where two
+    functions share a factor."""
+    factors: dict = {}
+    for f, power in zip(fs, powers):
+        for factor, roots, mult in f.factors:
+            key = factor.tobytes()
+            count = factors[key][2] if key in factors else 0
+            factors[key] = (factor, roots, count + power * mult)
+    return tuple(factors.values())
 
 
 def blaschke_eval(zeros, constant: complex, lam):
@@ -300,51 +336,74 @@ def _blaschke_rows(zeros: np.ndarray, constants, lam: np.ndarray) -> np.ndarray:
     """Blaschke products at the points ``lam``, one per row of ``zeros``,
     shape ``(S, k)``, times its entry of ``constants``: shape ``(S,
     lam.size)``.  Each row gets the bits :func:`blaschke_eval` gives it
-    alone: the turn ``|a| / a`` of each zero is divided as a scalar."""
+    alone: the moduli and turns ``|a| / a`` of all zeros are taken as
+    scalars in one pass, the factors' numerators and denominators as one
+    stack, and the product is taken zero by zero."""
     if lam.size and float(np.abs(lam).max()) > 1.0 + DISC_SLACK:
         raise ValueError("evaluation points must lie in the closed unit disc")
+    flat = zeros.T.ravel()  # zero by zero, the order of the product
+    mods = [abs(a) for a in flat]
+    for r in mods:
+        if r >= 1.0:
+            raise ValueError(f"Blaschke zero with modulus {r:.12f} outside the open disc")
+    bare = (np.array(mods) < BARE_ZERO).reshape(zeros.shape[::-1])
+    turns = np.array([1.0 if r < BARE_ZERO else r / a for r, a in zip(mods, flat)])
+    turns = turns.reshape(zeros.shape[::-1])[..., None]
+    tops = zeros.T[..., None] - lam
+    bottoms = 1.0 - np.conj(zeros).T[..., None] * lam
     out = np.empty((len(constants), lam.size), dtype=complex)
     out[:] = np.array(constants)[:, None]
-    for col in zeros.T:
-        mods = [abs(a) for a in col]
-        for r in mods:
-            if r >= 1.0:
-                raise ValueError(f"Blaschke zero with modulus {r:.12f} outside the open disc")
-        bare = np.array([r < BARE_ZERO for r in mods])
-        turns = np.array([1.0 if r < BARE_ZERO else r / a for r, a in zip(mods, col)])
-        step = out * turns[:, None] * (col[:, None] - lam) / (1.0 - np.conj(col)[:, None] * lam)
-        if bare.any():
-            step[bare] = out[bare] * lam
+    for b, turn, top, bottom in zip(bare, turns, tops, bottoms):
+        step = out * turn * top / bottom
+        if b.any():
+            step[b] = out[b] * lam
         out = step
     return out
 
 
-def _factor_rows(pairs, lam: np.ndarray) -> np.ndarray:
-    """The factors of the exact outer forms of ``pairs``, which have one
-    number each of outer roots, Blaschke zeros and poles, at the points
-    ``lam``: shape ``(S, lam.size, k)``, filled in place.
+def _factor_rows(outer: np.ndarray, zeros: np.ndarray, den: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The factors of the exact outer forms with the outer roots, Blaschke
+    zeros and poles of the rows of ``outer``, ``zeros`` and ``den``, at the
+    points ``lam``: shape ``(S, lam.size, k)``.  Each block is computed with
+    the points along its last axis and copied into place.
 
     Every factor maps the open disc into the open right half-plane, and
     the closed disc into the closed one, so principal square roots
     multiply into the analytic branch that is positive at the origin.
     """
-    outer, zeros, den = (
-        np.array([getattr(p, name) for p in pairs])
-        for name in ("outer_roots", "blaschke_zeros", "den_roots")
-    )
-    sizes = [outer.shape[1], zeros.shape[1], den.shape[1]]
-    col = lam[:, None]
-    stack = np.empty((len(pairs), lam.size, 1 + sum(sizes)), dtype=complex)
+    a, b = outer.shape[1], outer.shape[1] + zeros.shape[1]
+    stack = np.empty((len(outer), lam.size, 1 + b + den.shape[1]), dtype=complex)
     stack[..., 0] = 1.0
-    to_outer, to_zeros, to_den = np.split(stack[..., 1:], np.cumsum(sizes[:2]), axis=-1)
-    np.divide(col, outer[:, None], out=to_outer)
-    np.subtract(1.0, to_outer, out=to_outer)
-    np.multiply(np.conj(zeros)[:, None], col, out=to_zeros)
-    np.subtract(1.0, to_zeros, out=to_zeros)
-    np.divide(col, den[:, None], out=to_den)
-    np.subtract(1.0, to_den, out=to_den)
-    np.divide(1.0, to_den, out=to_den)
+    stack[..., 1 : 1 + a] = (1.0 - lam / outer[..., None]).swapaxes(1, 2)
+    stack[..., 1 + a : 1 + b] = (1.0 - np.conj(zeros)[..., None] * lam).swapaxes(1, 2)
+    stack[..., 1 + b :] = (1.0 / (1.0 - lam / den[..., None])).swapaxes(1, 2)
     return stack
+
+
+# what each invariant of InnerOuterPair says when a pair breaks it, in the
+# order they are tested
+_PAIR_INVARIANTS = (
+    "inner constant must be unimodular",
+    "Blaschke zeros must lie in the open disc",
+    "outer roots must lie on or outside the unit circle",
+    "denominator roots must lie outside the closed disc",
+    "outer scale must be positive",
+)
+
+
+def _pair_errors(constants, zeros, outer, den, scales) -> list:
+    """For each row of the stacks, the message of the first invariant of
+    :class:`InnerOuterPair` that it breaks, or None: each array test once on
+    the stack, the scalar tests scalar."""
+    broken = zip(
+        [abs(abs(c) - 1.0) > UNIMODULAR_TOL for c in constants],
+        np.abs(zeros).max(axis=1, initial=0.0) >= 1.0,
+        # a root projected onto the circle may round to a modulus of 1 - 1 ulp
+        np.abs(outer).min(axis=1, initial=np.inf) < 1.0 - 2.0 * np.finfo(float).eps,
+        np.abs(den).min(axis=1, initial=np.inf) <= 1.0,
+        [not scale > 0.0 for scale in scales],
+    )
+    return [next((m for m, bad in zip(_PAIR_INVARIANTS, row) if bad), None) for row in broken]
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,20 +428,22 @@ class InnerOuterPair:
             np.asarray(a, dtype=complex).ravel()
             for a in (self.blaschke_zeros, self.outer_roots, self.den_roots)
         )
-        if abs(abs(complex(self.unimodular_constant)) - 1.0) > UNIMODULAR_TOL:
-            raise ValueError("inner constant must be unimodular")
-        if zeros.size and float(np.abs(zeros).max()) >= 1.0:
-            raise ValueError("Blaschke zeros must lie in the open disc")
-        # a root projected onto the circle may round to a modulus of 1 - 1 ulp
-        if out.size and float(np.abs(out).min()) < 1.0 - 2.0 * np.finfo(float).eps:
-            raise ValueError("outer roots must lie on or outside the unit circle")
-        if den.size and float(np.abs(den).min()) <= 1.0:
-            raise ValueError("denominator roots must lie outside the closed disc")
-        if not self.outer_scale > 0.0:
-            raise ValueError("outer scale must be positive")
+        constant = complex(self.unimodular_constant)
+        (error,) = _pair_errors([constant], zeros[None], out[None], den[None], [self.outer_scale])
+        if error:
+            raise ValueError(error)
         object.__setattr__(self, "blaschke_zeros", zeros)
         object.__setattr__(self, "outer_roots", out)
         object.__setattr__(self, "den_roots", den)
+
+    @classmethod
+    def _built(cls, *values):
+        """A pair from the values of its fields, in order, that passed
+        :func:`_pair_errors`, with no check."""
+        pair = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, values):
+            object.__setattr__(pair, name, value)
+        return pair
 
     @property
     def has_exact_outer(self) -> bool:
@@ -390,17 +451,22 @@ class InnerOuterPair:
         ``perfbench/tracing.py`` tags every ``inner_outer`` call by it."""
         return True
 
+    @property
+    def _roots(self):
+        """The outer roots, Blaschke zeros and poles as one-row stacks."""
+        return self.outer_roots[None], self.blaschke_zeros[None], self.den_roots[None]
+
     def inner_eval(self, lam):
         return blaschke_eval(self.blaschke_zeros, self.unimodular_constant, lam)
 
     def outer_eval(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        stack = _factor_rows([self], lam.ravel())[0]
+        stack = _factor_rows(*self._roots, lam.ravel())[0]
         return (self.outer_scale * np.prod(stack, axis=-1)).reshape(lam.shape)
 
     def outer_sqrt(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        stack = _factor_rows([self], lam.ravel())[0]
+        stack = _factor_rows(*self._roots, lam.ravel())[0]
         return (np.sqrt(self.outer_scale) * np.prod(np.sqrt(stack), axis=-1)).reshape(lam.shape)
 
     def eval(self, lam):
@@ -429,32 +495,77 @@ def inner_outer(f: RationalFunction, tol: float = SLICE_TOL) -> InnerOuterPair:
     return pair
 
 
-def _pair_from_roots(f: RationalFunction, roots: np.ndarray) -> InnerOuterPair:
-    """The inner-outer data of ``f`` from its numerator roots, unchecked
-    against ``f`` (see :func:`inner_outer`)."""
-    if f.is_zero:
-        raise ValueError("the zero function has no inner-outer factorization")
-    mods = np.abs(roots)
-    inside = roots[mods < 1.0 - CIRCLE_BAND]
-    outside = roots[mods > 1.0 + CIRCLE_BAND]
-    snapped = roots[(mods >= 1.0 - CIRCLE_BAND) & (mods <= 1.0 + CIRCLE_BAND)]
-    if snapped.size:
+def _pair_stacks(fs, out: list) -> list:
+    """The inner-outer data of ``fs`` from their numerator roots, unchecked
+    against them (see :func:`inner_outer`), as ``(idx, constants, zeros,
+    outer, poles, scales)`` per signature: the functions of one numerator
+    length, numbers of Blaschke zeros away from the origin and at it, outer
+    and snapped roots, and multiplicities and root numbers of factors.
+    Each pair, or the exception that refuses it, goes to ``out``.
+
+    The roots of one numerator length come from one stacked solve
+    (:func:`_poly.roots`) and are classified on the stack; each signature's
+    zeros, outer roots, poles, constant and scale are taken as stacks and
+    checked by :func:`_pair_errors`.  The scalars keep the arithmetic of a
+    single pair: ``lead / den[0]``, ``|lead|``, ``|den[0]|`` and the unit
+    constant are Python complex and float operations, row by row.
+    """
+    stacks, snaps = [], {}
+    for idx in _groups(range(len(fs)), lambda i: fs[i].numerator.size):
+        if fs[idx[0]].numerator.size == 1:
+            for i in [i for i in idx if fs[i].is_zero]:
+                out[i] = ValueError("the zero function has no inner-outer factorization")
+            idx = [i for i in idx if not fs[i].is_zero]
+            roots = np.zeros((len(idx), 0), dtype=complex)
+        else:
+            roots = _poly.roots(np.stack([fs[i].numerator for i in idx]))
+        mods = np.abs(roots)
+        inside = mods < 1.0 - CIRCLE_BAND
+        snapped = (mods >= 1.0 - CIRCLE_BAND) & (mods <= 1.0 + CIRCLE_BAND)
+        masks = (inside, inside & (mods >= BARE_ZERO), mods > 1.0 + CIRCLE_BAND, snapped)
+        counts = np.stack([m.sum(axis=1) for m in masks], axis=1).tolist()
+        snaps.update((i, n) for i, (*_, n) in zip(idx, counts) if n)
+        key = lambda s: (*counts[s], *((r.size, m) for _, r, m in fs[idx[s]].factors))
+        for group in _groups(range(len(idx)), key):
+            rows = [idx[s] for s in group]
+            zeros, turned, outside, snap = (
+                roots[group][m[group]].reshape(len(group), -1) for m in masks
+            )
+            outer = np.concatenate([outside, snap / np.abs(snap)], axis=1)
+            # the poles from each certified factor, never from their
+            # expanded product, whose repeated roots would scatter
+            poles = np.concatenate(
+                [np.zeros((len(group), 0), dtype=complex)]
+                + [
+                    np.repeat(np.array([fs[i].factors[j][1] for i in rows]), m, axis=1)
+                    for j, (_, _, m) in enumerate(fs[rows[0]].factors)
+                ],
+                axis=1,
+            )
+            ends = [(complex(fs[i].numerator[-1]), complex(fs[i].denominator[0])) for i in rows]
+            heads = np.array([lead / den0 for lead, den0 in ends])[:, None]
+            turns = np.concatenate([heads, -outer, -turned], axis=1)
+            constants = [c / abs(c) for c in map(complex, np.prod(turns / np.abs(turns), axis=1))]
+            scales = [
+                abs(lead) * p / abs(den0)
+                for (lead, den0), p in zip(ends, np.prod(np.abs(outer), axis=1).tolist())
+            ]
+            errors = _pair_errors(constants, zeros, outer, poles, scales)
+            for s, (i, error) in enumerate(zip(rows, errors)):
+                out[i] = ValueError(error) if error else InnerOuterPair._built(
+                    constants[s], zeros[s], outer[s], poles[s], scales[s]
+                )
+            ok = [s for s, error in enumerate(errors) if error is None]
+            if ok:
+                at = lambda a: [a[s] for s in ok]
+                stacks.append((at(rows), at(constants), zeros[ok], outer[ok], poles[ok], at(scales)))
+    for i in sorted(snaps):
         warnings.warn(
-            f"{snapped.size} numerator root(s) within {CIRCLE_BAND} of the unit "
+            f"{snaps[i]} numerator root(s) within {CIRCLE_BAND} of the unit "
             "circle assigned to the outer factor",
             stacklevel=4,
         )
-    outer = np.concatenate([outside, snapped / np.abs(snapped)])
-    # the poles from each certified factor, never from their expanded
-    # product, whose repeated roots would scatter
-    poles = np.concatenate(
-        [np.zeros(0, dtype=complex)] + [np.repeat(r, m) for _, r, m in f.factors]
-    )
-    lead, den0 = complex(f.numerator[-1]), complex(f.denominator[0])
-    turns = np.concatenate([[lead / den0], -outer, -inside[np.abs(inside) >= BARE_ZERO]])
-    constant = complex(np.prod(turns / np.abs(turns)))
-    outer_scale = abs(lead) * float(np.prod(np.abs(outer))) / abs(den0)
-    return InnerOuterPair(constant / abs(constant), inside, outer, poles, outer_scale)
+    return stacks
 
 
 def _inner_outer_many(fs, tol: float, samples=None, points=()) -> list:
@@ -464,61 +575,45 @@ def _inner_outer_many(fs, tol: float, samples=None, points=()) -> list:
 
     ``samples``, when given, holds for each of ``fs`` its values at
     :data:`INTERIOR` and a function of no arguments that gives its values at
-    :data:`BOUNDARY_NODES`, read instead of evaluating it.  The numerator
-    roots of one length come from one stacked solve (:func:`_poly.roots`).
-    The pairs with the same numbers of Blaschke zeros, outer roots and poles
-    are evaluated together: one Blaschke product for all points and one
-    factor stack per point set, :data:`INTERIOR` for the check and then
-    ``points``, each filled in place.  Every pair gets the bits that it gets
-    alone.
+    :data:`BOUNDARY_NODES`, read instead of evaluating it.  The pairs come
+    as stacks of one signature (:func:`_pair_stacks`), and each stack is
+    evaluated together: one Blaschke product for all points and one factor
+    stack per point set, :data:`INTERIOR` for the check and then
+    ``points``.  Every pair gets the bits that it gets alone.
     """
     out: list = [None] * len(fs)
-    found = [np.zeros(0, dtype=complex)] * len(fs)
-    solved = [i for i, f in enumerate(fs) if f.numerator.size > 1]
-    for idx in _groups(solved, lambda i: fs[i].numerator.size):
-        for i, roots in zip(idx, _poly.roots(np.stack([fs[i].numerator for i in idx]))):
-            found[i] = roots
-    for i, (f, roots) in enumerate(zip(fs, found)):
-        try:
-            out[i] = _pair_from_roots(f, roots)
-        except ValueError as exc:
-            out[i] = exc
-
     head = INTERIOR.size
     lam = np.concatenate([INTERIOR, np.ravel(points)])
-    live = [i for i, pair in enumerate(out) if isinstance(pair, InnerOuterPair)]
-    shape = lambda i: (out[i].blaschke_zeros.size, out[i].outer_roots.size, out[i].den_roots.size)
-    batches = []
-    for group in _groups(live, shape):
-        batches += _batches(group, 16 * (1 + sum(shape(group[0]))) * max(head, lam.size - head))
-    for idx in batches:
-        pairs = [out[i] for i in idx]
-        if samples is None:
-            sampled = [(fs[i](INTERIOR), partial(fs[i], BOUNDARY_NODES)) for i in idx]
-        else:
-            sampled = [samples[i] for i in idx]
-        zeros = np.array([pair.blaschke_zeros for pair in pairs])
-        try:
-            inner = _blaschke_rows(zeros, [pair.unimodular_constant for pair in pairs], lam)
-        except ValueError as exc:
-            for i in idx:
-                out[i] = exc
-            continue
-        scales = np.array([pair.outer_scale for pair in pairs])[:, None]
-        stack = _factor_rows(pairs, INTERIOR)
-        interior = np.array([values for values, _ in sampled])
-        errs = np.abs(inner[:, :head] * (scales * np.prod(stack, axis=-1)) - interior).max(axis=-1)
-        del stack
-        for i, err, (_, circle) in zip(idx, map(float, errs), sampled):
-            # err > tol * scale decides: as scale >= 1, err <= tol passes it for any tol
-            if err > tol and err > tol * (scale := max(1.0, float(np.abs(circle()).max()))):
-                out[i] = ValueError(
-                    f"inner-outer reconstruction error {err:.3e} exceeds tol * scale = "
-                    f"{tol * scale:.3e}"
-                )
-        stack = _factor_rows(pairs, lam[head:])
-        roots = np.sqrt(scales) * np.prod(np.sqrt(stack, out=stack), axis=-1)
-        for s, (i, pair) in enumerate(zip(idx, pairs)):
-            if out[i] is pair:
-                out[i] = (pair, (inner[s, head:], roots[s]))
+    for idx, constants, zeros, outer, poles, scales in _pair_stacks(fs, out):
+        width = 16 * (1 + zeros.shape[1] + outer.shape[1] + poles.shape[1])
+        for run in _batches(range(len(idx)), width * max(head, lam.size - head)):
+            rows = [idx[s] for s in run]
+            if samples is None:
+                sampled = [(fs[i](INTERIOR), partial(fs[i], BOUNDARY_NODES)) for i in rows]
+            else:
+                sampled = [samples[i] for i in rows]
+            try:
+                inner = _blaschke_rows(zeros[run], [constants[s] for s in run], lam)
+            except ValueError as exc:
+                for i in rows:
+                    out[i] = exc
+                continue
+            roots = outer[run], zeros[run], poles[run]
+            factors = np.array([scales[s] for s in run])[:, None]
+            stack = _factor_rows(*roots, INTERIOR)
+            interior = np.array([values for values, _ in sampled])
+            errs = np.abs(inner[:, :head] * (factors * np.prod(stack, axis=-1)) - interior).max(axis=-1)
+            del stack
+            for i, err, (_, circle) in zip(rows, map(float, errs), sampled):
+                # err > tol * scale decides: as scale >= 1, err <= tol passes it for any tol
+                if err > tol and err > tol * (scale := max(1.0, float(np.abs(circle()).max()))):
+                    out[i] = ValueError(
+                        f"inner-outer reconstruction error {err:.3e} exceeds tol * scale = "
+                        f"{tol * scale:.3e}"
+                    )
+            stack = _factor_rows(*roots, lam[head:])
+            values = np.sqrt(factors) * np.prod(np.sqrt(stack, out=stack), axis=-1)
+            for s, i in enumerate(rows):
+                if isinstance(out[i], InnerOuterPair):
+                    out[i] = (out[i], (inner[s, head:], values[s]))
     return out

@@ -392,18 +392,21 @@ def sample_curve(curve: GammaCurve, nodes: Sequence[complex]) -> GammaNodes:
 
 def _scalar_ratio(den: np.ndarray, base: np.ndarray):
     """``den / base`` when ``den`` is a scalar multiple of ``base``, else None."""
-    if den.size != base.size:
-        return None
-    anchor = int(np.argmax(np.abs(base)))
-    ratio = den[anchor] / base[anchor]
-    scale = float(np.abs(den).max())
+    return _scalar_ratios(den[None], base[None])[0] if den.size == base.size else None
+
+
+def _scalar_ratios(dens: np.ndarray, bases: np.ndarray) -> list:
+    """:func:`_scalar_ratio` on each row of ``dens`` and ``bases``, ``(S,
+    L)``: one test of the stack, each ratio divided as a scalar."""
+    anchors = np.argmax(np.abs(bases), axis=1).tolist()
+    ratios = [den[a] / base[a] for den, base, a in zip(dens, bases, anchors)]
+    scale = np.abs(dens).max(axis=1, keepdims=True)
     # the test of np.allclose(den, ratio * base, rtol=RATIO_RTOL,
     # atol=RATIO_ATOL * scale) written out, without its overhead; the same on
     # finite input
-    scaled = ratio * base
-    if not (np.abs(den - scaled) <= RATIO_ATOL * scale + RATIO_RTOL * np.abs(scaled)).all():
-        return None
-    return ratio
+    scaled = np.array(ratios)[:, None] * bases
+    ok = (np.abs(dens - scaled) <= RATIO_ATOL * scale + RATIO_RTOL * np.abs(scaled)).all(axis=1)
+    return [ratio if good else None for ratio, good in zip(ratios, ok)]
 
 
 def _shared_numerators(fs: Sequence[RationalFunction]):
@@ -543,10 +546,12 @@ def _slice_functions(x: GammaCurve, zs, det_denominator: str) -> list:
     each, see ``hardy._factored``)."""
     column = np.array(zs, dtype=complex)[:, None]
     (n1, n2, n3), den, det_den = _slice_terms(x.rows, column, det_denominator)
+    nums, at = np.concatenate([n1, n2, n3]), np.arange(len(zs))
     if det_den is den:
-        built = RationalFunction._over_many(list(zip(den, zip(n1, n2, n3))))
+        built = RationalFunction._over_many(den, nums, np.tile(at, 3))
         return [f if isinstance(f, Exception) else tuple(f) for f in built]
-    built = RationalFunction._over_many([*zip(den, zip(n1, n2)), *zip(det_den, zip(n3))])
+    rows = np.concatenate([at, at, at + len(zs)])
+    built = RationalFunction._over_many(np.concatenate([den, det_den]), nums, rows)
     out = []
     for diagonal, det in zip(built[: len(zs)], built[len(zs) :]):
         failed = [f for f in (diagonal, det) if isinstance(f, Exception)]
@@ -695,33 +700,52 @@ def _circle_d(x: GammaCurve, z: complex, det_denominator: str, ratio):
     return _d_values(nums, den, det_den, ratio)
 
 
-def _product(f11: RationalFunction, f22: RationalFunction, det_slice: RationalFunction):
-    """``f11 f22 - det`` as a function over a product of the certified slice
-    denominators, checked by its factors, and the ratio of the determinant
-    denominator to that of ``f11`` and ``f22`` (None when it is not a scalar
-    multiple of it, which only the printed determinant slice gives)."""
-    den = f11.denominator
-    ratio = _scalar_ratio(det_slice.denominator, den)
-    diag = _poly.mul(f11.numerator, f22.numerator)
-    if ratio is not None:
-        corr = _poly.mul(det_slice.numerator / ratio, den)
-        num = _poly.sub(diag, corr)
-        # f11 f22 - det vanishes identically when what is left of it is the
-        # rounding noise of the two products
-        noise = POLY_NOISE * float(np.abs(diag).sum() + np.abs(corr).sum())
-        if float(np.abs(num).max()) <= noise:
-            num = np.zeros(1, dtype=complex)
-        (d,) = RationalFunction.over_product(((f11, 2),), (num,))
-        return d, ratio
+def _products(slices) -> list:
+    """For each triple ``(f11, f22, det_slice)`` of ``slices``, ``f11 f22 -
+    det`` as a function over a product of the certified slice denominators,
+    checked by its factors, and the ratio of the determinant denominator to
+    that of ``f11`` and ``f22`` (None when it is not a scalar multiple of it,
+    which only the printed determinant slice gives).
+
+    The ratio test runs once per stack of one pair of denominator lengths
+    (:func:`_scalar_ratios`), the noise test once per stack of one pair of
+    product lengths, and the trims and factor bookkeeping of the products
+    once for all slices (``RationalFunction._over_products``); the
+    polynomial products are ``np.convolve`` row by row.
+    """
+    ratios = [None] * len(slices)
+    sizes = lambda i: (slices[i][0].denominator.size, slices[i][2].denominator.size)
+    for idx in _groups(range(len(slices)), sizes):
+        dens, bases = (np.array([slices[i][k].denominator for i in idx]) for k in (2, 0))
+        if dens.shape == bases.shape:
+            for i, ratio in zip(idx, _scalar_ratios(dens, bases)):
+                ratios[i] = ratio
+    diag = [_poly.mul(f11.numerator, f22.numerator) for f11, f22, _ in slices]
+    quotient = [i for i, ratio in enumerate(ratios) if ratio is None]
+    exact = [i for i, ratio in enumerate(ratios) if ratio is not None]
+    corr = {i: _poly.mul(slices[i][2].numerator / ratios[i], slices[i][0].denominator) for i in exact}
+    nums = {i: _poly.sub(diag[i], corr[i]) for i in exact}
+    # f11 f22 - det vanishes identically when what is left of it is the
+    # rounding noise of the two products
+    for idx in _groups(exact, lambda i: (diag[i].size, corr[i].size)):
+        sums = [np.abs(np.array([terms[i] for i in idx])).sum(axis=1) for terms in (diag, corr)]
+        peaks = np.abs(_poly.padded([nums[i] for i in idx])).max(axis=1)
+        for i, zero in zip(idx, peaks <= POLY_NOISE * (sums[0] + sums[1])):
+            if zero:
+                nums[i] = np.zeros(1, dtype=complex)
+    f11s = [(slices[i][0],) for i in exact]
+    out = dict(zip(exact, RationalFunction._over_products(f11s, (2,), [[nums[i]] for i in exact])))
     # f11 f22 - det over den**2 * det_den, with the coefficients of
     # f11 * f22 - det_slice taken as a difference of quotients
-    (prod,) = RationalFunction.over_product(((f11, 2),), (diag,))
-    num = _poly.sub(
-        _poly.mul(prod.numerator, det_slice.denominator),
-        _poly.mul(det_slice.numerator, prod.denominator),
-    )
-    (d,) = RationalFunction.over_product(((f11, 2), (det_slice, 1)), (num,))
-    return d, ratio
+    f11s = [(slices[i][0],) for i in quotient]
+    prods = RationalFunction._over_products(f11s, (2,), [[diag[i]] for i in quotient])
+    nums = [
+        [_poly.sub(_poly.mul(prod.numerator, det.denominator), _poly.mul(det.numerator, prod.denominator))]
+        for (prod,), det in zip(prods, (slices[i][2] for i in quotient))
+    ]
+    pairs = [(slices[i][0], slices[i][2]) for i in quotient]
+    out.update(zip(quotient, RationalFunction._over_products(pairs, (2, 1), nums)))
+    return [(out[i][0], ratios[i]) for i in range(len(slices))]
 
 
 def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> list:
@@ -757,11 +781,10 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
     except ValueError as exc:  # an unknown det_denominator
         return [exc if item is None else item for item in out]
     (v11, v22, v_det), v_den, v_det_den = terms
-    products = {}
     for i, functions in zip(live, built):
         out[i] = functions
-        if not isinstance(functions, Exception):
-            products[i] = _product(*functions)
+    checked = [i for i in live if not isinstance(out[i], Exception)]
+    products = dict(zip(checked, _products([out[i] for i in checked])))
 
     # f11 f22 - det at the interior points of inner_outer, the slices with a
     # ratio stacked apart from those without

@@ -39,6 +39,19 @@ def _criterion7():
     return {"curve": curve_to_json(curve), "nodes": [complex_to_json(v) for v in _NODES]}
 
 
+def _polynomial(variant, seed):
+    """``lam -> lam A0`` with ``||A0|| < 1`` and 3 nodes in the disc of radius
+    0.6, drawn as the benchmark's polynomial slot draws them: the median
+    ``certify`` op of both of its pools."""
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2.0)
+    a *= rng.uniform(0.5, 0.95) / np.linalg.norm(a, 2)
+    entries = [[hardy.RationalFunction([0.0, a[i][j]]) for j in range(3)] for i in range(3)]
+    curve = gamma_curve_from_entries(entries, variant)
+    nodes = 0.6 * np.sqrt(rng.random(3)) * np.exp(2j * np.pi * rng.random(3))
+    return {"curve": curve_to_json(curve), "nodes": [complex_to_json(v) for v in nodes]}
+
+
 def _node_only(scale=1.0):
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -77,6 +90,19 @@ _PINNED = {
         [],
         0,
         "d2717daa5a1f88034df5e195412b3aa67f9e2918b38e4df71a99e491f0632a9a",
+    ),
+    "polynomial-gamma7": (
+        lambda: _polynomial("gamma7", 7),
+        [],
+        0,
+        "8b295f9c1d593d3054d275e6177d283755ff2ef3975b0a18ecba9694b0eae799",
+    ),
+    # every slice passes, but the balanced split is not solvable at every z
+    "polynomial-gamma5": (
+        lambda: _polynomial("gamma5", 5),
+        [],
+        2,
+        "bf8d6d4f2dc4fb3abf62a37dc8550e9585521fc59b01dd78799fa1e6005040e8",
     ),
     "nodes-gamma7": (
         _node_only,

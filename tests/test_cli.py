@@ -1068,6 +1068,58 @@ def test_certify_checks_each_denominator_once(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _polynomial_curve_file(tmp_path, seed=7, variant="gamma7"):
+    """``lam -> lam A0`` with ``||A0|| < 1``, the benchmark's median curve."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a *= rng.uniform(0.5, 0.95) / np.linalg.norm(a, 2)
+    entries = [[hardy.RationalFunction([0.0, a[i][j]]) for j in range(3)] for i in range(3)]
+    curve = gamma_curve_from_entries(entries, variant)
+    payload = {"curve": curve_to_json(curve), "nodes": [complex_to_json(v) for v in (0.2, -0.3j, 0.4)]}
+    return _write(tmp_path, f"polynomial-{variant}-{seed}.json", payload)
+
+
+@pytest.mark.parametrize("variant", ["gamma7", "gamma5"])
+def test_certify_checks_a_polynomial_curve_per_stack(tmp_path, capsys, variant):
+    # the slice pass trims, ratio-tests and pair-checks its slices as
+    # stacks: the slices of a polynomial curve have two denominator lengths
+    # (a constant one at z = 0) and two pair signatures, so the nine
+    # slices of the default grid make as many calls as three of them do.
+    # Checked slice by slice, the nine made 54 trims, 9 ratio tests and 9
+    # pair checks in the pass
+    path = _polynomial_curve_file(tmp_path, variant=variant)
+    counted = {}
+    slice_checks = cli._slice_checks
+
+    def pass_only(curve, *args):
+        curve.rows  # the curve's shared denominator, built outside the pass
+        counted.clear()
+        return slice_checks(curve, *args)
+
+    def counts(argv):
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in ((hardy, "trims"), (nevanlinna, "_scalar_ratios"), (hardy, "_pair_errors")):
+                original = getattr(owner, name)
+
+                def wrapped(*args, _original=original, _name=name):
+                    counted[_name] = counted.get(_name, 0) + 1
+                    return _original(*args)
+
+                mp.setattr(owner, name, wrapped)
+            mp.setattr(cli, "_slice_checks", pass_only)
+            run(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert all(row["ok"] for row in report["slice_checks"])
+        return dict(counted)
+
+    nine = counts(["certify", "--in", path])
+    assert counts(["certify", "--in", path, "--z2-grid", "0,0.3,-0.6j"]) == nine
+    # one ratio test per denominator length, one pair check per signature,
+    # and four trims: the slice denominators, their numerators, the squares
+    # of the denominators and the numerators of f11 f22 - det
+    assert nine == {"trims": 4, "_scalar_ratios": 2, "_pair_errors": 2}
+
+
 def test_printed_certify_evaluates_one_winding_check(tmp_path, capsys):
     # the name is older than the root certificates, which replaced the
     # winding checks: one for the curve and, per slice parameter, one for the

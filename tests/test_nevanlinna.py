@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -1056,3 +1057,46 @@ def test_a_slice_does_not_depend_on_its_neighbours(build, det_denominator, faile
     assert [z for z, bits in zip(grid, alone) if isinstance(bits, str)] == failed
     assert all("not contractive" in alone[grid.index(z)] for z in failed)
     assert [z for z, bits in zip(grid, alone) if not isinstance(bits, str) and bits[0]] == triangular
+
+
+def _snapped_root_curve() -> GammaCurve:
+    """A gamma7 curve whose slice at z = 0 has ``f11 f22 - det = a13 a31 =
+    0.06 (1 - lam)``, a numerator root on the unit circle; no other slice
+    of the default grid has one within ``CIRCLE_BAND`` of it."""
+    a = 0.3 * np.array([[0.5, 0.2, 0.0], [0.1, 0.4, 0.3], [0.0, 0.2, 0.6]])
+    entries = [[RationalFunction([0.0, a[i][j]]) for j in range(3)] for i in range(3)]
+    entries[0][2] = RationalFunction([0.2, -0.2])
+    entries[2][0] = RationalFunction([0.3])
+    return gamma_curve_from_entries(entries, "gamma7")
+
+
+_SNAPPED = "1 numerator root(s) within 1e-09 of the unit circle assigned to the outer factor"
+
+
+def _warned(build) -> list[str]:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build()
+    return [str(w.message) for w in caught]
+
+
+def test_the_snapped_root_warning_comes_once_from_its_slice():
+    # the stacked root classification of the slice pass warns for the one
+    # slice whose numerator root it snaps onto the circle, once, alone or in
+    # a grid, wherever that slice sits in it
+    curve = _snapped_root_curve()
+    for z in DEFAULT_Z_GRID:
+        want = [_SNAPPED] if z == 0 else []
+        assert _warned(lambda: build_slice_schur(curve, z)) == want
+    grid = list(DEFAULT_Z_GRID)
+    for zs in (grid, grid[::-1]):
+        slices = []
+        assert _warned(lambda: slices.extend(nevanlinna._slice_grid(curve, zs))) == [_SNAPPED]
+        assert all(isinstance(s, SlicedSchur2x2) for s in slices)
+    assert _warned(lambda: nevanlinna._slice_grid(curve, grid[1:])) == []
+    # the snapped root is an outer root on the circle, not a Blaschke zero
+    built = []
+    assert _warned(lambda: built.append(build_slice_schur(curve, 0.0))) == [_SNAPPED]
+    pair = built[0].pair
+    assert pair.blaschke_zeros.size == 0
+    np.testing.assert_allclose(pair.outer_roots, [1.0], rtol=0, atol=1e-15)
