@@ -68,7 +68,7 @@ def _least_modulus(roots: np.ndarray, rho: float, size: int):
         ends = np.abs(rho * _circle(size)[:, None] - roots[..., None, :])
         far = np.maximum(far, (ends[..., 1:, :] + ends[..., :-1, :]) / 2 - np.pi * rho / size)
     far = np.maximum(far - 16 * np.finfo(float).eps * (rho + mods), 0.0)
-    low = np.prod(far, axis=-1)
+    low = far.prod(axis=-1)
     return low.min(axis=-1) if size else low
 
 
@@ -120,7 +120,7 @@ def _certified(dens: np.ndarray) -> list:
     roots = _poly.roots(dens)
     lam = _circle(8 * n)[:-1]
     batches = _batches(roots[:, None, :], 16 * lam.size * n)
-    q = dens[:, -1:] * np.concatenate([np.prod(lam[:, None] - r, axis=-1) for r in batches])
+    q = dens[:, -1:] * np.concatenate([(lam[:, None] - r).prod(axis=-1) for r in batches])
     # g = den - q has degree below n; each |g(lam_j)| is off by at most 4 (n +
     # 2) u (||den||_1 + |q|): Horner 4n u, q (4n + 4) u, difference 2u.  As
     # |g'| <= (n - 1) max |g| (Bernstein), max |g| on the circle is at most the
@@ -218,9 +218,7 @@ class RationalFunction:
         """A function from trimmed coefficients and the certified factors of
         ``denominator``, with no check."""
         f = object.__new__(cls)
-        object.__setattr__(f, "numerator", numerator)
-        object.__setattr__(f, "denominator", denominator)
-        object.__setattr__(f, "factors", factors)
+        vars(f).update(numerator=numerator, denominator=denominator, factors=factors)
         return f
 
     @classmethod
@@ -293,10 +291,18 @@ class RationalFunction:
                 step = [fs[k].denominator for fs in rows]
                 dens = step if dens is None else trims(list(map(_poly.mul, dens, step)))
         nums = iter(trims([num for row in numerators for num in row]))
-        return [
-            [cls._built(next(nums), den, _merged(fs, powers)) for _ in row]
-            for fs, den, row in zip(rows, dens, numerators)
-        ]
+        out = []
+        for fs, den, row in zip(rows, dens, numerators):
+            # the factors of each function, multiplicities scaled by its
+            # power and added where two functions share a factor
+            factors: dict = {}
+            for f, power in zip(fs, powers):
+                for factor, roots, mult in f.factors:
+                    key = factor.tobytes()
+                    count = factors[key][2] if key in factors else 0
+                    factors[key] = (factor, roots, count + power * mult)
+            out.append([cls._built(next(nums), den, tuple(factors.values())) for _ in row])
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -306,19 +312,6 @@ class RationalFunction:
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
         return _poly.val(lam, self.numerator) / _poly.val(lam, self.denominator)
-
-
-def _merged(fs, powers) -> tuple:
-    """The factors of the product of ``fs`` to ``powers``: those of each
-    function, with multiplicities scaled by its power and added where two
-    functions share a factor."""
-    factors: dict = {}
-    for f, power in zip(fs, powers):
-        for factor, roots, mult in f.factors:
-            key = factor.tobytes()
-            count = factors[key][2] if key in factors else 0
-            factors[key] = (factor, roots, count + power * mult)
-    return tuple(factors.values())
 
 
 def blaschke_eval(zeros, constant: complex, lam):
@@ -338,7 +331,8 @@ def _blaschke_rows(zeros: np.ndarray, constants, lam: np.ndarray) -> np.ndarray:
     lam.size)``.  Each row gets the bits :func:`blaschke_eval` gives it
     alone: the moduli and turns ``|a| / a`` of all zeros are taken as
     scalars in one pass, the factors' numerators and denominators as one
-    stack, and the product is taken zero by zero."""
+    stack, and the product is taken zero by zero; a zero at the origin is
+    the factor ``lam``, and a column of them only multiplies by it."""
     if lam.size and float(np.abs(lam).max()) > 1.0 + DISC_SLACK:
         raise ValueError("evaluation points must lie in the closed unit disc")
     flat = zeros.T.ravel()  # zero by zero, the order of the product
@@ -354,6 +348,9 @@ def _blaschke_rows(zeros: np.ndarray, constants, lam: np.ndarray) -> np.ndarray:
     out = np.empty((len(constants), lam.size), dtype=complex)
     out[:] = np.array(constants)[:, None]
     for b, turn, top, bottom in zip(bare, turns, tops, bottoms):
+        if b.all():  # as on every slice of a polynomial curve
+            out = out * lam
+            continue
         step = out * turn * top / bottom
         if b.any():
             step[b] = out[b] * lam
@@ -361,7 +358,7 @@ def _blaschke_rows(zeros: np.ndarray, constants, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_rows(outer: np.ndarray, zeros: np.ndarray, den: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _factor_rows(outer: np.ndarray, zeros: np.ndarray, den: np.ndarray, lam: np.ndarray):
     """The factors of the exact outer forms with the outer roots, Blaschke
     zeros and poles of the rows of ``outer``, ``zeros`` and ``den``, at the
     points ``lam``: shape ``(S, lam.size, k)``.  Each block is computed with
@@ -395,7 +392,7 @@ def _pair_errors(constants, zeros, outer, den, scales) -> list:
     """For each row of the stacks, the message of the first invariant of
     :class:`InnerOuterPair` that it breaks, or None: each array test once on
     the stack, the scalar tests scalar."""
-    broken = zip(
+    tests = (
         [abs(abs(c) - 1.0) > UNIMODULAR_TOL for c in constants],
         np.abs(zeros).max(axis=1, initial=0.0) >= 1.0,
         # a root projected onto the circle may round to a modulus of 1 - 1 ulp
@@ -403,7 +400,8 @@ def _pair_errors(constants, zeros, outer, den, scales) -> list:
         np.abs(den).min(axis=1, initial=np.inf) <= 1.0,
         [not scale > 0.0 for scale in scales],
     )
-    return [next((m for m, bad in zip(_PAIR_INVARIANTS, row) if bad), None) for row in broken]
+    broken = zip(*(np.array(test, dtype=bool).tolist() for test in tests))
+    return [_PAIR_INVARIANTS[row.index(True)] if True in row else None for row in broken]
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,8 +439,7 @@ class InnerOuterPair:
         """A pair from the values of its fields, in order, that passed
         :func:`_pair_errors`, with no check."""
         pair = object.__new__(cls)
-        for name, value in zip(cls.__dataclass_fields__, values):
-            object.__setattr__(pair, name, value)
+        vars(pair).update(zip(cls.__dataclass_fields__, values))
         return pair
 
     @property
@@ -511,44 +508,38 @@ def _pair_stacks(fs, out: list) -> list:
     constant are Python complex and float operations, row by row.
     """
     stacks, snaps = [], {}
-    for idx in _groups(range(len(fs)), lambda i: fs[i].numerator.size):
-        if fs[idx[0]].numerator.size == 1:
-            for i in [i for i in idx if fs[i].is_zero]:
-                out[i] = ValueError("the zero function has no inner-outer factorization")
-            idx = [i for i in idx if not fs[i].is_zero]
-            roots = np.zeros((len(idx), 0), dtype=complex)
-        else:
-            roots = _poly.roots(np.stack([fs[i].numerator for i in idx]))
+    for i in [i for i, f in enumerate(fs) if f.is_zero]:
+        out[i] = ValueError("the zero function has no inner-outer factorization")
+    live = [i for i, f in enumerate(fs) if not f.is_zero]
+    for idx in _groups(live, lambda i: fs[i].numerator.size):
+        nums = np.stack([fs[i].numerator for i in idx])
+        roots = _poly.roots(nums) if nums.shape[1] > 1 else nums[:, :0]
         mods = np.abs(roots)
         inside = mods < 1.0 - CIRCLE_BAND
         snapped = (mods >= 1.0 - CIRCLE_BAND) & (mods <= 1.0 + CIRCLE_BAND)
-        masks = (inside, inside & (mods >= BARE_ZERO), mods > 1.0 + CIRCLE_BAND, snapped)
-        counts = np.stack([m.sum(axis=1) for m in masks], axis=1).tolist()
+        masks = np.array([inside, inside & (mods >= BARE_ZERO), mods > 1.0 + CIRCLE_BAND, snapped])
+        counts = masks.sum(axis=2).T.tolist()
         snaps.update((i, n) for i, (*_, n) in zip(idx, counts) if n)
         key = lambda s: (*counts[s], *((r.size, m) for _, r, m in fs[idx[s]].factors))
         for group in _groups(range(len(idx)), key):
             rows = [idx[s] for s in group]
-            zeros, turned, outside, snap = (
-                roots[group][m[group]].reshape(len(group), -1) for m in masks
-            )
+            sub = roots[group]
+            zeros, turned, outside, snap = (sub[m].reshape(len(group), -1) for m in masks[:, group])
             outer = np.concatenate([outside, snap / np.abs(snap)], axis=1)
             # the poles from each certified factor, never from their
             # expanded product, whose repeated roots would scatter
-            poles = np.concatenate(
-                [np.zeros((len(group), 0), dtype=complex)]
-                + [
-                    np.repeat(np.array([fs[i].factors[j][1] for i in rows]), m, axis=1)
-                    for j, (_, _, m) in enumerate(fs[rows[0]].factors)
-                ],
-                axis=1,
-            )
+            repeated = [
+                np.repeat([fs[i].factors[j][1] for i in rows], m, axis=1)
+                for j, (*_, m) in enumerate(fs[rows[0]].factors)
+            ]
+            poles = np.concatenate([zeros[:, :0], *repeated], axis=1)
             ends = [(complex(fs[i].numerator[-1]), complex(fs[i].denominator[0])) for i in rows]
             heads = np.array([lead / den0 for lead, den0 in ends])[:, None]
             turns = np.concatenate([heads, -outer, -turned], axis=1)
-            constants = [c / abs(c) for c in map(complex, np.prod(turns / np.abs(turns), axis=1))]
+            constants = [c / abs(c) for c in map(complex, (turns / np.abs(turns)).prod(axis=1))]
             scales = [
                 abs(lead) * p / abs(den0)
-                for (lead, den0), p in zip(ends, np.prod(np.abs(outer), axis=1).tolist())
+                for (lead, den0), p in zip(ends, np.abs(outer).prod(axis=1).tolist())
             ]
             errors = _pair_errors(constants, zeros, outer, poles, scales)
             for s, (i, error) in enumerate(zip(rows, errors)):
@@ -556,9 +547,8 @@ def _pair_stacks(fs, out: list) -> list:
                     constants[s], zeros[s], outer[s], poles[s], scales[s]
                 )
             ok = [s for s, error in enumerate(errors) if error is None]
-            if ok:
-                at = lambda a: [a[s] for s in ok]
-                stacks.append((at(rows), at(constants), zeros[ok], outer[ok], poles[ok], at(scales)))
+            at = lambda a: [a[s] for s in ok]
+            stacks.append((at(rows), at(constants), zeros[ok], outer[ok], poles[ok], at(scales)))
     for i in sorted(snaps):
         warnings.warn(
             f"{snaps[i]} numerator root(s) within {CIRCLE_BAND} of the unit "
@@ -592,17 +582,13 @@ def _inner_outer_many(fs, tol: float, samples=None, points=()) -> list:
                 sampled = [(fs[i](INTERIOR), partial(fs[i], BOUNDARY_NODES)) for i in rows]
             else:
                 sampled = [samples[i] for i in rows]
-            try:
-                inner = _blaschke_rows(zeros[run], [constants[s] for s in run], lam)
-            except ValueError as exc:
-                for i in rows:
-                    out[i] = exc
-                continue
+            # checked: the zeros lie in the open disc, and lam in the closed one
+            inner = _blaschke_rows(zeros[run], [constants[s] for s in run], lam)
             roots = outer[run], zeros[run], poles[run]
             factors = np.array([scales[s] for s in run])[:, None]
             stack = _factor_rows(*roots, INTERIOR)
             interior = np.array([values for values, _ in sampled])
-            errs = np.abs(inner[:, :head] * (factors * np.prod(stack, axis=-1)) - interior).max(axis=-1)
+            errs = np.abs(inner[:, :head] * (factors * stack.prod(axis=-1)) - interior).max(axis=-1)
             del stack
             for i, err, (_, circle) in zip(rows, map(float, errs), sampled):
                 # err > tol * scale decides: as scale >= 1, err <= tol passes it for any tol
@@ -612,7 +598,7 @@ def _inner_outer_many(fs, tol: float, samples=None, points=()) -> list:
                         f"{tol * scale:.3e}"
                     )
             stack = _factor_rows(*roots, lam[head:])
-            values = np.sqrt(factors) * np.prod(np.sqrt(stack, out=stack), axis=-1)
+            values = np.sqrt(factors) * np.sqrt(stack, out=stack).prod(axis=-1)
             for s, i in enumerate(rows):
                 if isinstance(out[i], InnerOuterPair):
                     out[i] = (out[i], (inner[s, head:], values[s]))

@@ -398,14 +398,14 @@ def _scalar_ratio(den: np.ndarray, base: np.ndarray):
 def _scalar_ratios(dens: np.ndarray, bases: np.ndarray) -> list:
     """:func:`_scalar_ratio` on each row of ``dens`` and ``bases``, ``(S,
     L)``: one test of the stack, each ratio divided as a scalar."""
-    anchors = np.argmax(np.abs(bases), axis=1).tolist()
-    ratios = [den[a] / base[a] for den, base, a in zip(dens, bases, anchors)]
-    scale = np.abs(dens).max(axis=1, keepdims=True)
+    anchors = np.abs(bases).argmax(axis=1).tolist()
+    ratios = [dens[s, a] / bases[s, a] for s, a in enumerate(anchors)]
+    scaled = np.array(ratios)[:, None] * bases
     # the test of np.allclose(den, ratio * base, rtol=RATIO_RTOL,
     # atol=RATIO_ATOL * scale) written out, without its overhead; the same on
     # finite input
-    scaled = np.array(ratios)[:, None] * bases
-    ok = (np.abs(dens - scaled) <= RATIO_ATOL * scale + RATIO_RTOL * np.abs(scaled)).all(axis=1)
+    bound = RATIO_ATOL * np.abs(dens).max(axis=1, keepdims=True) + RATIO_RTOL * np.abs(scaled)
+    ok = (np.abs(dens - scaled) <= bound).all(axis=1).tolist()
     return [ratio if good else None for ratio, good in zip(ratios, ok)]
 
 
@@ -705,46 +705,43 @@ def _products(slices) -> list:
     det`` as a function over a product of the certified slice denominators,
     checked by its factors, and the ratio of the determinant denominator to
     that of ``f11`` and ``f22`` (None when it is not a scalar multiple of it,
-    which only the printed determinant slice gives).
-
-    The ratio test runs once per stack of one pair of denominator lengths
-    (:func:`_scalar_ratios`), the noise test once per stack of one pair of
-    product lengths, and the trims and factor bookkeeping of the products
-    once for all slices (``RationalFunction._over_products``); the
-    polynomial products are ``np.convolve`` row by row.
+    which only the printed determinant slice gives).  The ratio test runs on
+    the stacks of one denominator length, the noise test on those of one
+    pair of product lengths (see :func:`_slice_grid`).
     """
+    f11s, dets = [f11 for f11, _, _ in slices], [det for _, _, det in slices]
     ratios = [None] * len(slices)
-    sizes = lambda i: (slices[i][0].denominator.size, slices[i][2].denominator.size)
-    for idx in _groups(range(len(slices)), sizes):
-        dens, bases = (np.array([slices[i][k].denominator for i in idx]) for k in (2, 0))
-        if dens.shape == bases.shape:
-            for i, ratio in zip(idx, _scalar_ratios(dens, bases)):
-                ratios[i] = ratio
-    diag = [_poly.mul(f11.numerator, f22.numerator) for f11, f22, _ in slices]
-    quotient = [i for i, ratio in enumerate(ratios) if ratio is None]
+    size = lambda fs, i: fs[i].denominator.size
+    same = [i for i in range(len(slices)) if size(f11s, i) == size(dets, i)]
+    for idx in _groups(same, partial(size, f11s)):
+        dens, bases = (np.array([fs[i].denominator for i in idx]) for fs in (dets, f11s))
+        for i, ratio in zip(idx, _scalar_ratios(dens, bases)):
+            ratios[i] = ratio
     exact = [i for i, ratio in enumerate(ratios) if ratio is not None]
-    corr = {i: _poly.mul(slices[i][2].numerator / ratios[i], slices[i][0].denominator) for i in exact}
+    quotient = [i for i, ratio in enumerate(ratios) if ratio is None]
+    diag = [_poly.mul(f11.numerator, f22.numerator) for f11, f22, _ in slices]
+    corr = {i: _poly.mul(dets[i].numerator / ratios[i], f11s[i].denominator) for i in exact}
     nums = {i: _poly.sub(diag[i], corr[i]) for i in exact}
     # f11 f22 - det vanishes identically when what is left of it is the
     # rounding noise of the two products
     for idx in _groups(exact, lambda i: (diag[i].size, corr[i].size)):
-        sums = [np.abs(np.array([terms[i] for i in idx])).sum(axis=1) for terms in (diag, corr)]
-        peaks = np.abs(_poly.padded([nums[i] for i in idx])).max(axis=1)
-        for i, zero in zip(idx, peaks <= POLY_NOISE * (sums[0] + sums[1])):
-            if zero:
+        sums = [np.abs([terms[i] for i in idx]).sum(axis=1) for terms in (diag, corr)]
+        peaks = np.abs([nums[i] for i in idx]).max(axis=1)
+        for i, noise in zip(idx, peaks <= POLY_NOISE * (sums[0] + sums[1])):
+            if noise:
                 nums[i] = np.zeros(1, dtype=complex)
-    f11s = [(slices[i][0],) for i in exact]
-    out = dict(zip(exact, RationalFunction._over_products(f11s, (2,), [[nums[i]] for i in exact])))
+
+    def over(idx, fs, powers, terms):
+        rows = [tuple(f[i] for f in fs) for i in idx]
+        return RationalFunction._over_products(rows, powers, [[terms[i]] for i in idx])
+
     # f11 f22 - det over den**2 * det_den, with the coefficients of
     # f11 * f22 - det_slice taken as a difference of quotients
-    f11s = [(slices[i][0],) for i in quotient]
-    prods = RationalFunction._over_products(f11s, (2,), [[diag[i]] for i in quotient])
-    nums = [
-        [_poly.sub(_poly.mul(prod.numerator, det.denominator), _poly.mul(det.numerator, prod.denominator))]
-        for (prod,), det in zip(prods, (slices[i][2] for i in quotient))
-    ]
-    pairs = [(slices[i][0], slices[i][2]) for i in quotient]
-    out.update(zip(quotient, RationalFunction._over_products(pairs, (2, 1), nums)))
+    for i, (prod,) in zip(quotient, over(quotient, (f11s,), (2,), diag)):
+        num, den = dets[i].numerator, dets[i].denominator
+        nums[i] = _poly.sub(_poly.mul(prod.numerator, den), _poly.mul(num, prod.denominator))
+    out = dict(zip(exact, over(exact, (f11s,), (2,), nums)))
+    out.update(zip(quotient, over(quotient, (f11s, dets), (2, 1), nums)))
     return [(out[i][0], ratios[i]) for i in range(len(slices))]
 
 
@@ -757,15 +754,23 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
     with ``z`` as a column, at the interior points of ``inner_outer`` and the
     contractivity grid; the scale of ``inner_outer``'s check comes from the
     curve's ``circle_values``, read only on a miss above its tolerance.  The
-    slice denominators of one trimmed length are certified together, from
-    their roots (:func:`_slice_functions`).  ``f11 f22 - det`` goes over the
-    square of the slice denominator (times the printed determinant
-    denominator, when that differs), with no check of its own.  The pairs,
-    and their values at the contractivity grid, come from
-    ``hardy._inner_outer_many``: one root solve per numerator length, the
-    poles from the certified roots, and one evaluation per factor signature
-    for the reconstruction check and the grid.  The contractivity and
-    determinant checks run on the stacked slice values.
+    slice functions come from one ``RationalFunction._over_many`` on the
+    stacked slice terms (:func:`_slice_functions`): one finiteness check,
+    lift and trim for the stack, and one certificate per trimmed denominator
+    length.  ``f11 f22 - det`` goes over the square of the slice denominator
+    (times the printed determinant denominator, when that differs), with no
+    check of its own, from :func:`_products`: one ratio test per stack of
+    one pair of denominator lengths, one noise test per stack of one pair of
+    product lengths, and the trims and factor bookkeeping of the products
+    for all slices at once.  The pairs, and their values at the
+    contractivity grid, come from ``hardy._inner_outer_many``: one root
+    solve per numerator length, one root classification, pole, constant,
+    scale and invariant check per pair signature, and one evaluation per
+    signature for the reconstruction check and the grid.  The contractivity
+    and determinant checks run on the stacked slice values.  What a single
+    slice takes as a scalar for its bits stays a scalar, row by row (see
+    ``hardy._pair_stacks`` and :func:`_scalar_ratios`), and each polynomial
+    product is one ``np.convolve`` per row.
     """
     if not isinstance(x, GammaCurve):
         raise TypeError("build_slice_schur expects a GammaCurve")
@@ -792,6 +797,8 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
     interior = {}
     for has_ratio in (True, False):
         idx = [i for i, (_, ratio) in products.items() if (ratio is not None) == has_ratio]
+        if not idx:
+            continue
         ratio = np.array([products[i][1] for i in idx])[:, None] if has_ratio else None
         values = _d_values(
             (v11[idx, head], v22[idx, head], v_det[idx, head]),
@@ -827,8 +834,8 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
     dets = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
     det_errs = np.abs(dets - v_det[idx, at] / v_det_den[idx, at]).max(axis=-1)
     lam = _SLICE_GRID
-    for i, row, det_err in zip(idx, norms, map(float, det_errs)):
-        worst = int(np.argmax(row))
+    worsts = norms.argmax(axis=-1).tolist()
+    for i, row, worst, det_err in zip(idx, norms, worsts, det_errs.tolist()):
         if float(row[worst]) > 1.0 + CONTRACTIVE_SLACK:
             out[i] = ValueError(
                 f"slice at z={zs[i]} is not contractive: norm {row[worst]:.9f} at "

@@ -2,7 +2,9 @@
 
 Each instance is built here, run through the CLI, and its stdout and exit
 code compared against a SHA-256 digest of the output of the one-slice-at-a-
-time implementation that the stacked slice pass replaced.  A change that
+time implementation that the stacked slice pass replaced (the two random
+polynomial curves: of the slice pass that still checked each slice on its
+own, before its per-slice checks ran as stacks).  A change that
 moves any printed bit of a ``certify`` report, a slice check, a Pick row or a
 float's last digit, fails here.  The digests hold for the machine they were
 recorded on (x86-64, numpy 2.4.6 with its OpenBLAS); another BLAS or CPU may
