@@ -419,16 +419,20 @@ def _shared_numerators(fs: Sequence[RationalFunction]):
     slice arithmetic cancel the denominator instead of stacking repeated
     factors, which would make downstream root extraction ill conditioned.
     """
-    bases, parts = [], []
-    for f in fs:
-        # compared last with itself: no multiple of an earlier one opens a base
-        for k, base in enumerate([*bases, f.denominator]):
-            ratio = _scalar_ratio(f.denominator, base)
-            if ratio is not None:
-                break
-        if k == len(bases):
-            bases.append(f.denominator)
-        parts.append((k, f.numerator / ratio))
+    bases, parts = [], [None] * len(fs)
+    while None in parts:
+        # the first function left opens a base, tested with itself and with
+        # every function left in one stack: the order in which one function
+        # at a time would meet the bases
+        first = parts.index(None)
+        base = fs[first].denominator
+        bases.append(base)
+        left = [i for i, part in enumerate(parts) if part is None]
+        idx = [i for i in left if fs[i].denominator.size == base.size]
+        dens = np.array([fs[i].denominator for i in idx])
+        for i, ratio in zip(idx, _scalar_ratios(dens, np.broadcast_to(base, dens.shape))):
+            if ratio is not None or i == first:
+                parts[i] = (len(bases) - 1, fs[i].numerator / ratio)
     nums = []
     for k, num in parts:
         for j, base in enumerate(bases):
@@ -760,8 +764,8 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
     length.  ``f11 f22 - det`` goes over the square of the slice denominator
     (times the printed determinant denominator, when that differs), with no
     check of its own, from :func:`_products`: one ratio test per stack of
-    one pair of denominator lengths, one noise test per stack of one pair of
-    product lengths, and the trims and factor bookkeeping of the products
+    one denominator length, one noise test per stack of one pair of product
+    lengths, and the trims and factor bookkeeping of the products
     for all slices at once.  The pairs, and their values at the
     contractivity grid, come from ``hardy._inner_outer_many``: one root
     solve per numerator length, one root classification, pole, constant,
