@@ -48,8 +48,9 @@ def trims(rows) -> list:
     stack, then a view of that copy per row."""
     stack = rows if isinstance(rows, np.ndarray) and rows.shape[-1] else padded(rows)
     mods = np.abs(stack)
-    small = mods <= TRIM_RTOL * mods.max(axis=1, keepdims=True)
-    kept = np.where(small.all(axis=1), 1, stack.shape[1] - np.argmin(small[:, ::-1], axis=1))
+    small = mods <= TRIM_RTOL * np.maximum.reduce(mods, axis=1, keepdims=True)
+    kept = stack.shape[1] - small[:, ::-1].argmin(axis=1)
+    kept[small.all(axis=1)] = 1  # [0] for a row of zeros
     return [row[:n] for row, n in zip(np.where(small, 0.0, stack), kept.tolist())]
 
 

@@ -246,20 +246,22 @@ class RationalFunction:
         finite = np.isfinite(dens).all(axis=1)
         finite[rows[~np.isfinite(nums).all(axis=1)]] = False
         dens, nums, overflows = _lifted(dens, nums, rows)
-        out: list = [[] for _ in dens]
-        for i in np.flatnonzero(~finite | overflows):
-            out[i] = ValueError(
-                "numerator overflows over a subnormal denominator"
-                if finite[i] else "coefficients must be finite"
+        out: list = [
+            [] if ok and not over else ValueError(
+                "numerator overflows over a subnormal denominator" if ok
+                else "coefficients must be finite"
             )
-        live = np.flatnonzero(finite & ~overflows)
-        factored = dict(zip(live.tolist(), _factored(dens[live])))
+            for ok, over in zip(finite.tolist(), overflows.tolist())
+        ]
+        live = [i for i, item in enumerate(out) if type(item) is list]
+        factored = dict(zip(live, _factored(dens[live])))
         for i, item in factored.items():
             if isinstance(item, Exception):
                 out[i] = item
-        keep = np.flatnonzero([type(out[i]) is list for i in rows.tolist()])
-        for j, num in zip(keep.tolist(), trims(nums[keep])):
-            out[rows[j]].append(cls._built(num, *factored[rows[j]]))
+        at = rows.tolist()
+        keep = [j for j, i in enumerate(at) if type(out[i]) is list]
+        for j, num in zip(keep, trims(nums[keep])):
+            out[at[j]].append(cls._built(num, *factored[at[j]]))
         return out
 
     @classmethod
