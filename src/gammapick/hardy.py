@@ -247,11 +247,11 @@ class RationalFunction:
         finite[rows[~np.isfinite(nums).all(axis=1)]] = False
         dens, nums, overflows = _lifted(dens, nums, rows)
         out: list = [
-            [] if ok and not over else ValueError(
+            [] if ok and not overflow else ValueError(
                 "numerator overflows over a subnormal denominator" if ok
                 else "coefficients must be finite"
             )
-            for ok, over in zip(finite.tolist(), overflows.tolist())
+            for ok, overflow in zip(finite.tolist(), overflows.tolist())
         ]
         live = [i for i, item in enumerate(out) if type(item) is list]
         factored = dict(zip(live, _factored(dens[live])))
