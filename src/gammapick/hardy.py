@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
+from math import comb
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .tolerances import (
     BARE_ZERO,
     CIRCLE_BAND,
     DISC_SLACK,
+    PRODUCT_RTOL,
     SLICE_TOL,
     UNIMODULAR_TOL,
 )
@@ -101,6 +103,109 @@ def _inside(roots: np.ndarray, miss: float, rho: float, low=None) -> int | None:
     return None
 
 
+def _newton(a: np.ndarray, x: np.ndarray):
+    """``p``, ``p'`` and ``sum |a_i| |x|**i`` at the points of each row of
+    ``x``, ``p`` the polynomial of the same row of ``a``, by Horner's rule:
+    what a Newton step on ``p`` and the bound of its rounding read."""
+    p, dp, mass = a[:, -1:] + x * 0, x * 0, np.abs(a[:, -1:]) + np.abs(x) * 0
+    for col in a.T[-2::-1]:
+        dp = dp * x + p
+        p = p * x + col[:, None]
+        mass = mass * np.abs(x) + np.abs(col)[:, None]
+    return p, dp, mass
+
+
+def _clusters(roots: np.ndarray, members, reach) -> list[list[int]]:
+    """``members``, indices of ``roots``, each joined to the roots within its
+    ``reach``, and the groups that share a root merged."""
+    groups: list = []
+    for i in members:
+        near = set(np.flatnonzero(np.abs(roots - roots[i]) <= reach[i]).tolist())
+        linked = [g for g in groups if near.intersection(g)]
+        groups = [g for g in groups if g not in linked] + [sorted(near.union(*linked))]
+    return groups
+
+
+def _local_factor(a: np.ndarray, c, others: np.ndarray, m: int) -> np.ndarray:
+    """``[g_0, ..., g_(m-1)]``, the Taylor coefficients at ``c`` of ``a /
+    (lead * prod(x - others))`` below ``t**m``: with ``t**m`` added, the
+    factor of ``a`` at the m roots next to ``c`` that ``others`` leave, in
+    ``t = x - c``, from values at ``c`` only, not at the roots."""
+    n = a.size - 1
+    top = [_poly.val(c, a[k:] * np.array([comb(i, k) for i in range(k, n + 1)])) for k in range(m)]
+    low = [a[-1], *[0] * (m - 1)]
+    for d in c - others:
+        low = [low[0] * d, *(low[k] * d + low[k - 1] for k in range(1, m))]
+    g: list = []
+    for k in range(m):
+        g.append((top[k] - sum(low[i] * g[k - i] for i in range(1, k + 1))) / low[0])
+    return np.array(g)
+
+
+def _refined(dens: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """``roots``, those of the rows of ``dens`` from their companion
+    matrices, refined in ``np.clongdouble`` (on x86-64, 11 bits more than a
+    double).  Those eigenvalues can miss a root by far more than the
+    coefficients fix it: next to two double roots, 1.0078125 comes out 2e-12
+    off, and the mean of a scattered double root 5e-11 off, which moves
+    ``prod (1 - lam / r)`` by 1e-10 at radius 0.999.
+
+    A root whose Newton step is below a sixteenth of its distance to the
+    other roots, and which the rounding of ``p / p'`` leaves within half a
+    double ulp, takes up to three Newton steps.  Each other root joins the
+    roots within four times that distance, and each such cluster is replaced
+    by the roots of its :func:`_local_factor` about its mean, unless one of
+    them lands more than four times the cluster's radius away: a cluster's
+    own roots are ill-conditioned, but the coefficients of its factor are
+    not.  A pair's factor is solved by the quadratic formula, a larger
+    cluster's by its companion matrix, and a row of several clusters is
+    swept twice, as each factor divides by the others' roots.  The root
+    ``-c0 / c1`` of a linear row is left as it is."""
+    n = dens.shape[1] - 1
+    if n == 1:
+        return roots
+    eps = np.finfo(float).eps
+    a, out = dens.astype(np.clongdouble), roots.astype(np.clongdouble)
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+    gaps[:, np.arange(n), np.arange(n)] = np.inf
+    gap = gaps.min(axis=2)
+    p, dp, mass = _newton(a, out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = p / dp
+        noise = 4 * n * np.finfo(np.longdouble).eps * mass / np.abs(dp)
+    alone = (np.abs(step) < gap / 16) & (noise < eps / 2 * np.abs(roots))
+    for _ in range(3):
+        out = np.where(alone, out - step, out)
+        if not (np.abs(step[alone]) > eps * np.abs(out[alone])).any():
+            break
+        p, dp, _ = _newton(a, out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p / dp
+    for row in np.flatnonzero(~alone.all(axis=1)).tolist():
+        groups = _clusters(roots[row], np.flatnonzero(~alone[row]).tolist(), 4 * gap[row])
+        for group in groups * min(len(groups), 2):
+            c = out[row, group].mean()
+            g = _local_factor(a[row], c, np.delete(out[row], group), len(group))
+            if not np.isfinite(g).all():
+                continue
+            if len(group) == 2:  # t**2 + g_1 t + g_0 by the stable quadratic formula
+                root = np.sqrt(g[1] ** 2 - 4 * g[0])
+                q = -(g[1] + (root if (np.conj(g[1]) * root).real >= 0 else -root)) / 2
+                t = np.array([q, g[0] / q]) if q else np.zeros(2)
+            else:
+                t = _poly.roots(np.append(g, 1).astype(complex)[None])[0]
+            if np.abs(t).max() < 4 * np.abs(roots[row, group] - c).max():
+                out[row, group] = c + t
+    return out.astype(complex)
+
+
+def _products(dens: np.ndarray, roots: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``q = lead * prod(lam - r_i)`` at the points ``lam``, over the
+    ``roots`` of each row of ``dens``."""
+    batches = _batches(roots[:, None, :], 16 * lam.size * roots.shape[1])
+    return dens[:, -1:] * np.concatenate([(lam[:, None] - r).prod(axis=-1) for r in batches])
+
+
 def _certified(dens: np.ndarray) -> list:
     """The factors of each row of ``dens``, trimmed denominators of one length
     ``n + 1 >= 2``: ``((den, roots, 1),)``, its roots certified to lie outside
@@ -115,19 +220,38 @@ def _certified(dens: np.ndarray) -> list:
     inside and none on that circle, however a repeated factor scatters the
     roots.  ``rho = 1 + CIRCLE_BAND`` certifies, ``rho = 1`` counts the roots
     inside the disc.  Products of certified factors need no check.
+
+    ``(den - q) / q`` is the relative error of the roots' product form in
+    the disc, largest on the circle, and den's values there are taken in
+    ``np.clongdouble`` (then rounded, which the Horner bound covers).  Where
+    ``|den - q|`` at one of the 8n points exceeds ``PRODUCT_RTOL |q|``, the
+    roots are :func:`_refined`, and the refined ones are kept, and certified,
+    where their largest ``|den - q| / |q|`` there is smaller and their
+    largest ``|den - q|`` no larger.  Other rows keep the bits of their
+    companion eigenvalues.
     """
     n = dens.shape[1] - 1
     roots = _poly.roots(dens)
     lam = _circle(8 * n)[:-1]
-    batches = _batches(roots[:, None, :], 16 * lam.size * n)
-    q = dens[:, -1:] * np.concatenate([(lam[:, None] - r).prod(axis=-1) for r in batches])
+    values = _poly.horner(dens.astype(np.clongdouble), lam)
+    q = _products(dens, roots, lam)
+    misses = (np.abs(values - q) / np.abs(q)).max(axis=1)
+    poor = np.flatnonzero(misses > PRODUCT_RTOL)
+    if poor.size:
+        refined = _refined(dens[poor], roots[poor])
+        products = _products(dens[poor], refined, lam)
+        gaps = np.abs(values[poor] - products)
+        better = ((gaps / np.abs(products)).max(axis=1) < misses[poor]) & (
+            gaps.max(axis=1) <= np.abs(values[poor] - q[poor]).max(axis=1)
+        )
+        roots[poor[better]], q[poor[better]] = refined[better], products[better]
     # g = den - q has degree below n; each |g(lam_j)| is off by at most 4 (n +
     # 2) u (||den||_1 + |q|): Horner 4n u, q (4n + 4) u, difference 2u.  As
     # |g'| <= (n - 1) max |g| (Bernstein), max |g| on the circle is at most the
     # largest over 1 - pi/8 - 22 n eps (lam_j 11 eps off; 1.7 leaves 3%), and
     # on |lam| = rho > 1 rho**(n - 1) times that (maximum principle)
     err = 2 * (n + 2) * np.finfo(float).eps * (np.abs(dens).sum(axis=1)[:, None] + np.abs(q))
-    peaks = (np.abs(_poly.horner(dens, lam) - q) + err).max(axis=1)
+    peaks = (np.abs(values.astype(complex) - q) + err).max(axis=1)
     band = 1.0 + CIRCLE_BAND
     out = []
     for den, r, peak, low in zip(dens, roots, peaks, _least_modulus(roots, band, 0)):

@@ -32,6 +32,7 @@ __all__ = [
     "RATIO_ATOL",
     "DENOMINATOR_FLOOR",
     "CIRCLE_BAND",
+    "PRODUCT_RTOL",
     "POLY_NOISE",
     "TRIM_RTOL",
     "BARE_ZERO",
@@ -131,6 +132,14 @@ DENOMINATOR_FLOOR = 1e-12
 # 1 - lam/r is evaluated on the circle with a relative error of about 2u/d,
 # u the unit roundoff: 2.2e-7 at d = 1e-9, below SLICE_TOL.
 CIRCLE_BAND = 1e-9
+# A certified denominator whose computed roots' product form misses it,
+# relative, by more than this somewhere on the unit circle has its roots
+# refined (hardy._refined): the relative error of the product form is
+# largest there, and an inner-outer pair carries it into f.  On the slice
+# denominators of random rational curves the companion eigenvalues miss by
+# 1e-15 to 1e-12; beside a double pole they can miss by 1e-10 (1.0078125
+# next to 1.125 twice), as much as the smallest tol a pair is checked to.
+PRODUCT_RTOL = 1e-11
 # Rounding noise of polynomial arithmetic, per unit of coefficient mass: a
 # slice's f11 f22 - det vanishes identically when what is left of it is
 # below this times the mass of the products.

@@ -26,6 +26,28 @@ def _disc_grid(radius=0.7, n=50):
     return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
+def _exactly(coeffs, lam):
+    """The polynomial ``coeffs`` at the points ``lam``, each value computed
+    exactly and rounded once: Horner's rule on Python integers, the doubles
+    of ``coeffs`` and of ``lam`` each times the least power of two that makes
+    all of them integers."""
+
+    def ints(values):
+        # each value as an integer times 2**-bits, and bits
+        ratios = [float(v).as_integer_ratio() for v in values]
+        bits = max(d.bit_length() - 1 for _, d in ratios)
+        return np.array([n << (bits - d.bit_length() + 1) for n, d in ratios], dtype=object), bits
+
+    (points, x_bits), (c, c_bits) = (ints(np.concatenate([v.real, v.imag])) for v in (lam, coeffs))
+    (x, y), (c_re, c_im) = np.split(points, 2), np.split(c, 2)
+    re, im = np.full(lam.size, c_re[-1], dtype=object), np.full(lam.size, c_im[-1], dtype=object)
+    for step, (a, b) in enumerate(zip(c_re[-2::-1], c_im[-2::-1]), 1):
+        shift = x_bits * step
+        re, im = re * x - im * y + (a << shift), re * y + im * x + (b << shift)
+    scale = 1 << (c_bits + x_bits * (len(coeffs) - 1))
+    return np.array([complex(a / scale, b / scale) for a, b in zip(re, im)])
+
+
 def test_rational_rejects_pole_inside_disc():
     with pytest.raises(ValueError, match="root"):
         RationalFunction([1.0], [1.0, -2.0])  # pole at 0.5
@@ -165,6 +187,9 @@ _OUTSIDE_ROOTS = st.floats(1e-3, 3.0).flatmap(lambda d: _cluster(1.0 + d, 4))
     scale=st.floats(1e-2, 1e2),
     phase=st.floats(0.0, 2 * np.pi),
 )
+# roots refined from companion ones that miss den by 5e-4 of itself next to
+# lam = 1 but by less than them in all, which the certificate would refuse
+@example(inside=[], outside=[[1.0625] * 2, [1.01] * 4], scale=1.0, phase=0.0)
 def test_root_certificate_property(inside, outside, scale, phase):
     roots = [r for cluster in inside + outside for r in cluster]
     assume(roots)
@@ -582,6 +607,35 @@ _OFF_CIRCLE = st.floats(0.0, 0.9) | st.floats(1.1, 3.0)
     phase=0.0,
     tol=1e-10,
 )
+# poles next to a double or a triple one, by the expanded denominator's
+# companion eigenvalues 1e-12 to 5e-11 off, or the mean of the cluster off
+@example(
+    zeros=[],
+    poles=[1.25, 1.125, 1.125],
+    snapped=[],
+    near_poles=[1.0078125],
+    scale=1.0,
+    phase=0.0,
+    tol=1e-10,
+)
+@example(
+    zeros=[],
+    poles=[2.0, 1.125, 1.125, 1.109375],
+    snapped=[],
+    near_poles=[],
+    scale=1.0,
+    phase=0.0,
+    tol=1e-10,
+)
+@example(
+    zeros=[],
+    poles=[1.5, 1.125, 1.125, 1.125],
+    snapped=[],
+    near_poles=[1.0001000000000002],
+    scale=1.0,
+    phase=0.0,
+    tol=1e-10,
+)
 @example(
     zeros=[],
     poles=[],
@@ -623,11 +677,13 @@ def test_inner_outer_property_on_random_rational_functions(
     assert inside <= pair.blaschke_zeros.size <= inside + len(snapped)
 
     def exact(lam):
-        # f from its drawn roots in product form, a reference accurate to a
-        # few ulps next to a pole, where Horner's rule is not
-        num = np.prod(lam[:, None] - np.array(zeros + snapped, dtype=complex), axis=1)
-        den = np.prod(lam[:, None] - np.array(poles + near_poles, dtype=complex), axis=1)
-        return scale * np.exp(1j * phase) * num / den
+        # f from its own coefficients, exact to an ulp next to a pole, where
+        # Horner's rule is not.  Not the drawn roots in product form: the
+        # expanded coefficients are rounded, and the roots of what they
+        # hold can be that far off where they cluster (a pole drawn at
+        # 1 + 1e-4 beside a triple one at 1.125 moves by 1.6e-12, f at
+        # radius 0.999 by 1.5e-9 of itself)
+        return _exactly(f.numerator, lam) / _exactly(f.denominator, lam)
 
     near = np.exp(1j * np.angle(np.array(snapped + near_poles, dtype=complex)))
     points = (_disc_grid(radius=0.95, n=200), 0.999 * np.append(_circle(512), near))

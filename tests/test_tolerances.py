@@ -289,6 +289,20 @@ def _circle_band():
     return _both(refused)
 
 
+def _product_rtol():
+    # companion roots of (lam - 2)(lam - 3) that put 2 at 2 + d miss the
+    # denominator by d / (1 + d) of the product at lam = 1; refined, the
+    # factor holds 2
+    def kept(k):
+        moved = np.array([[2.0 + k * tt.PRODUCT_RTOL, 3.0]], dtype=complex)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hardy._poly, "roots", lambda stack: moved.copy())
+            ((_, roots, _),) = RationalFunction([1.0], [6.0, -5.0, 1.0]).factors
+        return bool((roots == moved[0]).all())
+
+    return _both(kept)
+
+
 def _poly_noise():
     # f11 f22 - det of the slice at z = 0 is 0.25 - (0.25 + e): it vanishes
     # when e is at most POLY_NOISE times the mass 0.5 + e
@@ -431,6 +445,7 @@ PROBES = {
     "RATIO_ATOL": _ratio_atol,
     "DENOMINATOR_FLOOR": _denominator_floor,
     "CIRCLE_BAND": _circle_band,
+    "PRODUCT_RTOL": _product_rtol,
     "POLY_NOISE": _poly_noise,
     "TRIM_RTOL": _trim_rtol,
     "BARE_ZERO": _bare_zero,
