@@ -14,7 +14,7 @@ import numpy as np
 
 from .tolerances import TRIM_RTOL
 
-__all__ = ["trim", "trims", "padded", "add", "sub", "mul", "val", "horner", "roots"]
+__all__ = ["trims", "padded", "add", "sub", "mul", "val", "horner", "roots"]
 
 
 def _exact(c: np.ndarray) -> np.ndarray:
@@ -23,12 +23,6 @@ def _exact(c: np.ndarray) -> np.ndarray:
         return c
     nonzero = np.flatnonzero(c)
     return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
-
-
-def trim(coeffs) -> np.ndarray:
-    """``coeffs`` as a complex copy, entries of at most ``TRIM_RTOL`` of the
-    largest set to zero and the trailing ones dropped; ``[0]`` if all are."""
-    return trims([coeffs])[0]
 
 
 def padded(rows) -> np.ndarray:
@@ -43,8 +37,10 @@ def padded(rows) -> np.ndarray:
 
 def trims(rows) -> list:
     """Each of ``rows``, a stack ``(S, L)`` with ``L >= 1`` or else a list of
-    coefficient arrays (:func:`padded`: trailing zeros change no trim), as
-    :func:`trim` gives it alone: one comparison and one zeroed copy for the
+    coefficient arrays (:func:`padded`: trailing zeros change no trim), as a
+    complex row with its entries of at most ``TRIM_RTOL`` of its largest set
+    to zero and the trailing ones dropped, ``[0]`` if all are; each row gets
+    the bits it gets alone.  One comparison and one zeroed copy for the
     stack, then a view of that copy per row."""
     stack = rows if isinstance(rows, np.ndarray) and rows.shape[-1] else padded(rows)
     mods = np.abs(stack)

@@ -731,7 +731,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code, report = _COMMANDS[args.command][0](args)
+        # overflow and NaN in extreme input reach the report, never stderr
+        with np.errstate(all="ignore"):
+            code, report = _COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -235,7 +235,8 @@ def _certified(dens: np.ndarray) -> list:
     lam = _circle(8 * n)[:-1]
     values = _poly.horner(dens.astype(np.clongdouble), lam)
     q = _products(dens, roots, lam)
-    misses = (np.abs(values - q) / np.abs(q)).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a root on a point: q = 0
+        misses = (np.abs(values - q) / np.abs(q)).max(axis=1)
     poor = np.flatnonzero(misses > PRODUCT_RTOL)
     if poor.size:
         refined = _refined(dens[poor], roots[poor])
@@ -389,26 +390,18 @@ class RationalFunction:
         return out
 
     @classmethod
-    def over_product(cls, powers, numerators):
-        """One function per numerator, all over the product of the
-        denominators of ``powers``, pairs ``(function, power)``.
+    def _over_products(cls, rows, powers, numerators) -> list:
+        """For each tuple of functions of ``rows``, pairs with ``powers``, one
+        function per numerator of its list in ``numerators``, all over the
+        product of the functions' denominators to those powers: the functions
+        of each row.
 
-        The product is expanded in the order given, trimmed after each
+        Each product is expanded in the order given, trimmed after each
         multiplication, and is not certified again: its factors are those of
         the functions, with multiplicities scaled by the powers and added
-        where two functions share a factor.  This is :meth:`_over_products`
-        on one row.
-        """
-        fs, exponents = zip(*powers)
-        return cls._over_products([fs], exponents, [numerators])[0]
-
-    @classmethod
-    def _over_products(cls, rows, powers, numerators) -> list:
-        """:meth:`over_product` on each tuple of functions of ``rows``, all to
-        the ``powers``, with its list of ``numerators``: the functions of each
-        row.  The products are expanded by ``np.convolve`` row by row, and each
-        multiplication's trims, and those of the numerators, run once on the
-        zero-padded stack."""
+        where two functions share a factor.  The products are expanded by
+        ``np.convolve`` row by row, and each multiplication's trims, and those
+        of the numerators, run once on the zero-padded stack."""
         if not rows:
             return []
         dens = None

@@ -390,14 +390,10 @@ def sample_curve(curve: GammaCurve, nodes: Sequence[complex]) -> GammaNodes:
     return GammaNodes(curve.variant, nodes, points)
 
 
-def _scalar_ratio(den: np.ndarray, base: np.ndarray):
-    """``den / base`` when ``den`` is a scalar multiple of ``base``, else None."""
-    return _scalar_ratios(den[None], base[None])[0] if den.size == base.size else None
-
-
 def _scalar_ratios(dens: np.ndarray, bases: np.ndarray) -> list:
-    """:func:`_scalar_ratio` on each row of ``dens`` and ``bases``, ``(S,
-    L)``: one test of the stack, each ratio divided as a scalar."""
+    """For each row of ``dens`` and ``bases``, ``(S, L)``, ``den / base`` when
+    ``den`` is a scalar multiple of ``base``, else None: one test of the
+    stack, each ratio divided as a scalar."""
     anchors = np.abs(bases).argmax(axis=1).tolist()
     ratios = [dens[s, a] / bases[s, a] for s, a in enumerate(anchors)]
     scaled = np.array(ratios)[:, None] * bases

@@ -2,7 +2,10 @@
 
 A function ``F(lam) = P + lam Q (I - lam S)^{-1} R`` on the open unit disc is
 stored through the block matrix ``V = [[P, Q], [R, S]]``; ``F`` takes values
-in the ``k x k`` contractions whenever ``V`` is a contraction.
+in the ``k x k`` contractions whenever ``V`` is a contraction.  As ``V``
+maps ``(u, lam x')`` to ``(F(lam) u, x')``, ``||V|| <= rho`` gives
+``||F(lam)|| <= rho`` for ``|lam| < 1 / rho``: the colligation check of
+every constructor, ``rho = 1 + NORM_SLACK``, bounds ``F`` with no sampling.
 """
 
 from __future__ import annotations
@@ -12,15 +15,9 @@ import numpy as np
 
 from . import _poly
 from .linalg import as_cmatrix, operator_norm
-from .tolerances import GRAM_SLACK, MODAL_KAPPA, NORM_SLACK, SCHUR_TOL, SIGMA_GAP
+from .tolerances import GRAM_SLACK, MODAL_KAPPA, NORM_SLACK, SIGMA_GAP
 
-__all__ = [
-    "RealizedSchurFunction",
-    "SchurNormReport",
-    "random_schur",
-    "verify_schur",
-    "realization_to_rational",
-]
+__all__ = ["RealizedSchurFunction", "random_schur", "realization_to_rational"]
 
 # values_of evaluates from the modal form only at this many points or more.
 # Below it, the eig, cond and solve that the modal form needs once (50-300 us
@@ -30,8 +27,6 @@ __all__ = [
 _MODAL_POINTS = 128
 # random_schur's default largest singular value
 _MAX_SIGMA = 1.0 - 1e-6
-# verify_schur samples F on radii up to this
-_VERIFY_RADIUS = 1.0 - 1e-3
 
 
 @dataclass(frozen=True)
@@ -248,30 +243,6 @@ def random_schur(k: int, m: int, seed: int, max_sigma: float = _MAX_SIGMA) -> Re
     u, sig, vh = np.linalg.svd(raw / np.sqrt(2.0))
     v = (u * np.minimum(sig, max_sigma)) @ vh
     return RealizedSchurFunction.from_colligation(v, k, m)
-
-
-@dataclass(frozen=True)
-class SchurNormReport:
-    max_norm: float
-    argmax: complex
-    passed: bool
-    tol: float
-
-
-def verify_schur(
-    f: RealizedSchurFunction, grid_size: int = 24, tol: float = SCHUR_TOL
-) -> SchurNormReport:
-    """Check contractivity of ``F`` on a radial-angular grid of radius 0.999."""
-    if grid_size < 1:
-        raise ValueError("grid_size must be positive")
-    radii = _VERIFY_RADIUS * np.arange(1, grid_size + 1) / grid_size
-    angles = 2.0 * np.pi * np.arange(max(grid_size, 8)) / max(grid_size, 8)
-    lam = np.concatenate([[0.0 + 0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()])
-    vals = f.evaluate_many(lam)
-    norms = np.linalg.norm(vals, ord=2, axis=(1, 2))
-    i = int(np.argmax(norms))
-    top = float(norms[i])
-    return SchurNormReport(top, complex(lam[i]), bool(top <= 1.0 + tol), tol)
 
 
 def realization_to_rational(f: RealizedSchurFunction):

@@ -43,7 +43,6 @@ __all__ = [
     "NORM_SLACK",
     "GRAM_SLACK",
     "MODAL_KAPPA",
-    "SCHUR_TOL",
     "SIGMA_GAP",
     "PHASE_FLOOR",
     "TORUS_FIT_TOL",
@@ -185,10 +184,6 @@ GRAM_SLACK = 2.0 * NORM_SLACK
 # bound.  A defective or nearly defective S has kappa(V) near 1/eps or
 # infinite and stays on the LU path.
 MODAL_KAPPA = 100.0
-# verify_schur passes a function whose sampled norm is at most 1 +
-# SCHUR_TOL: ten times NORM_SLACK, the amount by which the norm of a
-# colligation may exceed 1.
-SCHUR_TOL = 1e-9
 # random_schur's max_sigma must stay this far below 1, so that its draw is
 # a strict contraction after rounding.
 SIGMA_GAP = 1e-12

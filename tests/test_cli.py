@@ -602,6 +602,49 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, command, payload, e
     assert captured.err.count("\n") == 1
 
 
+def _constant_curve(variant: str, component: dict, nodes: list) -> dict:
+    size = {"gamma7": 7, "gamma5": 5}[variant]
+    return {"curve": {"variant": variant, "components": [component] * size}, "nodes": nodes}
+
+
+@pytest.mark.parametrize(
+    "payload, code",
+    [
+        # a computed root on a point of the certificate's circle: q = 0
+        pytest.param(
+            _constant_curve("gamma7", {"numerator": [0.1], "denominator": [1, -1]}, [0.1, 0.2]),
+            1,
+            id="pole-on-the-circle",
+        ),
+        # the values overflow over a subnormal denominator
+        pytest.param(
+            _constant_curve("gamma5", {"numerator": [0.1], "denominator": [1e-320]}, [0.1]),
+            1,
+            id="subnormal-denominators",
+        ),
+        # the slices, their norms and the determinant check overflow
+        pytest.param(
+            _constant_curve("gamma7", {"numerator": [1e300, 1e300], "denominator": [1]}, [0.1]),
+            2,
+            id="huge-numerators",
+        ),
+    ],
+)
+def test_numpy_warnings_do_not_reach_stderr(tmp_path, payload, code):
+    # capsys does not see Python warnings: the CLI runs in a subprocess
+    src = str(Path(gammapick.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gammapick.cli", "certify", "--in", _write(tmp_path, "in.json", payload)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    if code == 1:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+
+
 @pytest.mark.parametrize(
     "command, payload, message",
     [

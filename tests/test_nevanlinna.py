@@ -36,12 +36,7 @@ from gammapick.nevanlinna import (
     sample_curve,
     slice_coordinates,
 )
-from gammapick.realization import (
-    RealizedSchurFunction,
-    random_schur,
-    realization_to_rational,
-    verify_schur,
-)
+from gammapick.realization import RealizedSchurFunction, random_schur, realization_to_rational
 from gammapick.serialize import pick_data_to_json
 from test_hardy import root_certificates
 
@@ -102,7 +97,7 @@ def test_np_solve_schwarz_boundary():
         f = np_solve(data)
         vals = f.evaluate_many(np.array(data.nodes))
         np.testing.assert_allclose(vals[:, 0, 0], [0.0, w], atol=1e-9)
-        assert verify_schur(f).passed
+        assert RealizedSchurFunction.check_colligations(f.colligation[None]) == [None]
     with pytest.raises(UnsolvablePickError) as exc:
         np_solve(PickData((0.0, 0.5), (np.zeros((1, 1)), np.array([[0.6]]))))
     assert exc.value.min_eig < 0
@@ -116,7 +111,7 @@ def test_np_solve_matrix_targets_roundtrip():
     vals = g.evaluate_many(nodes)
     for got, want in zip(vals, targets):
         np.testing.assert_allclose(got, want, atol=1e-9)
-    assert verify_schur(g).passed
+    assert RealizedSchurFunction.check_colligations(g.colligation[None]) == [None]
 
 
 def test_gamma_curve_matches_pointwise_coordinates():
@@ -243,14 +238,14 @@ def test_printed_slice_product_is_the_quotient_arithmetic_on_values(m, z):
     _, curve = _curve(seed=m + 4, variant="gamma5", m=m)
     f11, f22, det = slice_coordinates(curve, z, "printed")
     # the difference of quotients f11 * f22 - det, expanded as written
-    (prod,) = RationalFunction.over_product(
-        ((f11, 1), (f22, 1)), (npoly.polymul(f11.numerator, f22.numerator),)
+    ((prod,),) = RationalFunction._over_products(
+        [(f11, f22)], (1, 1), [(npoly.polymul(f11.numerator, f22.numerator),)]
     )
     num = npoly.polysub(
         npoly.polymul(prod.numerator, det.denominator),
         npoly.polymul(det.numerator, prod.denominator),
     )
-    (expected,) = RationalFunction.over_product(((prod, 1), (det, 1)), (num,))
+    ((expected,),) = RationalFunction._over_products([(prod, det)], (1, 1), [(num,)])
     handed = []
     original_io = nevanlinna._inner_outer_many
 

@@ -61,11 +61,11 @@ def test_a_stacked_root_solve_gives_each_row_its_own_bits(degree):
 
 
 def test_trim_drops_small_trailing_coefficients_and_zeroes_small_ones():
-    c = _poly.trim([1.0, 1e-14, 0.5, 1e-15, 0.0])
+    (c,) = _poly.trims([[1.0, 1e-14, 0.5, 1e-15, 0.0]])
     assert c.tolist() == [1.0, 0.0, 0.5]
-    assert _poly.trim([0.0, 0.0]).tolist() == [0.0]
-    assert _poly.trim([]).tolist() == [0.0]
-    nan = _poly.trim([np.nan, 0.0])
+    assert _poly.trims([[0.0, 0.0]])[0].tolist() == [0.0]
+    assert _poly.trims([[]])[0].tolist() == [0.0]
+    (nan,) = _poly.trims([[np.nan, 0.0]])
     assert nan.size == 2 and np.isnan(nan[0])
 
 

@@ -2,27 +2,21 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammapick import realization
 from gammapick.linalg import extend_isometry, operator_norm
 from gammapick.nevanlinna import PickData, PickInterpolant, np_solve
-from gammapick.realization import (
-    RealizedSchurFunction,
-    random_schur,
-    realization_to_rational,
-    verify_schur,
-)
+from gammapick.realization import RealizedSchurFunction, random_schur, realization_to_rational
+from gammapick.tolerances import NORM_SLACK, SIGMA_GAP
 
 
 def test_random_schur_is_contractive_and_deterministic():
     f = random_schur(3, 4, seed=0)
     g = random_schur(3, 4, seed=0)
     np.testing.assert_array_equal(f.colligation, g.colligation)
-    report = verify_schur(f)
-    assert report.passed
-    assert report.max_norm <= 1.0 + report.tol
+    assert RealizedSchurFunction.check_colligations(f.colligation[None]) == [None]
 
 
 def test_random_schur_distinct_seeds_differ():
@@ -99,15 +93,6 @@ def test_realization_to_rational_shares_denominator():
     for row in entries:
         for entry in row:
             np.testing.assert_allclose(entry.denominator, base, atol=0)
-
-
-def test_verify_schur_flags_expansive_values():
-    # bypass the constructor norm gate to probe the verifier itself
-    f = random_schur(2, 2, seed=10)
-    object.__setattr__(f, "p", 1.5 * np.eye(2))
-    report = verify_schur(f)
-    assert not report.passed
-    assert report.max_norm > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +218,63 @@ def test_a_stack_mixing_both_paths_gives_each_function_its_own_values():
     stacked = RealizedSchurFunction.values_of(*blocks, lam)
     for f, points, values in zip(fs, lam, stacked):
         assert values.tobytes() == f.evaluate_many(points).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the colligation certificate bounds F: ||V|| <= rho gives ||F(lam)|| <= rho
+# for |lam| < 1 / rho, so a function that passed check_colligations has
+# ||F(lam)|| <= 1 + NORM_SLACK for |lam| < 1 / (1 + NORM_SLACK)
+
+# the rounding of F's values and of their 2-norms at radius 0.999: a few eps
+# times ||(I - lam S)^-1|| <= 1 / (1 - 0.999) on the LU path, MODAL_KAPPA =
+# 100 times more on the modal path
+_ROUNDING = 1e-10
+
+
+def _dense_grid() -> np.ndarray:
+    """The origin and 32 x 32 points on the radii up to 0.999: more points than
+    the modal path needs."""
+    radii = 0.999 * np.arange(1, 33) / 32
+    circle = np.exp(2j * np.pi * np.arange(32) / 32)
+    return np.concatenate([[0.0], (radii[:, None] * circle).ravel()])
+
+
+def _largest_norms(f: RealizedSchurFunction) -> tuple[float, float]:
+    """The largest ``||F(lam)||`` on :func:`_dense_grid` by ``evaluate_many``,
+    which takes the modal path where ``values_of`` allows it, and by the LU
+    path."""
+    lam = _dense_grid()
+    assert lam.size >= realization._MODAL_POINTS
+    lu = realization._lu_values(f.p[None], f.q[None], f.r[None], f.s[None], lam[None])[0]
+    return tuple(float(np.linalg.norm(v, 2, axis=(1, 2)).max()) for v in (f.evaluate_many(lam), lu))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 3),
+    m=st.integers(0, 6),
+    seed=st.integers(0, 2**16),
+    max_sigma=st.floats(0.05, 1.0 - SIGMA_GAP),
+    n=st.integers(1, 4),
+)
+@example(k=3, m=6, seed=0, max_sigma=1.0 - SIGMA_GAP, n=4)
+def test_the_certificate_bounds_every_realized_function_on_the_disc(k, m, seed, max_sigma, n):
+    f = random_schur(k, m, seed, max_sigma=max_sigma)
+    # an interpolant of a strict contraction's values: its colligation is unitary
+    rng = np.random.default_rng(seed)
+    nodes = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    targets = random_schur(k, m, seed, max_sigma=0.9).evaluate_many(nodes)
+    g = np_solve(PickData(tuple(nodes), tuple(targets)))
+    for h in (f, g):
+        assert RealizedSchurFunction.check_colligations(h.colligation[None]) == [None]
+        assert max(_largest_norms(h)) <= 1.0 + NORM_SLACK + _ROUNDING
+
+
+def test_the_certificate_refuses_an_expansive_colligation():
+    v = random_schur(2, 2, seed=10).colligation
+    v[:2, :2] = 1.5 * np.eye(2)
+    (error,) = RealizedSchurFunction.check_colligations(v[None])
+    assert isinstance(error, ValueError) and "exceeds 1 + 1e-10" in str(error)
+    # F(0) = p: the values the certificate refuses exceed 1
+    f = RealizedSchurFunction.from_checked(v, 2, 2)
+    assert min(_largest_norms(f)) >= 1.5 - _ROUNDING

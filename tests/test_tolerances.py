@@ -23,7 +23,7 @@ from gammapick.hardy import InnerOuterPair, RationalFunction, blaschke_eval
 from gammapick.kernels import SampleGrid, SampledKernel, tensor_grid, upper_e
 from gammapick.lurking import RankOneFactor, UWResult, rank1_factor, torus_fit, uw_construct, verify_uw
 from gammapick.nevanlinna import GammaCurve, PickInterpolant, build_slice_schur, np_solve
-from gammapick.realization import RealizedSchurFunction, random_schur, verify_schur
+from gammapick.realization import RealizedSchurFunction, random_schur
 from test_linalg import _kernel, _pick
 
 SRC = Path(cli.__file__).parent
@@ -89,7 +89,6 @@ _DEFAULTS = [
     (nevanlinna.certify_gamma7_interpolation, "PICK_TOL"),
     (nevanlinna.certify_gamma5_interpolation, "PICK_TOL"),
     (hardy.inner_outer, "SLICE_TOL"),
-    (realization.verify_schur, "SCHUR_TOL"),
 ]
 
 
@@ -261,15 +260,15 @@ def _ratio_rtol():
     # is RATIO_ATOL * 2 + RATIO_RTOL * 2, nearly all of it RATIO_RTOL
     base = np.array([1.0, 1.0], dtype=complex)
     bound = 2.0 * (tt.RATIO_ATOL + tt.RATIO_RTOL)
-    den = lambda k: np.array([2.0, 2.0 + k * bound], dtype=complex)
-    return _both(lambda k: nevanlinna._scalar_ratio(den(k), base) is not None)
+    den = lambda k: np.array([[2.0, 2.0 + k * bound]], dtype=complex)
+    return _both(lambda k: nevanlinna._scalar_ratios(den(k), base[None]) != [None])
 
 
 def _ratio_atol():
     # where base vanishes only RATIO_ATOL times the largest coefficient counts
     base = np.array([1.0, 0.0], dtype=complex)
-    den = lambda k: np.array([2.0, k * tt.RATIO_ATOL * 2.0], dtype=complex)
-    return _both(lambda k: nevanlinna._scalar_ratio(den(k), base) is not None)
+    den = lambda k: np.array([[2.0, k * tt.RATIO_ATOL * 2.0]], dtype=complex)
+    return _both(lambda k: nevanlinna._scalar_ratios(den(k), base[None]) != [None])
 
 
 def _denominator_floor():
@@ -390,11 +389,6 @@ def _modal_kappa():
     return _both(modal)
 
 
-def _schur_tol():
-    f = lambda k: RealizedSchurFunction.from_checked(np.array([[1.0 + k * tt.SCHUR_TOL]]), 1, 0)
-    return _both(lambda k: verify_schur(f(k)).passed)
-
-
 def _sigma_gap():
     draw = lambda k: random_schur(1, 0, seed=0, max_sigma=1.0 - k * tt.SIGMA_GAP)
     return _both(lambda k: _raises(ValueError, lambda: draw(k)))
@@ -456,7 +450,6 @@ PROBES = {
     "NORM_SLACK": _norm_slack,
     "GRAM_SLACK": _gram_slack,
     "MODAL_KAPPA": _modal_kappa,
-    "SCHUR_TOL": _schur_tol,
     "SIGMA_GAP": _sigma_gap,
     "PHASE_FLOOR": _phase_floor,
     "TORUS_FIT_TOL": _torus_fit_tol,
