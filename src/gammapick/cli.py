@@ -706,6 +706,17 @@ _COMMANDS = {
 }
 
 
+def _joined(argv) -> list:
+    """``argv`` with each option that takes a value joined to its value by
+    ``=``: argparse takes a separate value that starts with ``-`` for an
+    option unless it looks like a plain negative number (``--tol -1e-9``)."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in {"--in", "--out", *_OPTIONS} else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser; it depends on nothing but ``_COMMANDS``, so it is
@@ -730,7 +741,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
         # overflow and NaN in extreme input reach the report, never stderr
         with np.errstate(all="ignore"):
             code, report = _COMMANDS[args.command][0](args)

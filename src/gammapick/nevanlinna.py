@@ -326,16 +326,10 @@ class GammaCurve:
         object.__setattr__(self, "components", comps)
 
     @cached_property
-    def shared_numerators(self):
-        """The components over one denominator, ``(numerators, denominator)``
-        (see ``_shared_numerators``)."""
-        return _shared_numerators(self.components)
-
-    @cached_property
     def rows(self) -> np.ndarray:
         """Homogeneous coordinate rows: the shared denominator, then the
-        numerators, zero-padded to one length."""
-        nums, big = self.shared_numerators
+        numerators, zero-padded to one length (see ``_shared_numerators``)."""
+        nums, big = _shared_numerators(self.components)
         h = np.zeros((1 + len(nums), max(c.size for c in (big, *nums))), dtype=complex)
         for row, c in zip(h, (big, *nums)):
             row[: c.size] = c
@@ -390,19 +384,22 @@ def sample_curve(curve: GammaCurve, nodes: Sequence[complex]) -> GammaNodes:
     return GammaNodes(curve.variant, nodes, points)
 
 
-def _scalar_ratios(dens: np.ndarray, bases: np.ndarray) -> list:
-    """For each row of ``dens`` and ``bases``, ``(S, L)``, ``den / base`` when
-    ``den`` is a scalar multiple of ``base``, else None: one test of the
-    stack, each ratio divided as a scalar."""
-    anchors = np.abs(bases).argmax(axis=1).tolist()
-    ratios = [dens[s, a] / bases[s, a] for s, a in enumerate(anchors)]
-    scaled = np.array(ratios)[:, None] * bases
+def _scalar_ratio(den: np.ndarray, base: np.ndarray):
+    """``den / base`` when ``den`` is a scalar multiple of ``base``, else
+    None: exactly 1.0 when the two are equal, else the ratio of their entries
+    where ``base`` is largest."""
+    if den.size != base.size:
+        return None
+    if np.array_equal(den, base):
+        return 1.0
+    anchor = np.abs(base).argmax()
+    ratio = den[anchor] / base[anchor]
+    scaled = ratio * base
     # the test of np.allclose(den, ratio * base, rtol=RATIO_RTOL,
     # atol=RATIO_ATOL * scale) written out, without its overhead; the same on
     # finite input
-    bound = RATIO_ATOL * np.abs(dens).max(axis=1, keepdims=True) + RATIO_RTOL * np.abs(scaled)
-    ok = (np.abs(dens - scaled) <= bound).all(axis=1).tolist()
-    return [ratio if good else None for ratio, good in zip(ratios, ok)]
+    bound = RATIO_ATOL * np.abs(den).max() + RATIO_RTOL * np.abs(scaled)
+    return ratio if (np.abs(den - scaled) <= bound).all() else None
 
 
 def _shared_numerators(fs: Sequence[RationalFunction]):
@@ -415,20 +412,17 @@ def _shared_numerators(fs: Sequence[RationalFunction]):
     slice arithmetic cancel the denominator instead of stacking repeated
     factors, which would make downstream root extraction ill conditioned.
     """
-    bases, parts = [], [None] * len(fs)
-    while None in parts:
-        # the first function left opens a base, tested with itself and with
-        # every function left in one stack: the order in which one function
-        # at a time would meet the bases
-        first = parts.index(None)
-        base = fs[first].denominator
-        bases.append(base)
-        left = [i for i, part in enumerate(parts) if part is None]
-        idx = [i for i in left if fs[i].denominator.size == base.size]
-        dens = np.array([fs[i].denominator for i in idx])
-        for i, ratio in zip(idx, _scalar_ratios(dens, np.broadcast_to(base, dens.shape))):
-            if ratio is not None or i == first:
-                parts[i] = (len(bases) - 1, fs[i].numerator / ratio)
+    bases, parts = [], []
+    for f in fs:
+        # each function joins the first base it is a multiple of, or opens one
+        for k, base in enumerate(bases):
+            ratio = _scalar_ratio(f.denominator, base)
+            if ratio is not None:
+                parts.append((k, f.numerator / ratio))
+                break
+        else:
+            parts.append((len(bases), f.numerator))
+            bases.append(f.denominator)
     nums = []
     for k, num in parts:
         for j, base in enumerate(bases):
@@ -705,18 +699,12 @@ def _products(slices) -> list:
     det`` as a function over a product of the certified slice denominators,
     checked by its factors, and the ratio of the determinant denominator to
     that of ``f11`` and ``f22`` (None when it is not a scalar multiple of it,
-    which only the printed determinant slice gives).  The ratio test runs on
-    the stacks of one denominator length, the noise test on those of one
+    which only the printed determinant slice gives): one
+    :func:`_scalar_ratio` per slice, and one noise test per stack of one
     pair of product lengths (see :func:`_slice_grid`).
     """
     f11s, dets = [f11 for f11, _, _ in slices], [det for _, _, det in slices]
-    ratios = [None] * len(slices)
-    size = lambda fs, i: fs[i].denominator.size
-    same = [i for i in range(len(slices)) if size(f11s, i) == size(dets, i)]
-    for idx in _groups(same, partial(size, f11s)):
-        dens, bases = (np.array([fs[i].denominator for i in idx]) for fs in (dets, f11s))
-        for i, ratio in zip(idx, _scalar_ratios(dens, bases)):
-            ratios[i] = ratio
+    ratios = [_scalar_ratio(det.denominator, f11.denominator) for f11, det in zip(f11s, dets)]
     exact = [i for i, ratio in enumerate(ratios) if ratio is not None]
     quotient = [i for i, ratio in enumerate(ratios) if ratio is None]
     diag = [_poly.mul(f11.numerator, f22.numerator) for f11, f22, _ in slices]
@@ -759,18 +747,17 @@ def _slice_grid(x: GammaCurve, z_grid, det_denominator: str = "corrected") -> li
     lift and trim for the stack, and one certificate per trimmed denominator
     length.  ``f11 f22 - det`` goes over the square of the slice denominator
     (times the printed determinant denominator, when that differs), with no
-    check of its own, from :func:`_products`: one ratio test per stack of
-    one denominator length, one noise test per stack of one pair of product
-    lengths, and the trims and factor bookkeeping of the products
-    for all slices at once.  The pairs, and their values at the
-    contractivity grid, come from ``hardy._inner_outer_many``: one root
+    check of its own, from :func:`_products`: one ratio per slice, one noise
+    test per stack of one pair of product lengths, and the trims and factor
+    bookkeeping of the products for all slices at once.  The pairs, and their
+    values at the contractivity grid, come from ``hardy._inner_outer_many``: one root
     solve per numerator length, one root classification, pole, constant,
     scale and invariant check per pair signature, and one evaluation per
     signature for the reconstruction check and the grid.  The contractivity
     and determinant checks run on the stacked slice values.  What a single
     slice takes as a scalar for its bits stays a scalar, row by row (see
-    ``hardy._pair_stacks`` and :func:`_scalar_ratios`), and each polynomial
-    product is one ``np.convolve`` per row.
+    ``hardy._pair_stacks``), and each polynomial product is one
+    ``np.convolve`` per row.
     """
     if not isinstance(x, GammaCurve):
         raise TypeError("build_slice_schur expects a GammaCurve")

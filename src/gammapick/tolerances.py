@@ -114,10 +114,10 @@ TARGET_TOL = 1e-8
 # splits, relative to max(1, |product|): a split computed in floating point
 # misses its product by a few eps.
 SPLIT_RTOL = 1e-9
-# Two denominators are one up to a scalar when they agree entry by entry
-# within RATIO_ATOL times the largest coefficient plus RATIO_RTOL times the
-# entry (the test of np.allclose): curve denominators written out by JSON or
-# by polynomial products agree to a few eps.
+# Equal denominators are one, with ratio 1.  Two that differ are one up to a
+# scalar when they agree entry by entry within RATIO_ATOL times the largest
+# coefficient plus RATIO_RTOL times the entry (the test of np.allclose):
+# those of hand-built curves may agree to a few eps.
 RATIO_RTOL = 1e-11
 RATIO_ATOL = 1e-13
 # A denominator below this modulus vanishes: the resolvent determinant of

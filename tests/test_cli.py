@@ -68,6 +68,16 @@ def test_mu_diagonal(tmp_path, capsys):
     assert report["mu"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_mu_on_one_block_reports_the_spectral_radius(tmp_path, capsys):
+    a = np.diag([0.5, 0.2, 0.1]).astype(complex)
+    a[0, 1] = 0.3
+    path = _write(tmp_path, "mu.json", {"matrix": cmatrix_to_json(a), "structure": "E(3;1;3)"})
+    code, report = _run(capsys, ["mu", "--in", path])
+    assert code == 0
+    assert report["mu"] == 0.5 and report["mu_bracket"] == [0.5, 0.5]
+    assert report["structure"] == "E(3;1;3)"
+
+
 def test_mu_unknown_structure_is_input_error(tmp_path, capsys):
     path = _write(
         tmp_path, "mu.json", {"matrix": cmatrix_to_json(np.eye(3)), "structure": "E(9)"}
@@ -984,6 +994,60 @@ def test_parser_reuse_matches_lone_calls(tmp_path, capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+@pytest.mark.parametrize(
+    "command, option, value, echoed",
+    [
+        ("gamma-check", "--tol", "-1e-9", -1e-9),
+        ("reduce", "--z2-grid", "-0.3,0.3", [[-0.3, 0.0], [0.3, 0.0]]),
+        ("reduce", "--z2-grid", "-0.3j", [[0.0, -0.3]]),
+    ],
+)
+def test_an_option_value_may_start_with_a_minus(tmp_path, capsys, command, option, value, echoed):
+    # argparse alone takes a separate token that starts with "-" for a value
+    # only when it looks like a plain negative number: an exponent, a comma
+    # or a "j" made it an unknown option
+    payload = _E311_DIAG if command == "gamma-check" else _nodes_payload()
+    path = _write(tmp_path, "in.json", payload)
+    apart = run([command, "--in", path, option, value]), capsys.readouterr()
+    joined = run([command, "--in", path, f"{option}={value}"]), capsys.readouterr()
+    assert apart == joined
+    assert apart[0] == 0 and apart[1].err == ""
+    assert json.loads(apart[1].out)["options"][option[2:].replace("-", "_")] == echoed
+
+
+def test_reduce_gamma5_nodes_echoes_the_determinant_denominator(tmp_path, capsys):
+    # pi_coordinates(lam A, "gamma5") has x4 = lam tr(A22): 2 - z x4 vanishes
+    # at the first node for z = 2 / x4, which the grid puts in the disc
+    a = np.diag([0.5, 1.0, 1.5]).astype(complex)
+    nodes = (0.9, -0.3j)
+    points = tuple(pi_coordinates(lam * a, "gamma5") for lam in nodes)
+    path = _write(tmp_path, "g5.json", gamma_nodes_to_json(GammaNodes("gamma5", nodes, points)))
+    zero = 2.0 / points[0].entries[3]
+    assert abs(zero) < 1.0
+    for det_denominator in ("corrected", "printed"):
+        code, report = _run(capsys, [
+            "reduce", "--in", path, "--z2-grid", f"0.3,{zero.real!r}",
+            "--det-denominator", det_denominator,
+        ])
+        assert code == 0 and report["variant"] == "gamma5"
+        assert report["options"]["det_denominator"] == det_denominator
+        first, second = report["problems"]
+        assert "pick" in first and "error" not in first
+        assert second["error"] == f"slice denominator 2 - z*x4 vanishes at z={complex(zero)}"
+
+
+def test_certify_reports_a_row_whose_reduction_fails(tmp_path, capsys):
+    # x2 = 10/3 makes the slice denominator 1 - z x2 vanish at z = 0.3
+    point = GammaPoint("gamma7", (0.0, 10 / 3, 0.0, 0.0, 0.0, 0.0, 0.0))
+    path = _write(tmp_path, "g7.json", gamma_nodes_to_json(GammaNodes("gamma7", (0.2,), (point,))))
+    code, report = _run(capsys, ["certify", "--in", path, "--z2-grid", "0.3,0"])
+    assert code == 2
+    row = next(row for row in report["rows"] if row["z"] == [0.3, 0.0])
+    assert row["solvable"] is False
+    assert row["min_eig"] is None and row["target_residual"] is None
+    assert row["note"] == "slice denominator 1 - z*x2 vanishes at z=(0.3+0j)"
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--help"])
@@ -1124,12 +1188,11 @@ def _polynomial_curve_file(tmp_path, seed=7, variant="gamma7"):
 
 @pytest.mark.parametrize("variant", ["gamma7", "gamma5"])
 def test_certify_checks_a_polynomial_curve_per_stack(tmp_path, capsys, variant):
-    # the slice pass trims, ratio-tests and pair-checks its slices as
-    # stacks: the slices of a polynomial curve have two denominator lengths
-    # (a constant one at z = 0) and two pair signatures, so the nine
-    # slices of the default grid make as many calls as three of them do.
-    # Checked slice by slice, the nine made 54 trims, 9 ratio tests and 9
-    # pair checks in the pass
+    # the slice pass trims and pair-checks its slices as stacks: the slices
+    # of a polynomial curve have two denominator lengths (a constant one at
+    # z = 0) and two pair signatures, so the nine slices of the default grid
+    # make as many calls as three of them do.  Checked slice by slice, the
+    # nine made 54 trims and 9 pair checks in the pass
     path = _polynomial_curve_file(tmp_path, variant=variant)
     counted = {}
     slice_checks = cli._slice_checks
@@ -1141,7 +1204,7 @@ def test_certify_checks_a_polynomial_curve_per_stack(tmp_path, capsys, variant):
 
     def counts(argv):
         with pytest.MonkeyPatch.context() as mp:
-            for owner, name in ((hardy, "trims"), (nevanlinna, "_scalar_ratios"), (hardy, "_pair_errors")):
+            for owner, name in ((hardy, "trims"), (hardy, "_pair_errors")):
                 original = getattr(owner, name)
 
                 def wrapped(*args, _original=original, _name=name):
@@ -1157,10 +1220,10 @@ def test_certify_checks_a_polynomial_curve_per_stack(tmp_path, capsys, variant):
 
     nine = counts(["certify", "--in", path])
     assert counts(["certify", "--in", path, "--z2-grid", "0,0.3,-0.6j"]) == nine
-    # one ratio test per denominator length, one pair check per signature,
-    # and four trims: the slice denominators, their numerators, the squares
-    # of the denominators and the numerators of f11 f22 - det
-    assert nine == {"trims": 4, "_scalar_ratios": 2, "_pair_errors": 2}
+    # one pair check per signature, and four trims: the slice denominators,
+    # their numerators, the squares of the denominators and the numerators
+    # of f11 f22 - det
+    assert nine == {"trims": 4, "_pair_errors": 2}
 
 
 def test_printed_certify_evaluates_one_winding_check(tmp_path, capsys):

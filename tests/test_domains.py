@@ -13,6 +13,7 @@ from gammapick.domains import (
     E311,
     E312,
     BlockStructure,
+    GammaPoint,
     in_gamma,
     mu,
     mu_bound,
@@ -47,6 +48,15 @@ def test_mu_nilpotent_is_zero():
     a = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
     assert mu(a, E311) == 0.0
     assert mu(a, E312) == 0.0
+
+
+def test_mu_on_one_block_is_the_spectral_radius():
+    # one scalar block: mu is the spectral radius, below the norm here
+    a = np.diag([0.5, 0.2, 0.1]).astype(complex)
+    a[0, 1] = 0.3
+    value = mu(a, BlockStructure.parse("E(3;1;3)"))
+    assert value == 0.5 and (value.bracket.lower, value.bracket.upper) == (0.5, 0.5)
+    assert np.linalg.norm(a, 2) > 0.5
 
 
 def test_mu_identity_is_one():
@@ -146,6 +156,15 @@ def test_pi_coordinates_match_minors():
     )
 
 
+def test_pi_coordinates_gamma3_takes_a_2x2_matrix():
+    a = np.array([[0.3, 0.2j], [0.1, -0.4]])
+    x = pi_coordinates(a, "gamma3")
+    assert x.variant == "gamma3"
+    np.testing.assert_allclose(x.entries, (0.3, -0.4, np.linalg.det(a)), atol=1e-15)
+    with pytest.raises(ValueError, match="gamma3 coordinates need a 2x2 matrix"):
+        pi_coordinates(np.eye(3), "gamma3")
+
+
 def test_pi_coordinates_rejects_unknown_variant():
     with pytest.raises(ValueError):
         pi_coordinates(np.eye(3), "gamma9")
@@ -165,6 +184,18 @@ def test_tetrablock_member_fixtures():
     assert not tetrablock_member((1.4, 0.0, 0.0))
     # diagonal point on the boundary of membership
     assert tetrablock_member((1.0, 0.0, 0.0))
+
+
+def test_tetrablock_member_reads_gamma3_points_only():
+    assert tetrablock_member(GammaPoint("gamma3", (0.3, 0.2, 0.05)))
+    assert not tetrablock_member(GammaPoint("gamma3", (1.4, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="expects gamma3 coordinates"):
+        tetrablock_member(pi_coordinates(0.5 * np.eye(3), "gamma7"))
+    # |x3| above 1 + tol is refused: with tol = -0.5 the first inequality
+    # alone, 0 <= 1 - 0.36 - 0.5, would let (0, 0, 0.6) in
+    assert not tetrablock_member((0.0, 0.0, 1.1))
+    assert not tetrablock_member((0.0, 0.0, 0.6), tol=-0.5)
+    assert tetrablock_member((0.0, 0.0, 0.4), tol=-0.5)
 
 
 def test_tetrablock_member_matches_completion_oracle():

@@ -477,6 +477,8 @@ def test_slice_coordinates_gamma5_variants_differ():
     assert abs(complex(det_corr([lam])[0]) - complex(det_prn([lam])[0])) > 1e-6
     with pytest.raises(ValueError, match="det_denominator"):
         slice_coordinates(curve.point_at(lam), z, det_denominator="other")
+    with pytest.raises(ValueError, match="unknown det_denominator 'bogus'"):
+        build_slice_schur(curve, z, "bogus")
 
 
 def test_psi3_matches_fractional_map_with_swapped_arguments():
@@ -680,7 +682,23 @@ def test_curve_keeps_its_shared_form():
 
     # once for the curve, not once per slice parameter
     assert _calls(nevanlinna, "_shared_numerators", slice_all) == 1
-    assert curve.shared_numerators is curve.shared_numerators
+    assert curve.rows is curve.rows
+
+
+def test_components_over_one_denominator_keep_their_numerators():
+    # numpy divides this denominator's largest coefficient by itself to
+    # 0.9999999999999999: the ratio of a denominator to an equal one is 1
+    # exactly, so the rows are the components' coefficients bit for bit
+    rng = np.random.default_rng(1)
+    den = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    den[0] = 8 * (rng.standard_normal() + 1j * rng.standard_normal())
+    assert den[0] / den[0] != 1
+    nums = 0.1 * (rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3)))
+    comps = [RationalFunction(num, den.copy()) for num in nums]
+    rows = GammaCurve("gamma7", comps).rows
+    assert np.array_equal(rows[0], den)
+    for row, c in zip(rows[1:], comps):
+        assert np.array_equal(row, np.pad(c.numerator, (0, row.size - c.numerator.size)))
 
 
 def test_build_slice_schur_evaluates_the_slice_once():
@@ -787,7 +805,7 @@ def test_slice_checks_report_a_printed_determinant_mismatch():
     # slice is contractive, and its determinant misses the printed slice
     curve = gamma_curve_from_entries(_mixed_entries(8), "gamma5")
     assert cli._slice_checks(curve, (0.3,), "printed") == [
-        {"z": [0.3, 0.0], "ok": False, "error": "slice determinant mismatch 3.523e-05"}
+        {"z": [0.3, 0.0], "ok": False, "error": "slice determinant mismatch 1.646e-04"}
     ]
     assert cli._slice_checks(curve, (0.3,), "corrected") == [
         {"z": [0.3, 0.0], "ok": True, "triangular": False}

@@ -260,15 +260,15 @@ def _ratio_rtol():
     # is RATIO_ATOL * 2 + RATIO_RTOL * 2, nearly all of it RATIO_RTOL
     base = np.array([1.0, 1.0], dtype=complex)
     bound = 2.0 * (tt.RATIO_ATOL + tt.RATIO_RTOL)
-    den = lambda k: np.array([[2.0, 2.0 + k * bound]], dtype=complex)
-    return _both(lambda k: nevanlinna._scalar_ratios(den(k), base[None]) != [None])
+    den = lambda k: np.array([2.0, 2.0 + k * bound], dtype=complex)
+    return _both(lambda k: nevanlinna._scalar_ratio(den(k), base) is not None)
 
 
 def _ratio_atol():
     # where base vanishes only RATIO_ATOL times the largest coefficient counts
     base = np.array([1.0, 0.0], dtype=complex)
-    den = lambda k: np.array([[2.0, k * tt.RATIO_ATOL * 2.0]], dtype=complex)
-    return _both(lambda k: nevanlinna._scalar_ratios(den(k), base[None]) != [None])
+    den = lambda k: np.array([2.0, k * tt.RATIO_ATOL * 2.0], dtype=complex)
+    return _both(lambda k: nevanlinna._scalar_ratio(den(k), base) is not None)
 
 
 def _denominator_floor():
