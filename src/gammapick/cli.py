@@ -26,29 +26,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 import numpy as np
 
 from .domains import BlockStructure, GammaPoint, mu, tetrablock_member
-from .fractional import SingularFractionError, se_values
-from .kernels import SampleGrid, combine_k, kernel_rank, membership, tensor_grid, upper_e
-from .linalg import IndefiniteMatrixError
-from .lurking import (
-    GramInconsistencyError,
-    RankError,
-    right_s,
-    torus_fit,
-    uw_construct,
-    verify_uw,
-)
-from .nevanlinna import (
-    DEFAULT_Z_GRID,
-    UnsolvablePickError,
-    _certify,
-    _slice_grid,
-    certify_gamma7_interpolation,
-    np_solve,
-    reduce_gamma5,
-    reduce_gamma7,
-    sample_curve,
-)
-from .realization import RealizedSchurFunction, random_schur
+from .linalg import GramInconsistencyError, IndefiniteMatrixError
 from .serialize import (
     cmatrix_from_json,
     complex_from_json,
@@ -70,6 +48,9 @@ from .tolerances import (
     TORUS_FIT_TOL,
     UW_TOL,
 )
+
+# The computation modules past ``domains`` load in the handlers that call
+# them, so a process loads only what its subcommand runs.
 
 __all__ = ["run", "main"]
 
@@ -128,12 +109,20 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
-def _function_from(payload: dict) -> RealizedSchurFunction:
+def _bad(what: str, exc: Exception) -> InputError:
+    """The error for a decoder's ``exc``; a ``KeyError`` is a missing field."""
+    detail = f"missing the {exc.args[0]!r} field" if isinstance(exc, KeyError) else exc
+    return InputError(f"bad {what}: {detail}")
+
+
+def _function_from(payload: dict):
+    from .realization import RealizedSchurFunction
+
     data = _require(payload, "function")
     try:
         return RealizedSchurFunction.from_json(data)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: k or m inf
-        raise InputError(f"bad realization data: {exc}") from exc
+        raise _bad("realization data", exc) from exc
 
 
 def _matrix_and_structure(payload: dict) -> tuple[np.ndarray, BlockStructure]:
@@ -151,8 +140,10 @@ def _matrix_and_structure(payload: dict) -> tuple[np.ndarray, BlockStructure]:
     return matrix, structure
 
 
-def _grid_from(payload: dict) -> tuple[SampleGrid, dict]:
+def _grid_from(payload: dict) -> tuple:
     """Grid plus the echoed grid options."""
+    from .kernels import tensor_grid
+
     spec = payload.get("grid", {})
     if not isinstance(spec, dict):
         raise InputError("grid field must be a JSON object")
@@ -280,6 +271,8 @@ def _cmd_gamma_check(args):
 
 
 def _cmd_se(args):
+    from .fractional import SingularFractionError, se_values
+
     payload = _load_payload(args)
     f = _function_from(payload)
     pts = _require(payload, "points")
@@ -320,12 +313,17 @@ def _right_s_match(values, g) -> tuple[float, float]:
 
 def _kernel_identity(triple) -> float:
     """Largest entry gap between the combined kernel and ``g g*``."""
+    from .kernels import combine_k
+
     g = triple.g_values
     return float(np.abs(combine_k(triple).gram - np.outer(g, np.conj(g))).max())
 
 
 def _sampled_triple(args):
     """Kernel triple of a grid instance, plus echoed options."""
+    from .fractional import SingularFractionError
+    from .kernels import upper_e
+
     payload = _load_payload(args)
     f = _function_from(payload)
     grid, grid_opts = _grid_from(payload)
@@ -340,6 +338,8 @@ def _sampled_triple(args):
 
 
 def _cmd_upper_e(args):
+    from .kernels import combine_k, kernel_rank, membership
+
     triple, options = _sampled_triple(args)
     tol = options["tol"]
 
@@ -364,6 +364,9 @@ def _cmd_upper_e(args):
 
 
 def _cmd_uw(args):
+    from .kernels import upper_e
+    from .lurking import RankError, torus_fit, uw_construct, verify_uw
+
     triple, options = _sampled_triple(args)
     tol = options["tol"]
     try:
@@ -391,6 +394,8 @@ def _cmd_uw(args):
 
 
 def _cmd_right_s(args):
+    from .lurking import RankError, right_s
+
     triple, options = _sampled_triple(args)
     try:
         factor = right_s(triple, tol=options["tol"])
@@ -408,11 +413,13 @@ def _cmd_right_s(args):
 
 
 def _cmd_np(args):
+    from .nevanlinna import UnsolvablePickError, np_solve
+
     payload = _load_payload(args)
     try:
         data = pick_data_from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad Pick data: {exc}") from exc
+        raise _bad("Pick data", exc) from exc
     options = {"tol": args.tol}
     try:
         f = np_solve(data, tol=args.tol)
@@ -436,23 +443,27 @@ def _gamma_instance(payload):
     Node-only instances hold explicit points; curve instances hold rational
     coordinate functions that get sampled at the listed nodes.
     """
+    from .nevanlinna import sample_curve
+
     if "curve" in payload:
         try:
             curve = curve_from_json(payload["curve"])
             nodes = tuple(complex_from_json(v) for v in _require(payload, "nodes"))
             return sample_curve(curve, nodes), curve
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad gamma curve data: {exc}") from exc
+            raise _bad("gamma curve data", exc) from exc
     try:
         return gamma_nodes_from_json(payload), None
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad gamma node data: {exc}") from exc
+        raise _bad("gamma node data", exc) from exc
 
 
 def _cmd_reduce(args):
+    from .nevanlinna import DEFAULT_Z_GRID, reduce_gamma5, reduce_gamma7
+
     payload = _load_payload(args)
     data, _ = _gamma_instance(payload)
-    z_grid, split = args.z2_grid, args.split
+    z_grid, split = args.z2_grid or DEFAULT_Z_GRID, args.split
     problems = []
     for z in z_grid:
         entry = {"z": complex_to_json(z), "split": split}
@@ -475,6 +486,8 @@ def _cmd_reduce(args):
 
 
 def _slice_checks(curve, z_grid, det_denominator):
+    from .nevanlinna import _slice_grid
+
     rows = []
     for z, sliced in zip(z_grid, _slice_grid(curve, z_grid, det_denominator)):
         entry = {"z": complex_to_json(z)}
@@ -497,9 +510,11 @@ def _certify_table(rep) -> dict:
 
 
 def _cmd_certify(args):
+    from .nevanlinna import DEFAULT_Z_GRID, _certify, certify_gamma7_interpolation, reduce_gamma5
+
     payload = _load_payload(args)
     data, curve = _gamma_instance(payload)
-    z_grid, splits, tol = args.z2_grid, (args.split,), args.tol
+    z_grid, splits, tol = args.z2_grid or DEFAULT_Z_GRID, (args.split,), args.tol
     options = {
         "split_rules": list(splits),
         "z2_grid": cvector_to_json(z_grid),
@@ -532,6 +547,11 @@ def _cmd_certify(args):
 
 
 def _cmd_verify_identities(args):
+    from .fractional import se_values
+    from .kernels import tensor_grid, upper_e
+    from .lurking import right_s, torus_fit, uw_construct, verify_uw
+    from .realization import random_schur
+
     seed, grid_n, tol = args.seed, args.grid, args.tol
     if seed < 0:
         raise InputError(f"--seed must be non-negative, got {seed}")
@@ -685,8 +705,9 @@ _OPTIONS = {
     "--split": {"choices": ("balanced", "left-one")},
     "--det-denominator": {"choices": ("corrected", "printed")},
 }
-_SLICE_OPTIONS = {"--z2-grid": DEFAULT_Z_GRID, "--split": "balanced",
-                  "--det-denominator": "corrected"}
+# --z2-grid's default, nevanlinna.DEFAULT_Z_GRID, is read in the handlers, so
+# that building the parser loads no computation module
+_SLICE_OPTIONS = {"--z2-grid": None, "--split": "balanced", "--det-denominator": "corrected"}
 
 # each subcommand: its handler, whether it reads --in, and the options it reads
 # with their defaults; every subcommand also takes --out and --text
@@ -709,10 +730,18 @@ _COMMANDS = {
 def _joined(argv) -> list:
     """``argv`` with each option that takes a value joined to its value by
     ``=``: argparse takes a separate value that starts with ``-`` for an
-    option unless it looks like a plain negative number (``--tol -1e-9``)."""
+    option unless it looks like a plain negative number (``--tol -1e-9``).
+    An option may be abbreviated as argparse allows, to a prefix of no other
+    option of the subcommand: ``--to`` is ``--tol`` on ``gamma-check``, and
+    ``--t``, which ``--text`` also starts, is left for argparse to refuse."""
+    _, reads_in, options = _COMMANDS.get(argv[0] if argv else None, (None, False, {}))
+    flags = ["--help", "--out", "--text", *(["--in"] if reads_in else []), *options]
+    valued = {"--in", "--out", *_OPTIONS}
     out, tokens = [], iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in {"--in", "--out", *_OPTIONS} else None
+        named = [f for f in flags if f.startswith(token)] if token.startswith("--") else []
+        takes = token in valued or len(named) == 1 and named[0] in valued
+        value = next(tokens, None) if takes else None
         out.append(token if value is None else f"{token}={value}")
     return out
 

@@ -1015,6 +1015,73 @@ def test_an_option_value_may_start_with_a_minus(tmp_path, capsys, command, optio
     assert json.loads(apart[1].out)["options"][option[2:].replace("-", "_")] == echoed
 
 
+@pytest.mark.parametrize(
+    "command, prefix, value, key, echoed",
+    [
+        pytest.param("gamma-check", "--to", "-1e-9", "tol", -1e-9, id="to"),
+        pytest.param(
+            "certify", "--z2", "-0.3,0.3", "z2_grid", [[-0.3, 0.0], [0.3, 0.0]], id="z2"
+        ),
+    ],
+)
+def test_an_abbreviated_option_value_may_start_with_a_minus(
+    tmp_path, capsys, command, prefix, value, key, echoed
+):
+    # argparse reads a prefix of one option alone as that option
+    payload = _E311_DIAG if command == "gamma-check" else _NODES
+    path = _write(tmp_path, "in.json", payload)
+    apart = run([command, "--in", path, prefix, value]), capsys.readouterr()
+    joined = run([command, "--in", path, f"{prefix}={value}"]), capsys.readouterr()
+    assert apart == joined
+    assert apart[0] in (0, 2) and apart[1].err == ""
+    assert json.loads(apart[1].out)["options"][key] == echoed
+
+
+def test_an_ambiguous_abbreviation_is_refused(tmp_path, capsys):
+    # --t starts both --tol and --text on gamma-check
+    path = _write(tmp_path, "in.json", _E311_DIAG)
+    assert run(["gamma-check", "--in", path, "--t", "-1e-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ambiguous option: --t could match --tol, --text\n"
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        pytest.param(
+            "se",
+            {"function": _without(_function_payload()["function"], "s"), "points": []},
+            "bad realization data: missing the 's' field",
+            id="realization",
+        ),
+        pytest.param(
+            "np", _without(_PICK, "targets"), "bad Pick data: missing the 'targets' field",
+            id="pick",
+        ),
+        pytest.param(
+            "reduce", _without(_NODES, "points"), "bad gamma node data: missing the 'points' field",
+            id="gamma-nodes",
+        ),
+        pytest.param(
+            "certify",
+            {**_CURVE, "curve": _without(_CURVE["curve"], "components")},
+            "bad gamma curve data: missing the 'components' field",
+            id="gamma-curve",
+        ),
+    ],
+)
+def test_a_missing_nested_field_is_named(tmp_path, capsys, command, payload, message):
+    assert run([command, "--in", _write(tmp_path, "in.json", payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_reduce_gamma5_nodes_echoes_the_determinant_denominator(tmp_path, capsys):
     # pi_coordinates(lam A, "gamma5") has x4 = lam tr(A22): 2 - z x4 vanishes
     # at the first node for z = 2 / x4, which the grid puts in the disc
@@ -1293,17 +1360,46 @@ def test_reduce_a_curve_over_subnormal_coefficients(tmp_path, capsys, den, code)
         )
 
 
-def test_runtime_imports_only_numpy_and_the_standard_library():
-    # modules loaded before the import (site hooks of the interpreter) are
-    # not the package's
-    probe = (
-        "import sys; before = set(sys.modules); import gammapick, gammapick.cli; "
-        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
-    )
+# run in a fresh interpreter: the gammapick subcommand given as arguments, or
+# with none the import of gammapick; it prints the modules that loaded, not
+# counting those of the interpreter's site hooks
+_LOADS_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    if sys.argv[1:]:
+        from gammapick import cli
+        cli.run(sys.argv[1:])
+    else:
+        import gammapick
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library(tmp_path):
     src = str(Path(gammapick.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    ).stdout.split()
-    assert "gammapick" in out
-    assert {m for m in out if m not in sys.stdlib_module_names} <= {"numpy", "gammapick"}
+
+    def loads(*argv):
+        """The gammapick submodules that a fresh run of ``argv`` loads."""
+        done = subprocess.run(
+            [sys.executable, "-c", _LOADS_PROBE, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert done.stderr == ""
+        loaded = done.stdout.split()
+        tops = {m.split(".")[0] for m in loaded}
+        assert "gammapick" in tops
+        assert {m for m in tops if m not in sys.stdlib_module_names} <= {"numpy", "gammapick"}
+        return {m.removeprefix("gammapick.") for m in loaded if m.startswith("gammapick.")}
+
+    assert loads() == set()
+    assert loads("--help").isdisjoint({"hardy", "kernels", "lurking", "nevanlinna"})
+    matrix = _write(tmp_path, "matrix.json", _E311_DIAG)
+    assert loads("gamma-check", "--in", matrix) == {
+        "cli", "domains", "linalg", "serialize", "tolerances"
+    }
+    points = _write(tmp_path, "se.json", _with_se_points([[[0.1, 0], [0.2, 0], [0.3, 0]]]))
+    assert loads("se", "--in", points).isdisjoint({"hardy", "nevanlinna"})
+    curve = _write(tmp_path, "curve.json", _CURVE)
+    assert loads("certify", "--in", curve).isdisjoint({"fractional", "kernels", "lurking"})

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gammapick import cli, domains, hardy, kernels, linalg, lurking, nevanlinna, realization
+from gammapick import cli, domains, fractional, hardy, kernels, linalg, lurking, nevanlinna
+from gammapick import realization
 from gammapick import tolerances as tt
 from gammapick.domains import E311, GammaPoint, MuBound, in_gamma
 from gammapick.hardy import InnerOuterPair, RationalFunction, blaschke_eval
@@ -403,22 +404,23 @@ def _phase_floor():
     return _both(ignored)
 
 
-def _verify_identities(**patches) -> int:
+def _verify_identities(module, name, value) -> int:
+    """``verify-identities`` with ``module.name`` patched: the handler looks
+    the name up in its module when it runs."""
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in patches.items():
-            mp.setattr(cli, name, value)
+        mp.setattr(module, name, value)
         with contextlib.redirect_stdout(io.StringIO()):
             return cli.run(["verify-identities"])
 
 
 def _torus_fit_tol():
     fit = lambda k: lambda *_: lurking.TorusFit((1, 1, 1), k * tt.TORUS_FIT_TOL)
-    return _both(lambda k: _verify_identities(torus_fit=fit(k)) == 0)
+    return _both(lambda k: _verify_identities(lurking, "torus_fit", fit(k)) == 0)
 
 
 def _se_sup_tol():
     sup = lambda k: lambda *_: (np.array([1.0 + k * tt.SE_SUP_TOL]),)
-    return _both(lambda k: _verify_identities(se_values=sup(k)) == 0)
+    return _both(lambda k: _verify_identities(fractional, "se_values", sup(k)) == 0)
 
 
 PROBES = {
