@@ -710,7 +710,7 @@ _OPTIONS = {
 _SLICE_OPTIONS = {"--z2-grid": None, "--split": "balanced", "--det-denominator": "corrected"}
 
 # each subcommand: its handler, whether it reads --in, and the options it reads
-# with their defaults; every subcommand also takes --out and --text
+# with their defaults
 _COMMANDS = {
     "mu": (_cmd_mu, True, {}),
     "gamma-check": (_cmd_gamma_check, True, {"--tol": MEMBER_TOL}),
@@ -727,21 +727,36 @@ _COMMANDS = {
 }
 
 
+def _flags(command: str) -> dict:
+    """Each flag of ``command`` with its argparse settings, in the parser's
+    order; every subcommand takes --out and --text, and all but
+    verify-identities take --in."""
+    _, reads_in, options = _COMMANDS[command]
+    flags = {}
+    if reads_in:
+        flags["--in"] = {"dest": "infile", "metavar": "FILE", "required": True,
+                         "help": "JSON instance file"}
+    flags["--out"] = {"dest": "outfile", "metavar": "FILE", "help": "also write the report here"}
+    for flag, default in options.items():
+        flags[flag] = {"default": default, **_OPTIONS[flag]}
+    flags["--text"] = {"action": "store_true", "help": "line-oriented output instead of JSON"}
+    return flags
+
+
 def _joined(argv) -> list:
-    """``argv`` with each option that takes a value joined to its value by
-    ``=``: argparse takes a separate value that starts with ``-`` for an
-    option unless it looks like a plain negative number (``--tol -1e-9``).
-    An option may be abbreviated as argparse allows, to a prefix of no other
-    option of the subcommand: ``--to`` is ``--tol`` on ``gamma-check``, and
-    ``--t``, which ``--text`` also starts, is left for argparse to refuse."""
-    _, reads_in, options = _COMMANDS.get(argv[0] if argv else None, (None, False, {}))
-    flags = ["--help", "--out", "--text", *(["--in"] if reads_in else []), *options]
-    valued = {"--in", "--out", *_OPTIONS}
+    """``argv`` with each option of its subcommand that takes a value joined
+    to its value by ``=``: argparse takes a separate value that starts with
+    ``-`` for an option unless it looks like a plain negative number
+    (``--tol -1e-9``).  An option may be abbreviated as argparse allows, to a
+    prefix of no other option of the subcommand: ``--to`` is ``--tol`` on
+    ``gamma-check``, and ``--t``, which ``--text`` also starts, is left for
+    argparse to refuse."""
+    flags = _flags(argv[0]) if argv and argv[0] in _COMMANDS else {}
     out, tokens = [], iter(argv)
     for token in tokens:
-        named = [f for f in flags if f.startswith(token)] if token.startswith("--") else []
-        takes = token in valued or len(named) == 1 and named[0] in valued
-        value = next(tokens, None) if takes else None
+        named = [f for f in ("--help", *flags) if token.startswith("--") and f.startswith(token)]
+        match = token if token in flags else named[0] if len(named) == 1 else None
+        value = next(tokens, None) if match in flags and "action" not in flags[match] else None
         out.append(token if value is None else f"{token}={value}")
     return out
 
@@ -756,15 +771,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Structured singular values, kernel triples, and Pick reductions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, reads_in, options) in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        if reads_in:
-            p.add_argument("--in", dest="infile", metavar="FILE", required=True,
-                           help="JSON instance file")
-        p.add_argument("--out", dest="outfile", metavar="FILE", help="also write the report here")
-        for flag, default in options.items():
-            p.add_argument(flag, default=default, **_OPTIONS[flag])
-        p.add_argument("--text", action="store_true", help="line-oriented output instead of JSON")
+        for flag, settings in _flags(name).items():
+            p.add_argument(flag, **settings)
     return parser
 
 

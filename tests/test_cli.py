@@ -1360,18 +1360,22 @@ def test_reduce_a_curve_over_subnormal_coefficients(tmp_path, capsys, den, code)
         )
 
 
-# run in a fresh interpreter: the gammapick subcommand given as arguments, or
-# with none the import of gammapick; it prints the modules that loaded, not
+# run in a fresh interpreter: the gammapick subcommand given as arguments; with
+# the one argument __all__, the resolution of cli and of every public name; with
+# none, the import of gammapick.  It prints the modules that loaded, not
 # counting those of the interpreter's site hooks
 _LOADS_PROBE = """
 import contextlib, io, sys
 before = set(sys.modules)
+import gammapick
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-    if sys.argv[1:]:
+    if sys.argv[1:] == ["__all__"]:
+        from gammapick import cli
+        for name in gammapick.__all__:
+            getattr(gammapick, name)
+    elif sys.argv[1:]:
         from gammapick import cli
         cli.run(sys.argv[1:])
-    else:
-        import gammapick
 print(*sorted(set(sys.modules) - before))
 """
 
@@ -1390,16 +1394,32 @@ def test_runtime_imports_only_numpy_and_the_standard_library(tmp_path):
         loaded = done.stdout.split()
         tops = {m.split(".")[0] for m in loaded}
         assert "gammapick" in tops
-        assert {m for m in tops if m not in sys.stdlib_module_names} <= {"numpy", "gammapick"}
+        # numpy.random's Cython-compiled extensions register the shims
+        # cython_runtime and _cython_<version>, which ship in no package
+        others = {m for m in tops if m not in sys.stdlib_module_names}
+        others -= {m for m in others if m == "cython_runtime" or m.startswith("_cython_")}
+        assert others <= {"numpy", "gammapick"}
         return {m.removeprefix("gammapick.") for m in loaded if m.startswith("gammapick.")}
 
     assert loads() == set()
+    modules = {p.stem for p in Path(gammapick.__file__).parent.glob("*.py")} - {"__init__"}
+    assert loads("__all__") == modules
     assert loads("--help").isdisjoint({"hardy", "kernels", "lurking", "nevanlinna"})
-    matrix = _write(tmp_path, "matrix.json", _E311_DIAG)
-    assert loads("gamma-check", "--in", matrix) == {
-        "cli", "domains", "linalg", "serialize", "tolerances"
+    # every subcommand, so that each handler's own imports run too
+    grid = _with_grid({})
+    inputs = {
+        "mu": _E311_DIAG, "gamma-check": _E311_DIAG,
+        "se": _with_se_points([[[0.1, 0], [0.2, 0], [0.3, 0]]]),
+        "upper-e": grid, "uw": grid, "right-s": grid,
+        "np": _PICK, "reduce": _NODES, "certify": _CURVE,
     }
-    points = _write(tmp_path, "se.json", _with_se_points([[[0.1, 0], [0.2, 0], [0.3, 0]]]))
-    assert loads("se", "--in", points).isdisjoint({"hardy", "nevanlinna"})
-    curve = _write(tmp_path, "curve.json", _CURVE)
-    assert loads("certify", "--in", curve).isdisjoint({"fractional", "kernels", "lurking"})
+    loaded = {
+        command: loads(command, "--in", _write(tmp_path, f"{command}.json", payload))
+        for command, payload in inputs.items()
+    }
+    loaded["verify-identities"] = loads("verify-identities", "--grid", "4")
+    assert set(loaded) == set(cli._COMMANDS)
+    assert loaded["gamma-check"] == {"cli", "domains", "linalg", "serialize", "tolerances"}
+    assert loaded["se"].isdisjoint({"hardy", "nevanlinna"})
+    assert loaded["certify"].isdisjoint({"fractional", "kernels", "lurking"})
+    assert {"kernels", "lurking"} <= loaded["verify-identities"]
